@@ -1,6 +1,8 @@
 package ccpsl
 
 import (
+	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -306,6 +308,33 @@ rule hit { from V on R
 	_, err := Parse(src)
 	if err == nil || !strings.Contains(err.Error(), "must not be a valid-copy state") {
 		t.Fatalf("want validation error, got %v", err)
+	}
+}
+
+// TestParseRejectsRepeatedInvariantFlag: "owner owner" on Illinois's Dirty
+// line used to parse, and the symbolic checker then reported owners in
+// Dirty and Dirty coexisting. It is now an error at that line, carrying the
+// typed fsm cause.
+func TestParseRejectsRepeatedInvariantFlag(t *testing.T) {
+	src, err := os.ReadFile("../../specs/illinois.ccpsl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const line = "  Dirty valid readable exclusive owner\n"
+	text := string(src)
+	at := strings.Index(text, line)
+	if at < 0 {
+		t.Fatal("Dirty line not found in specs/illinois.ccpsl")
+	}
+	wantLine := strings.Count(text[:at], "\n") + 1
+	_, err = Parse(strings.Replace(text, line, "  Dirty valid readable exclusive owner owner\n", 1))
+	var perr *Error
+	if !errors.As(err, &perr) || perr.Line != wantLine {
+		t.Fatalf("want a ccpsl error at line %d, got %v", wantLine, err)
+	}
+	var dup *fsm.DuplicateInvariantError
+	if !errors.As(err, &dup) || dup.Set != "Owners" || dup.State != "Dirty" {
+		t.Fatalf("want a DuplicateInvariantError for Owners/Dirty, got %v", err)
 	}
 }
 

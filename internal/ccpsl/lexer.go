@@ -45,10 +45,12 @@ type token struct {
 	line int
 }
 
-// Error is a specification error with a source line number.
+// Error is a specification error with a source line number. Err, when
+// set, is the typed cause (e.g. *fsm.DuplicateInvariantError).
 type Error struct {
 	Line int
 	Msg  string
+	Err  error
 }
 
 func (e *Error) Error() string {
@@ -57,6 +59,8 @@ func (e *Error) Error() string {
 	}
 	return "ccpsl: " + e.Msg
 }
+
+func (e *Error) Unwrap() error { return e.Err }
 
 func errf(line int, format string, args ...interface{}) *Error {
 	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}

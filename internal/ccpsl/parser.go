@@ -2,6 +2,7 @@ package ccpsl
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fsm"
 )
@@ -169,8 +170,11 @@ func (pr *parser) statesBlock(p *fsm.Protocol) error {
 		}
 		st := fsm.State(nameTok.text)
 		p.States = append(p.States, st)
+		var lineFlags []string // the invariant flags given on this line
 		for pr.peek().kind == tokIdent {
 			flag := pr.next()
+			var set *[]fsm.State
+			var setName string
 			switch flag.text {
 			case "initial":
 				if haveInitial {
@@ -179,19 +183,28 @@ func (pr *parser) statesBlock(p *fsm.Protocol) error {
 				haveInitial = true
 				p.Initial = st
 			case "valid":
-				p.Inv.ValidCopy = append(p.Inv.ValidCopy, st)
+				set, setName = &p.Inv.ValidCopy, "ValidCopy"
 			case "readable":
-				p.Inv.Readable = append(p.Inv.Readable, st)
+				set, setName = &p.Inv.Readable, "Readable"
 			case "exclusive":
-				p.Inv.Exclusive = append(p.Inv.Exclusive, st)
+				set, setName = &p.Inv.Exclusive, "Exclusive"
 			case "owner":
-				p.Inv.Owners = append(p.Inv.Owners, st)
+				set, setName = &p.Inv.Owners, "Owners"
 			case "clean":
-				p.Inv.CleanShared = append(p.Inv.CleanShared, st)
+				set, setName = &p.Inv.CleanShared, "CleanShared"
 			default:
 				return errf(flag.line, "unknown state flag %q (want %s)", flag.text,
 					quoteList([]string{"initial", "valid", "readable", "exclusive", "owner", "clean"}))
 			}
+			if set == nil {
+				continue
+			}
+			if slices.Contains(lineFlags, flag.text) {
+				return &Error{Line: flag.line, Msg: fmt.Sprintf("state %s: flag %q given twice", st, flag.text),
+					Err: &fsm.DuplicateInvariantError{Protocol: p.Name, Set: setName, State: st}}
+			}
+			lineFlags = append(lineFlags, flag.text)
+			*set = append(*set, st)
 		}
 		if _, err := pr.expect(tokNewline); err != nil {
 			return err

@@ -46,14 +46,17 @@ func (e *UnsupportedVersionError) Error() string {
 
 // CorruptError reports a structurally invalid .ccfsm payload: truncated
 // sections, out-of-range indexes, or a decoded protocol that fails
-// validation.
+// validation, in which case Err is the validation error.
 type CorruptError struct {
 	Reason string
+	Err    error
 }
 
 func (e *CorruptError) Error() string {
 	return "compile: corrupt .ccfsm payload: " + e.Reason
 }
+
+func (e *CorruptError) Unwrap() error { return e.Err }
 
 // guard flag bits of the rule data-effect section.
 const (
@@ -488,7 +491,7 @@ func DecodeBinary(data []byte) (*fsm.Protocol, error) {
 		return nil, r.fail(fmt.Sprintf("%d trailing bytes after protocol", len(r.buf)-r.off))
 	}
 	if err := p.Validate(); err != nil {
-		return nil, &CorruptError{Reason: "decoded protocol invalid: " + err.Error()}
+		return nil, &CorruptError{Reason: "decoded protocol invalid: " + err.Error(), Err: err}
 	}
 	return p, nil
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -248,6 +249,52 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		if _, err := DecodeBinary(truncated); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestDecodeRejectsDuplicateInvariantState: a .ccfsm payload listing a
+// state twice in an invariant set decodes to a CorruptError wrapping the
+// typed validation error. The payload is made by encoding two valid
+// protocols that differ in one owner, and pointing the differing index at
+// the other owner.
+func TestDecodeRejectsDuplicateInvariantState(t *testing.T) {
+	payloadWithOwners := func(owners ...fsm.State) []byte {
+		p := specProtocol(t, "illinois").Clone()
+		p.Inv.Owners = owners
+		data, err := EncodeBinary(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _, err := ckptio.Decode("t", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []byte(payload)
+	}
+	a := payloadWithOwners("Dirty", "Shared")
+	b := payloadWithOwners("Dirty", "Valid-Exclusive")
+	if len(a) != len(b) {
+		t.Fatalf("payload lengths differ: %d vs %d", len(a), len(b))
+	}
+	diff := -1
+	for i := range a {
+		if a[i] != b[i] {
+			if diff >= 0 {
+				t.Fatal("payloads differ in more than one byte")
+			}
+			diff = i
+		}
+	}
+	if diff < 0 {
+		t.Fatal("payloads are identical")
+	}
+	p := specProtocol(t, "illinois")
+	a[diff] = byte(slices.Index(p.States, "Dirty"))
+	_, err := DecodeBinary(ckptio.Encode(a))
+	var corrupt *CorruptError
+	var dup *fsm.DuplicateInvariantError
+	if !errors.As(err, &corrupt) || !errors.As(err, &dup) || dup.Set != "Owners" || dup.State != "Dirty" {
+		t.Fatalf("want a CorruptError wrapping DuplicateInvariantError{Owners, Dirty}, got %v", err)
 	}
 }
 

@@ -133,8 +133,10 @@ var useInterpretedExpand = false
 // and the parallel workers' admission loop, which is what keeps the two
 // observationally identical. The hot path steps through the run's compiled
 // protocol (kc.cp): the dequeued configuration is encoded to integer states
-// once, each successor is generated by a table-driven compiled step, and
-// only admitted successors are materialized back to fsm.Config form.
+// once and each successor is generated by a table-driven compiled step.
+// Every successor is then cloned, decoded back to fsm.Config form,
+// canonicalized and keyed here, before admission: the visited check runs
+// later, on the key, so rejected duplicates pay for materialization too.
 func expandOne(kc *keyCodec, symmetric bool, cur *fsm.Config, out *workerOut) {
 	if useInterpretedExpand {
 		expandOneInterpreted(kc, symmetric, cur, out)

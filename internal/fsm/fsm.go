@@ -2,6 +2,7 @@ package fsm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -247,6 +248,22 @@ type Invariants struct {
 	CleanShared []State
 }
 
+// DuplicateInvariantError reports a state listed twice in one invariant
+// set. The sets are sets: a repeated entry would make the pairwise checks
+// pair the state with itself and report a coexistence that no
+// concretization has.
+type DuplicateInvariantError struct {
+	Protocol string
+	// Set names the invariant set: Exclusive, Owners, Readable, ValidCopy
+	// or CleanShared.
+	Set   string
+	State State
+}
+
+func (e *DuplicateInvariantError) Error() string {
+	return fmt.Sprintf("fsm: protocol %s: state %q listed twice in the %s invariant set", e.Protocol, e.State, e.Set)
+}
+
 // Protocol is a complete behavioral protocol specification.
 type Protocol struct {
 	// Name is the protocol's conventional name, e.g. "Illinois".
@@ -347,7 +364,8 @@ func (p *Protocol) ensureIndex() {
 //   - declares at least two states and one operation, with no duplicates;
 //   - has an Initial state outside the valid-copy set;
 //   - references only declared states in rules, guards, observe maps,
-//     suppliers and invariants;
+//     suppliers and invariants, and lists no state twice in one invariant
+//     set (a *DuplicateInvariantError);
 //   - for every (From, On) pair, has guards forming a partition: at most
 //     one Always rule and no Always rule alongside conditional ones, and
 //     AnyOther/NoOther rules pairing over identical state sets;
@@ -398,20 +416,24 @@ func (p *Protocol) Validate() error {
 		}
 		return nil
 	}
-	if err := checkSet("Exclusive", p.Inv.Exclusive); err != nil {
-		return err
-	}
-	if err := checkSet("Owners", p.Inv.Owners); err != nil {
-		return err
-	}
-	if err := checkSet("Readable", p.Inv.Readable); err != nil {
-		return err
-	}
-	if err := checkSet("ValidCopy", p.Inv.ValidCopy); err != nil {
-		return err
-	}
-	if err := checkSet("CleanShared", p.Inv.CleanShared); err != nil {
-		return err
+	for _, inv := range []struct {
+		name   string
+		states []State
+	}{
+		{"Exclusive", p.Inv.Exclusive},
+		{"Owners", p.Inv.Owners},
+		{"Readable", p.Inv.Readable},
+		{"ValidCopy", p.Inv.ValidCopy},
+		{"CleanShared", p.Inv.CleanShared},
+	} {
+		if err := checkSet(inv.name, inv.states); err != nil {
+			return err
+		}
+		for i, s := range inv.states {
+			if slices.Contains(inv.states[:i], s) {
+				return &DuplicateInvariantError{Protocol: p.Name, Set: inv.name, State: s}
+			}
+		}
 	}
 	for _, s := range p.Inv.ValidCopy {
 		if s == p.Initial {

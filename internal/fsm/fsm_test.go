@@ -1,6 +1,7 @@
 package fsm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -384,5 +385,34 @@ func TestEnumStringers(t *testing.T) {
 		if strings.Contains(k.String(), "ViolationKind(") {
 			t.Errorf("missing String case for %d", int(k))
 		}
+	}
+}
+
+// TestValidateRejectsDuplicateInvariantState: a state listed twice in one
+// invariant set is a typed error for every set. A repeated owner used to
+// make the checkers pair the state with itself and report a coexistence
+// no concretization has.
+func TestValidateRejectsDuplicateInvariantState(t *testing.T) {
+	for _, tc := range []struct {
+		set    string
+		mutate func(*Invariants)
+	}{
+		{"Exclusive", func(inv *Invariants) { inv.Exclusive = []State{"V", "V"} }},
+		{"Owners", func(inv *Invariants) { inv.Owners = []State{"V", "V"} }},
+		{"Readable", func(inv *Invariants) { inv.Readable = []State{"V", "V"} }},
+		{"ValidCopy", func(inv *Invariants) { inv.ValidCopy = []State{"V", "V"} }},
+		{"CleanShared", func(inv *Invariants) { inv.CleanShared = []State{"V", "I", "V"} }},
+	} {
+		t.Run(tc.set, func(t *testing.T) {
+			p := miniProtocol()
+			tc.mutate(&p.Inv)
+			var dup *DuplicateInvariantError
+			if err := p.Validate(); !errors.As(err, &dup) {
+				t.Fatalf("want *DuplicateInvariantError, got %v", err)
+			}
+			if dup.Set != tc.set || dup.State != "V" || dup.Protocol != "Mini" {
+				t.Fatalf("error fields = %+v, want set %s state V", dup, tc.set)
+			}
+		})
 	}
 }

@@ -20,25 +20,17 @@ func (e *Engine) Check(s *CState, strict bool) []fsm.Violation {
 	var out []fsm.Violation
 	p := e.p
 
-	idxs := func(states []fsm.State) []int {
-		r := make([]int, 0, len(states))
-		for _, st := range states {
-			r = append(r, p.StateIndex(st))
-		}
-		return r
-	}
-
 	// Exclusive states must be the sole valid copy.
-	for _, x := range idxs(p.Inv.Exclusive) {
-		if s.reps[x] == RZero {
+	for _, x := range e.exclusive {
+		if s.Rep(x) == RZero {
 			continue
 		}
 		// Pairing with another populated valid class.
 		for _, t := range e.validIdxs {
-			if t == x || s.reps[t] == RZero {
+			if t == x || s.Rep(t) == RZero {
 				continue
 			}
-			if e.possible(s, map[int]int{x: 1, t: 1}) {
+			if e.possible(s, x, 1, t, 1) {
 				out = append(out, fsm.Violation{
 					Kind: fsm.ViolationExclusive,
 					Detail: fmt.Sprintf("exclusive state %s may coexist with a copy in %s in %s",
@@ -47,7 +39,7 @@ func (e *Engine) Check(s *CState, strict bool) []fsm.Violation {
 			}
 		}
 		// Two caches in the exclusive state itself.
-		if s.reps[x].Max() >= 2 && e.possible(s, map[int]int{x: 2}) {
+		if s.Rep(x).Max() >= 2 && e.possible(s, x, 2, -1, 0) {
 			out = append(out, fsm.Violation{
 				Kind: fsm.ViolationExclusive,
 				Detail: fmt.Sprintf("two caches may hold exclusive state %s in %s",
@@ -57,12 +49,11 @@ func (e *Engine) Check(s *CState, strict bool) []fsm.Violation {
 	}
 
 	// At most one owner across all owner states.
-	owners := idxs(p.Inv.Owners)
-	for i, a := range owners {
-		if s.reps[a] == RZero {
+	for i, a := range e.owners {
+		if s.Rep(a) == RZero {
 			continue
 		}
-		if s.reps[a].Max() >= 2 && e.possible(s, map[int]int{a: 2}) {
+		if s.Rep(a).Max() >= 2 && e.possible(s, a, 2, -1, 0) {
 			// Reported even when the state is also exclusive (which yields
 			// its own violation): the concrete checker reports both kinds,
 			// and the differential tests require kind-for-kind agreement.
@@ -72,11 +63,11 @@ func (e *Engine) Check(s *CState, strict bool) []fsm.Violation {
 					p.States[a], s.StructureString(p)),
 			})
 		}
-		for _, b := range owners[i+1:] {
-			if s.reps[b] == RZero {
+		for _, b := range e.owners[i+1:] {
+			if s.Rep(b) == RZero {
 				continue
 			}
-			if e.possible(s, map[int]int{a: 1, b: 1}) {
+			if e.possible(s, a, 1, b, 1) {
 				out = append(out, fsm.Violation{
 					Kind: fsm.ViolationOwners,
 					Detail: fmt.Sprintf("owners in %s and %s may coexist in %s",
@@ -87,31 +78,31 @@ func (e *Engine) Check(s *CState, strict bool) []fsm.Violation {
 	}
 
 	// Data consistency (Definition 3): a readable copy must be fresh.
-	for _, r := range idxs(p.Inv.Readable) {
-		if s.reps[r] == RZero || s.cdata[r] == DFresh {
+	for _, r := range e.readable {
+		if s.Rep(r) == RZero || s.CData(r) == DFresh {
 			continue
 		}
-		if e.possible(s, map[int]int{r: 1}) {
+		if e.possible(s, r, 1, -1, 0) {
 			out = append(out, fsm.Violation{
 				Kind: fsm.ViolationStaleRead,
 				Detail: fmt.Sprintf("a processor may read %s data in readable state %s in %s",
-					s.cdata[r], p.States[r], s.StructureString(p)),
+					s.CData(r), p.States[r], s.StructureString(p)),
 			})
 		}
 	}
 
 	if strict {
-		for _, c := range idxs(p.Inv.CleanShared) {
-			if s.reps[c] == RZero {
+		for _, c := range e.cleanShared {
+			if s.Rep(c) == RZero {
 				continue
 			}
-			mismatch := (s.cdata[c] == DFresh && s.mdata == DObsolete) ||
-				(s.cdata[c] == DObsolete && s.mdata == DFresh)
-			if mismatch && e.possible(s, map[int]int{c: 1}) {
+			mismatch := (s.CData(c) == DFresh && s.mdata == DObsolete) ||
+				(s.CData(c) == DObsolete && s.mdata == DFresh)
+			if mismatch && e.possible(s, c, 1, -1, 0) {
 				out = append(out, fsm.Violation{
 					Kind: fsm.ViolationCleanShared,
 					Detail: fmt.Sprintf("clean state %s (%s) disagrees with memory (%s) in %s",
-						p.States[c], s.cdata[c], s.mdata, s.StructureString(p)),
+						p.States[c], s.CData(c), s.mdata, s.StructureString(p)),
 				})
 			}
 		}
@@ -119,27 +110,28 @@ func (e *Engine) Check(s *CState, strict bool) []fsm.Violation {
 	return out
 }
 
-// possible reports whether some concretization of s satisfies the per-class
-// minimum instance counts given in need, consistently with the class
-// operators and the copy-count attribute.
-func (e *Engine) possible(s *CState, need map[int]int) bool {
-	for i, n := range need {
-		if s.reps[i].Max() < n {
-			return false
-		}
+// possible reports whether some concretization of s puts at least ni
+// caches in class i and, when j ≥ 0, at least nj in class j (i ≠ j),
+// consistently with the class operators and the copy-count attribute.
+func (e *Engine) possible(s *CState, i, ni, j, nj int) bool {
+	if s.Rep(i).Max() < ni || j >= 0 && s.Rep(j).Max() < nj {
+		return false
 	}
 	if s.attr == CountNull {
 		return true
 	}
 	bound := s.attr.interval()
 	min, max := 0, 0
-	for _, i := range e.validIdxs {
-		m := s.reps[i].Min()
-		if n, ok := need[i]; ok && n > m {
-			m = n
+	for _, c := range e.validIdxs {
+		m := s.Rep(c).Min()
+		switch {
+		case c == i && ni > m:
+			m = ni
+		case c == j && nj > m:
+			m = nj
 		}
 		min += m
-		max += s.reps[i].Max()
+		max += s.Rep(c).Max()
 	}
 	// Demands on non-valid classes do not affect the copy count.
 	return satur(min) <= bound.hi && satur(max) >= bound.lo

@@ -106,17 +106,16 @@ func (lr LabelRef) label() Label {
 }
 
 func cstateData(s *CState) CStateData {
+	n := s.NumClasses()
 	d := CStateData{
-		Reps:  make([]int, len(s.reps)),
-		Cdata: make([]int, len(s.cdata)),
+		Reps:  make([]int, n),
+		Cdata: make([]int, n),
 		Attr:  int(s.attr),
 		Mdata: int(s.mdata),
 	}
-	for i, r := range s.reps {
-		d.Reps[i] = int(r)
-	}
-	for i, c := range s.cdata {
-		d.Cdata[i] = int(c)
+	for i := 0; i < n; i++ {
+		d.Reps[i] = int(s.Rep(i))
+		d.Cdata[i] = int(s.CData(i))
 	}
 	return d
 }

@@ -233,19 +233,22 @@ func satur(x int) int {
 	return x
 }
 
-// counts returns the Count classifications compatible with the interval.
-func (a ival) counts() []Count {
-	var out []Count
+// counts returns the Count classifications compatible with the interval,
+// in increasing order, as the first n entries of cs.
+func (a ival) counts() (cs [3]Count, n int) {
 	if a.lo <= 0 && a.hi >= 0 {
-		out = append(out, CountZero)
+		cs[n] = CountZero
+		n++
 	}
 	if a.lo <= 1 && a.hi >= 1 {
-		out = append(out, CountOne)
+		cs[n] = CountOne
+		n++
 	}
 	if a.hi >= manyCount {
-		out = append(out, CountMany)
+		cs[n] = CountMany
+		n++
 	}
-	return out
+	return cs, n
 }
 
 // Data is an abstract data value of a context variable (Definition 4 and
@@ -320,6 +323,11 @@ func (d Data) LE(e Data) bool {
 // attribute, and the memory context variable. CStates are immutable after
 // construction; share them freely.
 //
+// The canonical key is the only copy of the component vectors: class i's
+// operator and context variable are bytes 2i and 2i+1 of the key, so a
+// state costs two allocations (the struct and its key) and the accessors
+// decode a byte each.
+//
 // For protocols with at most 64 state symbols (all of them, in practice)
 // the constructor also derives bitmask summaries of the two component
 // vectors, one bit per state symbol. They turn the containment tests of
@@ -327,11 +335,9 @@ func (d Data) LE(e Data) bool {
 // a handful of word operations, and give the containment index its
 // structural signature (occAll).
 type CState struct {
-	reps  []Rep
-	cdata []Data
+	key   string
 	attr  Count
 	mdata Data
-	key   string
 
 	// masked reports that the bitmask summaries below are valid.
 	masked bool
@@ -355,58 +361,59 @@ func (s *CState) Attr() Count { return s.attr }
 func (s *CState) MData() Data { return s.mdata }
 
 // Rep returns the repetition operator of state index i.
-func (s *CState) Rep(i int) Rep { return s.reps[i] }
+func (s *CState) Rep(i int) Rep { return Rep(s.key[2*i] - '0') }
 
 // CData returns the context variable of state index i.
-func (s *CState) CData(i int) Data { return s.cdata[i] }
+func (s *CState) CData(i int) Data { return Data(s.key[2*i+1] - 'a') }
 
 // NumClasses returns the number of state symbols (|Q|).
-func (s *CState) NumClasses() int { return len(s.reps) }
+func (s *CState) NumClasses() int { return (len(s.key) - keyTail) / 2 }
 
-func buildKey(reps []Rep, cdata []Data, attr Count, mdata Data) string {
-	var b strings.Builder
-	b.Grow(2*len(reps) + 4)
-	for i, r := range reps {
-		b.WriteByte('0' + byte(r))
-		b.WriteByte('a' + byte(cdata[i]))
-	}
-	b.WriteByte('|')
-	b.WriteByte('0' + byte(attr))
-	b.WriteByte('a' + byte(mdata))
-	return b.String()
-}
+// keyTail is the length of the key's "|<attr><mdata>" suffix.
+const keyTail = 3
 
+// newCState builds a state from its components. It does not retain the
+// slices, so callers may reuse them as scratch.
 func newCState(reps []Rep, cdata []Data, attr Count, mdata Data) *CState {
-	s := &CState{
-		reps:  reps,
-		cdata: cdata,
-		attr:  attr,
-		mdata: mdata,
-		key:   buildKey(reps, cdata, attr, mdata),
+	n := len(reps)
+	s := &CState{attr: attr, mdata: mdata, masked: n <= 64}
+	var small [2*64 + keyTail]byte
+	var key []byte
+	if s.masked {
+		key = small[:2*n+keyTail]
+	} else {
+		key = make([]byte, 2*n+keyTail)
 	}
-	if len(reps) <= 64 {
-		s.masked = true
-		for i, r := range reps {
-			bit := uint64(1) << i
-			switch r {
-			case ROne:
-				s.maskOne |= bit
-			case RPlus:
-				s.maskPlus |= bit
-			case RStar:
-				s.maskStar |= bit
-			}
-			switch cdata[i] {
-			case DFresh:
-				s.cdFresh |= bit
-			case DNone:
-				s.cdNone |= bit
-			case DObsolete:
-				s.cdObs |= bit
-			}
+	for i, r := range reps {
+		d := cdata[i]
+		key[2*i] = '0' + byte(r)
+		key[2*i+1] = 'a' + byte(d)
+		if !s.masked {
+			continue
 		}
-		s.occAll = s.maskOne | s.maskPlus | s.maskStar
+		bit := uint64(1) << i
+		switch r {
+		case ROne:
+			s.maskOne |= bit
+		case RPlus:
+			s.maskPlus |= bit
+		case RStar:
+			s.maskStar |= bit
+		}
+		switch d {
+		case DFresh:
+			s.cdFresh |= bit
+		case DNone:
+			s.cdNone |= bit
+		case DObsolete:
+			s.cdObs |= bit
+		}
 	}
+	key[2*n] = '|'
+	key[2*n+1] = '0' + byte(attr)
+	key[2*n+2] = 'a' + byte(mdata)
+	s.key = string(key)
+	s.occAll = s.maskOne | s.maskPlus | s.maskStar
 	return s
 }
 
@@ -415,11 +422,10 @@ func newCState(reps []Rep, cdata []Data, attr Count, mdata Data) *CState {
 // "(Shared+, Invalid*)".
 func (s *CState) StructureString(p *fsm.Protocol) string {
 	var parts []string
-	for i, r := range s.reps {
-		if r == RZero {
-			continue
+	for i := 0; i < s.NumClasses(); i++ {
+		if r := s.Rep(i); r != RZero {
+			parts = append(parts, string(p.States[i])+r.Suffix())
 		}
-		parts = append(parts, string(p.States[i])+r.Suffix())
 	}
 	if len(parts) == 0 {
 		return "(empty)"
@@ -431,11 +437,10 @@ func (s *CState) StructureString(p *fsm.Protocol) string {
 // "cdata=(Shared:fresh) mdata=fresh copies≥2".
 func (s *CState) ContextString(p *fsm.Protocol) string {
 	var parts []string
-	for i, r := range s.reps {
-		if r == RZero {
-			continue
+	for i := 0; i < s.NumClasses(); i++ {
+		if s.Rep(i) != RZero {
+			parts = append(parts, fmt.Sprintf("%s:%s", p.States[i], s.CData(i)))
 		}
-		parts = append(parts, fmt.Sprintf("%s:%s", p.States[i], s.cdata[i]))
 	}
 	out := "cdata=(" + strings.Join(parts, ", ") + ") mdata=" + s.mdata.String()
 	if s.attr != CountNull {
@@ -453,7 +458,7 @@ func (s *CState) ContextString(p *fsm.Protocol) string {
 // least plus, small's singletons are occupied, and big has no definite
 // class (1 or +) where small is empty.
 func Covers(big, small *CState) bool {
-	if len(big.reps) != len(small.reps) {
+	if len(big.key) != len(small.key) {
 		return false
 	}
 	if big.masked && small.masked {
@@ -462,8 +467,8 @@ func Covers(big, small *CState) bool {
 			small.maskOne&^big.occAll == 0 &&
 			(big.maskOne|big.maskPlus)&^small.occAll == 0
 	}
-	for i := range small.reps {
-		if !small.reps[i].LE(big.reps[i]) {
+	for i := 0; i < small.NumClasses(); i++ {
+		if !small.Rep(i).LE(big.Rep(i)) {
 			return false
 		}
 	}
@@ -491,8 +496,8 @@ func Contains(big, small *CState) bool {
 		diff := (small.cdFresh ^ big.cdFresh) | (small.cdNone ^ big.cdNone)
 		return small.occAll&diff&^big.cdObs == 0
 	}
-	for i := range small.reps {
-		if small.reps[i] != RZero && !small.cdata[i].LE(big.cdata[i]) {
+	for i := 0; i < small.NumClasses(); i++ {
+		if small.Rep(i) != RZero && !small.CData(i).LE(big.CData(i)) {
 			return false
 		}
 	}

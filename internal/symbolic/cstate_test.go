@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/fsm"
@@ -161,21 +162,19 @@ func TestIvalArithmetic(t *testing.T) {
 }
 
 func TestIvalCounts(t *testing.T) {
-	cs := (ival{0, 2}).counts()
-	if len(cs) != 3 || cs[0] != CountZero || cs[1] != CountOne || cs[2] != CountMany {
-		t.Errorf("counts(0..≥2) = %v", cs)
-	}
-	cs = (ival{1, 1}).counts()
-	if len(cs) != 1 || cs[0] != CountOne {
-		t.Errorf("counts(1) = %v", cs)
-	}
-	cs = (ival{2, 2}).counts()
-	if len(cs) != 1 || cs[0] != CountMany {
-		t.Errorf("counts(≥2) = %v", cs)
-	}
-	cs = (ival{1, 2}).counts()
-	if len(cs) != 2 || cs[0] != CountOne || cs[1] != CountMany {
-		t.Errorf("counts(1..≥2) = %v", cs)
+	for _, tc := range []struct {
+		iv   ival
+		want []Count
+	}{
+		{ival{0, 2}, []Count{CountZero, CountOne, CountMany}},
+		{ival{1, 1}, []Count{CountOne}},
+		{ival{2, 2}, []Count{CountMany}},
+		{ival{1, 2}, []Count{CountOne, CountMany}},
+	} {
+		cs, n := tc.iv.counts()
+		if !reflect.DeepEqual(cs[:n], tc.want) {
+			t.Errorf("counts(%v) = %v, want %v", tc.iv, cs[:n], tc.want)
+		}
 	}
 }
 

@@ -11,145 +11,50 @@ import (
 // It implements the expansion rules of Section 3.2.3 (aggregation, coincident
 // transitions, one-step transitions and the N-steps transitions, the latter
 // via abstract copy-count arithmetic plus containment pruning).
+//
+// Expansion runs directly on the compiled protocol (internal/compile):
+// every (class, operation) event dispatches through cp.RuleIDs into
+// cp.Rules, whose observe, next-state, supplier and guard tables are
+// already integer indexes, and the invariant sets are resolved to class
+// indexes once, here. The string-keyed protocol maps are only touched at
+// construction time.
 type Engine struct {
-	p     *fsm.Protocol
-	n     int
-	valid []bool
-	// validIdxs caches the indexes of the valid-copy states.
+	p  *fsm.Protocol
+	cp *compile.Protocol
+	n  int
+	// valid is the per-class valid-copy membership (cp.ValidCopy);
+	// validIdxs lists the valid-copy classes.
+	valid     []bool
 	validIdxs []int
-	// tabs and eventTabs pre-resolve every state-name lookup a rule needs
-	// (observed targets, next state, suppliers, guard set) into integer
-	// indexes. The expansion inner loops run entirely on these tables; the
-	// string-keyed protocol maps are only touched at construction time.
-	tabs      map[*fsm.Rule]*ruleTab
-	eventTabs [][][]*ruleTab // [class][op] -> applicable rule tables
+	// The invariant sets of p.Inv as class indexes, in declaration order:
+	// Check reports violations in that order.
+	exclusive, owners, readable, cleanShared []int
 }
 
-// ruleTab is the index-resolved form of one transition rule.
-type ruleTab struct {
-	rule *fsm.Rule
-	// obs[c] is the class every member of class c observes into.
-	obs []int
-	// next is the originator's destination class.
-	next int
-	// suppliers are the candidate supplier classes (SrcCache rules).
-	suppliers []int
-	// guardIdxs are the classes tested by an AnyOther/NoOther guard, and
-	// guardIsValidSet records whether that set is exactly the valid-copy set
-	// (which lets the copy-count attribute decide the guard outright).
-	guardIdxs       []int
-	guardIsValidSet bool
-}
-
-// NewEngine validates the protocol and returns an engine for it. The rule
-// tables are a thin adapter over the shared compiled representation
-// (internal/compile): compilation resolves every state-name lookup a rule
-// needs into integer indexes once, and the engine copies those indexes into
-// its ruleTab form. buildTablesInterpreted is the retired pre-compile
-// builder, kept as the parity oracle for the adapter.
+// NewEngine validates the protocol, compiles it and returns an engine for
+// it.
 func NewEngine(p *fsm.Protocol) (*Engine, error) {
 	cp, err := compile.Compile(p) // validates p
 	if err != nil {
 		return nil, err
 	}
-	e := newEngineShell(p)
-	e.buildTablesCompiled(cp)
-	return e, nil
-}
-
-// newEngineShell builds the engine sans rule tables.
-func newEngineShell(p *fsm.Protocol) *Engine {
-	e := &Engine{p: p, n: p.NumStates()}
-	e.valid = make([]bool, e.n)
-	for _, s := range p.Inv.ValidCopy {
-		e.valid[p.StateIndex(s)] = true
-	}
+	e := &Engine{p: p, cp: cp, n: cp.NumStates, valid: cp.ValidCopy}
 	for i, v := range e.valid {
 		if v {
 			e.validIdxs = append(e.validIdxs, i)
 		}
 	}
-	return e
-}
-
-// buildTablesCompiled populates tabs and eventTabs from the compiled
-// protocol: a straight index copy, no name resolution.
-func (e *Engine) buildTablesCompiled(cp *compile.Protocol) {
-	p := e.p
-	e.tabs = make(map[*fsm.Rule]*ruleTab, len(p.Rules))
-	tabSlab := make([]ruleTab, len(p.Rules))
-	obsSlab := make([]int, len(p.Rules)*e.n)
-	for i := range cp.Rules {
-		cr := &cp.Rules[i]
-		r := &p.Rules[i]
-		t := &tabSlab[i]
-		t.rule, t.obs, t.next = r, obsSlab[i*e.n:(i+1)*e.n], int(cr.Next)
-		for c := 0; c < e.n; c++ {
-			t.obs[c] = int(cr.Obs[c])
+	idxs := func(states []fsm.State) []int {
+		out := make([]int, len(states))
+		for i, s := range states {
+			out[i] = cp.StateIndex(s)
 		}
-		for _, s := range cr.Suppliers {
-			t.suppliers = append(t.suppliers, int(s))
-		}
-		for _, g := range cr.GuardStates {
-			t.guardIdxs = append(t.guardIdxs, int(g))
-		}
-		t.guardIsValidSet = cr.GuardIsValidSet
-		e.tabs[r] = t
+		return out
 	}
-	e.eventTabs = make([][][]*ruleTab, e.n)
-	for oi := 0; oi < e.n; oi++ {
-		e.eventTabs[oi] = make([][]*ruleTab, len(p.Ops))
-		for k := range p.Ops {
-			for _, id := range cp.RuleIDs(oi, k) {
-				e.eventTabs[oi][k] = append(e.eventTabs[oi][k], e.tabs[&p.Rules[id]])
-			}
-		}
-	}
-}
-
-// buildTablesInterpreted is the pre-compile table construction, resolving
-// names through the protocol's lazy map indexes. Retained only so the
-// compile-parity suite can pin the adapter against it.
-func (e *Engine) buildTablesInterpreted() {
-	p := e.p
-	e.tabs = make(map[*fsm.Rule]*ruleTab, len(p.Rules))
-	tabSlab := make([]ruleTab, len(p.Rules))
-	obsSlab := make([]int, len(p.Rules)*e.n)
-	for i := range p.Rules {
-		r := &p.Rules[i]
-		t := &tabSlab[i]
-		t.rule, t.obs, t.next = r, obsSlab[i*e.n:(i+1)*e.n], p.StateIndex(r.Next)
-		for c := 0; c < e.n; c++ {
-			t.obs[c] = p.StateIndex(r.ObservedNext(p.States[c]))
-		}
-		for _, ss := range r.Data.Suppliers {
-			t.suppliers = append(t.suppliers, p.StateIndex(ss))
-		}
-		for _, gs := range r.Guard.States {
-			t.guardIdxs = append(t.guardIdxs, p.StateIndex(gs))
-		}
-		t.guardIsValidSet = e.isValidSet(t.guardIdxs)
-		e.tabs[r] = t
-	}
-	e.eventTabs = make([][][]*ruleTab, e.n)
-	for oi := 0; oi < e.n; oi++ {
-		e.eventTabs[oi] = make([][]*ruleTab, len(p.Ops))
-		for k, op := range p.Ops {
-			for _, r := range p.RulesFor(p.States[oi], op) {
-				e.eventTabs[oi][k] = append(e.eventTabs[oi][k], e.tabs[r])
-			}
-		}
-	}
-}
-
-// newEngineInterpreted is NewEngine over the interpreted table builder;
-// test-only parity oracle.
-func newEngineInterpreted(p *fsm.Protocol) (*Engine, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	e := newEngineShell(p)
-	e.buildTablesInterpreted()
+	e.exclusive = idxs(p.Inv.Exclusive)
+	e.owners = idxs(p.Inv.Owners)
+	e.readable = idxs(p.Inv.Readable)
+	e.cleanShared = idxs(p.Inv.CleanShared)
 	return e, nil
 }
 
@@ -161,7 +66,7 @@ func (e *Engine) Protocol() *fsm.Protocol { return e.p }
 func (e *Engine) Initial() *CState {
 	reps := make([]Rep, e.n)
 	cdata := make([]Data, e.n)
-	reps[e.p.StateIndex(e.p.Initial)] = RPlus
+	reps[e.cp.Initial] = RPlus
 	attr := CountNull
 	if e.p.Characteristic == fsm.CharSharing {
 		attr = CountZero
@@ -215,10 +120,11 @@ type Succ struct {
 // originating cache has been removed, star classes may have been pinned
 // non-empty (RPlus) or empty (RZero) to decide guards and suppliers, and
 // othersIval bounds the number of valid copies held by the other caches.
+// Refinement only ever touches the operators, so the context variables
+// are read straight from the expanded state src.
 type scenario struct {
 	rem        []Rep // post-removal repetition operators
-	cdata      []Data
-	mdata      Data
+	src        *CState
 	othersIval ival
 	origIdx    int
 	origData   Data
@@ -227,8 +133,39 @@ type scenario struct {
 func (sc *scenario) clone() *scenario {
 	c := *sc
 	c.rem = append([]Rep(nil), sc.rem...)
-	c.cdata = append([]Data(nil), sc.cdata...)
 	return &c
+}
+
+// stepBuf is the scratch space one goroutine's expansion calls share:
+// the event's base scenario, the guard cascade's scenario lists and the
+// successor vectors applySupplied assembles. Scenarios live only for one
+// event and newCState copies out of the vectors, so no successor aliases
+// the buffer.
+type stepBuf struct {
+	base           scenario
+	reps, normReps []Rep
+	data, normData []Data
+	contrib        []bool
+	pending, next  []*scenario
+	matched        []*scenario
+	picks          []pick
+}
+
+// pick is a guard-resolved scenario with the rule that fires in it.
+type pick struct {
+	sc   *scenario
+	rule *compile.Rule
+}
+
+func (e *Engine) newStepBuf() *stepBuf {
+	n := e.n
+	reps, data := make([]Rep, 3*n), make([]Data, 2*n)
+	return &stepBuf{
+		base: scenario{rem: reps[:n:n]},
+		reps: reps[n : 2*n : 2*n], normReps: reps[2*n:],
+		data: data[:n:n], normData: data[n:],
+		contrib: make([]bool, n),
+	}
 }
 
 // feasible checks the scenario's class operators against its copy-count
@@ -289,18 +226,18 @@ func (e *Engine) propagate(sc *scenario) bool {
 func (e *Engine) Successors(s *CState) ([]Succ, []error) {
 	var out []Succ
 	var errs []error
+	buf := e.newStepBuf()
 	for oi := 0; oi < e.n; oi++ {
-		if !s.reps[oi].CanBePositive() {
+		if !s.Rep(oi).CanBePositive() {
 			continue
 		}
-		for k, op := range e.p.Ops {
-			rules := e.eventTabs[oi][k]
-			if len(rules) == 0 {
+		for k := range e.cp.Ops {
+			ids := e.cp.RuleIDs(oi, k)
+			if len(ids) == 0 {
 				continue
 			}
-			succs, err := e.expandEvent(s, oi, op, rules)
-			out = append(out, succs...)
-			if err != nil {
+			var err error
+			if out, err = e.expandEvent(out, s, oi, k, ids, buf); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -308,124 +245,114 @@ func (e *Engine) Successors(s *CState) ([]Succ, []error) {
 	return out, errs
 }
 
-// expandEvent applies operation op originated by a cache in class oi.
-func (e *Engine) expandEvent(s *CState, oi int, op fsm.Op, rules []*ruleTab) ([]Succ, error) {
+// expandEvent applies operation index k originated by a cache in class oi,
+// whose applicable rules are ids, and appends the successors to out.
+func (e *Engine) expandEvent(out []Succ, s *CState, oi, k int, ids []int32, buf *stepBuf) ([]Succ, error) {
 	// Build the base scenario: pin the origin class non-empty, remove the
 	// originator, and derive the copy-count bound for the other caches.
-	base := &scenario{
-		rem:     append([]Rep(nil), s.reps...),
-		cdata:   append([]Data(nil), s.cdata...),
-		mdata:   s.mdata,
-		origIdx: oi,
+	base := &buf.base
+	*base = scenario{rem: base.rem, src: s, origIdx: oi, origData: s.CData(oi)}
+	for i := range base.rem {
+		base.rem[i] = s.Rep(i)
 	}
 	if base.rem[oi] == RStar {
 		base.rem[oi] = RPlus // originate only from the non-empty members
 	}
 	rem, err := removeOne(base.rem[oi])
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	base.rem[oi] = rem
-	base.origData = s.cdata[oi]
 	base.othersIval = s.attr.interval()
 	if e.valid[oi] && s.attr != CountNull {
 		base.othersIval = base.othersIval.sub1()
 	}
 	if !e.propagate(base) {
-		return nil, nil // the origin class cannot actually be populated
+		return out, nil // the origin class cannot actually be populated
 	}
 
 	// Resolve the guard cascade, splitting scenarios over ambiguity.
-	type pick struct {
-		sc   *scenario
-		rule *ruleTab
-	}
-	var picks []pick
-	pending := []*scenario{base}
-	for _, rule := range rules {
+	picks := buf.picks[:0]
+	pending := append(buf.pending[:0], base)
+	next := buf.next[:0]
+	for _, id := range ids {
 		if len(pending) == 0 {
 			break
 		}
-		var still []*scenario
+		r := &e.cp.Rules[id]
+		matched := buf.matched[:0]
+		next = next[:0]
 		for _, sc := range pending {
-			matched, unmatched := e.splitGuard(sc, rule)
-			for _, m := range matched {
-				picks = append(picks, pick{m, rule})
-			}
-			still = append(still, unmatched...)
+			matched, next = e.splitGuard(sc, r, matched, next)
 		}
-		pending = still
+		for _, m := range matched {
+			picks = append(picks, pick{m, r})
+		}
+		buf.matched = matched
+		pending, next = next, pending
 	}
 	var specErr error
 	if len(pending) > 0 {
 		specErr = fmt.Errorf("symbolic: protocol %s: guard cascade for (%s,%s) does not cover state %s",
-			e.p.Name, e.p.States[oi], op, s.StructureString(e.p))
+			e.p.Name, e.p.States[oi], e.cp.Ops[k], s.StructureString(e.p))
 	}
+	buf.pending, buf.next = pending, next
 
-	// Dedup successors on (state identity, N-step tag). The key is a
-	// comparable struct, not a rendered string: this loop sits on the hot
-	// path of every expansion event.
-	type succKey struct {
-		key   string
-		nstep bool
-	}
-	var out []Succ
-	seen := make(map[succKey]bool, 8)
+	first := len(out)
 	for _, pk := range picks {
-		succs, err := e.applyRule(pk.sc, pk.rule, op)
+		var err error
+		out, err = e.applyRule(out, first, pk.sc, pk.rule, k, buf)
 		if err != nil && specErr == nil {
 			specErr = err
 		}
-		for _, su := range succs {
-			dk := succKey{su.State.Key(), su.Label.NStep}
-			if seen[dk] {
-				continue
-			}
-			seen[dk] = true
-			out = append(out, su)
-		}
 	}
+	buf.picks = picks
 	return out, specErr
 }
 
-// splitGuard refines scenario sc until the rule's guard is decided, returning
-// the scenarios in which it holds and those in which it does not.
-func (e *Engine) splitGuard(sc *scenario, tab *ruleTab) (matched, unmatched []*scenario) {
-	g := tab.rule.Guard
-	switch g.Kind {
+// appendSucc appends su unless out[first:], the successors of the current
+// event, already holds the same state with the same N-step tag. An event
+// yields a handful of successors, so a scan beats a map.
+func appendSucc(out []Succ, first int, su Succ) []Succ {
+	for _, o := range out[first:] {
+		if o.Label.NStep == su.Label.NStep && o.State.key == su.State.key {
+			return out
+		}
+	}
+	return append(out, su)
+}
+
+// splitGuard refines scenario sc until rule r's guard is decided, appending
+// the scenarios in which it holds to matched and those in which it does
+// not to unmatched.
+func (e *Engine) splitGuard(sc *scenario, r *compile.Rule, matched, unmatched []*scenario) ([]*scenario, []*scenario) {
+	var exists cond
+	var falseSc *scenario
+	switch r.GuardKind {
 	case fsm.GuardAlways:
-		return []*scenario{sc}, nil
-	case fsm.GuardAnyOther, fsm.GuardNoOther:
-		exists, scenariosTrue, scenarioFalse := e.splitExists(sc, tab)
-		if g.Kind == fsm.GuardAnyOther {
-			switch exists {
-			case condTrue:
-				return []*scenario{sc}, nil
-			case condFalse:
-				return nil, oneOrNone(scenarioFalse)
-			default:
-				return scenariosTrue, oneOrNone(scenarioFalse)
-			}
+		return append(matched, sc), unmatched
+	case fsm.GuardAnyOther:
+		// The ∃ refinements satisfy the guard.
+		if exists, matched, falseSc = e.splitExists(sc, r, matched); exists == condTrue {
+			return append(matched, sc), unmatched
 		}
-		// NoOther
-		switch exists {
-		case condTrue:
-			return nil, []*scenario{sc}
-		case condFalse:
-			return oneOrNone(scenarioFalse), nil
-		default:
-			return oneOrNone(scenarioFalse), scenariosTrue
+		return matched, appendSc(unmatched, falseSc)
+	case fsm.GuardNoOther:
+		// The ∃ refinements fail the guard.
+		if exists, unmatched, falseSc = e.splitExists(sc, r, unmatched); exists == condTrue {
+			return matched, append(unmatched, sc)
 		}
+		return appendSc(matched, falseSc), unmatched
 	default:
-		return nil, []*scenario{sc}
+		return matched, append(unmatched, sc)
 	}
 }
 
-func oneOrNone(sc *scenario) []*scenario {
+func appendSc(list []*scenario, sc *scenario) []*scenario {
 	if sc == nil {
-		return nil
+		return list
 	}
-	return []*scenario{sc}
+	return append(list, sc)
 }
 
 type cond int
@@ -436,17 +363,18 @@ const (
 	condAmbiguous
 )
 
-// splitExists decides "∃ another cache in one of the states". When the
-// answer is ambiguous it returns refined scenarios: one per star class in
-// the set pinned non-empty (their union covers the ∃ case) and one with all
-// of them pinned empty (the ∄ case). Infeasible refinements are dropped.
-// In the definite-false cases the returned false scenario has the set's
-// star classes zeroed out (they are provably empty), so downstream rules do
-// not mistake ghost classes for populated ones.
-func (e *Engine) splitExists(sc *scenario, tab *ruleTab) (cond, []*scenario, *scenario) {
+// splitExists decides "∃ another cache in one of rule r's guard states".
+// When the answer is ambiguous it appends refined scenarios to trueScs: one
+// per star class in the set pinned non-empty (their union covers the ∃
+// case), and returns one with all of them pinned empty (the ∄ case).
+// Infeasible refinements are dropped. In the definite-false cases the
+// returned false scenario has the set's star classes zeroed out (they are
+// provably empty), so downstream rules do not mistake ghost classes for
+// populated ones. Only the ambiguous outcome appends to trueScs.
+func (e *Engine) splitExists(sc *scenario, r *compile.Rule, trueScs []*scenario) (cond, []*scenario, *scenario) {
 	zeroSet := func(from *scenario) *scenario {
 		f := from.clone()
-		for _, i := range tab.guardIdxs {
+		for _, i := range r.GuardStates {
 			if f.rem[i] == RStar {
 				f.rem[i] = RZero
 			}
@@ -459,27 +387,30 @@ func (e *Engine) splitExists(sc *scenario, tab *ruleTab) (cond, []*scenario, *sc
 
 	// Fast path: when the tested set is exactly the valid-copy set and the
 	// copy count is tracked, the bound decides existence outright.
-	if tab.guardIsValidSet && sc.othersIval.lo >= 1 {
-		return condTrue, nil, nil
+	if r.GuardIsValidSet && sc.othersIval.lo >= 1 {
+		return condTrue, trueScs, nil
 	}
-	if tab.guardIsValidSet && sc.othersIval.hi == 0 {
-		return condFalse, nil, zeroSet(sc)
+	if r.GuardIsValidSet && sc.othersIval.hi == 0 {
+		return condFalse, trueScs, zeroSet(sc)
 	}
 
-	var stars []int
-	for _, i := range tab.guardIdxs {
+	stars := false
+	for _, i := range r.GuardStates {
 		switch sc.rem[i] {
 		case ROne, RPlus:
-			return condTrue, nil, nil
+			return condTrue, trueScs, nil
 		case RStar:
-			stars = append(stars, i)
+			stars = true
 		}
 	}
-	if len(stars) == 0 {
-		return condFalse, nil, sc
+	if !stars {
+		return condFalse, trueScs, sc
 	}
-	var trueScs []*scenario
-	for _, i := range stars {
+	n0 := len(trueScs)
+	for _, i := range r.GuardStates {
+		if sc.rem[i] != RStar {
+			continue
+		}
 		t := sc.clone()
 		t.rem[i] = RPlus
 		if e.propagate(t) {
@@ -487,86 +418,63 @@ func (e *Engine) splitExists(sc *scenario, tab *ruleTab) (cond, []*scenario, *sc
 		}
 	}
 	falseSc := zeroSet(sc)
-	if len(trueScs) == 0 {
+	if len(trueScs) == n0 {
 		if falseSc == nil {
-			return condFalse, nil, sc // cannot happen for a normalized state
+			return condFalse, trueScs, sc // cannot happen for a normalized state
 		}
-		return condFalse, nil, falseSc
+		return condFalse, trueScs, falseSc
 	}
 	if falseSc == nil {
 		// All-empty is infeasible: existence is certain.
-		return condTrue, nil, nil
+		return condTrue, trueScs[:n0], nil
 	}
 	return condAmbiguous, trueScs, falseSc
 }
 
-func (e *Engine) isValidSet(idxs []int) bool {
-	if len(idxs) != len(e.validIdxs) {
-		return false
+// applyRule performs rule r on a guard-resolved scenario, branching over
+// supplier choice and over copy-count ambiguity, and appends the
+// successors to out (deduplicated against out[first:]).
+func (e *Engine) applyRule(out []Succ, first int, sc *scenario, r *compile.Rule, k int, buf *stepBuf) ([]Succ, error) {
+	if r.Source != fsm.SrcCache {
+		return e.applySupplied(out, first, sc, r, k, DNone, buf), nil
 	}
-	for _, i := range idxs {
-		if i < 0 || !e.valid[i] {
-			return false
+	supplied := false
+	for _, i := range r.Suppliers {
+		if !sc.rem[i].CanBePositive() {
+			continue
 		}
-	}
-	return true
-}
-
-// applyRule performs the transition on a guard-resolved scenario, branching
-// over supplier choice and over copy-count ambiguity.
-func (e *Engine) applyRule(sc *scenario, tab *ruleTab, op fsm.Op) ([]Succ, error) {
-	rule := tab.rule
-	// Resolve the data supplier.
-	type supplied struct {
-		sc   *scenario
-		data Data
-	}
-	var branches []supplied
-	if rule.Data.Source == fsm.SrcCache {
-		for _, i := range tab.suppliers {
-			if !sc.rem[i].CanBePositive() {
-				continue
-			}
-			t := sc.clone()
-			if t.rem[i] == RStar {
-				t.rem[i] = RPlus
-			}
-			if !e.propagate(t) {
-				continue
-			}
-			branches = append(branches, supplied{t, t.cdata[i]})
+		t := sc.clone()
+		if t.rem[i] == RStar {
+			t.rem[i] = RPlus
 		}
-		if len(branches) == 0 {
-			return nil, fmt.Errorf("symbolic: protocol %s: rule %s fired with no possible supplier in %v",
-				e.p.Name, rule.Name, rule.Data.Suppliers)
+		if !e.propagate(t) {
+			continue
 		}
-	} else {
-		branches = []supplied{{sc, DNone}}
+		supplied = true
+		out = e.applySupplied(out, first, t, r, k, sc.src.CData(int(i)), buf)
 	}
-
-	var out []Succ
-	for _, br := range branches {
-		succs := e.applySupplied(br.sc, tab, op, br.data)
-		out = append(out, succs...)
+	if !supplied {
+		rule := &e.p.Rules[r.ID]
+		return out, fmt.Errorf("symbolic: protocol %s: rule %s fired with no possible supplier in %v",
+			e.p.Name, rule.Name, rule.Data.Suppliers)
 	}
 	return out, nil
 }
 
-func (e *Engine) applySupplied(sc *scenario, tab *ruleTab, op fsm.Op, supplierData Data) []Succ {
-	rule := tab.rule
+func (e *Engine) applySupplied(out []Succ, first int, sc *scenario, r *compile.Rule, k int, supplierData Data, buf *stepBuf) []Succ {
 	// 1. Originator's incoming data and supplier write-back.
 	var origVal Data
-	newMdata := sc.mdata
-	switch rule.Data.Source {
+	newMdata := sc.src.mdata
+	switch r.Source {
 	case fsm.SrcNone:
 		origVal = DNone
 	case fsm.SrcKeep:
 		origVal = sc.origData
 	case fsm.SrcMemory:
-		origVal = sc.mdata
+		origVal = sc.src.mdata
 	case fsm.SrcCache:
 		origVal = supplierData
-		if rule.Data.SupplierWriteBack {
+		if r.SupplierWriteBack {
 			newMdata = supplierData
 		}
 	}
@@ -574,22 +482,24 @@ func (e *Engine) applySupplied(sc *scenario, tab *ruleTab, op fsm.Op, supplierDa
 	// 2+3. Coincident transitions — pool every remaining class into its
 	// observed target (aggregation rules) — fused with the abstract
 	// copy-count arithmetic over the other caches.
-	newReps := make([]Rep, e.n)
-	newData := make([]Data, e.n)
-	hasContrib := make([]bool, e.n)
+	newReps, newData, hasContrib := buf.reps, buf.data, buf.contrib
+	clear(newReps)
+	clear(newData)
+	clear(hasContrib)
 	survivors := ival{0, 0}
 	gained := ival{0, 0}
 	allValidSurvive := true
 	for c := 0; c < e.n; c++ {
-		if sc.rem[c] == RZero {
+		rc := sc.rem[c]
+		if rc == RZero {
 			continue
 		}
-		t := tab.obs[c]
-		newReps[t] = merge(newReps[t], sc.rem[c])
+		t := r.Obs[c]
+		newReps[t] = merge(newReps[t], rc)
 		contributes := e.valid[t]
 		d := DNone
 		if contributes {
-			d = sc.cdata[c]
+			d = sc.src.CData(c)
 		}
 		if hasContrib[t] {
 			newData[t] = mergeData(newData[t], d)
@@ -597,14 +507,14 @@ func (e *Engine) applySupplied(sc *scenario, tab *ruleTab, op fsm.Op, supplierDa
 			newData[t] = d
 			hasContrib[t] = true
 		}
-		r := ival{sc.rem[c].Min(), sc.rem[c].Max()}
+		ri := ival{rc.Min(), rc.Max()}
 		switch {
 		case e.valid[c] && contributes:
-			survivors = survivors.add(r)
+			survivors = survivors.add(ri)
 		case e.valid[c] && !contributes:
 			allValidSurvive = false
 		case !e.valid[c] && contributes:
-			gained = gained.add(r)
+			gained = gained.add(ri)
 		}
 	}
 	var othersAfter ival
@@ -615,21 +525,21 @@ func (e *Engine) applySupplied(sc *scenario, tab *ruleTab, op fsm.Op, supplierDa
 		othersAfter, ok = survivors.intersect(ival{0, sc.othersIval.hi})
 	}
 	if !ok {
-		return nil
+		return out
 	}
 	othersAfter = othersAfter.add(gained)
 
 	// 4. Store semantics on the context variables.
-	if rule.Data.Store {
+	if r.Store {
 		for t := 0; t < e.n; t++ {
 			newData[t] = downgrade(newData[t])
 		}
 		newMdata = downgrade(newMdata)
 		origVal = DFresh
-		if rule.Data.WriteThrough {
+		if r.WriteThrough {
 			newMdata = DFresh
 		}
-		if rule.Data.UpdateSharers {
+		if r.UpdateSharers {
 			for t := 0; t < e.n; t++ {
 				if e.valid[t] && newReps[t] != RZero {
 					newData[t] = DFresh
@@ -639,15 +549,15 @@ func (e *Engine) applySupplied(sc *scenario, tab *ruleTab, op fsm.Op, supplierDa
 	}
 
 	// 5. Self write-back and drop.
-	if rule.Data.WriteBackSelf {
+	if r.WriteBackSelf {
 		newMdata = origVal
 	}
-	if rule.Data.DropSelf {
+	if r.DropSelf {
 		origVal = DNone
 	}
 
 	// 6. Re-insert the originator into its next class.
-	ni := tab.next
+	ni := r.Next
 	newReps[ni] = addOne(newReps[ni])
 	d := DNone
 	if e.valid[ni] {
@@ -670,40 +580,26 @@ func (e *Engine) applySupplied(sc *scenario, tab *ruleTab, op fsm.Op, supplierDa
 	// maximum corresponds to the paper's N-steps rule 4(b) (the same event
 	// applied repeatedly until the characteristic function changes) and is
 	// tagged NStep.
-	origin := e.p.States[sc.origIdx]
+	label := Label{Op: e.cp.Ops[k], Origin: e.p.States[sc.origIdx]}
+	rule := &e.p.Rules[r.ID]
 	if e.p.Characteristic != fsm.CharSharing {
-		st, ok := e.normalize(newReps, newData, CountNull, newMdata)
-		if !ok {
-			return nil
+		if st, ok := e.normalize(newReps, newData, CountNull, newMdata); ok {
+			out = appendSucc(out, first, Succ{Label: label, Rule: rule, State: st})
 		}
-		return []Succ{{Label: Label{Op: op, Origin: origin}, Rule: rule, State: st}}
+		return out
 	}
-	counts := total.counts()
-	var maxCount Count
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var out []Succ
-	for ci, cnt := range counts {
-		r, dd := newReps, newData
-		if ci < len(counts)-1 {
-			// normalize mutates and newCState retains its arguments, so every
-			// branch but the last works on a copy; the last one takes over
-			// the scratch slices directly.
-			r = append([]Rep(nil), newReps...)
-			dd = append([]Data(nil), newData...)
-		}
-		st, ok := e.normalize(r, dd, cnt, newMdata)
+	counts, nc := total.counts()
+	for _, cnt := range counts[:nc] {
+		// normalize mutates its arguments, and every branch starts from
+		// the same vectors.
+		copy(buf.normReps, newReps)
+		copy(buf.normData, newData)
+		st, ok := e.normalize(buf.normReps, buf.normData, cnt, newMdata)
 		if !ok {
 			continue
 		}
-		out = append(out, Succ{
-			Label: Label{Op: op, Origin: origin, NStep: len(counts) > 1 && cnt != maxCount},
-			Rule:  rule,
-			State: st,
-		})
+		label.NStep = nc > 1 && cnt != counts[nc-1]
+		out = appendSucc(out, first, Succ{Label: label, Rule: rule, State: st})
 	}
 	return out
 }

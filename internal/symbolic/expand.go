@@ -270,6 +270,10 @@ type expander struct {
 	histIx *cindex
 	// listBytes is the running cstateBytes total of work + hist.
 	listBytes int64
+	// buf and succs are the merge loop's expansion scratch, for items
+	// expanded inline (no speculated memo).
+	buf   *stepBuf
+	succs []Succ
 
 	res *Result
 }
@@ -295,12 +299,13 @@ func newExpander(e *Engine, opts Options) *expander {
 	return x
 }
 
-// cstateBytes estimates the resident cost of one composite state: its two
-// component slices, its key (held twice: in the state and as a map key),
-// the bitmask summaries and the bookkeeping map entries. The constant is
-// pinned against measured heap growth by TestCStateBytesEstimate.
+// cstateBytes estimates the resident cost of one composite state: its key
+// (the only copy of the component vectors; map keys share its bytes), the
+// struct with its bitmask summaries, and the list, index and bookkeeping
+// map entries. The constant is pinned against measured heap growth by
+// TestCStateBytesEstimate.
 func cstateBytes(s *CState) int64 {
-	return int64(2*len(s.reps) + 2*len(s.key) + 176)
+	return int64(len(s.key) + 152)
 }
 
 // estBytes estimates the run's footprint from the worklist, the history and
@@ -411,7 +416,8 @@ func (x *expander) maybeCheckpoint() error {
 // precomputed violation check of succs[j] — Check, like expandEvent, is
 // a pure function of the successor state, and hoisting it into the
 // speculation phase roughly doubles the parallelizable fraction of an
-// expansion (see the profile notes in parallel.go).
+// expansion (see the profile notes in parallel.go). viol is nil when no
+// successor of the event violates anything.
 type eventResult struct {
 	oi, k int
 	succs []Succ
@@ -437,22 +443,27 @@ func (x *expander) processItem(a *CState, memo []eventResult) bool {
 
 expandA:
 	for oi := 0; oi < a.NumClasses() && !superseded; oi++ {
-		if !a.reps[oi].CanBePositive() {
+		if !a.Rep(oi).CanBePositive() {
 			continue
 		}
-		for k, op := range e.p.Ops {
-			rules := e.eventTabs[oi][k]
-			if len(rules) == 0 {
+		for k := range e.cp.Ops {
+			ids := e.cp.RuleIDs(oi, k)
+			if len(ids) == 0 {
 				continue
 			}
 			var succs []Succ
 			var specErr error
 			var viols [][]fsm.Violation
+			checked := false
 			if cur < len(memo) && memo[cur].oi == oi && memo[cur].k == k {
-				succs, specErr, viols = memo[cur].succs, memo[cur].err, memo[cur].viol
+				succs, specErr, viols, checked = memo[cur].succs, memo[cur].err, memo[cur].viol, true
 				cur++
 			} else {
-				succs, specErr = e.expandEvent(a, oi, op, rules)
+				if x.buf == nil {
+					x.buf = e.newStepBuf()
+				}
+				x.succs, specErr = e.expandEvent(x.succs[:0], a, oi, k, ids, x.buf)
+				succs = x.succs
 			}
 			if specErr != nil {
 				res.SpecErrors = append(res.SpecErrors, specErr)
@@ -469,9 +480,10 @@ expandA:
 				// containment can never hide a violation.
 				if !x.reported[ap.Key()] {
 					var v []fsm.Violation
-					if viols != nil {
+					switch {
+					case viols != nil:
 						v = viols[j]
-					} else {
+					case !checked:
 						v = e.Check(ap, opts.Strict)
 					}
 					if len(v) > 0 {
@@ -635,8 +647,8 @@ func SortStates(states []*CState) []*CState {
 	out := append([]*CState(nil), states...)
 	gen := func(s *CState) int {
 		g := 0
-		for _, r := range s.reps {
-			if r == RStar || r == RPlus {
+		for i := 0; i < s.NumClasses(); i++ {
+			if r := s.Rep(i); r == RStar || r == RPlus {
 				g++
 			}
 		}

@@ -7,9 +7,9 @@ import (
 
 // TestCStateBytesEstimate pins the cstateBytes memory model against measured
 // heap growth. The estimate drives the MaxBytes budget, so it must track what
-// one listed composite state actually costs: the CState with its two
-// component slices and bitmask summaries, its key string (shared by the state
-// and the seen-keys map), and its slots in the ordered list and the
+// one listed composite state actually costs: the CState with its bitmask
+// summaries, its key string (which holds the component vectors and is shared
+// by the state and the seen-keys map), and its slots in the ordered list and the
 // containment index. The test builds exactly those structures for a large
 // population of distinct states and requires the estimate to stay within a
 // factor of two of the allocator's per-state cost in either direction.

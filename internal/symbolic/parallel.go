@@ -53,50 +53,72 @@ func (e *WorkerError) Error() string {
 
 // expandItem precomputes every event expansion of one worklist state, in
 // the exact (class, op) order processItem consumes them, together with
-// the violation check of every generated successor (profiling shows the
-// two together are ~80% of an expansion step; the serial merge keeps
-// only the containment bookkeeping). It only reads the engine's
-// immutable rule tables and the state, so concurrent calls on distinct
-// states are race-free.
-func (e *Engine) expandItem(a *CState, strict bool) []eventResult {
-	out := getEventResults()
+// the violation check of every generated successor (profiling a
+// sequential Synthetic(40) run shows the two together are ~80% of an
+// expansion step; the serial merge keeps only the containment
+// bookkeeping). It reads only the engine's immutable
+// compiled tables and the state, and writes only buf and the memo it
+// returns, so concurrent calls with their own buffers are race-free.
+func (e *Engine) expandItem(a *CState, strict bool, buf *stepBuf) *itemMemo {
+	m := getItemMemo()
 	for oi := 0; oi < a.NumClasses(); oi++ {
-		if !a.reps[oi].CanBePositive() {
+		if !a.Rep(oi).CanBePositive() {
 			continue
 		}
-		for k, op := range e.p.Ops {
-			rules := e.eventTabs[oi][k]
-			if len(rules) == 0 {
+		for k := range e.cp.Ops {
+			ids := e.cp.RuleIDs(oi, k)
+			if len(ids) == 0 {
 				continue
 			}
-			succs, err := e.expandEvent(a, oi, op, rules)
-			er := eventResult{oi: oi, k: k, succs: succs, err: err}
-			if len(succs) > 0 {
-				er.viol = make([][]fsm.Violation, len(succs))
-				for j, su := range succs {
-					er.viol[j] = e.Check(su.State, strict)
-				}
-			}
-			out = append(out, er)
+			// Every event appends to the shared m.succs; its succs field
+			// is re-pointed below, once the slice has stopped growing.
+			start := len(m.succs)
+			var err error
+			m.succs, err = e.expandEvent(m.succs, a, oi, k, ids, buf)
+			m.events = append(m.events, eventResult{oi: oi, k: k, succs: m.succs[start:], err: err})
 		}
 	}
-	return out
-}
-
-// eventResultPool recycles the per-item memo buffers: each dispatched
-// state gets one and the merge loop retires it as soon as the state is
-// processed, so steady-state speculation reuses a small set.
-var eventResultPool = sync.Pool{New: func() any { return new([]eventResult) }}
-
-func getEventResults() []eventResult {
-	return (*eventResultPool.Get().(*[]eventResult))[:0]
-}
-
-func putEventResults(m []eventResult) {
-	for i := range m {
-		m[i] = eventResult{} // drop the Succ states so the pool retains no CStates
+	off := 0
+	for i := range m.events {
+		er := &m.events[i]
+		n := len(er.succs)
+		er.succs = m.succs[off : off+n : off+n]
+		off += n
+		for j, su := range er.succs {
+			if v := e.Check(su.State, strict); len(v) > 0 {
+				if er.viol == nil {
+					er.viol = make([][]fsm.Violation, n)
+				}
+				er.viol[j] = v
+			}
+		}
 	}
-	eventResultPool.Put(&m)
+	return m
+}
+
+// itemMemo is the speculated expansion of one worklist state: its event
+// results in processItem's order, and the one slice backing all their
+// successors.
+type itemMemo struct {
+	events []eventResult
+	succs  []Succ
+}
+
+// itemMemoPool recycles the per-item memos: each dispatched state gets
+// one and the merge loop retires it as soon as the state is processed, so
+// steady-state speculation reuses a small set.
+var itemMemoPool = sync.Pool{New: func() any { return new(itemMemo) }}
+
+func getItemMemo() *itemMemo {
+	return itemMemoPool.Get().(*itemMemo)
+}
+
+func putItemMemo(m *itemMemo) {
+	// Drop the states and violations so the pool retains no CStates.
+	clear(m.events)
+	clear(m.succs)
+	m.events, m.succs = m.events[:0], m.succs[:0]
+	itemMemoPool.Put(m)
 }
 
 // testWorkerHook, when set by tests, runs inside each speculation worker
@@ -109,7 +131,7 @@ var testWorkerHook func(job, worker int)
 // merge loop only after done is closed.
 type specFuture struct {
 	done chan struct{}
-	res  []eventResult
+	res  *itemMemo
 	we   *WorkerError
 }
 
@@ -151,12 +173,13 @@ func newSpeculator(x *expander, workers int) *speculator {
 
 func (sp *speculator) worker(w int) {
 	defer sp.wg.Done()
+	buf := sp.x.e.newStepBuf()
 	for job := range sp.jobs {
-		sp.runJob(w, job)
+		sp.runJob(w, job, buf)
 	}
 }
 
-func (sp *speculator) runJob(w int, job specJob) {
+func (sp *speculator) runJob(w int, job specJob, buf *stepBuf) {
 	defer close(job.fut.done)
 	defer func() {
 		if r := recover(); r != nil {
@@ -174,7 +197,7 @@ func (sp *speculator) runJob(w int, job specJob) {
 	if testWorkerHook != nil {
 		testWorkerHook(job.seq, w)
 	}
-	job.fut.res = sp.x.e.expandItem(job.a, sp.x.opts.Strict)
+	job.fut.res = sp.x.e.expandItem(job.a, sp.x.opts.Strict, buf)
 }
 
 // dispatch hands every not-yet-speculated working-list state to the
@@ -202,7 +225,7 @@ func (sp *speculator) dispatch() {
 // take claims the speculated results for the popped head, blocking
 // until its worker finishes. A nil return (worker panicked, or the
 // state was never dispatched) tells the caller to expand inline.
-func (sp *speculator) take(a *CState) []eventResult {
+func (sp *speculator) take(a *CState) *itemMemo {
 	fut, ok := sp.futures[a]
 	if !ok {
 		return nil
@@ -238,7 +261,7 @@ func (sp *speculator) maybeSweep() {
 		select {
 		case <-fut.done:
 			if fut.we == nil {
-				putEventResults(fut.res)
+				putItemMemo(fut.res)
 			}
 		default:
 		}
@@ -288,10 +311,12 @@ func (x *expander) runPar(ctx context.Context, workers int) (*Result, error) {
 			return nil, err
 		}
 		a := x.popWork()
-		memo := sp.take(a)
-		stop := x.processItem(a, memo)
-		if memo != nil {
-			putEventResults(memo)
+		var stop bool
+		if memo := sp.take(a); memo != nil {
+			stop = x.processItem(a, memo.events)
+			putItemMemo(memo)
+		} else {
+			stop = x.processItem(a, nil)
 		}
 		if stop {
 			return x.res, nil

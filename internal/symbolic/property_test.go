@@ -44,8 +44,8 @@ func TestPropertyCoversIsPartialOrder(t *testing.T) {
 			return false
 		}
 		if Covers(a, b) && Covers(b, a) {
-			for i := range a.reps {
-				if a.reps[i] != b.reps[i] {
+			for i := 0; i < a.NumClasses(); i++ {
+				if a.Rep(i) != b.Rep(i) {
 					t.Logf("not antisymmetric: %v vs %v", a.Key(), b.Key())
 					return false
 				}

@@ -3,29 +3,34 @@ package symbolic
 import (
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/fsm"
 	"repro/internal/protocols"
 )
 
 // mkScenario builds a post-removal scenario for white-box testing of the
-// guard refinement machinery.
+// guard refinement machinery, which reads only the operators and the bound.
 func mkScenario(e *Engine, rem []Rep, others ival) *scenario {
 	return &scenario{
 		rem:        append([]Rep(nil), rem...),
-		cdata:      make([]Data, e.n),
-		mdata:      DFresh,
 		othersIval: others,
 	}
 }
 
-// guardTab builds the index-resolved guard set splitExists operates on.
-func guardTab(e *Engine, states []fsm.State) *ruleTab {
-	t := &ruleTab{}
+// guardTab builds a compiled any-other rule over the given guard states,
+// the part of a rule splitExists reads.
+func guardTab(e *Engine, states []fsm.State) *compile.Rule {
+	r := &compile.Rule{GuardKind: fsm.GuardAnyOther}
+	valid := 0
 	for _, s := range states {
-		t.guardIdxs = append(t.guardIdxs, e.p.StateIndex(s))
+		i := e.cp.StateIndex(s)
+		r.GuardStates = append(r.GuardStates, int32(i))
+		if e.valid[i] {
+			valid++
+		}
 	}
-	t.guardIsValidSet = e.isValidSet(t.guardIdxs)
-	return t
+	r.GuardIsValidSet = valid == len(states) && valid == len(e.validIdxs)
+	return r
 }
 
 func TestSplitExistsDefiniteTrue(t *testing.T) {
@@ -35,8 +40,8 @@ func TestSplitExistsDefiniteTrue(t *testing.T) {
 	rem[p.StateIndex("Dirty")] = ROne
 	rem[p.StateIndex("Invalid")] = RStar
 	sc := mkScenario(e, rem, ival{1, 1})
-	cond, trues, falseSc := e.splitExists(sc, guardTab(e, []fsm.State{"Dirty"}))
-	if cond != condTrue || trues != nil || falseSc != nil {
+	cond, trues, falseSc := e.splitExists(sc, guardTab(e, []fsm.State{"Dirty"}), nil)
+	if cond != condTrue || len(trues) != 0 || falseSc != nil {
 		t.Fatalf("a singleton class must decide existence: %v", cond)
 	}
 }
@@ -48,7 +53,7 @@ func TestSplitExistsDefiniteFalse(t *testing.T) {
 	rem[p.StateIndex("Shared")] = ROne
 	rem[p.StateIndex("Invalid")] = RStar
 	sc := mkScenario(e, rem, ival{1, 1})
-	cond, _, falseSc := e.splitExists(sc, guardTab(e, []fsm.State{"Dirty"}))
+	cond, _, falseSc := e.splitExists(sc, guardTab(e, []fsm.State{"Dirty"}), nil)
 	if cond != condFalse {
 		t.Fatalf("an empty class must refute existence: %v", cond)
 	}
@@ -68,7 +73,7 @@ func TestSplitExistsAmbiguousBranches(t *testing.T) {
 	rem[di] = ROne
 	rem[p.StateIndex("Invalid")] = RStar
 	sc := mkScenario(e, rem, ival{1, 2})
-	cond, trues, falseSc := e.splitExists(sc, guardTab(e, []fsm.State{"Shared"}))
+	cond, trues, falseSc := e.splitExists(sc, guardTab(e, []fsm.State{"Shared"}), nil)
 	if cond != condAmbiguous {
 		t.Fatalf("cond = %v, want ambiguous", cond)
 	}
@@ -91,11 +96,11 @@ func TestSplitExistsFastPathOnValidSet(t *testing.T) {
 	rem[p.StateIndex("Shared")] = RStar
 
 	sc := mkScenario(e, rem, ival{1, 1})
-	if cond, _, _ := e.splitExists(sc, guardTab(e, valid)); cond != condTrue {
+	if cond, _, _ := e.splitExists(sc, guardTab(e, valid), nil); cond != condTrue {
 		t.Fatalf("bound lo≥1 must prove existence, got %v", cond)
 	}
 	sc = mkScenario(e, rem, ival{0, 0})
-	cond, _, falseSc := e.splitExists(sc, guardTab(e, valid))
+	cond, _, falseSc := e.splitExists(sc, guardTab(e, valid), nil)
 	if cond != condFalse {
 		t.Fatalf("bound hi=0 must refute existence, got %v", cond)
 	}
