@@ -297,10 +297,6 @@ type bfs struct {
 
 	// sinceCp counts expanded states since the last periodic checkpoint.
 	sinceCp int
-	// dups counts successors discarded as identity duplicates by the
-	// sequential engine (the parallel engine derives the same quantity from
-	// Visits at level boundaries); it feeds LevelStats.Pruned.
-	dups int
 
 	res *Result
 }
@@ -433,20 +429,6 @@ func (b *bfs) finish() {
 	b.res.EstBytes = b.bytes
 }
 
-// admit merges one generated successor in the sequential engine: dedup,
-// then the shared commit bookkeeping. It appends newly admitted states to
-// *next and reports true when the run must end now (StopOnViolation or
-// state budget). Duplicates return their configuration to the pool.
-func (b *bfs) admit(it succItem, next *[]*fsm.Config) bool {
-	b.res.Visits++
-	if b.visited.has(it.key) {
-		b.dups++
-		releaseConfig(it.cfg)
-		return false
-	}
-	return b.commit(it, fsm.CheckConfig(b.p, it.cfg, b.opts.Strict), next)
-}
-
 // parentRank resolves the admission rank of a parent key: the memoized
 // last lookup (successors of one step share their parent), then the
 // pinned frontier ranks of an out-of-core run (the parent may have been
@@ -474,9 +456,11 @@ func (b *bfs) parentRank(k Key) uint32 {
 }
 
 // commit installs one deduplicated successor: provenance, tuple census,
-// violation recording and the exact state cap. It is shared by the
-// sequential admit and the parallel reconcile (which precomputes viol
-// inside the workers), so the two engines cannot drift.
+// violation recording and the exact state cap. It appends the state to
+// *next and reports true when the run must end now (StopOnViolation or
+// state budget). It is shared by the sequential loop and the parallel
+// reconcile (which precomputes viol inside the workers), so the two
+// engines cannot drift.
 func (b *bfs) commit(it succItem, viol []fsm.Violation, next *[]*fsm.Config) bool {
 	rank := b.visited.insert(it.key)
 	b.parents = append(b.parents, parentRec{
@@ -549,8 +533,9 @@ func (b *bfs) runSeq(ctx context.Context, queue []*fsm.Config) (*Result, error) 
 	// level's frontier. Visits may carry over from a resumed checkpoint;
 	// level stats are relative to this run so registry counters never
 	// double-count.
-	level, remaining, visits0 := 0, len(queue), b.res.Visits
+	level, remaining, visits0, admitted0 := 0, len(queue), b.res.Visits, b.visited.size()
 	var out workerOut
+	seen := func(k Key, _ int) bool { return b.visited.has(k) }
 	for len(queue) > 0 {
 		b.frontierLen = len(queue)
 		if err := b.stopCheck(ctx); err != nil {
@@ -567,16 +552,18 @@ func (b *bfs) runSeq(ctx context.Context, queue []*fsm.Config) (*Result, error) 
 		queue = queue[1:]
 		out.items = out.items[:0]
 		out.specErrs = out.specErrs[:0]
-		expandOne(b.kc, b.symmetric, cur, &out)
+		gen := expandOne(b.kc, b.symmetric, cur, &out, seen)
 		b.res.SpecErrors = append(b.res.SpecErrors, out.specErrs...)
 		if len(out.specErrs) > 0 {
 			b.orun.Event("spec_errors_total", int64(len(out.specErrs)))
 		}
 		for _, it := range out.items {
-			if b.admit(it, &queue) {
+			if b.commit(it, fsm.CheckConfig(b.p, it.cfg, b.opts.Strict), &queue) {
+				b.res.Visits += it.ord + 1
 				return b.res, nil
 			}
 		}
+		b.res.Visits += gen
 		releaseConfig(cur)
 		expanded++
 		b.sinceCp++
@@ -586,7 +573,7 @@ func (b *bfs) runSeq(ctx context.Context, queue []*fsm.Config) (*Result, error) 
 				Frontier:  len(queue),
 				Essential: b.visited.size(),
 				Visits:    b.res.Visits - visits0,
-				Pruned:    b.dups,
+				Pruned:    b.res.Visits - visits0 - (b.visited.size() - admitted0),
 				EstBytes:  b.bytes,
 			})
 			level++

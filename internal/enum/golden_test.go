@@ -1,0 +1,190 @@
+package enum
+
+import (
+	"bufio"
+	"context"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/ccpsl"
+	"repro/internal/fsm"
+	"repro/internal/mutate"
+	"repro/internal/obs"
+	"repro/internal/runctl"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_digests.txt from the current engine")
+
+const goldenPath = "testdata/golden_digests.txt"
+
+// goldenN is the cache count of the golden sweep: large enough that every
+// protocol reaches sharing, eviction and write-back states, small enough
+// that 53 protocols × 2 modes × 3 drivers run in a few seconds.
+const goldenN = 3
+
+// goldenCorpus returns every shipped spec plus every mutant of it, in a
+// fixed order.
+func goldenCorpus(t testing.TB) []*fsm.Protocol {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.ccpsl"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no specs found: %v", err)
+	}
+	sort.Strings(paths)
+	var out []*fsm.Protocol
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ccpsl.Parse(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out = append(out, p)
+		for _, m := range mutate.Catalog(p) {
+			out = append(out, m.Protocol)
+		}
+	}
+	return out
+}
+
+// goldenLine renders one run's digest line: the counters in clear, and a
+// SHA-256 over everything observable about the run — every violation with
+// its configuration, violation text and full witness path, every spec
+// error, and the reachable set in discovery order.
+func goldenLine(p *fsm.Protocol, mode string, res *Result) string {
+	h := sha256.New()
+	for _, v := range res.Violations {
+		fmt.Fprintf(h, "V %s\n", v.Config.Key())
+		for _, viol := range v.Violations {
+			fmt.Fprintf(h, "  %s\n", viol.Error())
+		}
+		for _, s := range v.Path {
+			fmt.Fprintf(h, "  -> %s %d %s\n", s.Op, s.Cache, s.To)
+		}
+	}
+	for _, err := range res.SpecErrors {
+		fmt.Fprintf(h, "S %v\n", err)
+	}
+	for _, c := range res.Reachable {
+		fmt.Fprintf(h, "R %s\n", c.Key())
+	}
+	return fmt.Sprintf("%s %s unique=%d visits=%d tuples=%d violations=%d specerrs=%d truncated=%v sha256=%x",
+		strings.ReplaceAll(p.Name, " ", "_"), mode, res.Unique, res.Visits, res.TupleStates,
+		len(res.Violations), len(res.SpecErrors), res.Truncated, h.Sum(nil))
+}
+
+// spillBudget returns a memory budget that forces an out-of-core run to
+// spill without ever stopping it. The budget covers exactly what stays
+// resident after a spill — the two empty stores' fixed footprint, the
+// provenance slice at up to twice the final state count, and the widest
+// frontier — so the spill threshold (3/4 of the budget) is crossed as soon
+// as a level leaves states resident.
+func spillBudget(unique, frontier, n int) runctl.Budget {
+	empty := 2 * newCompactStore(n).bytes()
+	return runctl.Budget{MaxBytes: empty + int64(unique)*2*parentRecBytes + int64(frontier)*cfgBytes(n)}
+}
+
+// TestGoldenDigests freezes the enumeration's output over every shipped spec
+// and every mutant, in strict and counting modes at n=3, as digest lines.
+// Each case runs through the sequential driver, the parallel driver at two
+// workers and, for packed runs, a parallel run under a memory budget that
+// forces the visited set out of core; all three must render the same line,
+// and that line must match the golden file. Any change to counts, admission
+// order, violations or witness paths shows up as a line diff. Regenerate
+// with `go test ./internal/enum -run TestGoldenDigests -update` only for a
+// deliberate behaviour change.
+func TestGoldenDigests(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{KeepReachable: true}
+	var got []string
+	spilledRuns, spillCases := 0, 0
+	for _, p := range goldenCorpus(t) {
+		for _, mode := range []string{ModeStrict, ModeCounting} {
+			seq, err := run(ctx, p, goldenN, opts, mode)
+			if err != nil {
+				t.Fatalf("%s %s sequential: %v", p.Name, mode, err)
+			}
+			line := goldenLine(p, mode, seq)
+			got = append(got, line)
+
+			widest := 1
+			po := opts
+			po.Observer = obs.Funcs{Level: func(ls obs.LevelStats) { widest = max(widest, ls.Frontier) }}
+			par, err := runParallel(ctx, p, goldenN, po, mode, 2)
+			if err != nil {
+				t.Fatalf("%s %s parallel: %v", p.Name, mode, err)
+			}
+			if pl := goldenLine(p, mode, par); pl != line {
+				t.Errorf("parallel run diverges from sequential:\n  par: %s\n  seq: %s", pl, line)
+			}
+
+			if !newKeyCodec(p, goldenN, mode).packed {
+				continue
+			}
+			spillCases++
+			dir := t.TempDir()
+			so := opts
+			so.RunConfig = runctl.RunConfig{Budget: spillBudget(seq.Unique, widest, goldenN), SpillDir: dir}
+			sp, err := runParallel(ctx, p, goldenN, so, mode, 2)
+			if err != nil {
+				t.Fatalf("%s %s spill: %v", p.Name, mode, err)
+			}
+			if sl := goldenLine(p, mode, sp); sl != line {
+				t.Errorf("out-of-core run diverges from sequential:\n  spill: %s\n  seq:   %s", sl, line)
+			}
+			if spillFileCount(t, dir, "spill-visited-") > 0 {
+				spilledRuns++
+			}
+		}
+	}
+	// The budget must actually push every case out of core, or the third
+	// driver would only repeat the second.
+	if spilledRuns != spillCases {
+		t.Errorf("only %d of %d budgeted runs spilled", spilledRuns, spillCases)
+	}
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := readGolden(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d digest lines, golden has %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("digest drift:\n  got:  %s\n  want: %s", got[i], want[i])
+		}
+	}
+}
+
+func readGolden(path string) ([]string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var out []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := sc.Text(); line != "" {
+			out = append(out, line)
+		}
+	}
+	return out, sc.Err()
+}

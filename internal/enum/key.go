@@ -98,9 +98,8 @@ type keyCodec struct {
 	packed bool
 	// cp is the compiled protocol expandOne steps through: the run's one
 	// lowering, shared by the sequential loop and every parallel worker.
-	cp     *compile.Protocol
-	// index maps a state to its packed byte prefix (index << 2).
-	index map[fsm.State]byte
+	// A state's packed byte prefix is its compiled index << 2.
+	cp *compile.Protocol
 }
 
 func newKeyCodec(p *fsm.Protocol, n int, mode string) *keyCodec {
@@ -114,13 +113,14 @@ func newKeyCodec(p *fsm.Protocol, n int, mode string) *keyCodec {
 	}
 	kc.cp = cp
 	kc.packed = n >= 1 && n <= maxPackedCaches && p.NumStates() <= maxPackedStates
-	if kc.packed {
-		kc.index = make(map[fsm.State]byte, p.NumStates())
-		for i, s := range p.States {
-			kc.index[s] = byte(i) << 2
-		}
-	}
 	return kc
+}
+
+// stateByte returns the packed byte prefix of a declared state, or false
+// for an undeclared one.
+func (kc *keyCodec) stateByte(s fsm.State) (byte, bool) {
+	i := kc.cp.StateIndex(s)
+	return byte(i) << 2, i >= 0
 }
 
 // class maps a canonical version number to its packed data class. The
@@ -162,13 +162,34 @@ func (kc *keyCodec) key(c *fsm.Config) Key {
 	}
 	var k Key
 	for i, s := range c.States {
-		k.packed[i] = kc.index[s] | class(c.Versions[i], c.Latest)
+		sb, _ := kc.stateByte(s)
+		k.packed[i] = sb | class(c.Versions[i], c.Latest)
 	}
-	if kc.mode == ModeCounting {
-		sortBytes(k.packed[:len(c.States)])
-	}
-	k.packed[maxPackedCaches] = packedMark | class(c.MemVersion, c.Latest)
+	kc.seal(&k, len(c.States), class(c.MemVersion, c.Latest))
 	return k
+}
+
+// compiledKey returns the key of a packed codec for the canonical form of a
+// compiled configuration, which need not be canonicalized itself: the state
+// index is the packed state prefix, and class maps every version onto the
+// abstract data domain exactly as Canonicalize would. This is how
+// expandOne keys a successor before deciding whether to materialise it.
+func (kc *keyCodec) compiledKey(c *compile.Config) Key {
+	var k Key
+	for i, s := range c.States {
+		k.packed[i] = byte(s)<<2 | class(c.Versions[i], c.Latest)
+	}
+	kc.seal(&k, len(c.States), class(c.MemVersion, c.Latest))
+	return k
+}
+
+// seal finishes a packed key whose n per-cache bytes are filled in: the
+// multiset sort of counting mode, then the reserved marker/memory byte.
+func (kc *keyCodec) seal(k *Key, n int, mem byte) {
+	if kc.mode == ModeCounting {
+		sortBytes(k.packed[:n])
+	}
+	k.packed[maxPackedCaches] = packedMark | mem
 }
 
 // tupleKey returns the state-only tuple identity (data ignored), the strict
@@ -180,7 +201,7 @@ func (kc *keyCodec) tupleKey(c *fsm.Config) Key {
 	}
 	var k Key
 	for i, s := range c.States {
-		k.packed[i] = kc.index[s]
+		k.packed[i], _ = kc.stateByte(s)
 	}
 	k.packed[maxPackedCaches] = packedMark | tupleMark
 	return k
@@ -259,11 +280,11 @@ func (kc *keyCodec) parse(s string) (Key, error) {
 		if err != nil {
 			return Key{}, fmt.Errorf("enum: state key %q: %w", s, err)
 		}
-		idx, ok := kc.index[fsm.State(name)]
+		sb, ok := kc.stateByte(fsm.State(name))
 		if !ok {
 			return Key{}, fmt.Errorf("enum: state key %q references unknown state %q", s, name)
 		}
-		k.packed[i] = idx | versionClass(ver)
+		k.packed[i] = sb | versionClass(ver)
 	}
 	mem := int64(canonFresh)
 	for _, f := range fields[1:] {
@@ -275,10 +296,7 @@ func (kc *keyCodec) parse(s string) (Key, error) {
 			mem = v
 		}
 	}
-	if kc.mode == ModeCounting {
-		sortBytes(k.packed[:kc.n])
-	}
-	k.packed[maxPackedCaches] = packedMark | versionClass(mem)
+	kc.seal(&k, kc.n, versionClass(mem))
 	return k, nil
 }
 
@@ -293,11 +311,11 @@ func (kc *keyCodec) parseTuple(s string) (Key, error) {
 	}
 	var k Key
 	for i, name := range parts {
-		idx, ok := kc.index[fsm.State(name)]
+		sb, ok := kc.stateByte(fsm.State(name))
 		if !ok {
 			return Key{}, fmt.Errorf("enum: tuple key %q references unknown state %q", s, name)
 		}
-		k.packed[i] = idx
+		k.packed[i] = sb
 	}
 	k.packed[maxPackedCaches] = packedMark | tupleMark
 	return k, nil
@@ -320,17 +338,19 @@ func versionClass(v int64) byte {
 }
 
 // cfgPool recycles fsm.Config allocations across expansion steps: a
-// successor that deduplicates against the visited set, and a frontier state
-// that has been fully expanded, return their backing slices to the pool for
-// the next Step to reuse. sync.Pool empties itself under GC pressure, so
+// successor that loses admission, and a frontier state that has been fully
+// expanded, return their backing slices to the pool for the next
+// materialisation to reuse. sync.Pool empties itself under GC pressure, so
 // the pool never pins memory.
-var cfgPool = sync.Pool{New: func() any { return new(fsm.Config) }}
+var cfgPool = &sync.Pool{New: func() any { return new(fsm.Config) }}
 
-// cloneConfig returns a pooled deep copy of src.
-func cloneConfig(src *fsm.Config) *fsm.Config {
-	c := cfgPool.Get().(*fsm.Config)
-	c.CopyFrom(src)
-	return c
+// materialise decodes a stepped compiled configuration into a pooled
+// fsm.Config and canonicalizes it.
+func (kc *keyCodec) materialise(c *compile.Config) *fsm.Config {
+	next := cfgPool.Get().(*fsm.Config)
+	kc.cp.Decode(c, next)
+	Canonicalize(next)
+	return next
 }
 
 // releaseConfig returns a configuration that no longer escapes to the pool.

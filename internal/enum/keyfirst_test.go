@@ -1,0 +1,97 @@
+package enum
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"repro/internal/fsm"
+	"repro/internal/protocols"
+	"repro/internal/stateset"
+)
+
+// TestExpandDuplicateAllocs pins the point of key-first expansion: a
+// successor that is already visited is stepped and keyed on the compiled
+// configuration and dropped without being materialised, so expanding a
+// state whose successors are all known allocates nothing. Every reachable
+// Dragon n=4 state is expanded against the full visited set, in both
+// modes. A warm configuration pool would hide materialisation from the
+// allocation count, so the expansion runs against a fresh pool that
+// counts every configuration it hands out.
+func TestExpandDuplicateAllocs(t *testing.T) {
+	p := protocols.Dragon()
+	const n = 4
+	defer func(saved *sync.Pool) { cfgPool = saved }(cfgPool)
+	for _, mode := range []string{ModeStrict, ModeCounting} {
+		res, err := run(context.Background(), p, n, Options{KeepReachable: true}, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kc := newKeyCodec(p, n, mode)
+		visited, _ := newStores(kc, n)
+		for _, c := range res.Reachable {
+			visited.insert(kc.key(c))
+		}
+		seen := func(k Key, _ int) bool { return visited.has(k) }
+		materialised := 0
+		cfgPool = &sync.Pool{New: func() any { materialised++; return new(fsm.Config) }}
+		var out workerOut
+		expandAll := func() (gen int) {
+			for _, cur := range res.Reachable {
+				out.items = out.items[:0]
+				gen += expandOne(kc, mode == ModeCounting, cur, &out, seen)
+				if len(out.items) != 0 || len(out.specErrs) != 0 {
+					t.Fatalf("%s: expanding %s left %d items, %d spec errors; the reachable set is closed",
+						mode, cur.Key(), len(out.items), len(out.specErrs))
+				}
+			}
+			return gen
+		}
+		if gen := expandAll(); gen != res.Visits {
+			t.Fatalf("%s: re-expanding the reachable set generated %d successors, the run counted %d visits",
+				mode, gen, res.Visits)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { expandAll() }); allocs != 0 {
+			t.Fatalf("%s: expanding %d states with only duplicate successors allocated %.1f times, want 0",
+				mode, len(res.Reachable), allocs)
+		}
+		if materialised != 0 {
+			t.Fatalf("%s: %d duplicate successors were materialised", mode, materialised)
+		}
+	}
+}
+
+// TestVisitedShardBalance guards the visited set's shard function on the
+// key population it was chosen for. Dragon's packed keys lead with cache
+// 0's (state, data class) byte, which takes at most 15 values, so sharding
+// by that byte left 241 of 256 shards empty; hashing every key byte must
+// keep each shard within 4x of the mean.
+func TestVisitedShardBalance(t *testing.T) {
+	p := protocols.Dragon()
+	const n = 10
+	b, init, _, err := newBFS(p, n, Options{}, ModeStrict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.runSeq(context.Background(), []*fsm.Config{init})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unique != 6164 {
+		t.Fatalf("Dragon n=10: %d states, want 6164", res.Unique)
+	}
+	var counts [stateset.NumShards]int
+	var buf [maxPackedCaches + 1]byte
+	b.visited.forEach(func(k Key, _ uint32) {
+		counts[stateset.Shard(packKeyBytes(k, n, buf[:]))]++
+	})
+	mean := float64(res.Unique) / stateset.NumShards
+	largest := 0
+	for _, c := range counts {
+		largest = max(largest, c)
+	}
+	t.Logf("largest shard %d keys, mean %.1f", largest, mean)
+	if float64(largest) > 4*mean {
+		t.Fatalf("largest shard holds %d keys, more than 4x the mean %.1f", largest, mean)
+	}
+}

@@ -72,15 +72,16 @@ func (e *WorkerError) Error() string {
 	return fmt.Sprintf("enum: worker %d panicked at level %d: %s", e.Worker, e.Level, e.Value)
 }
 
-// succItem is one generated successor, tagged with provenance for witness
-// reconstruction. The equivalence key is computed at generation time so
-// admission only performs map operations.
+// succItem is one successor kept by expandOne, tagged with provenance for
+// witness reconstruction and with ord, its index among all the successors
+// its expansion generated (dropped duplicates included), which ranks it.
 type succItem struct {
 	cfg    *fsm.Config
 	key    Key
 	parent Key
 	cache  int
 	op     fsm.Op
+	ord    int
 	// tupleDup marks a successor whose state tuple is already known to a
 	// spilled tuple census (set by spillFilter), so commit must not count
 	// it again.
@@ -121,33 +122,23 @@ func putFrontierSlice(s []*fsm.Config) {
 	frontierPool.Put(&s)
 }
 
-// useInterpretedExpand, when set by tests, routes expandOne through the
-// interpreted fsm.Step reference path instead of the compiled tables. The
-// compile-parity suite flips it to assert the two paths produce
-// byte-identical results over every spec and every mutant. Never set
-// outside tests; it is read without synchronization.
-var useInterpretedExpand = false
-
 // expandOne generates the successors of one frontier configuration into
-// out. It is the single expansion routine shared by the sequential engine
-// and the parallel workers' admission loop, which is what keeps the two
-// observationally identical. The hot path steps through the run's compiled
-// protocol (kc.cp): the dequeued configuration is encoded to integer states
-// once and each successor is generated by a table-driven compiled step.
-// Every successor is then cloned, decoded back to fsm.Config form,
-// canonicalized and keyed here, before admission: the visited check runs
-// later, on the key, so rejected duplicates pay for materialization too.
-func expandOne(kc *keyCodec, symmetric bool, cur *fsm.Config, out *workerOut) {
-	if useInterpretedExpand {
-		expandOneInterpreted(kc, symmetric, cur, out)
-		return
-	}
-	curKey := kc.key(cur)
+// out and returns how many it generated (its Visits, duplicates included).
+// Both engines expand through it, which keeps them observationally
+// identical. Expansion is key-first: each successor is a compiled step of
+// the configuration encoded once, keyed straight from the stepped compiled
+// form. One that seen reports as known (by key and ord), or that repeats
+// an earlier successor of this expansion, is counted but never
+// materialised; only survivors are decoded and canonicalized. Unpacked
+// codecs key the materialised configuration instead.
+func expandOne(kc *keyCodec, symmetric bool, cur *fsm.Config, out *workerOut, seen func(k Key, ord int) bool) int {
 	p, n, cp := kc.p, kc.n, kc.cp
 	if err := cp.Encode(cur, &out.base); err != nil {
 		out.specErrs = append(out.specErrs, err)
-		return
+		return 0
 	}
+	curKey := kc.key(cur)
+	gen := 0
 	for i := 0; i < n; i++ {
 		if symmetric && shadowedBySibling(cur, i) {
 			continue
@@ -162,44 +153,41 @@ func expandOne(kc *keyCodec, symmetric bool, cur *fsm.Config, out *workerOut) {
 				out.specErrs = append(out.specErrs, err)
 				continue
 			}
-			next := cloneConfig(cur)
-			cp.Decode(&out.work, next)
-			Canonicalize(next)
-			out.items = append(out.items, succItem{
-				cfg: next, key: kc.key(next),
-				parent: curKey, cache: i, op: p.Ops[k],
-			})
-		}
-	}
-}
-
-// expandOneInterpreted is the interpreted reference expansion — the exact
-// pre-compilation code path, stepping fsm.Config through fsm.Step. It is
-// retained solely as the parity oracle for the compiled path above.
-func expandOneInterpreted(kc *keyCodec, symmetric bool, cur *fsm.Config, out *workerOut) {
-	curKey := kc.key(cur)
-	p, n := kc.p, kc.n
-	for i := 0; i < n; i++ {
-		if symmetric && shadowedBySibling(cur, i) {
-			continue
-		}
-		for _, op := range p.Ops {
-			if len(p.RulesFor(cur.States[i], op)) == 0 {
-				continue
+			ord := gen
+			gen++
+			var next *fsm.Config
+			var key Key
+			if kc.packed {
+				key = kc.compiledKey(&out.work)
+			} else {
+				next = kc.materialise(&out.work)
+				key = kc.key(next)
 			}
-			next := cloneConfig(cur)
-			if _, err := fsm.Step(p, next, i, op); err != nil {
-				out.specErrs = append(out.specErrs, err)
+			if seen(key, ord) || out.generated(key) {
 				releaseConfig(next)
 				continue
 			}
-			Canonicalize(next)
+			if next == nil {
+				next = kc.materialise(&out.work)
+			}
 			out.items = append(out.items, succItem{
-				cfg: next, key: kc.key(next),
-				parent: curKey, cache: i, op: op,
+				cfg: next, key: key,
+				parent: curKey, cache: i, op: p.Ops[k], ord: ord,
 			})
 		}
 	}
+	return gen
+}
+
+// generated reports whether the expansion in progress already kept a
+// successor with key k.
+func (out *workerOut) generated(k Key) bool {
+	for i := range out.items {
+		if out.items[i].key == k {
+			return true
+		}
+	}
+	return false
 }
 
 // rankShift packs (worker, item) into a single admission rank: rank order
@@ -244,20 +232,23 @@ func (ps *pendSet) shard(k Key) *pendShard {
 	return &ps.shards[k.hash()&(numShards-1)]
 }
 
-// admit offers one generated successor to the pending set. Losing
-// duplicates return their configuration to the pool; equal ranks keep the
-// existing entry, which makes re-running a worker (panic retry) idempotent.
+// beaten reports whether a successor of key k generated at rank loses to
+// an entry already pending: one of equal or lower rank. Equal ranks lose,
+// which makes re-running a worker (panic retry) idempotent. Entries are
+// never mutated once published, so the rank is read outside the lock.
+func (ps *pendSet) beaten(k Key, rank uint64) bool {
+	sh := ps.shard(k)
+	sh.mu.Lock()
+	e := sh.m[k]
+	sh.mu.Unlock()
+	return e != nil && e.rank <= rank
+}
+
+// admit offers a successor that was not beaten when expandOne tested it.
+// A lower-ranked entry admitted since still wins; the loser's
+// configuration returns to the pool.
 func (ps *pendSet) admit(it succItem, rank uint64, strict bool, p *fsm.Protocol) {
 	sh := ps.shard(it.key)
-	// Fast pre-check: drop clearly losing duplicates before paying for the
-	// invariant check.
-	sh.mu.Lock()
-	if e := sh.m[it.key]; e != nil && e.rank <= rank {
-		sh.mu.Unlock()
-		releaseConfig(it.cfg)
-		return
-	}
-	sh.mu.Unlock()
 	ent := &pendEntry{it: it, rank: rank, viol: fsm.CheckConfig(p, it.cfg, strict)}
 	sh.mu.Lock()
 	if e := sh.m[it.key]; e == nil || rank < e.rank {
@@ -330,32 +321,32 @@ func runParallel(ctx context.Context, p *fsm.Protocol, n int, opts Options, mode
 }
 
 // expandWorker is the body of one level worker: it expands a frontier
-// slice via expandOne, deduplicates each successor against the committed
-// visited set (read-only during the level, so the read is lock-free) and
-// offers the survivors to the sharded pending set under rank
-// w<<rankShift|item. It returns the number of successors generated (the
-// worker's contribution to Visits) and any specification errors, both in
+// slice via expandOne, which drops successors already in the committed
+// visited set (read-only during the level, so the read is lock-free) or
+// beaten by a pending entry, and offers the survivors to the sharded
+// pending set under rank w<<rankShift|item, where item counts every
+// successor the worker generated. It returns that count (the worker's
+// contribution to Visits) and any specification errors, both in
 // deterministic order.
 func (b *bfs) expandWorker(w int, frontier []*fsm.Config, ps *pendSet) (int, []error) {
 	out := getWorkerOut()
-	item := uint64(0)
+	first := uint64(w) << rankShift
+	base := first // rank of the current expansion's first successor
+	seen := func(k Key, ord int) bool {
+		return b.visited.has(k) || ps.beaten(k, base+uint64(ord))
+	}
 	for _, cur := range frontier {
 		out.items = out.items[:0]
-		expandOne(b.kc, b.symmetric, cur, out)
+		gen := expandOne(b.kc, b.symmetric, cur, out, seen)
 		for _, it := range out.items {
-			rank := uint64(w)<<rankShift | item
-			item++
-			if b.visited.has(it.key) {
-				releaseConfig(it.cfg)
-				continue
-			}
-			ps.admit(it, rank, b.opts.Strict, b.p)
+			ps.admit(it, base+uint64(it.ord), b.opts.Strict, b.p)
 		}
+		base += uint64(gen)
 	}
 	specErrs := out.specErrs
 	out.specErrs = nil // retained by the caller; don't recycle the backing array
 	putWorkerOut(out)
-	return int(item), specErrs
+	return int(base - first), specErrs
 }
 
 // runPar drives the level-synchronous parallel BFS over the shared bfs

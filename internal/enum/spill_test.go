@@ -36,7 +36,7 @@ func resultSignature(r *Result) string {
 
 // TestCompactStoreMatchesLegacyStore is the correctness property of the
 // compact visited set: over random well-formed protocols, an enumeration
-// backed by the prefix-sharded stateset must admit exactly the same state
+// backed by the hash-sharded stateset must admit exactly the same state
 // partition — same unique states, visit counts, tuple census, violations
 // and witness paths — as the legacy map-backed store it replaced. The
 // legacy path is forced via testForceLegacyStore, which newStores

@@ -59,7 +59,7 @@ const parentRecBytes = 8
 var testForceLegacyStore = false
 
 // newStores picks the visited and tuple store implementation for a run:
-// the compact prefix-sharded set when the codec packs keys into
+// the compact hash-sharded set when the codec packs keys into
 // fixed-width bytes, the map fallback otherwise (huge n or state
 // alphabets, where keys carry heap strings a flat slab cannot hold).
 func newStores(kc *keyCodec, n int) (visited, tuples visitedStore) {
@@ -99,7 +99,7 @@ func unpackKeyBytes(b []byte, n int) Key {
 	return k
 }
 
-// compactStore backs packed runs with the prefix-sharded sorted-run set
+// compactStore backs packed runs with the hash-sharded sorted-run set
 // of internal/stateset: n+5 bytes per resident state (key + rank)
 // instead of a map entry's ~130, and Spill support for out-of-core
 // runs.

@@ -6,12 +6,14 @@ import (
 )
 
 // BenchmarkVisitedStoreBytes inserts the same random packed-key
-// population into the compact prefix-sharded store and the legacy
+// population into the compact hash-sharded store and the legacy
 // map-backed store, and reports the resident bytes per state of each —
 // the metric behind the out-of-core work. The compact layout holds
 // width+4 bytes per state plus a fixed shard overhead, against the
 // map's ~176-byte entries; the bytes/state columns of the two
-// sub-benchmarks are the compression ratio.
+// sub-benchmarks are the compression ratio. The compact store fails the
+// benchmark above 16 bytes/state, so a layout change that inflates the
+// fixed slab or the entries cannot pass unnoticed.
 func BenchmarkVisitedStoreBytes(b *testing.B) {
 	const n = 8           // caches: width n+1 = 9 bytes per packed key
 	const states = 200000 // population size, comparable to a mid-size Fig. 2 run
@@ -30,11 +32,12 @@ func BenchmarkVisitedStoreBytes(b *testing.B) {
 		}
 	}
 	for _, impl := range []struct {
-		name string
-		mk   func() visitedStore
+		name  string
+		mk    func() visitedStore
+		limit float64 // bytes/state ceiling; 0 for none
 	}{
-		{"compact", func() visitedStore { return newCompactStore(n) }},
-		{"legacy-map", func() visitedStore { return newMapStore() }},
+		{"compact", func() visitedStore { return newCompactStore(n) }, 16},
+		{"legacy-map", func() visitedStore { return newMapStore() }, 0},
 	} {
 		b.Run(impl.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -47,6 +50,9 @@ func BenchmarkVisitedStoreBytes(b *testing.B) {
 				perState = float64(st.bytes()) / float64(st.size())
 			}
 			b.ReportMetric(perState, "bytes/state")
+			if impl.limit > 0 && perState > impl.limit {
+				b.Fatalf("%s store holds %.2f bytes/state, over the %.0f ceiling", impl.name, perState, impl.limit)
+			}
 		})
 	}
 }

@@ -1,14 +1,16 @@
-// Package stateset provides a compact, prefix-sharded set over
+// Package stateset provides a compact, hash-sharded set over
 // fixed-width byte keys, built for the enumeration engine's visited and
 // tuple-census sets where a Go map's ~100+ bytes of per-entry overhead
 // dominates the footprint long before the state space itself does.
 //
-// Keys are sharded by their first byte into 256 shards. Each shard is an
-// append log of recent insertions plus a stack of sorted runs merged with
-// a binary-counter discipline (two runs of similar size merge into one,
-// like an LSM level), so memory is a flat byte slab: width+4 bytes per
-// entry — the key plus its 32-bit insertion rank — with no per-entry
-// allocation, pointer, or hash-bucket overhead.
+// Keys are sharded into 256 shards by a hash of all their bytes (Shard),
+// so structured keys whose leading bytes take few values still spread
+// evenly. Each shard is a short append log of recent insertions plus a
+// stack of sorted runs merged with a binary-counter discipline (two runs
+// of similar size merge into one, like an LSM level), so memory is a
+// flat byte slab: width+4 bytes per entry — the key plus its 32-bit
+// insertion rank — with no per-entry allocation, pointer, or hash-bucket
+// overhead.
 //
 // The set is insert-only (the engines never delete states) and keys are
 // assumed distinct by contract: the caller deduplicates via Has/Rank
@@ -25,31 +27,62 @@ package stateset
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
 const (
-	numShards = 256
+	// NumShards is the number of shards a Set and a spill blob are
+	// divided into; Shard returns a key's shard in [0, NumShards).
+	NumShards = 256
 
 	// flushEntries is the append-log length at which a shard sorts its
-	// log into a run. Small enough that Has scans stay cheap, large
+	// log into a run. Small enough that Has scans stay short, large
 	// enough that runs merge geometrically rather than per-insert.
-	flushEntries = 128
+	flushEntries = 16
 
-	// setOverhead approximates the fixed cost of the shard table, slice
-	// headers, and append-log capacity slack so Bytes() stays honest
-	// for small sets.
-	setOverhead = 64 * 1024
+	// tableOverhead approximates the fixed cost of the shard table and
+	// its slice headers. Bytes adds the append logs' slab on top.
+	tableOverhead = 16 * 1024
 )
 
-// blobMagic prefixes a spill blob: "SSP" + format version 1.
-var blobMagic = [4]byte{'S', 'S', 'P', '1'}
+// blobMagic prefixes a spill blob: "SSP" + format version. Version 2
+// lays the sections out by Shard; version 1 blobs were sectioned by the
+// key's leading byte, so searching one with Shard would miss keys.
+var blobMagic = [4]byte{'S', 'S', 'P', '2'}
+
+// ErrUnsupportedVersion reports a spill blob written in a format version
+// this build cannot read.
+var ErrUnsupportedVersion = errors.New("stateset: unsupported spill blob version")
+
+// Shard returns the shard of key k: a hash of every key byte, folded to
+// [0, NumShards). It is part of the spill blob format (version 2), so it
+// must not change without bumping blobMagic.
+func Shard(k []byte) int {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(len(k))
+	for len(k) >= 8 {
+		h = bits.RotateLeft64((h^binary.LittleEndian.Uint64(k))*m, 31)
+		k = k[8:]
+	}
+	for _, b := range k {
+		h = (h ^ uint64(b)) * m
+	}
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	return int(h >> 56)
+}
 
 type shard struct {
 	log  []byte   // unsorted recent entries, flushed at flushEntries
 	runs [][]byte // sorted runs, newest last, geometrically sized
 }
+
+// logBytes is the capacity of one shard's append log: the log is a
+// fixed window of the set's slab and never reallocates.
+func logBytes(esize int) int { return flushEntries * esize }
 
 // Set is a compact insert-only set of fixed-width byte keys. Not safe
 // for concurrent mutation; concurrent Has/Rank calls are safe between
@@ -60,15 +93,23 @@ type Set struct {
 	esize    int // entry bytes: width + 4-byte rank
 	count    int // total inserted, including spilled entries
 	resident int // entries currently in memory
-	shards   [numShards]shard
+	shards   [NumShards]shard
 }
 
 // New returns an empty set over keys of exactly width bytes (1..255).
+// The shards' append logs are carved out of one slab allocated here, so
+// the set's fixed footprint is paid once and counted by Bytes.
 func New(width int) *Set {
 	if width < 1 || width > 255 {
 		panic(fmt.Sprintf("stateset: key width %d out of range [1,255]", width))
 	}
-	return &Set{width: width, esize: width + 4}
+	s := &Set{width: width, esize: width + 4}
+	lb := logBytes(s.esize)
+	slab := make([]byte, NumShards*lb)
+	for i := range s.shards {
+		s.shards[i].log = slab[i*lb : i*lb : (i+1)*lb]
+	}
+	return s
 }
 
 // Width reports the key width the set was built with.
@@ -83,9 +124,9 @@ func (s *Set) Resident() int { return s.resident }
 
 // Bytes estimates the resident heap footprint in bytes. Entries are
 // stored in flat slabs, so the estimate is esize per resident entry
-// plus a fixed allowance for the shard table and log slack.
+// plus the fixed cost of the shard table and the append-log slab.
 func (s *Set) Bytes() int64 {
-	return int64(s.resident)*int64(s.esize) + setOverhead
+	return int64(s.resident)*int64(s.esize) + tableOverhead + int64(NumShards*logBytes(s.esize))
 }
 
 // Insert adds k (which must not already be present — check with Has or
@@ -95,16 +136,20 @@ func (s *Set) Insert(k []byte) uint32 {
 	s.checkWidth(k)
 	r := uint32(s.count)
 	s.count++
+	s.add(k, r)
+	return r
+}
+
+// add appends one resident entry to its shard's log, flushing the log
+// into a sorted run when it is full.
+func (s *Set) add(k []byte, r uint32) {
 	s.resident++
-	sh := &s.shards[k[0]]
+	sh := &s.shards[Shard(k)]
 	sh.log = append(sh.log, k...)
-	var rb [4]byte
-	binary.LittleEndian.PutUint32(rb[:], r)
-	sh.log = append(sh.log, rb[:]...)
-	if len(sh.log) >= flushEntries*s.esize {
+	sh.log = binary.LittleEndian.AppendUint32(sh.log, r)
+	if len(sh.log) == cap(sh.log) {
 		s.flush(sh)
 	}
-	return r
 }
 
 // Has reports whether k is resident in the set. Spilled entries are not
@@ -117,7 +162,7 @@ func (s *Set) Has(k []byte) bool {
 // Rank returns the insertion rank of a resident key.
 func (s *Set) Rank(k []byte) (uint32, bool) {
 	s.checkWidth(k)
-	sh := &s.shards[k[0]]
+	sh := &s.shards[Shard(k)]
 	for i := 0; i+s.esize <= len(sh.log); i += s.esize {
 		if bytes.Equal(sh.log[i:i+s.width], k) {
 			return binary.LittleEndian.Uint32(sh.log[i+s.width : i+s.esize]), true
@@ -153,17 +198,15 @@ func (s *Set) Spill() []byte {
 	if s.resident == 0 {
 		return nil
 	}
-	blob := make([]byte, 0, len(blobMagic)+1+numShards*4+s.resident*s.esize)
+	blob := make([]byte, 0, len(blobMagic)+1+NumShards*4+s.resident*s.esize)
 	blob = append(blob, blobMagic[:]...)
 	blob = append(blob, byte(s.width))
 	for si := range s.shards {
 		sh := &s.shards[si]
 		merged := s.mergedShard(sh)
-		var cb [4]byte
-		binary.LittleEndian.PutUint32(cb[:], uint32(len(merged)/s.esize))
-		blob = append(blob, cb[:]...)
+		blob = binary.LittleEndian.AppendUint32(blob, uint32(len(merged)/s.esize))
 		blob = append(blob, merged...)
-		sh.log = nil
+		sh.log = sh.log[:0]
 		sh.runs = nil
 	}
 	s.resident = 0
@@ -183,17 +226,7 @@ func (s *Set) Restore(blob []byte) error {
 	if br.width != s.width {
 		return fmt.Errorf("stateset: restoring blob of width %d into set of width %d", br.width, s.width)
 	}
-	br.ForEach(func(k []byte, r uint32) {
-		s.resident++
-		sh := &s.shards[k[0]]
-		sh.log = append(sh.log, k...)
-		var rb [4]byte
-		binary.LittleEndian.PutUint32(rb[:], r)
-		sh.log = append(sh.log, rb[:]...)
-		if len(sh.log) >= flushEntries*s.esize {
-			s.flush(sh)
-		}
-	})
+	br.ForEach(s.add)
 	return nil
 }
 
@@ -220,8 +253,7 @@ func (s *Set) mergedShard(sh *shard) []byte {
 // of the stack is no larger than the run being pushed (binary-counter
 // merging keeps the stack logarithmic and total merge work O(n log n)).
 func (s *Set) flush(sh *shard) {
-	run := make([]byte, len(sh.log))
-	copy(run, sh.log)
+	run := bytes.Clone(sh.log)
 	sh.log = sh.log[:0]
 	sortEntries(run, s.width, s.esize)
 	for len(sh.runs) > 0 && len(sh.runs[len(sh.runs)-1]) <= len(run) {
@@ -307,7 +339,7 @@ type BlobReader struct {
 	width    int
 	esize    int
 	count    int
-	sections [numShards][]byte // sorted entries per shard, aliasing blob
+	sections [NumShards][]byte // sorted entries per shard, aliasing blob
 }
 
 // NewBlobReader validates blob framing and returns a reader over it.
@@ -317,8 +349,11 @@ func NewBlobReader(blob []byte) (*BlobReader, error) {
 	if len(blob) < len(blobMagic)+1 {
 		return nil, fmt.Errorf("stateset: spill blob too short (%d bytes)", len(blob))
 	}
-	if !bytes.Equal(blob[:len(blobMagic)], blobMagic[:]) {
-		return nil, fmt.Errorf("stateset: bad spill blob magic %q", blob[:len(blobMagic)])
+	if magic := blob[:len(blobMagic)]; !bytes.Equal(magic, blobMagic[:]) {
+		if bytes.Equal(magic[:3], blobMagic[:3]) {
+			return nil, fmt.Errorf("%w: blob is %q, this build reads %q", ErrUnsupportedVersion, magic, blobMagic[:])
+		}
+		return nil, fmt.Errorf("stateset: bad spill blob magic %q", magic)
 	}
 	r := &BlobReader{width: int(blob[len(blobMagic)])}
 	if r.width < 1 {
@@ -326,7 +361,7 @@ func NewBlobReader(blob []byte) (*BlobReader, error) {
 	}
 	r.esize = r.width + 4
 	rest := blob[len(blobMagic)+1:]
-	for si := 0; si < numShards; si++ {
+	for si := 0; si < NumShards; si++ {
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("stateset: spill blob truncated at shard %d header", si)
 		}
@@ -363,7 +398,7 @@ func (r *BlobReader) Rank(k []byte) (uint32, bool) {
 	if len(k) != r.width {
 		panic(fmt.Sprintf("stateset: key length %d, blob width %d", len(k), r.width))
 	}
-	return searchRun(r.sections[k[0]], r.width, r.esize, k)
+	return searchRun(r.sections[Shard(k)], r.width, r.esize, k)
 }
 
 // ForEach calls f for every entry in the blob with its rank. The key

@@ -3,6 +3,7 @@ package stateset
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -188,5 +189,28 @@ func TestBytesGrowsLinearly(t *testing.T) {
 	s.Spill()
 	if s.Bytes() != base {
 		t.Fatalf("Bytes after spill = %d, want %d", s.Bytes(), base)
+	}
+}
+
+// TestBlobReaderRejectsVersion1 pins the format bump: a version-1 blob
+// (sectioned by the key's leading byte rather than Shard) must be refused
+// with ErrUnsupportedVersion, both by NewBlobReader and by Restore,
+// instead of answering membership against the wrong sections.
+func TestBlobReaderRejectsVersion1(t *testing.T) {
+	s := New(4)
+	rng := rand.New(rand.NewSource(13))
+	for _, k := range randomKeys(rng, 4, 64) {
+		s.Insert(k)
+	}
+	blob := s.Spill()
+	if string(blob[:4]) != "SSP2" {
+		t.Fatalf("spill blob magic %q, want SSP2", blob[:4])
+	}
+	old := append([]byte("SSP1"), blob[4:]...)
+	if _, err := NewBlobReader(old); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("NewBlobReader(SSP1) = %v, want ErrUnsupportedVersion", err)
+	}
+	if err := New(4).Restore(old); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("Restore(SSP1) = %v, want ErrUnsupportedVersion", err)
 	}
 }
