@@ -10,7 +10,8 @@
 // The default -bench selection covers the performance-tracked paths: the
 // Figure 2 exhaustive enumeration, the parallel frontier, the Figure 3
 // symbolic expansion (sequential and the speculation pipeline), the
-// synthetic scaling family and the out-of-core spill run.
+// synthetic scaling family, the out-of-core spill run and, in
+// internal/serve, the 53-job mutant sweep with its witness audit.
 //
 // Exit codes: 0 success, 1 benchmark failure or I/O error.
 package main
@@ -44,11 +45,11 @@ type BenchResult struct {
 
 func main() {
 	var (
-		bench = flag.String("bench", "BenchmarkFig2Exhaustive|BenchmarkParallelEnumeration|BenchmarkFig3SymbolicExpansion|BenchmarkScalingSynthetic|BenchmarkParallelSymbolicExpansion|BenchmarkSpillEnumeration",
+		bench = flag.String("bench", "BenchmarkFig2Exhaustive|BenchmarkParallelEnumeration|BenchmarkFig3SymbolicExpansion|BenchmarkScalingSynthetic|BenchmarkParallelSymbolicExpansion|BenchmarkSpillEnumeration|BenchmarkMutantSweep",
 			"benchmark selection regex passed to go test -bench")
 		benchtime   = flag.String("benchtime", "1x", "go test -benchtime value")
 		count       = flag.Int("count", 1, "go test -count value")
-		pkg         = flag.String("pkg", ".", "package pattern to benchmark")
+		pkg         = flag.String("pkg", ".,./internal/serve", "comma-separated package patterns to benchmark")
 		textOut     = flag.String("text", "", "also write the raw go test output to this file (for benchstat)")
 		jsonOut     = flag.String("json", "", "write the parsed JSON summary to this file")
 		showVersion = flag.Bool("version", false, "print version information and exit")
@@ -94,9 +95,10 @@ func main() {
 // timing run. The combined output is returned even on failure so the caller
 // can surface compile or benchmark errors.
 func runBenchmarks(pkg, bench, benchtime string, count int) ([]byte, error) {
-	cmd := exec.Command("go", "test", "-run=^$",
-		"-bench="+bench, "-benchtime="+benchtime,
-		"-count="+strconv.Itoa(count), "-benchmem", pkg)
+	args := []string{"test", "-run=^$",
+		"-bench=" + bench, "-benchtime=" + benchtime,
+		"-count=" + strconv.Itoa(count), "-benchmem"}
+	cmd := exec.Command("go", append(args, strings.Split(pkg, ",")...)...)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		return out, fmt.Errorf("go test -bench: %w", err)

@@ -1,11 +1,14 @@
 // Witness auditing: every violation a campaign reports is re-validated
 // independently of the engine that found it, by replaying its witness path
 // through the concrete FSM semantics of internal/fsm and re-checking the
-// Definition 3 data-consistency invariants with fsm.CheckConfig. The audit
-// deliberately avoids the engines' fast paths (packed keys, containment
-// pruning): it trusts only fsm.Step, enum.Canonicalize and the legacy
-// string key rendering, so a bug in an engine's bookkeeping cannot confirm
-// its own spurious witness.
+// Definition 3 data-consistency invariants with fsm.CheckKinds (the
+// kinds-only form of fsm.CheckConfig). The audit deliberately avoids the
+// engines' fast paths (compiled tables, packed keys, containment pruning):
+// it trusts only fsm.Step, enum.Canonicalize and the legacy string key
+// rendering, so a bug in an engine's bookkeeping cannot confirm its own
+// spurious witness. A run's witnesses are audited together, replaying
+// each distinct prefix once (see ConfirmEnumWitnesses and
+// ConfirmSymbolicWitnesses).
 package campaign
 
 import (
@@ -21,236 +24,409 @@ import (
 // concretizing a class-level witness path.
 const auditMaxN = 5
 
-// auditFrontierCap bounds the guided search frontier; a path whose
-// concretizations exceed it fails the audit loudly rather than silently
-// passing.
+// auditFrontierCap bounds the guided search frontier. A path whose
+// concretizations exceed it keeps only the first auditFrontierCap
+// configurations per step; if the audit then fails, its note names the cap
+// and the step where it truncated, rather than blaming the path.
 const auditFrontierCap = 20000
+
+// Verdict is the audit outcome of one witness.
+type Verdict struct {
+	Confirmed bool
+	// Note explains a failed confirmation; it is empty when Confirmed.
+	Note string
+}
 
 // ConfirmEnumWitness independently confirms one enumeration violation by
 // replaying its witness path step-by-step through the concrete FSM
 // semantics for n caches under the given equivalence mode (enum.ModeStrict
-// or enum.ModeCounting). It is the exported form of the campaign runner's
-// own audit, shared with the verification service so no violation verdict
-// enters a result cache without an engine-independent confirmation. A false
-// return carries a note explaining the failed confirmation.
+// or enum.ModeCounting). It is the one-witness form of
+// ConfirmEnumWitnesses. A false return carries a note explaining the
+// failed confirmation.
 func ConfirmEnumWitness(p *fsm.Protocol, n int, mode string, strict bool, v enum.Violation) (confirmed bool, note string) {
-	return replayEnumWitness(p, n, mode, strict, v)
+	vd := ConfirmEnumWitnesses(p, n, mode, strict, []enum.Violation{v})[0]
+	return vd.Confirmed, vd.Note
 }
 
 // ConfirmSymbolicWitness independently confirms one symbolic violation by
 // concretizing its class-level witness path at small cache counts (n =
-// 2..5). Exported for the same cache-trust reason as ConfirmEnumWitness.
+// 2..5). It is the one-witness form of ConfirmSymbolicWitnesses.
 func ConfirmSymbolicWitness(p *fsm.Protocol, strict bool, v symbolic.StateViolation) (confirmed bool, note string) {
-	return concretizeSymbolicWitness(p, strict, v)
+	vd := ConfirmSymbolicWitnesses(p, strict, []symbolic.StateViolation{v})[0]
+	return vd.Confirmed, vd.Note
 }
 
-// auditEnum replays each enumeration witness step-by-step. A witness is
-// confirmed when every hop's replayed canonical key equals the recorded
-// one and the final configuration violates every invariant the engine
-// claimed it does.
+// auditEnum audits every enumeration witness of a run (see
+// ConfirmEnumWitnesses).
 func (r *runner) auditEnum(rg rung, vs []enum.Violation) []WitnessRecord {
-	if len(vs) > 0 && !r.policy.NoAudit {
-		sp := r.orun.Phase(obs.PhaseAudit)
-		defer sp.End()
+	out := make([]WitnessRecord, len(vs))
+	for i, v := range vs {
+		out[i] = WitnessRecord{State: v.Config.Key(), Kinds: kindNames(v.Violations), PathLen: len(v.Path)}
 	}
-	mode := enumMode(rg.engine)
-	out := make([]WitnessRecord, 0, len(vs))
-	for _, v := range vs {
-		w := WitnessRecord{
-			State:   v.Config.Key(),
-			Kinds:   kindNames(v.Violations),
-			PathLen: len(v.Path),
-		}
-		if r.policy.NoAudit {
-			out = append(out, w)
-			continue
-		}
-		w.Confirmed, w.AuditNote = replayEnumWitness(r.proto, rg.n, mode, r.job.Strict, v)
-		out = append(out, w)
+	if len(vs) == 0 || r.policy.NoAudit {
+		return out
+	}
+	sp := r.orun.Phase(obs.PhaseAudit)
+	defer sp.End()
+	for i, vd := range ConfirmEnumWitnesses(r.proto, rg.n, enumMode(rg.engine), r.job.Strict, vs) {
+		out[i].Confirmed, out[i].AuditNote = vd.Confirmed, vd.Note
 	}
 	return out
 }
 
-// replayEnumWitness is the concrete replay at the heart of the enum audit.
-func replayEnumWitness(p *fsm.Protocol, n int, mode string, strict bool, v enum.Violation) (bool, string) {
-	cfg := fsm.NewConfig(p, n)
-	enum.Canonicalize(cfg)
-	for i, step := range v.Path {
-		if step.Cache < 0 || step.Cache >= n {
-			return false, fmt.Sprintf("step %d: cache %d out of range for n=%d", i, step.Cache, n)
-		}
-		if _, err := fsm.Step(p, cfg, step.Cache, step.Op); err != nil {
-			return false, fmt.Sprintf("step %d (%d%s): %v", i, step.Cache, step.Op, err)
+// auditSymbolic audits every symbolic witness of a run (see
+// ConfirmSymbolicWitnesses).
+func (r *runner) auditSymbolic(vs []symbolic.StateViolation) []WitnessRecord {
+	out := make([]WitnessRecord, len(vs))
+	for i, v := range vs {
+		out[i] = WitnessRecord{State: v.State.Key(), Kinds: kindNames(v.Violations), PathLen: len(v.Path)}
+	}
+	if len(vs) == 0 || r.policy.NoAudit {
+		return out
+	}
+	sp := r.orun.Phase(obs.PhaseAudit)
+	defer sp.End()
+	for i, vd := range ConfirmSymbolicWitnesses(r.proto, r.job.Strict, vs) {
+		out[i].Confirmed, out[i].AuditNote = vd.Confirmed, vd.Note
+	}
+	return out
+}
+
+// ConfirmEnumWitnesses independently confirms every violation of one
+// enumeration run (n caches, equivalence mode enum.ModeStrict or
+// enum.ModeCounting) by replaying its witness path through fsm.Step. A
+// witness is confirmed when every hop's replayed canonical key equals the
+// one it claims and the final configuration violates every invariant the
+// engine claimed it does. The verification service and the campaign
+// runner call it so no violation verdict enters a result cache without an
+// engine-independent confirmation.
+//
+// Witnesses of one run share long prefixes, so the replay walks the trie
+// of distinct (cache, operation) prefixes: each prefix is stepped once,
+// from fsm.NewConfig, and every witness through it then compares the
+// replayed key against its own claimed key. Only the engine-independent
+// replay is shared, never a claim, so a witness's verdict and note are
+// exactly those of auditing it alone.
+func ConfirmEnumWitnesses(p *fsm.Protocol, n int, mode string, strict bool, vs []enum.Violation) []Verdict {
+	init := fsm.NewConfig(p, n)
+	enum.Canonicalize(init)
+	root := &replayNode{cfg: init}
+	key, err := enum.CanonicalKey(init, mode)
+	if err != nil {
+		root.fail = err.Error() // reported only for an empty path
+	}
+	root.key = key
+	out := make([]Verdict, len(vs))
+	for i, v := range vs {
+		out[i] = replayEnumWitness(p, n, mode, strict, root, v)
+	}
+	return out
+}
+
+// replayNode is one distinct witness prefix of an enum audit: the
+// canonicalized configuration its hops reach from the initial state, that
+// configuration's canonical key, and the failure that ended the replay
+// here, if any.
+type replayNode struct {
+	cfg   *fsm.Config
+	key   string
+	fail  string
+	kinds fsm.KindSet
+	check bool // kinds is computed
+	next  map[replayHop]*replayNode
+}
+
+// replayHop labels a trie edge: one witness step's cache and operation.
+type replayHop struct {
+	cache int
+	op    fsm.Op
+}
+
+// child returns the prefix extended by hop, stepping it on first use. The
+// hop is the witness's step i; the failure notes name it so, which is the
+// same for every witness sharing the prefix.
+func (nd *replayNode) child(p *fsm.Protocol, n int, mode string, i int, h replayHop) *replayNode {
+	if c, ok := nd.next[h]; ok {
+		return c
+	}
+	c := &replayNode{}
+	switch {
+	case h.cache < 0 || h.cache >= n:
+		c.fail = fmt.Sprintf("step %d: cache %d out of range for n=%d", i, h.cache, n)
+	default:
+		cfg := nd.cfg.Clone()
+		if _, err := fsm.Step(p, cfg, h.cache, h.op); err != nil {
+			c.fail = fmt.Sprintf("step %d (%d%s): %v", i, h.cache, h.op, err)
+			break
 		}
 		enum.Canonicalize(cfg)
 		key, err := enum.CanonicalKey(cfg, mode)
 		if err != nil {
-			return false, err.Error()
+			c.fail = err.Error()
+			break
 		}
-		if key != step.To {
-			return false, fmt.Sprintf("step %d (%d%s): replay reached %q, witness claims %q",
-				i, step.Cache, step.Op, key, step.To)
+		c.cfg, c.key = cfg, key
+	}
+	if nd.next == nil {
+		nd.next = make(map[replayHop]*replayNode)
+	}
+	nd.next[h] = c
+	return c
+}
+
+// replayEnumWitness is the concrete replay at the heart of the enum audit,
+// walking one witness down the shared prefix trie from root.
+func replayEnumWitness(p *fsm.Protocol, n int, mode string, strict bool, root *replayNode, v enum.Violation) Verdict {
+	nd := root
+	for i, step := range v.Path {
+		nd = nd.child(p, n, mode, i, replayHop{step.Cache, step.Op})
+		if nd.fail != "" {
+			return Verdict{Note: nd.fail}
+		}
+		if nd.key != step.To {
+			return Verdict{Note: fmt.Sprintf("step %d (%d%s): replay reached %q, witness claims %q",
+				i, step.Cache, step.Op, nd.key, step.To)}
 		}
 	}
 	// The replayed endpoint must be the claimed erroneous state…
-	key, err := enum.CanonicalKey(cfg, mode)
-	if err != nil {
-		return false, err.Error()
+	if nd.fail != "" {
+		return Verdict{Note: nd.fail}
 	}
 	claimed := v.Config.Clone()
 	enum.Canonicalize(claimed)
 	claimedKey, err := enum.CanonicalKey(claimed, mode)
 	if err != nil {
-		return false, err.Error()
+		return Verdict{Note: err.Error()}
 	}
-	if key != claimedKey {
-		return false, fmt.Sprintf("replay endpoint %q is not the claimed state %q", key, claimedKey)
+	if nd.key != claimedKey {
+		return Verdict{Note: fmt.Sprintf("replay endpoint %q is not the claimed state %q", nd.key, claimedKey)}
 	}
 	// …and must independently violate every claimed invariant.
-	got := map[fsm.ViolationKind]bool{}
-	for _, viol := range fsm.CheckConfig(p, cfg, strict) {
-		got[viol.Kind] = true
+	if !nd.check {
+		nd.kinds, nd.check = fsm.CheckKinds(p, nd.cfg, strict), true
 	}
 	for _, claimedViol := range v.Violations {
-		if !got[claimedViol.Kind] {
-			return false, fmt.Sprintf("replayed state does not violate claimed invariant %s", claimedViol.Kind)
+		if !nd.kinds.Has(claimedViol.Kind) {
+			return Verdict{Note: fmt.Sprintf("replayed state does not violate claimed invariant %s", claimedViol.Kind)}
 		}
 	}
-	return true, ""
+	return Verdict{Confirmed: true}
 }
 
-// auditSymbolic confirms class-level symbolic witnesses by concretizing
-// them: a guided breadth-limited search follows the path's labels through
-// the concrete FSM at small cache counts until some concrete run reaches a
-// state violating a claimed invariant.
-func (r *runner) auditSymbolic(vs []symbolic.StateViolation) []WitnessRecord {
-	if len(vs) > 0 && !r.policy.NoAudit {
-		sp := r.orun.Phase(obs.PhaseAudit)
-		defer sp.End()
+// ConfirmSymbolicWitnesses independently confirms every violation of one
+// symbolic run by concretizing its class-level witness path: a guided
+// breadth-limited search follows the path's labels through the concrete
+// FSM at cache counts n = 2..auditMaxN until some concrete run reaches a
+// state violating a claimed invariant. A witness is confirmed at the
+// first n that works; an unconfirmed one carries the note of n =
+// auditMaxN.
+//
+// The search frontier after a path step depends only on n and the labels
+// up to that step, so each n concretizes the trie of distinct label
+// prefixes of the still-unconfirmed witnesses once, depth first, and
+// checks every witness ending at a prefix against that prefix's frontier.
+// Each frontier is still built by fsm.Step from fsm.NewConfig, and a
+// witness is judged only on its own labels and claimed kinds, so sharing
+// changes no verdict or note.
+func ConfirmSymbolicWitnesses(p *fsm.Protocol, strict bool, vs []symbolic.StateViolation) []Verdict {
+	return confirmSymbolic(p, strict, vs, auditFrontierCap)
+}
+
+// confirmSymbolic is ConfirmSymbolicWitnesses with the frontier cap as a
+// parameter, so tests can exercise truncation on small protocols.
+func confirmSymbolic(p *fsm.Protocol, strict bool, vs []symbolic.StateViolation, frontierCap int) []Verdict {
+	out := make([]Verdict, len(vs))
+	open := make([]int, len(vs))
+	for i := range open {
+		open[i] = i
 	}
-	out := make([]WitnessRecord, 0, len(vs))
-	for _, v := range vs {
-		w := WitnessRecord{
-			State:   v.State.Key(),
-			Kinds:   kindNames(v.Violations),
-			PathLen: len(v.Path),
+	for n := 2; n <= auditMaxN && len(open) > 0; n++ {
+		c := &concretizer{p: p, n: n, strict: strict, cap: frontierCap, vs: vs, out: out}
+		root := &labelNode{}
+		for _, i := range open {
+			nd := root
+			for _, step := range vs[i].Path {
+				nd = nd.child(step.Label)
+			}
+			nd.ends = append(nd.ends, i)
 		}
-		if r.policy.NoAudit {
-			out = append(out, w)
-			continue
+		init := fsm.NewConfig(p, n)
+		enum.Canonicalize(init)
+		c.visit(root, 0, concFrontier{configs: []*fsm.Config{init}, capStep: -1})
+		still := open[:0]
+		for _, i := range open {
+			if !out[i].Confirmed {
+				out[i].Note = fmt.Sprintf("n=%d: %s", n, out[i].Note)
+				still = append(still, i)
+			}
 		}
-		w.Confirmed, w.AuditNote = concretizeSymbolicWitness(r.proto, r.job.Strict, v)
-		out = append(out, w)
+		open = still
 	}
 	return out
 }
 
-// concretizeSymbolicWitness tries n = 2..auditMaxN cache counts; the
-// witness is confirmed as soon as one concretization works.
-func concretizeSymbolicWitness(p *fsm.Protocol, strict bool, v symbolic.StateViolation) (bool, string) {
-	var lastNote string
-	for n := 2; n <= auditMaxN; n++ {
-		ok, note := concretizeAtN(p, n, strict, v)
-		if ok {
-			return true, ""
-		}
-		lastNote = fmt.Sprintf("n=%d: %s", n, note)
-	}
-	return false, lastNote
+// labelNode is one distinct label prefix of the symbolic audit trie; ends
+// lists the witnesses whose path is exactly this prefix.
+type labelNode struct {
+	next  map[symbolic.Label]*labelNode
+	order []symbolic.Label
+	ends  []int
 }
 
-// concretizeAtN follows the witness path's labels concretely for n caches.
-// Each label constrains which caches may act (those whose current state is
-// the label's originating class); an N-step label applies the operation to
-// the class's members one after another, keeping every intermediate prefix
-// as a candidate, mirroring rule 4 of Section 3.2.3. The search succeeds
-// when a configuration reached after the full path violates one of the
-// claimed invariants.
-func concretizeAtN(p *fsm.Protocol, n int, strict bool, v symbolic.StateViolation) (bool, string) {
-	claimed := map[fsm.ViolationKind]bool{}
-	for _, viol := range v.Violations {
-		claimed[viol.Kind] = true
+func (nd *labelNode) child(l symbolic.Label) *labelNode {
+	if c, ok := nd.next[l]; ok {
+		return c
 	}
-	hasClaimed := func(c *fsm.Config) bool {
-		for _, viol := range fsm.CheckConfig(p, c, strict) {
-			if claimed[viol.Kind] {
-				return true
-			}
-		}
-		return false
+	if nd.next == nil {
+		nd.next = make(map[symbolic.Label]*labelNode)
 	}
+	c := &labelNode{}
+	nd.next[l] = c
+	nd.order = append(nd.order, l)
+	return c
+}
 
-	init := fsm.NewConfig(p, n)
-	enum.Canonicalize(init)
-	frontier := []*fsm.Config{init}
-	for i, step := range v.Path {
-		var next []*fsm.Config
-		seen := map[string]bool{}
-		admit := func(c *fsm.Config) {
-			k := c.Key()
-			if !seen[k] && len(next) < auditFrontierCap {
-				seen[k] = true
-				next = append(next, c)
+// concFrontier is the concretization frontier of one label prefix:
+// every admitted configuration, the note that ends the search here when
+// the prefix has no concrete counterpart, and the first step at which the
+// frontier cap truncated it (-1 if never).
+type concFrontier struct {
+	configs []*fsm.Config
+	fail    string
+	capStep int
+}
+
+// concretizer runs one cache count's search over the label trie, writing
+// each ending witness's outcome into out.
+type concretizer struct {
+	p      *fsm.Protocol
+	n      int
+	strict bool
+	cap    int
+	vs     []symbolic.StateViolation
+	out    []Verdict
+}
+
+// visit judges the witnesses ending at nd, the label prefix of the given
+// depth, against its frontier f, then extends f by each child label. Only
+// the frontiers along the current trie path are live.
+func (c *concretizer) visit(nd *labelNode, depth int, f concFrontier) {
+	if len(nd.ends) > 0 {
+		var kinds fsm.KindSet
+		if f.fail == "" {
+			for _, cfg := range f.configs {
+				kinds |= fsm.CheckKinds(c.p, cfg, c.strict)
 			}
 		}
-		// One symbolic transition can stand for several concrete
-		// applications of its operation: the class repetition operators
-		// absorb any number of caches (a single R_Invalid edge covers
-		// configurations with 2, 3, … sharers), and the explicit N-step
-		// labels of rule 4 (Section 3.2.3) make the multi-application
-		// reading first-class. So each path step closes the frontier
-		// under 1..n applications of the operation by distinct caches
-		// of the originating class, admitting every intermediate. The
-		// closure only guides the search — soundness comes from every
-		// admitted configuration being built by real fsm.Step calls
-		// from the initial state, plus the endpoint invariant check.
-		for _, cur := range frontier {
-			type branch struct {
-				c     *fsm.Config
-				acted uint32
-			}
-			work := []branch{{c: cur, acted: 0}}
-			stepSeen := map[string]bool{}
-			for len(work) > 0 {
-				b := work[0]
-				work = work[1:]
-				for j := 0; j < n; j++ {
-					if b.acted&(1<<j) != 0 {
-						continue
-					}
-					if step.Label.Origin != "" && b.c.States[j] != step.Label.Origin {
-						continue
-					}
-					c := b.c.Clone()
-					if _, err := fsm.Step(p, c, j, step.Label.Op); err != nil {
-						continue
-					}
-					enum.Canonicalize(c)
-					acted := b.acted | 1<<j
-					bk := fmt.Sprintf("%s#%d", c.Key(), acted)
-					if stepSeen[bk] {
-						continue
-					}
-					stepSeen[bk] = true
-					admit(c)
-					work = append(work, branch{c: c, acted: acted})
-				}
-			}
+		for _, i := range nd.ends {
+			c.out[i] = c.judge(f, kinds, c.vs[i].Violations)
 		}
-		if len(next) == 0 {
-			return false, fmt.Sprintf("path step %d (%s) has no concrete counterpart", i, step.Label)
-		}
-		frontier = next
 	}
-	for _, c := range frontier {
-		if hasClaimed(c) {
-			return true, ""
+	for _, l := range nd.order {
+		next := f
+		if f.fail == "" {
+			next = c.extend(f, depth, l)
 		}
+		c.visit(nd.next[l], depth+1, next)
+	}
+}
+
+// extend follows path step i, labelled l, from frontier f. Each label
+// constrains which caches may act (those whose current state is the
+// label's originating class); the step applies the operation to the
+// class's members one after another, keeping every intermediate as a
+// candidate, mirroring rule 4 of Section 3.2.3.
+//
+// One symbolic transition can stand for several concrete applications of
+// its operation: the class repetition operators absorb any number of
+// caches (a single R_Invalid edge covers configurations with 2, 3, …
+// sharers), and the explicit N-step labels of rule 4 make the
+// multi-application reading first-class. So each path step closes the
+// frontier under 1..n applications of the operation by distinct caches of
+// the originating class, admitting every intermediate. The closure only
+// guides the search — soundness comes from every admitted configuration
+// being built by real fsm.Step calls from the initial state, plus the
+// endpoint invariant check.
+func (c *concretizer) extend(f concFrontier, i int, l symbolic.Label) concFrontier {
+	next := concFrontier{capStep: f.capStep}
+	seen := map[string]bool{}
+	admit := func(cfg *fsm.Config, k string) {
+		if seen[k] {
+			return
+		}
+		if len(next.configs) >= c.cap {
+			if next.capStep < 0 {
+				next.capStep = i
+			}
+			return
+		}
+		seen[k] = true
+		next.configs = append(next.configs, cfg)
+	}
+	type branch struct {
+		c     *fsm.Config
+		acted uint32
+	}
+	type branchKey struct {
+		key   string
+		acted uint32
+	}
+	for _, cur := range f.configs {
+		work := []branch{{c: cur, acted: 0}}
+		stepSeen := map[branchKey]bool{}
+		for len(work) > 0 {
+			b := work[0]
+			work = work[1:]
+			for j := 0; j < c.n; j++ {
+				if b.acted&(1<<j) != 0 {
+					continue
+				}
+				if l.Origin != "" && b.c.States[j] != l.Origin {
+					continue
+				}
+				cfg := b.c.Clone()
+				if _, err := fsm.Step(c.p, cfg, j, l.Op); err != nil {
+					continue
+				}
+				enum.Canonicalize(cfg)
+				acted := b.acted | 1<<j
+				k := cfg.Key()
+				if stepSeen[branchKey{k, acted}] {
+					continue
+				}
+				stepSeen[branchKey{k, acted}] = true
+				admit(cfg, k)
+				work = append(work, branch{c: cfg, acted: acted})
+			}
+		}
+	}
+	if len(next.configs) == 0 {
+		next.fail = fmt.Sprintf("path step %d (%s) has no concrete counterpart", i, l)
+	}
+	return next
+}
+
+// judge decides one witness ending at a prefix whose frontier is f and
+// whose configurations violate kinds: it is confirmed when some
+// configuration violates one of its claimed invariants.
+func (c *concretizer) judge(f concFrontier, kinds fsm.KindSet, claimed []fsm.Violation) Verdict {
+	if f.fail == "" {
+		for _, v := range claimed {
+			if kinds.Has(v.Kind) {
+				return Verdict{Confirmed: true}
+			}
+		}
+	}
+	if f.capStep >= 0 {
+		return Verdict{Note: fmt.Sprintf("frontier cap %d reached at step %d", c.cap, f.capStep)}
+	}
+	if f.fail != "" {
+		return Verdict{Note: f.fail}
 	}
 	// The path may end one derivation short of the erroneous state when
 	// the violation is already visible along the way; accept a violating
 	// intermediate only at the endpoint to stay conservative.
-	return false, "no concretization of the path endpoint violates a claimed invariant"
+	return Verdict{Note: "no concretization of the path endpoint violates a claimed invariant"}
 }
 
 // kindNames renders violation kinds deterministically.

@@ -128,11 +128,12 @@ func (cs ConfigState) config() (*fsm.Config, error) {
 }
 
 // snapshot captures the run at a clean boundary; frontier lists the
-// admitted-but-unexpanded states. An out-of-core run's spilled entries
+// admitted-but-unexpanded states. Pending witness paths are resolved first. An out-of-core run's spilled entries
 // are folded back in (rank order makes the merge trivial: every rank
 // indexes its slot), so the snapshot is self-contained and resuming it
 // needs no spill files.
 func (b *bfs) snapshot(frontier []*fsm.Config) (*Checkpoint, error) {
+	b.resolveWitnesses()
 	cp := &Checkpoint{
 		Version:  CheckpointVersion,
 		Protocol: b.p.Name,

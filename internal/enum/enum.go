@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"repro/internal/fsm"
@@ -189,11 +189,24 @@ func strictKey(c *fsm.Config) string { return c.Key() }
 // class so the data-consistency attributes survive the quotient.
 func countingKey(c *fsm.Config) string {
 	pairs := make([]string, len(c.States))
+	var buf [64]byte
+	size := 0
 	for i, s := range c.States {
-		pairs[i] = fmt.Sprintf("%s:%d", s, c.Versions[i])
+		b := append(buf[:0], s...)
+		b = append(b, ':')
+		pairs[i] = string(strconv.AppendInt(b, c.Versions[i], 10))
+		size += len(pairs[i]) + 1
 	}
 	sort.Strings(pairs)
-	return strings.Join(pairs, ",") + fmt.Sprintf("|m:%d", c.MemVersion)
+	out := make([]byte, 0, size+24)
+	for i, pair := range pairs {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, pair...)
+	}
+	out = append(out, "|m:"...)
+	return string(strconv.AppendInt(out, c.MemVersion, 10))
 }
 
 // CanonicalKey renders the canonical string identity of a canonicalized
@@ -297,6 +310,10 @@ type bfs struct {
 
 	// sinceCp counts expanded states since the last periodic checkpoint.
 	sinceCp int
+
+	// pending lists the violations admitted since the last witness
+	// resolution; their paths are rendered in one batch (resolveWitnesses).
+	pending []pendingWitness
 
 	res *Result
 }
@@ -423,6 +440,7 @@ func (b *bfs) maybeCheckpoint(frontier []*fsm.Config) error {
 }
 
 func (b *bfs) finish() {
+	b.resolveWitnesses()
 	b.res.Unique = b.visited.size()
 	b.res.TupleStates = b.tuples.size()
 	b.bytes = b.estBytes()
@@ -477,11 +495,8 @@ func (b *bfs) commit(it succItem, viol []fsm.Violation, next *[]*fsm.Config) boo
 		}
 	}
 	if len(viol) > 0 {
-		b.res.Violations = append(b.res.Violations, Violation{
-			Config:     it.cfg.Clone(),
-			Violations: viol,
-			Path:       b.witness(it.key, rank),
-		})
+		b.pending = append(b.pending, pendingWitness{idx: len(b.res.Violations), key: it.key, rank: rank})
+		b.res.Violations = append(b.res.Violations, Violation{Config: it.cfg.Clone(), Violations: viol})
 		b.orun.Event(obs.MetricViolations, 1)
 		if b.opts.StopOnViolation {
 			b.finish()
@@ -603,50 +618,76 @@ func shadowedBySibling(c *fsm.Config, i int) bool {
 	return false
 }
 
-// witness reconstructs the path from the initial configuration to the
-// state admitted at rank r with key k, walking the rank-indexed
-// provenance records and rendering each hop's key in the legacy
-// canonical string format (PathStep.To equals fsm.Config.Key of the
-// state reached, in strict mode). Ancestor keys are recovered from
-// their ranks with one pass over the store (plus the spill files of an
-// out-of-core run) — violations are rare, so the scan is off the hot
-// path.
-func (b *bfs) witness(k Key, r uint32) []PathStep {
-	var chain []uint32 // ranks from the violation up, excluding rank 0
-	for cur := r; b.parents[cur].parent != noParent; cur = b.parents[cur].parent {
-		chain = append(chain, cur)
-		if len(chain) > 1000000 {
-			break
+// pendingWitness is a violation whose witness path is not yet rendered:
+// its index in Result.Violations and the key and rank of its state.
+type pendingWitness struct {
+	idx  int
+	key  Key
+	rank uint32
+}
+
+// resolveWitnesses fills in the Path of every pending violation, walking
+// the rank-indexed provenance records and rendering each hop's key in the
+// legacy canonical string format (PathStep.To equals fsm.Config.Key of the
+// state reached, in strict mode). All pending witnesses of the run are
+// resolved together: the union of their ancestor ranks is collected first,
+// then one pass over the store (plus the spill files of an out-of-core
+// run) renders each ancestor key once, and witnesses sharing a prefix
+// share its rendered strings. Mutant sweeps record thousands of
+// violations per run, so the cost is one store pass per resolution, not
+// one per violation. The rank→key map lives only for the call. It runs
+// before every snapshot and in finish, so neither a checkpoint nor a
+// returned Result ever carries an unresolved path.
+//
+// A state's parent was admitted before it, so its rank is strictly lower
+// (pinned by TestParentRankBelowChild); every provenance walk therefore
+// reaches the root (rank 0, the initial state) in at most r steps.
+func (b *bfs) resolveWitnesses() {
+	if len(b.pending) == 0 {
+		return
+	}
+	// keys maps every rank on a pending path to its rendered key; "" marks
+	// an ancestor still to render. A walk stops at the first rank already
+	// in the map: that rank's own ancestors are collected by the walk that
+	// put it there (a pending violation's by its own walk).
+	keys := make(map[uint32]string)
+	for _, w := range b.pending {
+		keys[w.rank] = b.kc.render(w.key)
+	}
+	unrendered := 0
+	for _, w := range b.pending {
+		for cur := b.parents[w.rank].parent; cur != noParent && b.parents[cur].parent != noParent; cur = b.parents[cur].parent {
+			if _, ok := keys[cur]; ok {
+				break
+			}
+			keys[cur] = ""
+			unrendered++
 		}
 	}
-	keys := map[uint32]Key{r: k}
-	if len(chain) > 1 {
-		wanted := make(map[uint32]bool, len(chain))
-		for _, cr := range chain {
-			if cr != r {
-				wanted[cr] = true
-			}
-		}
-		collect := func(kk Key, rr uint32) {
-			if wanted[rr] {
-				keys[rr] = kk
+	if unrendered > 0 {
+		collect := func(k Key, r uint32) {
+			if s, ok := keys[r]; ok && s == "" {
+				keys[r] = b.kc.render(k)
 			}
 		}
 		b.visited.forEach(collect)
 		if b.spill != nil {
 			if err := b.forEachSpilled(b.spill.visitedFiles, collect); err != nil {
-				b.res.SpecErrors = append(b.res.SpecErrors, fmt.Errorf("enum: resolving witness path: %w", err))
+				b.res.SpecErrors = append(b.res.SpecErrors, fmt.Errorf("enum: resolving witness paths: %w", err))
 			}
 		}
 	}
-	steps := make([]PathStep, len(chain))
-	for i, cr := range chain {
-		rec := b.parents[cr]
-		steps[len(chain)-1-i] = PathStep{
-			Cache: int(rec.cache),
-			Op:    b.p.Ops[rec.op],
-			To:    b.kc.render(keys[cr]),
+	for _, w := range b.pending {
+		depth := 0
+		for cur := w.rank; b.parents[cur].parent != noParent; cur = b.parents[cur].parent {
+			depth++
 		}
+		steps := make([]PathStep, depth)
+		for cur, i := w.rank, depth-1; i >= 0; cur, i = b.parents[cur].parent, i-1 {
+			rec := b.parents[cur]
+			steps[i] = PathStep{Cache: int(rec.cache), Op: b.p.Ops[rec.op], To: keys[cur]}
+		}
+		b.res.Violations[w.idx].Path = steps
 	}
-	return steps
+	b.pending = b.pending[:0]
 }

@@ -188,3 +188,147 @@ func readGolden(path string) ([]string, error) {
 	}
 	return out, sc.Err()
 }
+
+// TestParentRankBelowChild pins the invariant witness resolution relies
+// on: a state's parent was admitted before it, so its rank is strictly
+// lower, and every provenance walk reaches the initial state. It checks
+// every provenance record over the golden corpus through the sequential,
+// parallel and out-of-core drivers, and that every violation's witness
+// path is resolved, with every hop rendered.
+func TestParentRankBelowChild(t *testing.T) {
+	ctx := context.Background()
+	check := func(what string, b *bfs) {
+		t.Helper()
+		if len(b.parents) == 0 || b.parents[0].parent != noParent {
+			t.Fatalf("%s: rank 0 is not the root", what)
+		}
+		for r := 1; r < len(b.parents); r++ {
+			if par := b.parents[r].parent; par == noParent || int(par) >= r {
+				t.Fatalf("%s: rank %d has parent %d", what, r, par)
+			}
+		}
+		if len(b.pending) != 0 {
+			t.Fatalf("%s: %d witnesses left unresolved", what, len(b.pending))
+		}
+		for _, v := range b.res.Violations {
+			for _, st := range v.Path {
+				if st.To == "" {
+					t.Fatalf("%s: witness path has an unrendered hop", what)
+				}
+			}
+		}
+	}
+	for _, p := range goldenCorpus(t) {
+		for _, mode := range []string{ModeStrict, ModeCounting} {
+			name := p.Name + " " + mode
+			b, init, done, err := newBFS(p, goldenN, Options{}, mode)
+			if err != nil || done {
+				t.Fatalf("%s: newBFS: done=%v err=%v", name, done, err)
+			}
+			if _, err := b.runSeq(ctx, []*fsm.Config{init}); err != nil {
+				t.Fatal(err)
+			}
+			check(name+" sequential", b)
+			unique := b.res.Unique
+
+			widest := 1
+			po := Options{}
+			po.Observer = obs.Funcs{Level: func(ls obs.LevelStats) { widest = max(widest, ls.Frontier) }}
+			b, init, _, _ = newBFS(p, goldenN, po, mode)
+			if _, err := b.runPar(ctx, []*fsm.Config{init}, 2); err != nil {
+				t.Fatal(err)
+			}
+			check(name+" parallel", b)
+
+			if !b.kc.packed {
+				continue
+			}
+			dir := t.TempDir()
+			so := Options{RunConfig: runctl.RunConfig{Budget: spillBudget(unique, widest, goldenN), SpillDir: dir}}
+			b, init, _, _ = newBFS(p, goldenN, so, mode)
+			if _, err := b.runPar(ctx, []*fsm.Config{init}, 2); err != nil {
+				t.Fatal(err)
+			}
+			if spillFileCount(t, dir, "spill-visited-") == 0 {
+				t.Fatalf("%s: budgeted run did not spill", name)
+			}
+			check(name+" out-of-core", b)
+		}
+	}
+}
+
+// TestWitnessesResolvedAtEveryBoundary: witness paths are rendered in
+// batches, so every way a run can hand out violations — a periodic
+// checkpoint, a StopOnViolation stop, a state-budget stop — must carry
+// fully resolved paths equal to those of the complete run.
+func TestWitnessesResolvedAtEveryBoundary(t *testing.T) {
+	ctx := context.Background()
+	samePaths := func(what string, got, want []Violation) {
+		t.Helper()
+		if len(got) > len(want) {
+			t.Fatalf("%s: %d violations, complete run has %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if fmt.Sprint(got[i].Path) != fmt.Sprint(want[i].Path) {
+				t.Fatalf("%s: violation %d path\n  got  %v\n  want %v", what, i, got[i].Path, want[i].Path)
+			}
+		}
+	}
+	runs := 0
+	for _, p := range goldenCorpus(t) {
+		full, err := run(ctx, p, goldenN, Options{}, ModeStrict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.Violations) < 3 {
+			continue
+		}
+		runs++
+		for _, workers := range []int{0, 2} {
+			drive := func(o Options) *Result {
+				t.Helper()
+				var res *Result
+				if workers == 0 {
+					res, err = run(ctx, p, goldenN, o, ModeStrict)
+				} else {
+					res, err = runParallel(ctx, p, goldenN, o, ModeStrict, workers)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			name := fmt.Sprintf("%s workers=%d", p.Name, workers)
+
+			res := drive(Options{StopOnViolation: true})
+			samePaths(name+" StopOnViolation", res.Violations, full.Violations)
+
+			res = drive(Options{MaxStates: full.Unique / 2})
+			samePaths(name+" state budget", res.Violations, full.Violations)
+
+			saves := 0
+			o := Options{OnCheckpoint: func(cp *Checkpoint) error {
+				saves++
+				got := make([]Violation, len(cp.Violations))
+				for i, vs := range cp.Violations {
+					for _, ps := range vs.Path {
+						got[i].Path = append(got[i].Path, PathStep{Cache: ps.Cache, Op: fsm.Op(ps.Op), To: ps.To})
+					}
+				}
+				samePaths(name+" checkpoint", got, full.Violations)
+				return nil
+			}}
+			o.RunConfig.CheckpointEvery = 2
+			drive(o)
+			if saves == 0 {
+				t.Fatalf("%s: no checkpoint taken", name)
+			}
+		}
+		if runs == 4 {
+			break
+		}
+	}
+	if runs == 0 {
+		t.Fatal("no corpus run has violations")
+	}
+}

@@ -2,6 +2,7 @@ package fsm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -64,17 +65,22 @@ func (c *Config) CopyFrom(src *Config) {
 func (c *Config) N() int { return len(c.States) }
 
 // Key returns a canonical string identifying the full configuration
-// including data versions.
+// including data versions: "State:v,State:v,...|m:v|l:v".
 func (c *Config) Key() string {
-	var b strings.Builder
+	var buf [128]byte
+	b := buf[:0]
 	for i, s := range c.States {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s:%d", s, c.Versions[i])
+		b = append(b, s...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, c.Versions[i], 10)
 	}
-	fmt.Fprintf(&b, "|m:%d|l:%d", c.MemVersion, c.Latest)
-	return b.String()
+	b = append(b, "|m:"...)
+	b = strconv.AppendInt(b, c.MemVersion, 10)
+	b = append(b, "|l:"...)
+	return string(strconv.AppendInt(b, c.Latest, 10))
 }
 
 // StateKey returns a canonical string identifying only the state tuple,
@@ -292,31 +298,60 @@ func (v Violation) Error() string {
 	return fmt.Sprintf("%s: %s", v.Kind, v.Detail)
 }
 
+// KindSet is a set of violation kinds, one bit per ViolationKind.
+type KindSet uint8
+
+// Has reports whether k is in the set.
+func (s KindSet) Has(k ViolationKind) bool { return s&(1<<uint(k)) != 0 }
+
+// Add returns the set with k added.
+func (s KindSet) Add(k ViolationKind) KindSet { return s | 1<<uint(k) }
+
 // CheckConfig evaluates the protocol invariants (Section 5.4 of DESIGN.md)
 // over a concrete configuration and returns every violation found. The
 // strict flag additionally enables the CleanShared memory check.
 func CheckConfig(p *Protocol, c *Config, strict bool) []Violation {
 	var out []Violation
-	inSet := func(s State, set []State) bool {
-		for _, t := range set {
-			if s == t {
-				return true
-			}
-		}
-		return false
+	check(p, c, strict, &out)
+	return out
+}
+
+// CheckKinds is CheckConfig reduced to the set of violated kinds. It runs
+// the same checks but renders no details, so callers that only compare
+// kinds (the witness auditor) pay nothing for formatting.
+func CheckKinds(p *Protocol, c *Config, strict bool) KindSet {
+	return check(p, c, strict, nil)
+}
+
+// check is the single walk behind CheckConfig and CheckKinds: it returns
+// the violated kinds and, when out is non-nil, appends each violation with
+// its rendered detail.
+func check(p *Protocol, c *Config, strict bool, out *[]Violation) KindSet {
+	var kinds KindSet
+	emit := func(k ViolationKind, detail []byte) {
+		*out = append(*out, Violation{Kind: k, Detail: string(detail)})
 	}
+	var buf [96]byte
 
 	// Exclusive: cache in exclusive state must be the sole valid copy.
 	for i, s := range c.States {
-		if !inSet(s, p.Inv.Exclusive) {
+		if !inStates(s, p.Inv.Exclusive) {
 			continue
 		}
 		for j, t := range c.States {
-			if j != i && p.IsValidCopy(t) {
-				out = append(out, Violation{
-					Kind:   ViolationExclusive,
-					Detail: fmt.Sprintf("cache %d in exclusive state %s coexists with cache %d in %s", i, s, j, t),
-				})
+			if j == i || !p.IsValidCopy(t) {
+				continue
+			}
+			kinds = kinds.Add(ViolationExclusive)
+			if out != nil {
+				b := append(buf[:0], "cache "...)
+				b = strconv.AppendInt(b, int64(i), 10)
+				b = append(b, " in exclusive state "...)
+				b = append(b, s...)
+				b = append(b, " coexists with cache "...)
+				b = strconv.AppendInt(b, int64(j), 10)
+				b = append(b, " in "...)
+				emit(ViolationExclusive, append(b, t...))
 			}
 		}
 	}
@@ -324,38 +359,62 @@ func CheckConfig(p *Protocol, c *Config, strict bool) []Violation {
 	// Owners: at most one cache across all owner states.
 	owners := 0
 	for _, s := range c.States {
-		if inSet(s, p.Inv.Owners) {
+		if inStates(s, p.Inv.Owners) {
 			owners++
 		}
 	}
 	if owners > 1 {
-		out = append(out, Violation{
-			Kind:   ViolationOwners,
-			Detail: fmt.Sprintf("%d caches hold ownership states", owners),
-		})
+		kinds = kinds.Add(ViolationOwners)
+		if out != nil {
+			b := strconv.AppendInt(buf[:0], int64(owners), 10)
+			emit(ViolationOwners, append(b, " caches hold ownership states"...))
+		}
 	}
 
 	// Data consistency (Definition 3): readable copies must be fresh.
 	for i, s := range c.States {
-		if inSet(s, p.Inv.Readable) && c.Versions[i] != c.Latest {
-			out = append(out, Violation{
-				Kind: ViolationStaleRead,
-				Detail: fmt.Sprintf("cache %d in readable state %s holds version %d but latest is %d",
-					i, s, c.Versions[i], c.Latest),
-			})
+		if !inStates(s, p.Inv.Readable) || c.Versions[i] == c.Latest {
+			continue
+		}
+		kinds = kinds.Add(ViolationStaleRead)
+		if out != nil {
+			b := append(buf[:0], "cache "...)
+			b = strconv.AppendInt(b, int64(i), 10)
+			b = append(b, " in readable state "...)
+			b = append(b, s...)
+			b = append(b, " holds version "...)
+			b = strconv.AppendInt(b, c.Versions[i], 10)
+			b = append(b, " but latest is "...)
+			emit(ViolationStaleRead, strconv.AppendInt(b, c.Latest, 10))
 		}
 	}
 
 	if strict && len(p.Inv.CleanShared) > 0 {
 		for i, s := range c.States {
-			if inSet(s, p.Inv.CleanShared) && c.MemVersion != c.Versions[i] {
-				out = append(out, Violation{
-					Kind: ViolationCleanShared,
-					Detail: fmt.Sprintf("cache %d in clean state %s holds version %d but memory holds %d",
-						i, s, c.Versions[i], c.MemVersion),
-				})
+			if !inStates(s, p.Inv.CleanShared) || c.MemVersion == c.Versions[i] {
+				continue
+			}
+			kinds = kinds.Add(ViolationCleanShared)
+			if out != nil {
+				b := append(buf[:0], "cache "...)
+				b = strconv.AppendInt(b, int64(i), 10)
+				b = append(b, " in clean state "...)
+				b = append(b, s...)
+				b = append(b, " holds version "...)
+				b = strconv.AppendInt(b, c.Versions[i], 10)
+				b = append(b, " but memory holds "...)
+				emit(ViolationCleanShared, strconv.AppendInt(b, c.MemVersion, 10))
 			}
 		}
 	}
-	return out
+	return kinds
+}
+
+func inStates(s State, set []State) bool {
+	for _, t := range set {
+		if s == t {
+			return true
+		}
+	}
+	return false
 }

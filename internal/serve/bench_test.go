@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"context"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/fsm"
+	"repro/internal/mutate"
+	"repro/internal/obs"
 	"repro/internal/protocols"
 )
 
@@ -63,4 +68,59 @@ func BenchmarkServeCacheMiss(b *testing.B) {
 	srv, done := benchServer(b)
 	defer done()
 	benchSubmit(b, srv, true)
+}
+
+// BenchmarkMutantSweep runs the 53-job catalog sweep — every library
+// protocol and each of its mutants that needs no strict check, the jobs a
+// {"sweep": {"mutants": true}} batch expands to — through runSymbolic and
+// through runEnum at strict n=4, engine plus witness audit, one sweep per
+// op. witnesses/op counts the audited violations, the work the run-level
+// audit shares across prefixes. ccbench runs it by default:
+//
+//	go run ./cmd/ccbench -pkg ./internal/serve -bench BenchmarkMutantSweep -count 5 -benchtime 5x
+func BenchmarkMutantSweep(b *testing.B) {
+	names := protocols.Names()
+	sort.Strings(names)
+	var protos []*fsm.Protocol
+	for _, name := range names {
+		p, err := protocols.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		protos = append(protos, p)
+		for _, m := range mutate.Catalog(p) {
+			if !m.NeedsStrict {
+				protos = append(protos, m.Protocol)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		opts JobOptions
+		run  func(context.Context, *fsm.Protocol, JobOptions, *obs.Registry) (*Report, error)
+	}{
+		{"symbolic", JobOptions{Engine: EngineSymbolic}, runSymbolic},
+		{"enum-strict-n4", JobOptions{Engine: EngineEnumStrict, N: 4}, runEnum},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if err := c.opts.normalize(); err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			witnesses := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range protos {
+					rep, err := c.run(ctx, p, c.opts, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					witnesses += len(rep.Violations)
+				}
+			}
+			b.ReportMetric(float64(len(protos)), "jobs")
+			b.ReportMetric(float64(witnesses)/float64(b.N), "witnesses/op")
+		})
+	}
 }

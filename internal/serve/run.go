@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/campaign"
 	"repro/internal/enum"
@@ -147,7 +148,8 @@ func runSymbolic(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs
 	for _, s := range symbolic.SortStates(res.Essential) {
 		rep.EssentialStates = append(rep.EssentialStates, s.StructureString(p))
 	}
-	for _, v := range res.Violations {
+	verdicts := campaign.ConfirmSymbolicWitnesses(p, opts.Strict, res.Violations)
+	for i, v := range res.Violations {
 		vr := ViolationReport{State: v.State.StructureString(p)}
 		for _, viol := range v.Violations {
 			vr.Kinds = append(vr.Kinds, viol.Kind.String())
@@ -155,7 +157,7 @@ func runSymbolic(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs
 		for _, st := range v.Path {
 			vr.Witness = append(vr.Witness, st.Label.String()+" -> "+st.To.StructureString(p))
 		}
-		vr.Confirmed, vr.AuditNote = campaign.ConfirmSymbolicWitness(p, opts.Strict, v)
+		vr.Confirmed, vr.AuditNote = verdicts[i].Confirmed, verdicts[i].Note
 		rep.Violations = append(rep.Violations, vr)
 	}
 	return rep, nil
@@ -195,15 +197,16 @@ func runEnum(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs.Reg
 		return nil, fmt.Errorf("serve: specification error: %v", res.SpecErrors[0])
 	}
 	rep := &Report{Essential: res.Unique, Visits: res.Visits}
-	for _, v := range res.Violations {
+	verdicts := campaign.ConfirmEnumWitnesses(p, opts.N, mode, opts.Strict, res.Violations)
+	for i, v := range res.Violations {
 		vr := ViolationReport{State: v.Config.Key()}
 		for _, viol := range v.Violations {
 			vr.Kinds = append(vr.Kinds, viol.Kind.String())
 		}
 		for _, st := range v.Path {
-			vr.Witness = append(vr.Witness, fmt.Sprintf("%d%s -> %s", st.Cache, st.Op, st.To))
+			vr.Witness = append(vr.Witness, strconv.Itoa(st.Cache)+string(st.Op)+" -> "+st.To)
 		}
-		vr.Confirmed, vr.AuditNote = campaign.ConfirmEnumWitness(p, opts.N, mode, opts.Strict, v)
+		vr.Confirmed, vr.AuditNote = verdicts[i].Confirmed, verdicts[i].Note
 		rep.Violations = append(rep.Violations, vr)
 	}
 	return rep, nil
