@@ -286,8 +286,8 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelEnumeration — the Figure 2 baseline with a worker pool:
-// level-synchronous parallel BFS over the mⁿ space (Dragon, n=8).
+// BenchmarkParallelEnumeration — the Figure 2 baseline across widths:
+// the level-synchronous BFS over the mⁿ space (Dragon, n=8).
 func BenchmarkParallelEnumeration(b *testing.B) {
 	p := protocols.Dragon()
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -295,7 +295,7 @@ func BenchmarkParallelEnumeration(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := enum.ExhaustiveParallel(p, 8, enum.Options{}, workers)
+				res, err := enum.Exhaustive(p, 8, enum.Options{RunConfig: runctl.RunConfig{Workers: workers}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -403,13 +403,12 @@ func BenchmarkAbstraction(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSymbolicExpansion — the speculation pipeline of the
-// parallel Figure 3 driver across worker counts, on a synthetic
-// protocol large enough that per-state expansion dominates. Results are
-// bit-identical to the sequential engine at every worker count; on a
-// single-core host this measures the pipeline's overhead (it must stay
-// within noise of workers=1), and the speedup appears with
-// GOMAXPROCS ≥ 2.
+// BenchmarkParallelSymbolicExpansion — the Figure 3 speculation pipeline
+// across worker counts, on a synthetic protocol large enough that
+// per-state expansion dominates. Results are bit-identical at every worker
+// count (workers=1 expands inline); on a single-core host this measures
+// the pipeline's overhead (it must stay within noise of workers=1), and
+// the speedup appears with GOMAXPROCS ≥ 2.
 func BenchmarkParallelSymbolicExpansion(b *testing.B) {
 	p, err := protocols.Synthetic(24)
 	if err != nil {
@@ -420,7 +419,7 @@ func BenchmarkParallelSymbolicExpansion(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := symbolic.ExpandParallel(p, symbolic.Options{}, workers)
+				res, err := symbolic.Expand(p, symbolic.Options{RunConfig: runctl.RunConfig{Workers: workers}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -444,13 +443,14 @@ func BenchmarkSpillEnumeration(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := enum.ExhaustiveParallel(p, 5, enum.Options{
+		res, err := enum.Exhaustive(p, 5, enum.Options{
 			Strict: true,
 			RunConfig: runctl.RunConfig{
 				Budget:   runctl.Budget{MaxBytes: 768 << 10},
 				SpillDir: b.TempDir(),
+				Workers:  4,
 			},
-		}, 4)
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -15,12 +15,15 @@
 //	       [-mem-budget bytes [-spill-dir dir]]
 //	ccenum -resume run.ckpt [-workers k] [-timeout 30s] [-checkpoint run.ckpt]
 //
-// With -mem-budget alone the run stops cleanly (exit 3, resumable) when the
-// estimated resident footprint crosses the budget; adding -spill-dir turns
-// the same budget into an out-of-core run: cold visited/tuple shards spill
-// to checksummed files under the directory and stream back for duplicate
-// detection at level boundaries, so the enumeration completes in bounded
-// memory with bit-identical results.
+// Every run is the level-synchronous BFS, -workers wide (default 1; 0
+// selects GOMAXPROCS; every width gives the same results). With
+// -mem-budget alone the run stops cleanly (exit 3, resumable) at the level
+// boundary where the estimated resident footprint crosses the budget;
+// adding -spill-dir turns the same budget into an out-of-core run at any
+// width: cold visited/tuple shards spill to checksummed files under the
+// directory and stream back for duplicate detection at level boundaries,
+// so the enumeration completes in bounded memory with bit-identical
+// results.
 //
 // Checkpoints go through the durable snapshot store (internal/ckptio):
 // atomic checksummed writes, rotation keeping the last -checkpoint-keep
@@ -36,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"repro/internal/ckptio"
 	"repro/internal/enum"
@@ -72,7 +76,7 @@ func main() {
 		mode        = flag.String("mode", "both", "strict, counting, or both")
 		strict      = flag.Bool("strict", false, "enable the clean-state/memory extension check")
 		max         = flag.Int("max", 0, "state cap (0: default)")
-		workers     = flag.Int("workers", 1, "parallel BFS workers (1: sequential, 0: GOMAXPROCS)")
+		workers     = flag.Int("workers", 1, "BFS workers per level (0: GOMAXPROCS)")
 		memBudget   = flag.Int64("mem-budget", 0, "resident memory budget in bytes (0: none)")
 		spillDir    = flag.String("spill-dir", "", "spill cold state shards to this directory instead of stopping at -mem-budget")
 		timeout     = flag.Duration("timeout", 0, "wall-clock limit for the whole run (0: none)")
@@ -131,6 +135,12 @@ func main() {
 // run executes the requested enumerations and returns the process exit code
 // (0 clean, 2 violations, 3 stopped early).
 func run(ctx context.Context, protoName string, n int, o cliOpts) (int, error) {
+	if o.workers < 0 {
+		return 0, fmt.Errorf("invalid -workers %d (want 0 for GOMAXPROCS, or a positive count)", o.workers)
+	}
+	if o.workers == 0 {
+		o.workers = runtime.GOMAXPROCS(0)
+	}
 	if o.spillDir != "" && o.memBudget <= 0 {
 		return 0, fmt.Errorf("-spill-dir requires -mem-budget: spilling is triggered by the memory budget")
 	}
@@ -149,15 +159,15 @@ func run(ctx context.Context, protoName string, n int, o cliOpts) (int, error) {
 	var graphProto *fsm.Protocol
 	var graphMode string
 	opts := enum.Options{
-		Strict:           o.strict,
-		MaxStates:        o.max,
-		CheckpointOnStop: o.checkpoint != "",
+		RunConfig: runctl.RunConfig{
+			Budget:           runctl.Budget{MaxBytes: o.memBudget},
+			CheckpointOnStop: o.checkpoint != "",
+			SpillDir:         o.spillDir,
+			Workers:          o.workers,
+		},
+		Strict:    o.strict,
+		MaxStates: o.max,
 	}
-	opts.RunConfig.Budget.MaxBytes = o.memBudget
-	opts.RunConfig.SpillDir = o.spillDir
-	// Spilling lives in the parallel engine; -spill-dir with the default
-	// -workers 1 runs it with a single worker (bit-identical results).
-	parallel := o.workers != 1 || o.spillDir != ""
 	if o.progress {
 		opts.RunConfig.Observer = obs.Progress(os.Stderr)
 	}
@@ -196,12 +206,7 @@ func run(ctx context.Context, protoName string, n int, o cliOpts) (int, error) {
 			return 0, err
 		}
 		n = cp.N
-		var res *enum.Result
-		if parallel {
-			res, err = enum.ResumeParallelContext(ctx, p, cp, opts, o.workers)
-		} else {
-			res, err = enum.ResumeContext(ctx, p, cp, opts)
-		}
+		res, err := enum.ResumeContext(ctx, p, cp, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -216,18 +221,18 @@ func run(ctx context.Context, protoName string, n int, o cliOpts) (int, error) {
 		type runner struct {
 			name string
 			mode string
+			run  func(context.Context, *fsm.Protocol, int, enum.Options) (*enum.Result, error)
 		}
+		strict := runner{"strict (Figure 2)", enum.ModeStrict, enum.ExhaustiveContext}
+		counting := runner{"counting (Definition 5)", enum.ModeCounting, enum.CountingContext}
 		var runners []runner
 		switch o.mode {
 		case "strict":
-			runners = []runner{{"strict (Figure 2)", enum.ModeStrict}}
+			runners = []runner{strict}
 		case "counting":
-			runners = []runner{{"counting (Definition 5)", enum.ModeCounting}}
+			runners = []runner{counting}
 		case "both":
-			runners = []runner{
-				{"strict (Figure 2)", enum.ModeStrict},
-				{"counting (Definition 5)", enum.ModeCounting},
-			}
+			runners = []runner{strict, counting}
 		default:
 			return 0, fmt.Errorf("invalid -mode %q", o.mode)
 		}
@@ -236,17 +241,7 @@ func run(ctx context.Context, protoName string, n int, o cliOpts) (int, error) {
 		}
 		graphProto, graphMode = p, runners[0].mode
 		for _, r := range runners {
-			var res *enum.Result
-			switch {
-			case !parallel && r.mode == enum.ModeStrict:
-				res, err = enum.ExhaustiveContext(ctx, p, n, opts)
-			case !parallel:
-				res, err = enum.CountingContext(ctx, p, n, opts)
-			case r.mode == enum.ModeStrict:
-				res, err = enum.ExhaustiveParallelContext(ctx, p, n, opts, o.workers)
-			default:
-				res, err = enum.CountingParallelContext(ctx, p, n, opts, o.workers)
-			}
+			res, err := r.run(ctx, p, n, opts)
 			if err != nil {
 				return 0, err
 			}

@@ -47,6 +47,9 @@ func TestRunErrors(t *testing.T) {
 	if _, err := run(context.Background(), "illinois", 3, cliOpts{mode: "strict", resume: "/does/not/exist.ckpt"}); err == nil {
 		t.Error("missing resume file must error")
 	}
+	if _, err := run(context.Background(), "illinois", 3, cliOpts{mode: "strict", workers: -1}); err == nil || !strings.Contains(err.Error(), "-workers") {
+		t.Errorf("negative -workers must be a usage error naming the flag, got %v", err)
+	}
 }
 
 // TestRunGraphOut exercises -graph-out end to end: a single-mode run writes

@@ -270,8 +270,8 @@ type rung struct {
 // there is nothing to shrink.
 func ladder(j JobSpec, p Policy) []rung {
 	if j.Engine == EngineSymbolic {
-		// The parallel speculation pipeline is bit-identical to the
-		// sequential driver, so the worker width needs no fallback rung.
+		// Every speculation width gives the same result, so the worker
+		// width needs no fallback rung.
 		return []rung{{desc: "symbolic", engine: EngineSymbolic, workers: p.Workers}}
 	}
 	var out []rung
@@ -662,8 +662,8 @@ func corruptFile(path string) {
 	_ = os.WriteFile(path, data, 0o644)
 }
 
-// attemptEnum runs one enumeration attempt (sequential or parallel,
-// strict or counting) with durable periodic snapshots and chaos firing.
+// attemptEnum runs one enumeration attempt (strict or counting, at the
+// rung's width) with durable periodic snapshots and chaos firing.
 func (r *runner) attemptEnum(rg rung, budget runctl.Budget) (bool, bool, error) {
 	opts := enum.Options{
 		RunConfig: runctl.RunConfig{
@@ -671,6 +671,7 @@ func (r *runner) attemptEnum(rg rung, budget runctl.Budget) (bool, bool, error) 
 			CheckpointOnStop: r.store != nil,
 			Observer:         r.policy.Observer,
 			Metrics:          r.policy.Metrics,
+			Workers:          rg.workers,
 		},
 		Strict: r.job.Strict,
 	}
@@ -707,14 +708,8 @@ func (r *runner) attemptEnum(rg rung, budget runctl.Budget) (bool, bool, error) 
 	var res *enum.Result
 	var err error
 	switch {
-	case cp != nil && rg.workers > 1:
-		res, err = enum.ResumeParallelContext(r.ctx, r.proto, cp, opts, rg.workers)
 	case cp != nil:
 		res, err = enum.ResumeContext(r.ctx, r.proto, cp, opts)
-	case rg.workers > 1 && rg.engine == EngineEnumCounting:
-		res, err = enum.CountingParallelContext(r.ctx, r.proto, rg.n, opts, rg.workers)
-	case rg.workers > 1:
-		res, err = enum.ExhaustiveParallelContext(r.ctx, r.proto, rg.n, opts, rg.workers)
 	case rg.engine == EngineEnumCounting:
 		res, err = enum.CountingContext(r.ctx, r.proto, rg.n, opts)
 	default:
@@ -742,8 +737,8 @@ func (r *runner) attemptEnum(rg rung, budget runctl.Budget) (bool, bool, error) 
 }
 
 // attemptSymbolic runs one symbolic expansion attempt with the same
-// durability and chaos plumbing as attemptEnum. rg.workers > 1 selects
-// the parallel speculation pipeline (bit-identical results).
+// durability and chaos plumbing as attemptEnum. rg.workers is the
+// speculation width (every width gives the same result).
 func (r *runner) attemptSymbolic(rg rung, budget runctl.Budget) (bool, bool, error) {
 	eng, err := symbolic.NewEngine(r.proto)
 	if err != nil {
@@ -755,6 +750,7 @@ func (r *runner) attemptSymbolic(rg rung, budget runctl.Budget) (bool, bool, err
 			CheckpointOnStop: r.store != nil,
 			Observer:         r.policy.Observer,
 			Metrics:          r.policy.Metrics,
+			Workers:          rg.workers,
 		},
 		Strict: r.job.Strict,
 	}
@@ -787,16 +783,10 @@ func (r *runner) attemptSymbolic(rg rung, budget runctl.Budget) (bool, bool, err
 		}
 	}
 
-	opts.RunConfig.Workers = rg.workers
 	var res *symbolic.Result
-	switch {
-	case cp != nil && rg.workers > 1:
-		res, err = eng.ResumeParallelContext(r.ctx, cp, opts, rg.workers)
-	case cp != nil:
+	if cp != nil {
 		res, err = eng.ResumeContext(r.ctx, cp, opts)
-	case rg.workers > 1:
-		res, err = eng.ExpandParallelContext(r.ctx, opts, rg.workers)
-	default:
+	} else {
 		res, err = eng.ExpandContext(r.ctx, opts)
 	}
 	resumed := cp != nil

@@ -38,9 +38,9 @@ type Options struct {
 	CrossCheckN []int
 	// MaxVisits bounds the symbolic expansion (0 = default).
 	MaxVisits int
-	// SymbolicWorkers > 1 runs the symbolic expansion with the parallel
-	// speculation pipeline across that many workers; 0 or 1 keeps the
-	// sequential driver. Results are bit-identical either way.
+	// SymbolicWorkers is the symbolic expansion's speculation width
+	// (RunConfig.Workers); 0 or 1 expands every item inline. Results are
+	// bit-identical at every width.
 	SymbolicWorkers int
 
 	// Budget bounds the whole pipeline: the wall-clock deadline, state
@@ -136,21 +136,16 @@ func VerifyContext(ctx context.Context, p *fsm.Protocol, opts Options) (*Report,
 			CheckpointOnStop: opts.CheckpointOnStop,
 			Observer:         opts.Observer,
 			Metrics:          opts.Metrics,
+			Workers:          opts.SymbolicWorkers,
 		},
 		MaxVisits:       opts.MaxVisits,
 		RecordLog:       opts.RecordLog,
 		StopOnViolation: opts.StopOnViolation,
 		Strict:          opts.Strict,
 	}
-	symOpts.RunConfig.Workers = opts.SymbolicWorkers
-	switch {
-	case opts.Resume != nil && opts.SymbolicWorkers > 1:
-		rep.Symbolic, err = eng.ResumeParallelContext(ctx, opts.Resume, symOpts, opts.SymbolicWorkers)
-	case opts.Resume != nil:
+	if opts.Resume != nil {
 		rep.Symbolic, err = eng.ResumeContext(ctx, opts.Resume, symOpts)
-	case opts.SymbolicWorkers > 1:
-		rep.Symbolic, err = eng.ExpandParallelContext(ctx, symOpts, opts.SymbolicWorkers)
-	default:
+	} else {
 		rep.Symbolic, err = eng.ExpandContext(ctx, symOpts)
 	}
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/ckptio"
@@ -28,7 +27,7 @@ import (
 const CheckpointVersion = 3
 
 // Checkpoint is a resumable snapshot of an enumeration run, taken at a
-// worklist/level boundary: every state is either fully expanded (in
+// level boundary: every state is either fully expanded (in
 // Visited with its provenance in Parents) or waiting on the Frontier, so a
 // resumed run reaches exactly the counts an uninterrupted run would. The
 // JSON encoding is stable and deterministic (Visited in admission-rank
@@ -127,12 +126,12 @@ func (cs ConfigState) config() (*fsm.Config, error) {
 	return c, nil
 }
 
-// snapshot captures the run at a clean boundary; frontier lists the
-// admitted-but-unexpanded states. Pending witness paths are resolved first. An out-of-core run's spilled entries
-// are folded back in (rank order makes the merge trivial: every rank
-// indexes its slot), so the snapshot is self-contained and resuming it
-// needs no spill files.
-func (b *bfs) snapshot(frontier []*fsm.Config) (*Checkpoint, error) {
+// snapshot captures the run at a level boundary, where the frontier lists
+// the admitted-but-unexpanded states. Pending witness paths are resolved
+// first. An out-of-core run's spilled entries are folded back in (rank
+// order makes the merge trivial: every rank indexes its slot), so the
+// snapshot is self-contained and resuming it needs no spill files.
+func (b *bfs) snapshot() (*Checkpoint, error) {
 	b.resolveWitnesses()
 	cp := &Checkpoint{
 		Version:  CheckpointVersion,
@@ -144,7 +143,7 @@ func (b *bfs) snapshot(frontier []*fsm.Config) (*Checkpoint, error) {
 		Visited:  make([]string, b.visited.size()),
 		Tuples:   make([]string, 0, b.tuples.size()),
 		Parents:  make([]ParentState, len(b.parents)),
-		Frontier: make([]ConfigState, len(frontier)),
+		Frontier: make([]ConfigState, len(b.frontier)),
 	}
 	fillVisited := func(k Key, r uint32) { cp.Visited[r] = b.kc.render(k) }
 	b.visited.forEach(fillVisited)
@@ -170,7 +169,7 @@ func (b *bfs) snapshot(frontier []*fsm.Config) (*Checkpoint, error) {
 			Op:     string(b.p.Ops[rec.op]),
 		}
 	}
-	for i, c := range frontier {
+	for i, c := range b.frontier {
 		cp.Frontier[i] = configState(c)
 	}
 	for _, rc := range b.res.Reachable {
@@ -234,52 +233,36 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return DecodeCheckpoint(data)
 }
 
-// ResumeContext continues an interrupted sequential enumeration from a
-// checkpoint. The run's mode, cache count and strictness come from the
-// checkpoint (opts.Strict is ignored); budgets, KeepReachable and the
-// checkpoint options come from opts. An uninterrupted run and an
-// interrupted-then-resumed run reach identical state counts.
+// ResumeContext continues an interrupted enumeration from a checkpoint,
+// RunConfig.Workers wide (≤ 1: one worker). The run's mode, cache count
+// and strictness come from the checkpoint (opts.Strict is ignored);
+// budgets, width, KeepReachable and the checkpoint options come from opts.
+// An uninterrupted run and an interrupted-then-resumed run reach identical
+// state counts, whatever the widths of either.
 func ResumeContext(ctx context.Context, p *fsm.Protocol, cp *Checkpoint, opts Options) (*Result, error) {
-	b, frontier, err := resumeBFS(p, cp, opts)
+	b, err := resumeBFS(p, cp, opts)
 	if err != nil {
 		return nil, err
 	}
-	return b.runSeq(ctx, frontier)
-}
-
-// ResumeParallelContext continues an interrupted enumeration with the
-// level-synchronous parallel engine. Checkpoints from either engine are
-// accepted: the frontier is simply treated as the first level.
-func ResumeParallelContext(ctx context.Context, p *fsm.Protocol, cp *Checkpoint, opts Options, workers int) (*Result, error) {
-	b, frontier, err := resumeBFS(p, cp, opts)
-	if err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = b.rc.Workers
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return b.runPar(ctx, frontier, workers)
+	return b.runPar(ctx, opts.Workers)
 }
 
 // resumeBFS rebuilds the shared run state from a checkpoint.
-func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, []*fsm.Config, error) {
+func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 	if err := p.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if cp.Version != CheckpointVersion {
-		return nil, nil, fmt.Errorf("enum: unsupported checkpoint version %d (this build reads version %d; checkpoints from older builds cannot be resumed — re-run the enumeration)", cp.Version, CheckpointVersion)
+		return nil, fmt.Errorf("enum: unsupported checkpoint version %d (this build reads version %d; checkpoints from older builds cannot be resumed — re-run the enumeration)", cp.Version, CheckpointVersion)
 	}
 	if cp.Protocol != p.Name {
-		return nil, nil, fmt.Errorf("enum: checkpoint is for protocol %q, not %q", cp.Protocol, p.Name)
+		return nil, fmt.Errorf("enum: checkpoint is for protocol %q, not %q", cp.Protocol, p.Name)
 	}
 	if cp.N < 1 {
-		return nil, nil, fmt.Errorf("enum: checkpoint has invalid cache count %d", cp.N)
+		return nil, fmt.Errorf("enum: checkpoint has invalid cache count %d", cp.N)
 	}
 	if err := validMode(cp.Mode); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	known := make(map[fsm.State]bool, len(p.States))
 	for _, s := range p.States {
@@ -302,30 +285,24 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, []*fsm.Conf
 	}
 
 	if cp.N > 1<<16-1 {
-		return nil, nil, fmt.Errorf("enum: checkpoint cache count %d exceeds the provenance-record limit %d", cp.N, 1<<16-1)
+		return nil, fmt.Errorf("enum: checkpoint cache count %d exceeds the provenance-record limit %d", cp.N, 1<<16-1)
 	}
 	if len(cp.Parents) != len(cp.Visited) {
-		return nil, nil, fmt.Errorf("enum: checkpoint has %d visited states but %d provenance records", len(cp.Visited), len(cp.Parents))
+		return nil, fmt.Errorf("enum: checkpoint has %d visited states but %d provenance records", len(cp.Visited), len(cp.Parents))
 	}
 	opts.Strict = cp.Strict
-	rc := opts.runCtl()
-	maxStates := rc.Budget.MaxStates
-	if maxStates <= 0 {
-		maxStates = opts.MaxStates
+	if err := checkOpCount(p); err != nil {
+		return nil, err
 	}
-	if maxStates <= 0 {
-		maxStates = defaultMaxStates
-	}
-	opIx, err := buildOpIndex(p)
-	if err != nil {
-		return nil, nil, err
+	opIx := make(map[fsm.Op]uint8, len(p.Ops))
+	for i, op := range p.Ops {
+		opIx[op] = uint8(i)
 	}
 	b := &bfs{
-		p: p, n: cp.N, opts: opts, rc: rc, kc: newKeyCodec(p, cp.N, cp.Mode), mode: cp.Mode,
-		orun:      rc.Sink().Run("enum-"+cp.Mode, p.Name),
+		p: p, n: cp.N, opts: opts, kc: newKeyCodec(p, cp.N, cp.Mode), mode: cp.Mode,
+		orun:      opts.Sink().Run("enum-"+cp.Mode, p.Name),
 		symmetric: cp.Mode == ModeCounting,
-		maxStates: maxStates,
-		opIx:      opIx,
+		maxStates: opts.maxStates(),
 		parents:   make([]parentRec, 0, len(cp.Parents)),
 		res:       &Result{Protocol: p, N: cp.N, Visits: cp.Visits},
 	}
@@ -337,10 +314,10 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, []*fsm.Conf
 	for i, s := range cp.Visited {
 		k, err := b.kc.parse(s)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if b.visited.has(k) {
-			return nil, nil, fmt.Errorf("enum: checkpoint visited list repeats key %q", s)
+			return nil, fmt.Errorf("enum: checkpoint visited list repeats key %q", s)
 		}
 		b.visited.insert(k)
 		ps := cp.Parents[i]
@@ -349,50 +326,51 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, []*fsm.Conf
 			continue
 		}
 		if ps.Parent < 0 || ps.Parent >= i {
-			return nil, nil, fmt.Errorf("enum: checkpoint provenance %d has parent rank %d (want -1..%d)", i, ps.Parent, i-1)
+			return nil, fmt.Errorf("enum: checkpoint provenance %d has parent rank %d (want -1..%d)", i, ps.Parent, i-1)
 		}
 		if ps.Cache < 0 || ps.Cache >= cp.N {
-			return nil, nil, fmt.Errorf("enum: checkpoint provenance %d has cache %d (want 0..%d)", i, ps.Cache, cp.N-1)
+			return nil, fmt.Errorf("enum: checkpoint provenance %d has cache %d (want 0..%d)", i, ps.Cache, cp.N-1)
 		}
-		opi, ok := b.opIx[fsm.Op(ps.Op)]
+		opi, ok := opIx[fsm.Op(ps.Op)]
 		if !ok {
-			return nil, nil, fmt.Errorf("enum: checkpoint provenance %d references unknown operation %q", i, ps.Op)
+			return nil, fmt.Errorf("enum: checkpoint provenance %d references unknown operation %q", i, ps.Op)
 		}
 		b.parents = append(b.parents, parentRec{parent: uint32(ps.Parent), cache: uint16(ps.Cache), op: opi})
 	}
 	for _, s := range cp.Tuples {
 		k, err := b.kc.parseTuple(s)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if !b.tuples.has(k) {
 			b.tuples.insert(k)
 		}
 	}
-	frontier := make([]*fsm.Config, len(cp.Frontier))
+	b.frontier = make([]*fsm.Config, len(cp.Frontier))
+	b.frontRanks = make([]uint32, len(cp.Frontier))
 	for i, cs := range cp.Frontier {
 		c, err := restoreConfig(cs, "frontier")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if !b.visited.has(b.kc.key(c)) {
-			return nil, nil, fmt.Errorf("enum: checkpoint frontier state %q not in visited set", b.kc.render(b.kc.key(c)))
+		r, ok := b.visited.rank(b.kc.key(c))
+		if !ok {
+			return nil, fmt.Errorf("enum: checkpoint frontier state %q not in visited set", b.kc.render(b.kc.key(c)))
 		}
-		frontier[i] = c
+		b.frontier[i], b.frontRanks[i] = c, r
 	}
-	b.frontierLen = len(frontier)
 	b.bytes = b.estBytes()
 	for _, cs := range cp.Reachable {
 		c, err := restoreConfig(cs, "reachable")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		b.res.Reachable = append(b.res.Reachable, c)
 	}
 	for _, vs := range cp.Violations {
 		c, err := restoreConfig(vs.Config, "violation")
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		v := Violation{Config: c}
 		for _, d := range vs.Violations {
@@ -406,5 +384,5 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, []*fsm.Conf
 	for _, s := range cp.SpecErrors {
 		b.res.SpecErrors = append(b.res.SpecErrors, fmt.Errorf("%s", s))
 	}
-	return b, frontier, nil
+	return b, nil
 }

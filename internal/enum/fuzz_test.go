@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/protocols"
+	"repro/internal/runctl"
 )
 
 // captureCheckpoint interrupts a real run at its first periodic snapshot
@@ -19,7 +20,7 @@ func captureCheckpoint(t testing.TB, mode string) []byte {
 	}
 	var captured []byte
 	opts := Options{
-		CheckpointEvery: 1,
+		RunConfig: runctl.RunConfig{CheckpointEvery: 1},
 		OnCheckpoint: func(cp *Checkpoint) error {
 			captured, err = cp.Encode()
 			if err != nil {

@@ -94,12 +94,12 @@ func spillBudget(unique, frontier, n int) runctl.Budget {
 
 // TestGoldenDigests freezes the enumeration's output over every shipped spec
 // and every mutant, in strict and counting modes at n=3, as digest lines.
-// Each case runs through the sequential driver, the parallel driver at two
-// workers and, for packed runs, a parallel run under a memory budget that
-// forces the visited set out of core; all three must render the same line,
-// and that line must match the golden file. Any change to counts, admission
-// order, violations or witness paths shows up as a line diff. Regenerate
-// with `go test ./internal/enum -run TestGoldenDigests -update` only for a
+// Each case runs at one and at two workers and, for packed runs, at one and
+// at two workers under a memory budget that forces the visited set out of
+// core; all four must render the same line, and that line must match the
+// golden file. Any change to counts, admission order, violations or witness
+// paths shows up as a line diff. Regenerate with
+// `go test ./internal/enum -run TestGoldenDigests -update` only for a
 // deliberate behaviour change.
 func TestGoldenDigests(t *testing.T) {
 	ctx := context.Background()
@@ -108,45 +108,47 @@ func TestGoldenDigests(t *testing.T) {
 	spilledRuns, spillCases := 0, 0
 	for _, p := range goldenCorpus(t) {
 		for _, mode := range []string{ModeStrict, ModeCounting} {
-			seq, err := run(ctx, p, goldenN, opts, mode)
-			if err != nil {
-				t.Fatalf("%s %s sequential: %v", p.Name, mode, err)
-			}
-			line := goldenLine(p, mode, seq)
-			got = append(got, line)
-
 			widest := 1
 			po := opts
 			po.Observer = obs.Funcs{Level: func(ls obs.LevelStats) { widest = max(widest, ls.Frontier) }}
-			par, err := runParallel(ctx, p, goldenN, po, mode, 2)
+			one, err := enumerate(ctx, p, goldenN, po, mode, 1)
 			if err != nil {
-				t.Fatalf("%s %s parallel: %v", p.Name, mode, err)
+				t.Fatalf("%s %s one worker: %v", p.Name, mode, err)
 			}
-			if pl := goldenLine(p, mode, par); pl != line {
-				t.Errorf("parallel run diverges from sequential:\n  par: %s\n  seq: %s", pl, line)
+			line := goldenLine(p, mode, one)
+			got = append(got, line)
+
+			two, err := enumerate(ctx, p, goldenN, opts, mode, 2)
+			if err != nil {
+				t.Fatalf("%s %s two workers: %v", p.Name, mode, err)
+			}
+			if l := goldenLine(p, mode, two); l != line {
+				t.Errorf("two-worker run diverges from one worker:\n  two: %s\n  one: %s", l, line)
 			}
 
 			if !newKeyCodec(p, goldenN, mode).packed {
 				continue
 			}
-			spillCases++
-			dir := t.TempDir()
-			so := opts
-			so.RunConfig = runctl.RunConfig{Budget: spillBudget(seq.Unique, widest, goldenN), SpillDir: dir}
-			sp, err := runParallel(ctx, p, goldenN, so, mode, 2)
-			if err != nil {
-				t.Fatalf("%s %s spill: %v", p.Name, mode, err)
-			}
-			if sl := goldenLine(p, mode, sp); sl != line {
-				t.Errorf("out-of-core run diverges from sequential:\n  spill: %s\n  seq:   %s", sl, line)
-			}
-			if spillFileCount(t, dir, "spill-visited-") > 0 {
-				spilledRuns++
+			for _, workers := range []int{1, 2} {
+				spillCases++
+				dir := t.TempDir()
+				so := opts
+				so.RunConfig = runctl.RunConfig{Budget: spillBudget(one.Unique, widest, goldenN), SpillDir: dir}
+				sp, err := enumerate(ctx, p, goldenN, so, mode, workers)
+				if err != nil {
+					t.Fatalf("%s %s spill at %d workers: %v", p.Name, mode, workers, err)
+				}
+				if l := goldenLine(p, mode, sp); l != line {
+					t.Errorf("out-of-core run at %d workers diverges from in-memory:\n  spill: %s\n  mem:   %s", workers, l, line)
+				}
+				if spillFileCount(t, dir, "spill-visited-") > 0 {
+					spilledRuns++
+				}
 			}
 		}
 	}
-	// The budget must actually push every case out of core, or the third
-	// driver would only repeat the second.
+	// The budget must actually push every case out of core, or the
+	// out-of-core runs would only repeat the in-memory ones.
 	if spilledRuns != spillCases {
 		t.Errorf("only %d of %d budgeted runs spilled", spilledRuns, spillCases)
 	}
@@ -192,9 +194,9 @@ func readGolden(path string) ([]string, error) {
 // TestParentRankBelowChild pins the invariant witness resolution relies
 // on: a state's parent was admitted before it, so its rank is strictly
 // lower, and every provenance walk reaches the initial state. It checks
-// every provenance record over the golden corpus through the sequential,
-// parallel and out-of-core drivers, and that every violation's witness
-// path is resolved, with every hop rendered.
+// every provenance record over the golden corpus at one and two workers and
+// out of core, and that every violation's witness path is resolved, with
+// every hop rendered.
 func TestParentRankBelowChild(t *testing.T) {
 	ctx := context.Background()
 	check := func(what string, b *bfs) {
@@ -218,41 +220,36 @@ func TestParentRankBelowChild(t *testing.T) {
 			}
 		}
 	}
+	drive := func(name string, p *fsm.Protocol, mode string, o Options, workers int) *bfs {
+		t.Helper()
+		b, done, err := newBFS(p, goldenN, o, mode)
+		if err != nil || done {
+			t.Fatalf("%s: newBFS: done=%v err=%v", name, done, err)
+		}
+		if _, err := b.runPar(ctx, workers); err != nil {
+			t.Fatal(err)
+		}
+		check(name, b)
+		return b
+	}
 	for _, p := range goldenCorpus(t) {
 		for _, mode := range []string{ModeStrict, ModeCounting} {
 			name := p.Name + " " + mode
-			b, init, done, err := newBFS(p, goldenN, Options{}, mode)
-			if err != nil || done {
-				t.Fatalf("%s: newBFS: done=%v err=%v", name, done, err)
-			}
-			if _, err := b.runSeq(ctx, []*fsm.Config{init}); err != nil {
-				t.Fatal(err)
-			}
-			check(name+" sequential", b)
-			unique := b.res.Unique
-
 			widest := 1
 			po := Options{}
 			po.Observer = obs.Funcs{Level: func(ls obs.LevelStats) { widest = max(widest, ls.Frontier) }}
-			b, init, _, _ = newBFS(p, goldenN, po, mode)
-			if _, err := b.runPar(ctx, []*fsm.Config{init}, 2); err != nil {
-				t.Fatal(err)
-			}
-			check(name+" parallel", b)
+			b := drive(name+" one worker", p, mode, po, 1)
+			drive(name+" two workers", p, mode, Options{}, 2)
 
 			if !b.kc.packed {
 				continue
 			}
 			dir := t.TempDir()
-			so := Options{RunConfig: runctl.RunConfig{Budget: spillBudget(unique, widest, goldenN), SpillDir: dir}}
-			b, init, _, _ = newBFS(p, goldenN, so, mode)
-			if _, err := b.runPar(ctx, []*fsm.Config{init}, 2); err != nil {
-				t.Fatal(err)
-			}
+			so := Options{RunConfig: runctl.RunConfig{Budget: spillBudget(b.res.Unique, widest, goldenN), SpillDir: dir}}
+			drive(name+" out-of-core", p, mode, so, 2)
 			if spillFileCount(t, dir, "spill-visited-") == 0 {
 				t.Fatalf("%s: budgeted run did not spill", name)
 			}
-			check(name+" out-of-core", b)
 		}
 	}
 }
@@ -276,7 +273,7 @@ func TestWitnessesResolvedAtEveryBoundary(t *testing.T) {
 	}
 	runs := 0
 	for _, p := range goldenCorpus(t) {
-		full, err := run(ctx, p, goldenN, Options{}, ModeStrict)
+		full, err := enumerate(ctx, p, goldenN, Options{}, ModeStrict, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,15 +281,10 @@ func TestWitnessesResolvedAtEveryBoundary(t *testing.T) {
 			continue
 		}
 		runs++
-		for _, workers := range []int{0, 2} {
+		for _, workers := range []int{1, 2} {
 			drive := func(o Options) *Result {
 				t.Helper()
-				var res *Result
-				if workers == 0 {
-					res, err = run(ctx, p, goldenN, o, ModeStrict)
-				} else {
-					res, err = runParallel(ctx, p, goldenN, o, ModeStrict, workers)
-				}
+				res, err := enumerate(ctx, p, goldenN, o, ModeStrict, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -330,5 +322,41 @@ func TestWitnessesResolvedAtEveryBoundary(t *testing.T) {
 	}
 	if runs == 0 {
 		t.Fatal("no corpus run has violations")
+	}
+}
+
+// TestOneWorkerPanicMatchesGolden: a one-worker run isolates a worker
+// panic exactly as a wide run does. The panic is recovered into
+// Result.WorkerErrors, the slice is retried, and the result still renders
+// its golden line.
+func TestOneWorkerPanicMatchesGolden(t *testing.T) {
+	want, err := readGolden(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testWorkerHook = func(level, worker int) {
+		if level == 1 {
+			panic("injected fault")
+		}
+	}
+	defer func() { testWorkerHook = nil }()
+	corpus := goldenCorpus(t)
+	for i, p := range corpus[:2] { // a shipped spec and its first mutant
+		for j, mode := range []string{ModeStrict, ModeCounting} {
+			opts := Options{KeepReachable: true, RunConfig: runctl.RunConfig{Workers: 1}}
+			res, err := enumerate(context.Background(), p, goldenN, opts, mode, opts.Workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.WorkerErrors) != 1 {
+				t.Fatalf("%s %s: %d worker errors, want 1", p.Name, mode, len(res.WorkerErrors))
+			}
+			if we := res.WorkerErrors[0]; we.Level != 1 || we.Worker != 0 || we.Value != "injected fault" {
+				t.Fatalf("%s %s: worker error %+v, want level 1 worker 0", p.Name, mode, we)
+			}
+			if got := goldenLine(p, mode, res); got != want[2*i+j] {
+				t.Errorf("recovered run diverges from the golden line:\n  got:  %s\n  want: %s", got, want[2*i+j])
+			}
+		}
 	}
 }

@@ -38,7 +38,7 @@ const (
 	// six high bits of a packed byte.
 	maxPackedStates = 63
 	// packedMark is set in the reserved byte of every packed key so that no
-	// valid packed key equals the zero Key (the "no parent" sentinel).
+	// valid packed key equals the zero Key.
 	packedMark = 0x80
 	// tupleMark distinguishes state-only tuple keys from full keys.
 	tupleMark = 0x40
@@ -56,8 +56,8 @@ const (
 // equivalence mode. In packed mode the identity lives entirely in the
 // fixed-width byte array and building a Key allocates nothing; in fallback
 // mode (very large protocols or cache counts) the identity is the legacy
-// canonical string. The zero Key is reserved as the "no parent" sentinel of
-// the provenance map.
+// canonical string. No configuration's Key is the zero Key, which renders
+// as "".
 type Key struct {
 	packed [32]byte
 	str    string
@@ -97,7 +97,7 @@ type keyCodec struct {
 	mode   string
 	packed bool
 	// cp is the compiled protocol expandOne steps through: the run's one
-	// lowering, shared by the sequential loop and every parallel worker.
+	// lowering, shared by every BFS worker.
 	// A state's packed byte prefix is its compiled index << 2.
 	cp *compile.Protocol
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fsm"
 	"repro/internal/protocols"
 	"repro/internal/randproto"
+	"repro/internal/runctl"
 )
 
 // TestPackedKeyPartitionMatchesLegacy is the correctness property of the
@@ -116,13 +117,13 @@ func TestOldCheckpointVersionRejected(t *testing.T) {
 	p := protocols.Illinois()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	testItemHook = func(expanded int) {
-		if expanded == 5 {
+	testLevelHook = func(level int) {
+		if level == 2 {
 			cancel()
 		}
 	}
-	partial, err := ExhaustiveContext(ctx, p, 4, Options{CheckpointOnStop: true})
-	testItemHook = nil
+	partial, err := ExhaustiveContext(ctx, p, 4, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
+	testLevelHook = nil
 	if err != nil {
 		t.Fatal(err)
 	}

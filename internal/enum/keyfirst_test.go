@@ -23,7 +23,7 @@ func TestExpandDuplicateAllocs(t *testing.T) {
 	const n = 4
 	defer func(saved *sync.Pool) { cfgPool = saved }(cfgPool)
 	for _, mode := range []string{ModeStrict, ModeCounting} {
-		res, err := run(context.Background(), p, n, Options{KeepReachable: true}, mode)
+		res, err := enumerate(context.Background(), p, n, Options{KeepReachable: true}, mode, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +69,11 @@ func TestExpandDuplicateAllocs(t *testing.T) {
 func TestVisitedShardBalance(t *testing.T) {
 	p := protocols.Dragon()
 	const n = 10
-	b, init, _, err := newBFS(p, n, Options{}, ModeStrict)
+	b, _, err := newBFS(p, n, Options{}, ModeStrict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.runSeq(context.Background(), []*fsm.Config{init})
+	res, err := b.runPar(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

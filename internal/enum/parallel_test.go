@@ -1,9 +1,11 @@
 package enum
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/protocols"
+	"repro/internal/runctl"
 )
 
 // TestParallelMatchesSequential: the level-synchronous parallel BFS must be
@@ -21,7 +23,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
-				par, err := ExhaustiveParallel(p, n, Options{}, workers)
+				par, err := ExhaustiveParallelContext(context.Background(), p, n, Options{}, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -43,7 +45,7 @@ func TestParallelCountingMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CountingParallel(p, 8, Options{KeepReachable: true}, 4)
+	par, err := Counting(p, 8, Options{KeepReachable: true, RunConfig: runctl.RunConfig{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestParallelFindsViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ExhaustiveParallel(p, 3, Options{}, 4)
+	par, err := ExhaustiveParallelContext(context.Background(), p, 3, Options{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestParallelFindsViolations(t *testing.T) {
 
 func TestParallelStopOnViolation(t *testing.T) {
 	p := brokenIllinois()
-	par, err := ExhaustiveParallel(p, 3, Options{StopOnViolation: true}, 4)
+	par, err := ExhaustiveParallelContext(context.Background(), p, 3, Options{StopOnViolation: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestParallelStopOnViolation(t *testing.T) {
 }
 
 func TestParallelTruncation(t *testing.T) {
-	par, err := ExhaustiveParallel(protocols.Illinois(), 6, Options{MaxStates: 10}, 4)
+	par, err := ExhaustiveParallelContext(context.Background(), protocols.Illinois(), 6, Options{MaxStates: 10}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +109,14 @@ func TestParallelTruncation(t *testing.T) {
 }
 
 func TestParallelArgumentChecks(t *testing.T) {
-	if _, err := ExhaustiveParallel(protocols.Illinois(), 0, Options{}, 4); err == nil {
+	if _, err := ExhaustiveParallelContext(context.Background(), protocols.Illinois(), 0, Options{}, 4); err == nil {
 		t.Error("n=0 must be rejected")
 	}
 	// workers <= 0 selects GOMAXPROCS and must still work.
-	if _, err := ExhaustiveParallel(protocols.Illinois(), 2, Options{}, 0); err != nil {
+	if _, err := ExhaustiveParallelContext(context.Background(), protocols.Illinois(), 2, Options{}, 0); err != nil {
 		t.Errorf("workers=0 must default, got %v", err)
 	}
-	if _, err := ExhaustiveParallel(protocols.Illinois(), 2, Options{}, -1); err != nil {
+	if _, err := ExhaustiveParallelContext(context.Background(), protocols.Illinois(), 2, Options{}, -1); err != nil {
 		t.Errorf("workers=-1 must default, got %v", err)
 	}
 }

@@ -31,12 +31,12 @@ func TestSequentialCancelReturnsPartialResult(t *testing.T) {
 	p := protocols.Illinois()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	testItemHook = func(expanded int) {
-		if expanded == 5 {
+	testLevelHook = func(level int) {
+		if level == 2 {
 			cancel()
 		}
 	}
-	defer func() { testItemHook = nil }()
+	defer func() { testLevelHook = nil }()
 
 	res, err := ExhaustiveContext(ctx, p, 4, Options{})
 	if err != nil {
@@ -72,9 +72,9 @@ func TestSequentialDeadlineStop(t *testing.T) {
 
 func TestBudgetDeadlineStop(t *testing.T) {
 	p := protocols.Illinois()
-	res, err := Exhaustive(p, 3, Options{
+	res, err := Exhaustive(p, 3, Options{RunConfig: runctl.RunConfig{
 		Budget: runctl.Budget{Deadline: time.Now().Add(-time.Minute)},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +85,9 @@ func TestBudgetDeadlineStop(t *testing.T) {
 
 func TestMemBudgetStop(t *testing.T) {
 	p := protocols.Illinois()
-	res, err := Exhaustive(p, 5, Options{
+	res, err := Exhaustive(p, 5, Options{RunConfig: runctl.RunConfig{
 		Budget: runctl.Budget{MaxBytes: 4096},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMemBudgetStop(t *testing.T) {
 
 func TestBudgetMaxStatesSetsStopReason(t *testing.T) {
 	p := protocols.Illinois()
-	res, err := Exhaustive(p, 6, Options{Budget: runctl.Budget{MaxStates: 10}})
+	res, err := Exhaustive(p, 6, Options{RunConfig: runctl.RunConfig{Budget: runctl.Budget{MaxStates: 10}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +120,9 @@ func TestBudgetMaxStatesSetsStopReason(t *testing.T) {
 	}
 }
 
-// TestParallelCancelMidLevel cancels the parallel BFS at a level boundary
-// and asserts the partial result is prefix-consistent: it contains whole
-// levels only, so the counts are deterministic and identical across worker
-// pool sizes.
+// TestParallelCancelMidLevel cancels the BFS at a level boundary and
+// asserts the partial result is prefix-consistent: it contains whole levels
+// only, so the counts are deterministic and identical across widths.
 func TestParallelCancelMidLevel(t *testing.T) {
 	p := protocols.Illinois()
 	const cancelLevel = 2
@@ -136,7 +135,7 @@ func TestParallelCancelMidLevel(t *testing.T) {
 			}
 		}
 		defer func() { testLevelHook = nil }()
-		res, err := ExhaustiveParallelContext(ctx, p, 5, Options{}, workers)
+		res, err := ExhaustiveContext(ctx, p, 5, Options{RunConfig: runctl.RunConfig{Workers: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,9 +160,10 @@ func TestParallelCancelMidLevel(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicRecovered injects a panic into one parallel worker and
+// TestWorkerPanicRecovered injects a panic into one of four workers and
 // asserts the run degrades gracefully: the panic is reported as a structured
-// WorkerError and the results stay bit-for-bit identical to Exhaustive.
+// WorkerError and the results stay bit-for-bit identical to an undisturbed
+// run.
 func TestWorkerPanicRecovered(t *testing.T) {
 	p := protocols.Illinois()
 	testWorkerHook = func(level, worker int) {
@@ -173,7 +173,7 @@ func TestWorkerPanicRecovered(t *testing.T) {
 	}
 	defer func() { testWorkerHook = nil }()
 
-	par, err := ExhaustiveParallel(p, 4, Options{KeepReachable: true}, 4)
+	par, err := Exhaustive(p, 4, Options{KeepReachable: true, RunConfig: runctl.RunConfig{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +193,10 @@ func TestWorkerPanicRecovered(t *testing.T) {
 		t.Fatalf("WorkerError value %q stack %d bytes", we.Value, len(we.Stack))
 	}
 	if len(par.SpecErrors) != 0 {
-		t.Fatalf("sequential retry must absorb the panic, got SpecErrors %v", par.SpecErrors)
+		t.Fatalf("the retry must absorb the panic, got SpecErrors %v", par.SpecErrors)
 	}
 
-	sameCounts(t, par, seq, "panicked parallel vs sequential")
+	sameCounts(t, par, seq, "panicked vs undisturbed")
 	if par.Truncated {
 		t.Fatal("recovered run must not be Truncated")
 	}
@@ -209,12 +209,12 @@ func TestWorkerPanicRecovered(t *testing.T) {
 		return m
 	}
 	if !reflect.DeepEqual(keys(par), keys(seq)) {
-		t.Fatal("recovered parallel run reached a different state set than Exhaustive")
+		t.Fatal("recovered run reached a different state set than an undisturbed one")
 	}
 }
 
 // TestWorkerPanicEveryLevel stresses the recovery path: a worker panics on
-// every level and the run still completes with sequential-identical counts.
+// every level and the run still completes with undisturbed counts.
 func TestWorkerPanicEveryLevel(t *testing.T) {
 	p := protocols.Illinois()
 	testWorkerHook = func(level, worker int) {
@@ -224,7 +224,7 @@ func TestWorkerPanicEveryLevel(t *testing.T) {
 	}
 	defer func() { testWorkerHook = nil }()
 
-	par, err := ExhaustiveParallel(p, 3, Options{}, 3)
+	par, err := Exhaustive(p, 3, Options{RunConfig: runctl.RunConfig{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,26 +232,26 @@ func TestWorkerPanicEveryLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameCounts(t, par, seq, "repeated panics vs sequential")
+	sameCounts(t, par, seq, "repeated panics vs undisturbed")
 	if len(par.WorkerErrors) == 0 || len(par.SpecErrors) != 0 {
 		t.Fatalf("worker errors %d, spec errors %v", len(par.WorkerErrors), par.SpecErrors)
 	}
 }
 
-// TestCheckpointResumeSequential interrupts a sequential run, resumes it
+// TestCheckpointResumeSequential interrupts a one-worker run, resumes it
 // from the checkpoint, and asserts the final counts match an uninterrupted
 // run exactly.
 func TestCheckpointResumeSequential(t *testing.T) {
 	p := protocols.Illinois()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	testItemHook = func(expanded int) {
-		if expanded == 7 {
+	testLevelHook = func(level int) {
+		if level == 3 {
 			cancel()
 		}
 	}
-	partial, err := ExhaustiveContext(ctx, p, 4, Options{CheckpointOnStop: true})
-	testItemHook = nil
+	partial, err := ExhaustiveContext(ctx, p, 4, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
+	testLevelHook = nil
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +273,8 @@ func TestCheckpointResumeSequential(t *testing.T) {
 	sameCounts(t, resumed, full, "resumed vs uninterrupted")
 }
 
-// TestCheckpointResumeParallel interrupts the parallel engine at a level
-// boundary and resumes with both engines; each must reach the
+// TestCheckpointResumeParallel interrupts a four-worker run at a level
+// boundary and resumes it at one and at three workers; each must reach the
 // uninterrupted counts.
 func TestCheckpointResumeParallel(t *testing.T) {
 	p := protocols.MOESI()
@@ -285,7 +285,7 @@ func TestCheckpointResumeParallel(t *testing.T) {
 			cancel()
 		}
 	}
-	partial, err := CountingParallelContext(ctx, p, 4, Options{CheckpointOnStop: true}, 4)
+	partial, err := CountingContext(ctx, p, 4, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true, Workers: 4}})
 	testLevelHook = nil
 	if err != nil {
 		t.Fatal(err)
@@ -305,12 +305,12 @@ func TestCheckpointResumeParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameCounts(t, seqRes, full, "parallel checkpoint resumed sequentially")
-	parRes, err := ResumeParallelContext(context.Background(), p, partial.Checkpoint, Options{}, 3)
+	sameCounts(t, seqRes, full, "four-worker checkpoint resumed at one worker")
+	parRes, err := ResumeContext(context.Background(), p, partial.Checkpoint, Options{RunConfig: runctl.RunConfig{Workers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameCounts(t, parRes, full, "parallel checkpoint resumed in parallel")
+	sameCounts(t, parRes, full, "four-worker checkpoint resumed at three workers")
 }
 
 // TestPeriodicCheckpointResume drives the OnCheckpoint hook and resumes
@@ -320,7 +320,7 @@ func TestPeriodicCheckpointResume(t *testing.T) {
 	var last *Checkpoint
 	count := 0
 	res, err := Exhaustive(p, 3, Options{
-		CheckpointEvery: 5,
+		RunConfig: runctl.RunConfig{CheckpointEvery: 5},
 		OnCheckpoint: func(cp *Checkpoint) error {
 			last = cp
 			count++
@@ -344,8 +344,8 @@ func TestOnCheckpointErrorAborts(t *testing.T) {
 	p := protocols.Illinois()
 	boom := errors.New("sink failed")
 	_, err := Exhaustive(p, 3, Options{
-		CheckpointEvery: 1,
-		OnCheckpoint:    func(*Checkpoint) error { return boom },
+		RunConfig:    runctl.RunConfig{CheckpointEvery: 1},
+		OnCheckpoint: func(*Checkpoint) error { return boom },
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the sink error", err)
@@ -356,13 +356,13 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	p := protocols.Illinois()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	testItemHook = func(expanded int) {
-		if expanded == 4 {
+	testLevelHook = func(level int) {
+		if level == 2 {
 			cancel()
 		}
 	}
-	partial, err := ExhaustiveContext(ctx, p, 3, Options{CheckpointOnStop: true})
-	testItemHook = nil
+	partial, err := ExhaustiveContext(ctx, p, 3, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
+	testLevelHook = nil
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,13 +392,13 @@ func TestResumeValidation(t *testing.T) {
 	p := protocols.Illinois()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	testItemHook = func(expanded int) {
-		if expanded == 3 {
+	testLevelHook = func(level int) {
+		if level == 1 {
 			cancel()
 		}
 	}
-	partial, err := ExhaustiveContext(ctx, p, 3, Options{CheckpointOnStop: true})
-	testItemHook = nil
+	partial, err := ExhaustiveContext(ctx, p, 3, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
+	testLevelHook = nil
 	if err != nil {
 		t.Fatal(err)
 	}

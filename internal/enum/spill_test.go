@@ -114,7 +114,7 @@ func TestSpillEnumerationBitIdentical(t *testing.T) {
 
 	// Sanity: the budget alone (no spill dir) must stop the run.
 	budget := runctl.Budget{MaxBytes: 768 << 10}
-	capped, err := ExhaustiveParallel(p, n, Options{
+	capped, err := ExhaustiveParallelContext(context.Background(), p, n, Options{
 		Strict:    true,
 		RunConfig: runctl.RunConfig{Budget: budget},
 	}, 4)
@@ -127,7 +127,7 @@ func TestSpillEnumerationBitIdentical(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	spilled, err := ExhaustiveParallel(p, n, Options{
+	spilled, err := ExhaustiveParallelContext(context.Background(), p, n, Options{
 		Strict:    true,
 		RunConfig: runctl.RunConfig{Budget: budget, SpillDir: dir},
 	}, 4)
@@ -167,7 +167,7 @@ func TestSpillCheckpointResumeAtBoundary(t *testing.T) {
 	dir1 := t.TempDir()
 	killed := fmt.Errorf("killed at spill boundary")
 	var captured []byte
-	_, err = ExhaustiveParallel(p, n, Options{
+	_, err = ExhaustiveParallelContext(context.Background(), p, n, Options{
 		Strict: true,
 		RunConfig: runctl.RunConfig{
 			Budget:          budget,
@@ -204,9 +204,9 @@ func TestSpillCheckpointResumeAtBoundary(t *testing.T) {
 	// Resume out-of-core in a fresh directory; the original spill files
 	// are not consulted.
 	dir2 := t.TempDir()
-	resumed, err := ResumeParallelContext(context.Background(), p, cp, Options{
-		RunConfig: runctl.RunConfig{Budget: budget, SpillDir: dir2},
-	}, 4)
+	resumed, err := ResumeContext(context.Background(), p, cp, Options{
+		RunConfig: runctl.RunConfig{Budget: budget, SpillDir: dir2, Workers: 4},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSpillRequiresWritableDir(t *testing.T) {
 	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ExhaustiveParallel(p, 3, Options{
+	_, err := ExhaustiveParallelContext(context.Background(), p, 3, Options{
 		RunConfig: runctl.RunConfig{
 			Budget:   runctl.Budget{MaxBytes: 1 << 20},
 			SpillDir: blocked + "/sub",

@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,7 +36,7 @@ func TestStaleSpillFilesSweptAtStartup(t *testing.T) {
 	}
 	// A generous budget: the run arms out-of-core mode (which sweeps) but
 	// never actually spills, keeping the test fast.
-	if _, err := ExhaustiveParallel(p, 3, Options{
+	if _, err := ExhaustiveParallelContext(context.Background(), p, 3, Options{
 		Strict:    true,
 		RunConfig: runctl.RunConfig{Budget: runctl.Budget{MaxBytes: 1 << 30}, SpillDir: dir},
 	}, 2); err != nil {

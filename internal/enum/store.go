@@ -13,9 +13,8 @@ import (
 // checkpoints reference, so states can be identified by a 4-byte index
 // instead of a full Key.
 //
-// Reads (has/rank) are safe concurrently between mutations — the
-// parallel workers dedup lock-free against the committed set during a
-// level, exactly as they did against the old Go map.
+// Reads (has/rank) are safe concurrently between mutations — the BFS
+// workers dedup lock-free against the committed set during a level.
 type visitedStore interface {
 	has(k Key) bool
 	rank(k Key) (uint32, bool)
@@ -69,17 +68,13 @@ func newStores(kc *keyCodec, n int) (visited, tuples visitedStore) {
 	return newMapStore(), newMapStore()
 }
 
-// buildOpIndex maps each operation to its index in p.Ops for the uint8
-// op field of parentRec.
-func buildOpIndex(p *fsm.Protocol) (map[fsm.Op]uint8, error) {
+// checkOpCount rejects protocols with more operations than the uint8 op
+// field of parentRec can index.
+func checkOpCount(p *fsm.Protocol) error {
 	if len(p.Ops) > 256 {
-		return nil, fmt.Errorf("enum: protocol has %d operations, provenance records support at most 256", len(p.Ops))
+		return fmt.Errorf("enum: protocol has %d operations, provenance records support at most 256", len(p.Ops))
 	}
-	ix := make(map[fsm.Op]uint8, len(p.Ops))
-	for i, op := range p.Ops {
-		ix[op] = uint8(i)
-	}
-	return ix, nil
+	return nil
 }
 
 // packKeyBytes renders a packed Key into its width-(n+1) byte form for

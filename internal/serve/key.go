@@ -46,12 +46,11 @@ type JobOptions struct {
 	// returning a partial verdict, so it is part of the key only for
 	// completeness of the options rendering.
 	MaxStates int `json:"max_states,omitempty"`
-	// Workers selects the parallel engine width: > 1 runs the level-
-	// synchronous parallel BFS (enum) or the speculation pipeline
-	// (symbolic) with that many goroutines; 0 or 1 is sequential. The
-	// parallel engines are bit-identical to the sequential ones, but the
-	// knob still enters the cache key so a cached verdict always names the
-	// exact configuration that produced it.
+	// Workers is the engine width: the level-synchronous BFS's workers
+	// (enum) or the speculation pipeline's (symbolic); 0 or 1 runs one
+	// worker, on the job's goroutine. Every width gives the same result,
+	// but the knob still enters the cache key so a cached verdict always
+	// names the exact configuration that produced it.
 	Workers int `json:"workers,omitempty"`
 }
 

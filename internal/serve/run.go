@@ -129,12 +129,7 @@ func runSymbolic(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs
 		Strict:    opts.Strict,
 		MaxVisits: opts.MaxStates,
 	}
-	var res *symbolic.Result
-	if opts.Workers > 1 {
-		res, err = eng.ExpandParallelContext(ctx, sopts, opts.Workers)
-	} else {
-		res, err = eng.ExpandContext(ctx, sopts)
-	}
+	res, err := eng.ExpandContext(ctx, sopts)
 	if err != nil {
 		return nil, err
 	}
@@ -167,26 +162,15 @@ func runSymbolic(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs
 // Definition 5 counting) and audits any violations by step replay.
 func runEnum(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs.Registry) (*Report, error) {
 	eopts := enum.Options{
-		RunConfig: runctl.RunConfig{Metrics: reg},
+		RunConfig: runctl.RunConfig{Metrics: reg, Workers: opts.Workers},
 		Strict:    opts.Strict,
 		MaxStates: opts.MaxStates,
 	}
-	eopts.RunConfig.Workers = opts.Workers
-	var res *enum.Result
-	var err error
-	mode := enum.ModeStrict
-	switch {
-	case opts.Engine == EngineEnumCounting && opts.Workers > 1:
-		mode = enum.ModeCounting
-		res, err = enum.CountingParallelContext(ctx, p, opts.N, eopts, opts.Workers)
-	case opts.Engine == EngineEnumCounting:
-		mode = enum.ModeCounting
-		res, err = enum.CountingContext(ctx, p, opts.N, eopts)
-	case opts.Workers > 1:
-		res, err = enum.ExhaustiveParallelContext(ctx, p, opts.N, eopts, opts.Workers)
-	default:
-		res, err = enum.ExhaustiveContext(ctx, p, opts.N, eopts)
+	mode, run := enum.ModeStrict, enum.ExhaustiveContext
+	if opts.Engine == EngineEnumCounting {
+		mode, run = enum.ModeCounting, enum.CountingContext
 	}
+	res, err := run(ctx, p, opts.N, eopts)
 	if err != nil {
 		return nil, err
 	}

@@ -276,21 +276,21 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return DecodeCheckpoint(data)
 }
 
-// ResumeContext continues an interrupted expansion from a checkpoint. The
-// run's strictness and pruning variant come from the checkpoint; budgets
-// and checkpoint options come from opts. An uninterrupted run and an
-// interrupted-then-resumed run produce identical Essential lists and
-// counters.
+// ResumeContext continues an interrupted expansion from a checkpoint, with
+// RunConfig.Workers speculation workers. The run's strictness and pruning
+// variant come from the checkpoint; budgets, width and checkpoint options
+// come from opts. An uninterrupted run and an interrupted-then-resumed run
+// produce identical Essential lists and counters, whatever the widths of
+// either.
 func (e *Engine) ResumeContext(ctx context.Context, cp *Checkpoint, opts Options) (*Result, error) {
 	x, err := e.resumeExpander(cp, opts)
 	if err != nil {
 		return nil, err
 	}
-	return x.run(ctx)
+	return x.runPar(ctx, opts.Workers)
 }
 
-// resumeExpander rebuilds the expander state from a checkpoint, shared
-// by the sequential and parallel resume entry points.
+// resumeExpander rebuilds the expander state from a checkpoint.
 func (e *Engine) resumeExpander(cp *Checkpoint, opts Options) (*expander, error) {
 	if cp.Version != CheckpointVersion {
 		return nil, fmt.Errorf("symbolic: unsupported checkpoint version %d (this build reads version %d; checkpoints from older builds cannot be resumed — re-run the expansion)", cp.Version, CheckpointVersion)

@@ -12,17 +12,17 @@ import (
 )
 
 // Options tune the Expand run. Run control (budgets, checkpoint cadence,
-// observability) lives in the embedded runctl.RunConfig, shared with
-// enum.Options:
+// width, observability) lives in the embedded runctl.RunConfig, shared
+// with enum.Options:
 //
-//	symbolic.Options{RunConfig: runctl.RunConfig{Budget: b, Metrics: reg}}
+//	symbolic.Options{RunConfig: runctl.RunConfig{Budget: b, Workers: 4, Metrics: reg}}
 //
 // The budgets are checked at worklist-item boundaries, so a stopped run
 // ends between expansions and its partial Result (and checkpoint) covers
 // whole expansion steps only; the exact MaxVisits cap, by contrast, may
-// stop mid-step. RunConfig.Workers is the default worker count of the
-// parallel entry points (ExpandParallel and friends); the sequential
-// Expand ignores it.
+// stop mid-step. RunConfig.Workers is the number of speculation workers
+// (≤ 1: none, every item is expanded inline); every width gives the same
+// Result.
 type Options struct {
 	runctl.RunConfig
 
@@ -52,40 +52,6 @@ type Options struct {
 	// error. It stays outside RunConfig because the checkpoint type is
 	// engine-specific.
 	OnCheckpoint func(*Checkpoint) error
-
-	// Budget bounds the run.
-	//
-	// Deprecated: set RunConfig.Budget instead. This alias shadows the
-	// embedded field, is honored when non-zero, and will be removed in the
-	// next release.
-	Budget runctl.Budget
-	// CheckpointOnStop captures a resumable snapshot into Result.Checkpoint
-	// when the run is stopped early.
-	//
-	// Deprecated: set RunConfig.CheckpointOnStop instead. Honored when
-	// true; removed in the next release.
-	CheckpointOnStop bool
-	// CheckpointEvery is the periodic snapshot cadence.
-	//
-	// Deprecated: set RunConfig.CheckpointEvery instead. Honored when
-	// positive; removed in the next release.
-	CheckpointEvery int
-}
-
-// runCtl resolves the effective run configuration: the embedded RunConfig,
-// overridden by any of the deprecated top-level aliases that are set.
-func (o Options) runCtl() runctl.RunConfig {
-	rc := o.RunConfig
-	if o.Budget != (runctl.Budget{}) {
-		rc.Budget = o.Budget
-	}
-	if o.CheckpointOnStop {
-		rc.CheckpointOnStop = true
-	}
-	if o.CheckpointEvery > 0 {
-		rc.CheckpointEvery = o.CheckpointEvery
-	}
-	return rc
 }
 
 const defaultMaxVisits = 100000
@@ -234,13 +200,10 @@ func (e *Engine) Expand(opts Options) *Result {
 	return res
 }
 
-// ExpandContext runs Figure 3 under a context with budget enforcement.
+// ExpandContext runs Figure 3 under a context with budget enforcement,
+// with RunConfig.Workers speculation workers.
 func (e *Engine) ExpandContext(ctx context.Context, opts Options) (*Result, error) {
-	x := e.startExpander(opts)
-	if x.done {
-		return x.res, nil
-	}
-	return x.run(ctx)
+	return e.expand(ctx, opts, opts.Workers)
 }
 
 // expander is the resumable state of one Figure 3 run: the working list W,
@@ -251,8 +214,7 @@ func (e *Engine) ExpandContext(ctx context.Context, opts Options) (*Result, erro
 type expander struct {
 	e         *Engine
 	opts      Options
-	rc        runctl.RunConfig // resolved run control (see Options.runCtl)
-	orun      *obs.Run         // nil when unobserved: the allocation-free fast path
+	orun      *obs.Run // nil when unobserved: the allocation-free fast path
 	maxVisits int
 
 	work     []*CState
@@ -283,10 +245,9 @@ func newExpander(e *Engine, opts Options) *expander {
 	if maxVisits <= 0 {
 		maxVisits = defaultMaxVisits
 	}
-	rc := opts.runCtl()
 	x := &expander{
-		e: e, opts: opts, rc: rc, maxVisits: maxVisits,
-		orun:     rc.Sink().Run("symbolic", e.p.Name),
+		e: e, opts: opts, maxVisits: maxVisits,
+		orun:     opts.Sink().Run("symbolic", e.p.Name),
 		parents:  map[string]parentInfo{},
 		reported: map[string]bool{},
 		seenKeys: map[string]struct{}{},
@@ -381,13 +342,13 @@ func (x *expander) stopCheck(ctx context.Context) error {
 	if err := runctl.FromContext(ctx); err != nil {
 		return err
 	}
-	if err := x.rc.Budget.CheckDeadline(time.Now()); err != nil {
+	if err := x.opts.Budget.CheckDeadline(time.Now()); err != nil {
 		return err
 	}
-	if err := x.rc.Budget.CheckStates(len(x.parents)); err != nil {
+	if err := x.opts.Budget.CheckStates(len(x.parents)); err != nil {
 		return err
 	}
-	return x.rc.Budget.CheckMem(x.estBytes())
+	return x.opts.Budget.CheckMem(x.estBytes())
 }
 
 // stop finalizes an early stop at a worklist boundary.
@@ -396,13 +357,13 @@ func (x *expander) stop(reason error) {
 	x.res.Truncated = true
 	x.res.Essential = x.hist
 	x.res.EstBytes = x.estBytes()
-	if x.rc.CheckpointOnStop {
+	if x.opts.CheckpointOnStop {
 		x.res.Checkpoint = x.snapshot()
 	}
 }
 
 func (x *expander) maybeCheckpoint() error {
-	if x.opts.OnCheckpoint == nil || x.rc.CheckpointEvery <= 0 || x.sinceCp < x.rc.CheckpointEvery {
+	if x.opts.OnCheckpoint == nil || x.opts.CheckpointEvery <= 0 || x.sinceCp < x.opts.CheckpointEvery {
 		return nil
 	}
 	x.sinceCp = 0
@@ -429,11 +390,11 @@ type eventResult struct {
 // state: expand every applicable (class, operation) event, check each
 // successor, and merge it into the working and history lists under
 // containment pruning. memo, when non-nil, carries the precomputed
-// expandEvent results for a in iteration order (see Engine.expandItem);
-// the parallel driver fills it speculatively, the sequential driver
-// passes nil and computes inline. expandEvent is a pure function of its
-// arguments, so consuming the memo is observationally identical to
-// computing inline — which is what keeps the two drivers bit-identical.
+// expandEvent results for a in iteration order (see Engine.expandItem),
+// filled by a speculation worker; nil computes inline. expandEvent is a
+// pure function of its arguments, so consuming the memo is
+// observationally identical to computing inline — which is what keeps
+// every width bit-identical.
 // It reports true when the run must return immediately (StopOnViolation),
 // with the result already finalized.
 func (x *expander) processItem(a *CState, memo []eventResult) bool {
@@ -584,26 +545,6 @@ func (x *expander) finishRun() {
 		x.res.Truncated = true
 		x.res.StopReason = runctl.ErrStateBudget
 	}
-}
-
-// run drives the Figure 3 loop over the expander state, sequentially.
-func (x *expander) run(ctx context.Context) (*Result, error) {
-	sp := x.orun.Phase(obs.PhaseExpand)
-	defer sp.End()
-	for len(x.work) > 0 && x.res.Visits < x.maxVisits {
-		if err := x.stopCheck(ctx); err != nil {
-			x.stop(err)
-			return x.res, nil
-		}
-		if err := x.maybeCheckpoint(); err != nil {
-			return nil, err
-		}
-		if x.processItem(x.popWork(), nil) {
-			return x.res, nil
-		}
-	}
-	x.finishRun()
-	return x.res, nil
 }
 
 // containedInAny is the reference linear scan, used by the index for

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/protocols"
+	"repro/internal/runctl"
 )
 
 // captureSymbolicCheckpoint interrupts a real expansion at its first
@@ -18,7 +19,7 @@ func captureSymbolicCheckpoint(t testing.TB) []byte {
 	}
 	var captured []byte
 	_, _ = ExpandContext(context.Background(), p, Options{
-		CheckpointEvery: 1,
+		RunConfig: runctl.RunConfig{CheckpointEvery: 1},
 		OnCheckpoint: func(cp *Checkpoint) error {
 			captured, err = cp.Encode()
 			if err != nil {

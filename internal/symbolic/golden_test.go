@@ -48,17 +48,20 @@ func goldenCorpus(t testing.TB) []*fsm.Protocol {
 	return out
 }
 
-// goldenLine runs one expansion and renders its digest line: the counters
-// in clear, and a SHA-256 over everything a report is built from — the
-// essential states (key and both renderings), every violation with its
-// Detail text and witness path, and every spec error.
-func goldenLine(t testing.TB, p *fsm.Protocol, strict bool) string {
+// goldenLine runs one expansion with the given number of speculation
+// workers and renders its digest line: the counters in clear, and a
+// SHA-256 over everything a report is built from — the essential states
+// (key and both renderings), every violation with its Detail text and
+// witness path, and every spec error.
+func goldenLine(t testing.TB, p *fsm.Protocol, strict bool, workers int) string {
 	t.Helper()
 	e, err := NewEngine(p)
 	if err != nil {
 		t.Fatalf("%s: %v", p.Name, err)
 	}
-	res := e.Expand(Options{Strict: strict})
+	opts := Options{Strict: strict}
+	opts.Workers = workers
+	res := e.Expand(opts)
 	h := sha256.New()
 	for _, s := range res.Essential {
 		fmt.Fprintf(h, "E %s %s %s\n", s.Key(), s.StructureString(p), s.ContextString(p))
@@ -85,16 +88,22 @@ func goldenLine(t testing.TB, p *fsm.Protocol, strict bool) string {
 }
 
 // TestGoldenDigests freezes the engine's output over every shipped spec and
-// every mutant, in default and strict modes, as digest lines. Any change to
-// essential states, counters, violation text or witness paths shows up as a
-// line diff. Regenerate with
+// every mutant, in default and strict modes, as digest lines. Each case runs
+// inline (one worker) and through the speculation pipeline at two workers;
+// both must render the same line, and that line must match the golden file.
+// Any change to essential states, counters, violation text or witness paths
+// shows up as a line diff. Regenerate with
 // `go test ./internal/symbolic -run TestGoldenDigests -update` only for a
 // deliberate behaviour change.
 func TestGoldenDigests(t *testing.T) {
 	var got []string
 	for _, p := range goldenCorpus(t) {
 		for _, strict := range []bool{false, true} {
-			got = append(got, goldenLine(t, p, strict))
+			line := goldenLine(t, p, strict, 1)
+			if spec := goldenLine(t, p, strict, 2); spec != line {
+				t.Errorf("two-worker expansion diverges from one worker:\n  two: %s\n  one: %s", spec, line)
+			}
+			got = append(got, line)
 		}
 	}
 	if *updateGolden {

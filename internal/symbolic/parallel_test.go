@@ -7,9 +7,17 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fsm"
 	"repro/internal/protocols"
 	"repro/internal/randproto"
 )
+
+// expandAt runs the expansion of p with the given number of speculation
+// workers.
+func expandAt(p *fsm.Protocol, opts Options, workers int) (*Result, error) {
+	opts.Workers = workers
+	return ExpandContext(context.Background(), p, opts)
+}
 
 // symSignature flattens everything a symbolic Result asserts about the
 // protocol: every counter, the Essential list in order, the violations
@@ -40,10 +48,10 @@ func symSignature(r *Result) string {
 }
 
 // TestParallelExpandMatchesSequential pins the headline property of the
-// parallel driver: over every bundled protocol and several worker
-// counts, the speculative engine must be bit-identical to the
-// sequential one — same essential states in the same order, same
-// counters, same violations, witness paths and visit log.
+// speculation pipeline: over every bundled protocol and several worker
+// counts, a speculating run must be bit-identical to a one-worker run,
+// which expands every item inline — same essential states in the same
+// order, same counters, same violations, witness paths and visit log.
 func TestParallelExpandMatchesSequential(t *testing.T) {
 	for _, p := range protocols.All() {
 		opts := Options{Strict: true, RecordLog: true}
@@ -52,8 +60,8 @@ func TestParallelExpandMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: sequential: %v", p.Name, err)
 		}
 		want := symSignature(seq)
-		for _, workers := range []int{1, 2, 4, 8} {
-			par, err := ExpandParallel(p, opts, workers)
+		for _, workers := range []int{2, 4, 8} {
+			par, err := expandAt(p, opts, workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", p.Name, workers, err)
 			}
@@ -61,7 +69,7 @@ func TestParallelExpandMatchesSequential(t *testing.T) {
 				t.Fatalf("%s workers=%d: unexpected worker errors: %v", p.Name, workers, par.WorkerErrors[0])
 			}
 			if got := symSignature(par); got != want {
-				t.Errorf("%s workers=%d: parallel expansion diverges from sequential\npar: %s\nseq: %s",
+				t.Errorf("%s workers=%d: speculating expansion diverges from one worker\npar: %s\nseq: %s",
 					p.Name, workers, got, want)
 			}
 		}
@@ -81,7 +89,7 @@ func TestParallelExpandRandprotoSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: sequential: %v", seed, err)
 			}
-			par, err := ExpandParallel(p, opts, 4)
+			par, err := expandAt(p, opts, 4)
 			if err != nil {
 				t.Fatalf("seed %d: parallel: %v", seed, err)
 			}
@@ -96,8 +104,8 @@ func TestParallelExpandRandprotoSweep(t *testing.T) {
 // TestParallelWorkerPanicRecovered injects a panic into the speculation
 // worker expanding the second dispatched state: the run must survive,
 // record the panic in WorkerErrors, and still produce results
-// bit-identical to the sequential engine (the affected state is
-// re-expanded inline).
+// bit-identical to a one-worker run (the affected state is re-expanded
+// inline).
 func TestParallelWorkerPanicRecovered(t *testing.T) {
 	p, err := protocols.Synthetic(4)
 	if err != nil {
@@ -118,7 +126,7 @@ func TestParallelWorkerPanicRecovered(t *testing.T) {
 	}
 	defer func() { testWorkerHook = nil }()
 
-	par, err := ExpandParallel(p, opts, 4)
+	par, err := expandAt(p, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +148,10 @@ func TestParallelWorkerPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestParallelResumeRoundTrip interrupts a sequential run at a periodic
-// checkpoint, resumes it with the parallel driver (and vice versa), and
-// requires both to land on the uninterrupted run's results: checkpoints
-// are driver-portable in both directions.
+// TestParallelResumeRoundTrip interrupts a one-worker run at a periodic
+// checkpoint, resumes it with four speculation workers (and vice versa),
+// and requires both to land on the uninterrupted run's results:
+// checkpoints are width-portable in both directions.
 func TestParallelResumeRoundTrip(t *testing.T) {
 	p, err := protocols.Synthetic(4)
 	if err != nil {
@@ -186,13 +194,10 @@ func TestParallelResumeRoundTrip(t *testing.T) {
 			cp = c
 			return stop
 		}
-		var err error
 		if parallel {
-			_, err = e.ExpandParallelContext(context.Background(), opts, 4)
-		} else {
-			_, err = e.ExpandContext(context.Background(), opts)
+			opts.Workers = 4
 		}
-		if err != stop {
+		if _, err := e.ExpandContext(context.Background(), opts); err != stop {
 			t.Fatalf("interrupted run (parallel=%t) ended with %v, want the injected stop", parallel, err)
 		}
 		if cp == nil {
@@ -201,21 +206,23 @@ func TestParallelResumeRoundTrip(t *testing.T) {
 		return cp
 	}
 
-	// Sequential checkpoint → parallel resume.
-	res, err := e.ResumeParallelContext(context.Background(), capture(false), Options{}, 4)
+	// One-worker checkpoint → four-worker resume.
+	four := Options{}
+	four.Workers = 4
+	res, err := e.ResumeContext(context.Background(), capture(false), four)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := resumeSignature(res); got != want {
-		t.Fatalf("parallel resume of a sequential checkpoint diverges\ngot: %s\nwant: %s", got, want)
+		t.Fatalf("four-worker resume of a one-worker checkpoint diverges\ngot: %s\nwant: %s", got, want)
 	}
 
-	// Parallel checkpoint → sequential resume.
+	// Four-worker checkpoint → one-worker resume.
 	res, err = e.ResumeContext(context.Background(), capture(true), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := resumeSignature(res); got != want {
-		t.Fatalf("sequential resume of a parallel checkpoint diverges\ngot: %s\nwant: %s", got, want)
+		t.Fatalf("one-worker resume of a four-worker checkpoint diverges\ngot: %s\nwant: %s", got, want)
 	}
 }

@@ -49,9 +49,9 @@ func TestExpandContextCancel(t *testing.T) {
 
 func TestExpandContextDeadline(t *testing.T) {
 	p := protocols.Illinois()
-	res, err := ExpandContext(context.Background(), p, Options{
+	res, err := ExpandContext(context.Background(), p, Options{RunConfig: runctl.RunConfig{
 		Budget: runctl.Budget{Deadline: time.Now().Add(-time.Second)},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +66,9 @@ func TestExpandStateBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ExpandContext(context.Background(), p, Options{
+	res, err := ExpandContext(context.Background(), p, Options{RunConfig: runctl.RunConfig{
 		Budget: runctl.Budget{MaxStates: 3},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +82,9 @@ func TestExpandStateBudget(t *testing.T) {
 
 func TestExpandMemBudget(t *testing.T) {
 	p := protocols.Illinois()
-	res, err := ExpandContext(context.Background(), p, Options{
+	res, err := ExpandContext(context.Background(), p, Options{RunConfig: runctl.RunConfig{
 		Budget: runctl.Budget{MaxBytes: 1},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +124,10 @@ func TestSymbolicCheckpointResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			partial, err := ExpandContext(context.Background(), p, Options{
+			partial, err := ExpandContext(context.Background(), p, Options{RunConfig: runctl.RunConfig{
 				Budget:           runctl.Budget{MaxStates: 4},
 				CheckpointOnStop: true,
-			})
+			}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestSymbolicPeriodicCheckpoint(t *testing.T) {
 	var last *Checkpoint
 	count := 0
 	full, err := ExpandContext(context.Background(), p, Options{
-		CheckpointEvery: 2,
+		RunConfig: runctl.RunConfig{CheckpointEvery: 2},
 		OnCheckpoint: func(cp *Checkpoint) error {
 			last = cp
 			count++
@@ -193,10 +193,10 @@ func TestSymbolicPeriodicCheckpoint(t *testing.T) {
 
 func TestSymbolicResumeValidation(t *testing.T) {
 	p := protocols.Illinois()
-	partial, err := ExpandContext(context.Background(), p, Options{
+	partial, err := ExpandContext(context.Background(), p, Options{RunConfig: runctl.RunConfig{
 		Budget:           runctl.Budget{MaxStates: 4},
 		CheckpointOnStop: true,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,10 @@ import (
 // of misreading the old format.
 func TestOldCheckpointVersionRejected(t *testing.T) {
 	p := protocols.Illinois()
-	partial, err := ExpandContext(context.Background(), p, Options{
+	partial, err := ExpandContext(context.Background(), p, Options{RunConfig: runctl.RunConfig{
 		Budget:           runctl.Budget{MaxStates: 4},
 		CheckpointOnStop: true,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
