@@ -29,9 +29,8 @@
 // Runs stop cleanly on SIGINT/SIGTERM or when -timeout expires, reporting a
 // structured stop reason; -checkpoint preserves the interrupted symbolic
 // expansion and -resume continues it. -symbolic-workers k (k > 1) runs the
-// expansion with the parallel speculation pipeline — results are
-// bit-identical to the sequential engine, and checkpoints are portable
-// between the two drivers.
+// expansion with k speculation workers — results are bit-identical at
+// every width, and checkpoints are portable between widths.
 //
 // Observability: -progress prints one line per expansion level (and per
 // completed phase) to stderr, and -metrics-json FILE writes the run's full
@@ -69,7 +68,7 @@ import (
 type cliOpts struct {
 	engine      string // -run: symbolic, enum-strict or enum-counting
 	n           int    // cache count for the enum engines
-	symWorkers  int    // parallel symbolic speculation workers (≤ 1: sequential)
+	symWorkers  int    // symbolic speculation workers (≤ 1: expand inline)
 	strict      bool
 	showLog     bool
 	dotFile     string
@@ -116,7 +115,7 @@ func main() {
 		compileOut  = flag.String("compile-out", "", "write the protocol as compact binary .ccfsm to this file and exit")
 		engine      = flag.String("run", "symbolic", "engine: symbolic (full pipeline), enum-strict or enum-counting")
 		nCaches     = flag.Int("n", 4, "cache count for the enum engines")
-		symWorkers  = flag.Int("symbolic-workers", 1, "parallel speculation workers for the symbolic expansion (1: sequential)")
+		symWorkers  = flag.Int("symbolic-workers", 1, "speculation workers for the symbolic expansion (1: expand inline)")
 		strict      = flag.Bool("strict", false, "enable the clean-state/memory consistency extension check")
 		showLog     = flag.Bool("log", false, "print the expansion visit log (Appendix A.2 style)")
 		dotFile     = flag.String("dot", "", "write the global transition diagram to this DOT file")

@@ -3,6 +3,7 @@ package runctl
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -71,5 +72,22 @@ func TestIsStop(t *testing.T) {
 	}
 	if IsStop(errors.New("other")) || IsStop(nil) {
 		t.Error("IsStop must reject non-stop errors")
+	}
+}
+
+// TestWidth pins the explicit-width fallback chain: the argument, then
+// RunConfig.Workers, then GOMAXPROCS.
+func TestWidth(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ workers, config, want int }{
+		{3, 5, 3},
+		{0, 5, 5},
+		{-1, 5, 5},
+		{0, 0, procs},
+		{-2, -1, procs},
+	} {
+		if got := (RunConfig{Workers: tc.config}).Width(tc.workers); got != tc.want {
+			t.Errorf("Width(%d) with Workers %d = %d, want %d", tc.workers, tc.config, got, tc.want)
+		}
 	}
 }
