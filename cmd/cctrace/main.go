@@ -1,16 +1,19 @@
-// Command cctrace is the trace-driven workload toolchain: it materializes
+// Command cctrace is the concrete-simulation toolchain: it materializes
 // the synthetic workload generators into deterministic cctrace v1 files,
 // replays trace files through the concrete simulator under any built-in
-// protocol, and compares a set of protocols head-to-head on one identical
+// protocol, compares a set of protocols head-to-head on one identical
 // reference stream — the classic trace-driven methodology the paper's
-// protocol suite was originally evaluated with.
+// protocol suite was originally evaluated with — and steps one block's
+// global state through an explicit reference sequence.
 //
 // Usage:
 //
 //	cctrace gen -workload migratory -caches 4 -blocks 64 -ops 100000 -o mig.trace
 //	cctrace gen -workload uniform -ops 1000000 -gzip -o u.trace.gz
 //	cctrace replay -protocol mesi mig.trace
+//	cctrace gen -workload hot-block -o - | cctrace replay -protocol dragon -capacity 8 -
 //	cctrace compare -protocols msi,mesi,moesi,dragon -json report.json mig.trace
+//	cctrace step -protocol illinois -n 3 -script "0R 1R 1W 0R 1Z"
 //
 // Trace files may be plain text or gzipped (detected by content, not file
 // name); "-" reads standard input. Replays stop cleanly on SIGINT/SIGTERM
@@ -22,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,11 +40,19 @@ import (
 	"repro/internal/runctl"
 )
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
+// cli carries one invocation's standard streams, so every subcommand runs
+// in-process under test.
+type cli struct {
+	stdin          io.Reader
+	stdout, stderr io.Writer
+}
+
+func (c *cli) usage() {
+	fmt.Fprintf(c.stderr, `usage:
   cctrace gen     -workload KIND -caches N -blocks N -ops N [-seed S] [-gzip] -o FILE
   cctrace replay  -protocol NAME [flags] FILE
   cctrace compare -protocols A,B,... [flags] FILE
+  cctrace step    -protocol NAME -n N [-script "0R 1W 0Z"] [-timeout D]
 
 Workload kinds: %s
 Protocols: %s
@@ -50,42 +62,71 @@ Run 'cctrace <subcommand> -h' for the full flag list.
 }
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(runctl.ExitUsage)
+	c := &cli{stdin: os.Stdin, stdout: os.Stdout, stderr: os.Stderr}
+	os.Exit(c.run(os.Args[1:]))
+}
+
+// run dispatches one subcommand and returns the process exit code.
+func (c *cli) run(args []string) int {
+	if len(args) < 1 {
+		c.usage()
+		return runctl.ExitUsage
 	}
 	var (
 		code int
 		err  error
 	)
-	switch os.Args[1] {
+	switch args[0] {
 	case "gen":
-		code, err = runGen(os.Args[2:])
+		code, err = c.gen(args[1:])
 	case "replay":
-		code, err = runReplay(os.Args[2:])
+		code, err = c.replay(args[1:])
 	case "compare":
-		code, err = runCompare(os.Args[2:])
+		code, err = c.compare(args[1:])
+	case "step":
+		code, err = c.step(args[1:])
 	case "-h", "-help", "--help", "help":
-		usage()
-		return
+		c.usage()
+		return runctl.ExitClean
 	case "-version", "--version", "version":
-		fmt.Println(runctl.VersionString("cctrace"))
-		return
+		fmt.Fprintln(c.stdout, runctl.VersionString("cctrace"))
+		return runctl.ExitClean
 	default:
-		fmt.Fprintf(os.Stderr, "cctrace: unknown subcommand %q\n", os.Args[1])
-		usage()
-		os.Exit(runctl.ExitUsage)
+		fmt.Fprintf(c.stderr, "cctrace: unknown subcommand %q\n", args[0])
+		c.usage()
+		return runctl.ExitUsage
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cctrace:", err)
-		os.Exit(runctl.ExitUsage)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return runctl.ExitClean
+	case errors.Is(err, errFlagParse):
+		return runctl.ExitUsage // the flag set already reported it
+	case err != nil:
+		fmt.Fprintln(c.stderr, "cctrace:", err)
+		return runctl.ExitUsage
 	}
-	os.Exit(code)
+	return code
 }
 
-// runGen materializes a workload spec into a trace file.
-func runGen(args []string) (int, error) {
-	fs := flag.NewFlagSet("cctrace gen", flag.ExitOnError)
+// errFlagParse marks a flag error the flag set has already printed.
+var errFlagParse = errors.New("cctrace: bad flags")
+
+// parse parses args into fs, reporting flag errors on stderr. It returns
+// flag.ErrHelp for -h and errFlagParse for any other parse failure.
+func (c *cli) parse(fs *flag.FlagSet, args []string) error {
+	fs.SetOutput(c.stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errFlagParse
+	}
+	return nil
+}
+
+// gen materializes a workload spec into a trace file.
+func (c *cli) gen(args []string) (int, error) {
+	fs := flag.NewFlagSet("cctrace gen", flag.ContinueOnError)
 	var (
 		kind    = fs.String("workload", "uniform", "workload kind ("+strings.Join(replay.Kinds(), ", ")+")")
 		seed    = fs.Int64("seed", 1993, "workload RNG seed; same seed, same bytes")
@@ -100,7 +141,9 @@ func runGen(args []string) (int, error) {
 		gz      = fs.Bool("gzip", false, "gzip-compress the output")
 		out     = fs.String("o", "-", "output file (-: stdout)")
 	)
-	fs.Parse(args)
+	if err := c.parse(fs, args); err != nil {
+		return 0, err
+	}
 	if fs.NArg() != 0 {
 		return 0, fmt.Errorf("gen takes no positional arguments, got %q", fs.Args())
 	}
@@ -108,28 +151,26 @@ func runGen(args []string) (int, error) {
 		Kind: *kind, Seed: *seed, Caches: *caches, Blocks: *blocks, Ops: *ops,
 		PWrite: *pwrite, HotFrac: *hotfrac, Burst: *burst, ReadsPerWrite: *rpw, WorkLen: *worklen,
 	}
-	w := io.Writer(os.Stdout)
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
+	if *out == "-" {
+		if _, err := replay.MaterializeTo(c.stdout, spec, *gz); err != nil {
 			return 0, err
 		}
-		defer f.Close()
-		w = f
-		n, err := replay.MaterializeTo(w, spec, *gz)
-		if err != nil {
-			os.Remove(*out)
-			return 0, err
-		}
-		if err := f.Close(); err != nil {
-			return 0, err
-		}
-		fmt.Fprintf(os.Stderr, "cctrace: wrote %d references to %s\n", n, *out)
 		return runctl.ExitClean, nil
 	}
-	if _, err := replay.MaterializeTo(w, spec, *gz); err != nil {
+	f, err := os.Create(*out)
+	if err != nil {
 		return 0, err
 	}
+	defer f.Close()
+	n, err := replay.MaterializeTo(f, spec, *gz)
+	if err != nil {
+		os.Remove(*out)
+		return 0, err
+	}
+	if err := f.Close(); err != nil {
+		return 0, err
+	}
+	fmt.Fprintf(c.stderr, "cctrace: wrote %d references to %s\n", n, *out)
 	return runctl.ExitClean, nil
 }
 
@@ -161,9 +202,28 @@ func addReplayFlags(fs *flag.FlagSet) *replayFlags {
 	return rf
 }
 
+// validate rejects negative counts, which replay.Options would otherwise
+// read as "use the default".
+func (rf *replayFlags) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"-blocksize", int64(rf.blockSize)},
+		{"-max-blocks", int64(rf.maxBlocks)},
+		{"-max-ops", rf.maxOps},
+		{"-skip-ops", rf.skipOps},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("invalid %s %d (want 0 or a positive count)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // options converts the parsed flags into replay.Options, wiring the
 // observer and registry.
-func (rf *replayFlags) options(reg *obs.Registry) replay.Options {
+func (rf *replayFlags) options(reg *obs.Registry, stderr io.Writer) replay.Options {
 	opts := replay.Options{
 		BlockSize: rf.blockSize,
 		MaxBlocks: rf.maxBlocks,
@@ -173,7 +233,7 @@ func (rf *replayFlags) options(reg *obs.Registry) replay.Options {
 		Strict:    rf.strict,
 	}
 	if rf.progress {
-		opts.Observer = obs.Progress(os.Stderr)
+		opts.Observer = obs.Progress(stderr)
 	}
 	opts.Metrics = reg
 	return opts
@@ -187,39 +247,44 @@ func (rf *replayFlags) writeMetrics(reg *obs.Registry) error {
 	return obs.WriteFile(rf.metricsJSON, reg)
 }
 
-// openTrace opens the positional trace argument ("-": stdin).
-func openTrace(fs *flag.FlagSet) (io.ReadCloser, error) {
+// parseReplay parses a replay or compare command line, validates the
+// shared flags and opens the positional trace argument ("-": stdin).
+func (c *cli) parseReplay(fs *flag.FlagSet, rf *replayFlags, args []string) (io.ReadCloser, error) {
+	if err := c.parse(fs, args); err != nil {
+		return nil, err
+	}
+	if err := rf.validate(); err != nil {
+		return nil, err
+	}
 	if fs.NArg() != 1 {
 		return nil, fmt.Errorf("expected exactly one trace file argument, got %d", fs.NArg())
 	}
 	name := fs.Arg(0)
 	if name == "-" {
-		return io.NopCloser(os.Stdin), nil
+		return io.NopCloser(c.stdin), nil
 	}
 	return os.Open(name)
 }
 
-// runReplay replays one trace through one protocol.
-func runReplay(args []string) (int, error) {
-	fs := flag.NewFlagSet("cctrace replay", flag.ExitOnError)
+// replay replays one trace through one protocol.
+func (c *cli) replay(args []string) (int, error) {
+	fs := flag.NewFlagSet("cctrace replay", flag.ContinueOnError)
 	protoName := fs.String("protocol", "illinois", "built-in protocol name ("+strings.Join(protocols.Names(), ", ")+")")
 	rf := addReplayFlags(fs)
-	fs.Parse(args)
-
-	p, err := protocols.ByName(*protoName)
-	if err != nil {
-		return 0, err
-	}
-	in, err := openTrace(fs)
+	in, err := c.parseReplay(fs, rf, args)
 	if err != nil {
 		return 0, err
 	}
 	defer in.Close()
+	p, err := protocols.ByName(*protoName)
+	if err != nil {
+		return 0, err
+	}
 
 	ctx, stop := runctl.WithSignals(context.Background(), rf.timeout)
 	defer stop()
 	reg := obs.NewRegistry()
-	res, err := replay.Replay(ctx, in, p, rf.options(reg))
+	res, err := replay.Replay(ctx, in, p, rf.options(reg, c.stderr))
 	if err != nil {
 		return 0, err
 	}
@@ -230,18 +295,21 @@ func runReplay(args []string) (int, error) {
 	rep := &replay.ComparisonReport{}
 	rep.Schema = replay.ReportSchema
 	rep.AddResult(res)
-	fmt.Print(rep.Table())
-	return exitCodeFor(res), nil
+	fmt.Fprint(c.stdout, rep.Table())
+	return c.exitCodeFor(res), nil
 }
 
-// runCompare fans one trace out to several protocols.
-func runCompare(args []string) (int, error) {
-	fs := flag.NewFlagSet("cctrace compare", flag.ExitOnError)
+// compare fans one trace out to several protocols.
+func (c *cli) compare(args []string) (int, error) {
+	fs := flag.NewFlagSet("cctrace compare", flag.ContinueOnError)
 	protoNames := fs.String("protocols", "msi,mesi,moesi,dragon", "comma-separated protocol names")
 	jsonOut := fs.String("json", "", "write the comparison report as JSON to this file (-: stdout)")
 	rf := addReplayFlags(fs)
-	fs.Parse(args)
-
+	in, err := c.parseReplay(fs, rf, args)
+	if err != nil {
+		return 0, err
+	}
+	defer in.Close()
 	var protos []*fsm.Protocol
 	for _, name := range strings.Split(*protoNames, ",") {
 		p, err := protocols.ByName(strings.TrimSpace(name))
@@ -250,16 +318,11 @@ func runCompare(args []string) (int, error) {
 		}
 		protos = append(protos, p)
 	}
-	in, err := openTrace(fs)
-	if err != nil {
-		return 0, err
-	}
-	defer in.Close()
 
 	ctx, stop := runctl.WithSignals(context.Background(), rf.timeout)
 	defer stop()
 	reg := obs.NewRegistry()
-	cr, err := replay.Compare(ctx, in, protos, rf.options(reg))
+	cr, err := replay.Compare(ctx, in, protos, rf.options(reg, c.stderr))
 	if err != nil {
 		return 0, err
 	}
@@ -275,20 +338,20 @@ func runCompare(args []string) (int, error) {
 	switch *jsonOut {
 	case "":
 	case "-":
-		os.Stdout.Write(enc)
+		c.stdout.Write(enc)
 	default:
 		if err := os.WriteFile(*jsonOut, enc, 0o644); err != nil {
 			return 0, err
 		}
 	}
 	if *jsonOut != "-" {
-		fmt.Print(rep.Table())
+		fmt.Fprint(c.stdout, rep.Table())
 	}
 
 	code := runctl.ExitClean
 	for _, r := range cr.Results {
-		if c := exitCodeFor(r); c > code {
-			code = c
+		if rc := c.exitCodeFor(r); rc > code {
+			code = rc
 		}
 	}
 	return code, nil
@@ -296,12 +359,12 @@ func runCompare(args []string) (int, error) {
 
 // exitCodeFor classifies one replay result: violations and stale reads are
 // incoherence (2), truncation is an early stop (3), otherwise clean.
-func exitCodeFor(r *replay.Result) int {
+func (c *cli) exitCodeFor(r *replay.Result) int {
 	if len(r.Violations) > 0 || r.Stats.StaleReads > 0 {
 		return runctl.ExitViolation
 	}
 	if r.Truncated && r.StopReason != nil {
-		fmt.Fprintf(os.Stderr, "cctrace: %s stopped early: %v\n", r.Protocol, r.StopReason)
+		fmt.Fprintf(c.stderr, "cctrace: %s stopped early: %v\n", r.Protocol, r.StopReason)
 		return runctl.ExitStopped
 	}
 	return runctl.ExitClean

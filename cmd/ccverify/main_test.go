@@ -239,3 +239,16 @@ func TestMetricsJSONGolden(t *testing.T) {
 		t.Errorf("metrics snapshot drifted from golden file.\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestRunCrossCheckMode runs the explicit-state cross-check beside the
+// symbolic verdict, and maps an expired deadline to exit code 3.
+func TestRunCrossCheckMode(t *testing.T) {
+	if code, err := run(context.Background(), "msi", "", cliOpts{crossCheck: "2,3"}); err != nil || code != 0 {
+		t.Fatalf("code %d err %v", code, err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if code, err := run(ctx, "msi", "", cliOpts{crossCheck: "2"}); err != nil || code != 3 {
+		t.Errorf("cross-check under expired deadline: code %d err %v, want 3 nil", code, err)
+	}
+}

@@ -146,10 +146,13 @@ type StepResult struct {
 // with no available supplier); such errors indicate an ill-formed protocol,
 // not a coherence violation. Coherence violations are detected by CheckConfig.
 //
-// Step is the reference semantics. Hot paths (the simulator, the enumeration
-// engines, trace replay) step through the compiled form instead —
-// compile.Compile then compile.Protocol.Step — which is pinned bit-for-bit
-// against this function, including error text, by the compile parity suite.
+// Step is the reference semantics. Its one production caller is the
+// campaign witness audit (internal/campaign/audit.go), which replays
+// witnesses here precisely because this path is independent of the
+// compiled one. Everything else — the simulator, the enumeration engines,
+// trace replay and `cctrace step` — steps through compile.Compile then
+// compile.Protocol.Step, which the compile parity suite pins bit-for-bit
+// against this function, including error text.
 func Step(p *Protocol, c *Config, origin int, op Op) (StepResult, error) {
 	res := StepResult{ReadVersion: NoData, Supplier: -1}
 	if origin < 0 || origin >= len(c.States) {

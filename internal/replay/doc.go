@@ -28,6 +28,6 @@
 //     mode replaying one decoded stream through N protocols concurrently.
 //   - report.go: the deterministic JSON + table comparison report.
 //
-// The same engine backs the cctrace CLI (gen/replay/compare), ccsim
-// -trace, and the verification service's POST /v1/simulate job type.
+// The same engine backs the cctrace CLI (gen/replay/compare) and the
+// verification service's POST /v1/simulate job type.
 package replay

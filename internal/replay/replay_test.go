@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/fsm"
@@ -26,46 +27,56 @@ func materialized(t testing.TB, spec WorkloadSpec, gz bool) []byte {
 func TestReplayMatchesDirectSimulation(t *testing.T) {
 	// Replaying a materialized trace must reproduce the statistics of
 	// running the generator directly against the machine: materialization
-	// is lossless for block-granularity workloads.
-	spec := WorkloadSpec{Kind: KindMigratory, Seed: 11, Caches: 4, Blocks: 8, Ops: 20000}
-	data := materialized(t, spec, false)
+	// is lossless for block-granularity workloads. This pins the
+	// generated-workload pipe `cctrace gen -o - | cctrace replay -` to the
+	// direct simulation it replaces, bounded and unbounded.
+	for _, kind := range []string{KindUniform, KindHotBlock, KindMigratory, KindProducerConsumer} {
+		for _, capacity := range []int{0, 8} {
+			spec := WorkloadSpec{Kind: kind, Seed: 11, Caches: 4, Blocks: 16, Ops: 20000}
+			data := materialized(t, spec, false)
 
-	res, err := Replay(context.Background(), bytes.NewReader(data), protocols.MESI(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+			res, err := Replay(context.Background(), bytes.NewReader(data), protocols.MESI(), Options{Capacity: capacity})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	norm := spec
-	if err := norm.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	gen, err := NewWorkload(norm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sim.New(sim.Config{Protocol: protocols.MESI(), Caches: spec.Caches, Blocks: DefaultMaxBlocks})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := m.Run(gen, spec.Ops)
-	if err != nil {
-		t.Fatal(err)
-	}
+			norm := spec
+			if err := norm.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			gen, err := NewWorkload(norm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := sim.New(sim.Config{Protocol: protocols.MESI(), Caches: spec.Caches, Blocks: DefaultMaxBlocks, Capacity: capacity})
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := m.Run(gen, spec.Ops)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if res.Stats != direct {
-		t.Fatalf("replay stats diverge from direct simulation:\nreplay: %+v\ndirect: %+v", res.Stats, direct)
-	}
-	if res.Ops != int64(spec.Ops) {
-		t.Fatalf("replayed %d ops, want %d", res.Ops, spec.Ops)
-	}
-	if res.Blocks != spec.Blocks {
-		t.Fatalf("touched %d blocks, want %d", res.Blocks, spec.Blocks)
-	}
-	if res.TraceDigest == "" {
-		t.Fatal("complete replay has no trace digest")
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("violations: %v", res.Violations)
+			name := fmt.Sprintf("%s capacity %d", kind, capacity)
+			if res.Stats != direct {
+				t.Fatalf("%s: replay stats diverge from direct simulation:\nreplay: %+v\ndirect: %+v", name, res.Stats, direct)
+			}
+			if capacity > 0 && direct.CapacityEvictions == 0 {
+				t.Errorf("%s: no capacity evictions; the bounded case exercises nothing", name)
+			}
+			if res.Ops != int64(spec.Ops) {
+				t.Fatalf("%s: replayed %d ops, want %d", name, res.Ops, spec.Ops)
+			}
+			if res.Blocks != spec.Blocks {
+				t.Fatalf("%s: touched %d blocks, want %d", name, res.Blocks, spec.Blocks)
+			}
+			if res.TraceDigest == "" {
+				t.Fatalf("%s: complete replay has no trace digest", name)
+			}
+			if len(res.Violations) != 0 {
+				t.Fatalf("%s: violations: %v", name, res.Violations)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bufio"
+	"compress/flate"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
@@ -100,7 +101,7 @@ func (s *Scanner) Digest() string {
 
 // readLine reads the next line, bumping the line counter. io.EOF is
 // returned bare; any other failure is classified (a gzip stream that ends
-// mid-member surfaces as ErrTruncated).
+// mid-member or carries corrupt deflate data surfaces as ErrTruncated).
 func (s *Scanner) readLine() (string, error) {
 	line, err := s.br.ReadString('\n')
 	if len(line) > 0 {
@@ -113,7 +114,8 @@ func (s *Scanner) readLine() (string, error) {
 			}
 			return line, nil // final line without trailing newline
 		}
-		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, gzip.ErrHeader) || errors.Is(err, gzip.ErrChecksum) {
+		var corrupt flate.CorruptInputError
+		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, gzip.ErrHeader) || errors.Is(err, gzip.ErrChecksum) || errors.As(err, &corrupt) {
 			return "", parseErr(s.line+1, ErrTruncated, "%v", err)
 		}
 		return "", err

@@ -256,3 +256,59 @@ func TestScannerDigestMatchesRawBytes(t *testing.T) {
 		t.Fatal("digest not deterministic")
 	}
 }
+
+// FuzzScanner feeds arbitrary bytes, plain or gzipped, through the scanner.
+// The seeds are short materialized traces from every generator. Properties:
+// no panic; every failure is a *ParseError wrapping one of the package's
+// sentinels; every decoded reference names a cache in [0, caches) and a
+// block in [0, MaxBlocks).
+func FuzzScanner(f *testing.F) {
+	for _, kind := range Kinds() {
+		spec := WorkloadSpec{Kind: kind, Seed: 3, Caches: 3, Blocks: 4, Ops: 12}
+		for _, gz := range []bool{false, true} {
+			var buf bytes.Buffer
+			if _, err := MaterializeTo(&buf, spec, gz); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	sentinels := []error{ErrHeader, ErrEmpty, ErrBadLine, ErrCacheRange, ErrBadOp, ErrBadAddress, ErrTruncated, ErrTooManyBlocks}
+	const maxBlocks = 16
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(err error) {
+			var pe *ParseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("error %T (%v) is not a *ParseError", err, err)
+			}
+			for _, s := range sentinels {
+				if errors.Is(err, s) {
+					return
+				}
+			}
+			t.Fatalf("error %v wraps no package sentinel", err)
+		}
+		sc, err := NewScanner(bytes.NewReader(data), ScanOptions{MaxBlocks: maxBlocks})
+		if err != nil {
+			check(err)
+			return
+		}
+		caches := sc.Meta().Caches
+		buf := make([]trace.Ref, 5)
+		for {
+			n, err := sc.NextBatch(buf)
+			for _, r := range buf[:n] {
+				if r.Cache < 0 || r.Cache >= caches || r.Block < 0 || r.Block >= maxBlocks {
+					t.Fatalf("ref %+v outside %d caches × %d blocks", r, caches, maxBlocks)
+				}
+			}
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				check(err)
+				return
+			}
+		}
+	})
+}

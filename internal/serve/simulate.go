@@ -144,6 +144,12 @@ func (req *SimulateRequest) resolve() (protos []*fsm.Protocol, names []string, i
 		if len(req.Trace) > maxSimulateBytes {
 			return nil, nil, "", badf("trace exceeds %d bytes", maxSimulateBytes)
 		}
+		// The header's cache count sizes every lane's machine before the
+		// first reference replays, so it is capped here like a workload's.
+		// A malformed header is left to fail the job with its line number.
+		if sc, serr := replay.NewScanner(strings.NewReader(req.Trace), replay.ScanOptions{}); serr == nil && sc.Meta().Caches > maxSimulateCaches {
+			return nil, nil, "", badf("trace header caches %d exceeds the cap %d", sc.Meta().Caches, maxSimulateCaches)
+		}
 		sum := sha256.Sum256([]byte(req.Trace))
 		identity = "trace:" + hex.EncodeToString(sum[:])
 	case req.Workload != nil:

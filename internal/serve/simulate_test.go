@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -179,5 +181,23 @@ func TestSimulateValidation(t *testing.T) {
 	st, code, _ := tc.postSimulate(t, `{"trace":"not a cctrace\n","protocols":["msi"]}`, true)
 	if code != http.StatusOK || st.State != StateFailed || !strings.Contains(st.Error, "line 1") {
 		t.Errorf("malformed trace: http %d, state %q, err %q; want a failed job naming line 1", code, st.State, st.Error)
+	}
+}
+
+// TestSimulateInlineTraceCachesCapped rejects an inline trace whose header
+// declares more caches than maxSimulateCaches before any job runs: every
+// protocol lane would otherwise allocate MaxBlocks × caches of machine
+// state up front. The check stops at resolve, so the test never builds
+// such a machine.
+func TestSimulateInlineTraceCachesCapped(t *testing.T) {
+	for _, caches := range []int{maxSimulateCaches + 1, 1000000} {
+		req := SimulateRequest{Trace: fmt.Sprintf("# cctrace v1\n# caches: %d\n0 r 0\n", caches)}
+		if _, _, _, err := req.resolve(); !errors.Is(err, ErrSimulateRequest) || !strings.Contains(err.Error(), "caches") {
+			t.Errorf("caches %d: resolve err = %v, want an ErrSimulateRequest naming caches", caches, err)
+		}
+	}
+	ok := SimulateRequest{Trace: fmt.Sprintf("# cctrace v1\n# caches: %d\n0 r 0\n", maxSimulateCaches)}
+	if _, _, _, err := ok.resolve(); err != nil {
+		t.Errorf("caches at the cap: resolve err = %v, want nil", err)
 	}
 }

@@ -191,20 +191,25 @@ func (m *Machine) drop(i, b int) {
 // protocol rule that fired. A read or write to a non-resident block with a
 // full cache first replaces the LRU resident block.
 func (m *Machine) Apply(ref trace.Ref) (fsm.StepResult, error) {
-	var zero fsm.StepResult
+	res, err := m.apply(ref)
+	return m.cp.Result(res), err
+}
+
+// apply is Apply on the compiled result, which RunRefs discards.
+func (m *Machine) apply(ref trace.Ref) (compile.StepResult, error) {
 	if ref.Cache < 0 || ref.Cache >= m.cfg.Caches {
-		return zero, fmt.Errorf("sim: cache %d out of range", ref.Cache)
+		return noStep, fmt.Errorf("sim: cache %d out of range", ref.Cache)
 	}
 	if ref.Block < 0 || ref.Block >= m.cfg.Blocks {
-		return zero, fmt.Errorf("sim: block %d out of range", ref.Block)
+		return noStep, fmt.Errorf("sim: block %d out of range", ref.Block)
 	}
 
 	// Capacity management for block-allocating operations.
 	if ref.Op != fsm.OpReplace && m.cfg.Capacity > 0 && !m.resident(ref.Cache, ref.Block) {
 		for len(m.lru[ref.Cache]) >= m.cfg.Capacity {
 			victim := m.lru[ref.Cache][0]
-			if _, err := m.step(trace.Ref{Cache: ref.Cache, Op: fsm.OpReplace, Block: victim}); err != nil {
-				return zero, err
+			if res, err := m.step(trace.Ref{Cache: ref.Cache, Op: fsm.OpReplace, Block: victim}); err != nil {
+				return res, err
 			}
 			m.stats.CapacityEvictions++
 		}
@@ -212,24 +217,23 @@ func (m *Machine) Apply(ref trace.Ref) (fsm.StepResult, error) {
 	return m.step(ref)
 }
 
+// noStep is the result of a reference no rule handled.
+var noStep = compile.StepResult{RuleID: -1, ReadVersion: fsm.NoData, Supplier: -1}
+
 // step applies the reference to the block's coherence state and updates the
-// statistics.
-func (m *Machine) step(ref trace.Ref) (fsm.StepResult, error) {
+// statistics. The caller has checked ref.Cache and ref.Block.
+func (m *Machine) step(ref trace.Ref) (compile.StepResult, error) {
 	cfg := m.block[ref.Block]
 	before := append(m.scratch[:0], cfg.States...)
 	m.scratch = before
 	wasResident := m.cp.ValidCopy[before[ref.Cache]]
 
-	cres := compile.StepResult{RuleID: -1, ReadVersion: fsm.NoData, Supplier: -1}
+	cres := noStep
 	if k, ok := m.opIdx[ref.Op]; ok {
 		var err error
 		if cres, err = m.cp.Step(cfg, ref.Cache, k); err != nil {
-			return m.cp.Result(cres), err
+			return cres, err
 		}
-	} else if ref.Cache >= len(cfg.States) {
-		// fsm.Step bounds-checks the cache before dispatching, even for
-		// ops the protocol never declares.
-		return m.cp.Result(cres), fmt.Errorf("fsm: step: cache index %d out of range", ref.Cache)
 	}
 
 	m.stats.Ops++
@@ -308,7 +312,7 @@ func (m *Machine) step(ref trace.Ref) (fsm.StepResult, error) {
 	} else {
 		m.drop(ref.Cache, ref.Block)
 	}
-	return m.cp.Result(cres), nil
+	return cres, nil
 }
 
 // Run drives the machine with nops references from the workload, stopping
@@ -368,7 +372,7 @@ func (m *Machine) RunRefs(ctx context.Context, refs []trace.Ref) (Stats, error) 
 			}
 		}
 		m.opsSinceCheck--
-		if _, err := m.Apply(refs[k]); err != nil {
+		if _, err := m.apply(refs[k]); err != nil {
 			return m.stats, fmt.Errorf("sim: op %d: %w", m.stats.Ops, err)
 		}
 	}
