@@ -47,7 +47,7 @@ func main() {
 		attempts    = flag.Int("max-attempts", 4, "attempts per job before quarantine")
 		atimeout    = flag.Duration("attempt-timeout", 0, "per-attempt wall-clock deadline (0: none)")
 		maxStates   = flag.Int("max-states", 0, "per-attempt distinct-state budget (0: engine default)")
-		workers     = flag.Int("workers", 1, "enumeration workers on the ladder's first rung")
+		workers     = flag.Int("workers", 1, "workers on every rung of the ladder")
 		ckptDir     = flag.String("checkpoint-dir", "", "durable snapshot store directory (empty: no checkpoints)")
 		ckptEvery   = flag.Int("checkpoint-every", 512, "periodic snapshot cadence in expanded states")
 		keep        = flag.Int("checkpoint-keep", ckptio.DefaultKeep, "good snapshot generations each job retains")

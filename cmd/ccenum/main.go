@@ -20,10 +20,10 @@
 // -mem-budget alone the run stops cleanly (exit 3, resumable) at the level
 // boundary where the estimated resident footprint crosses the budget;
 // adding -spill-dir turns the same budget into an out-of-core run at any
-// width: cold visited/tuple shards spill to checksummed files under the
-// directory and stream back for duplicate detection at level boundaries,
-// so the enumeration completes in bounded memory with bit-identical
-// results.
+// width, cache count or protocol size: cold visited/tuple shards spill to
+// checksummed files under the directory and stream back for duplicate
+// detection at level boundaries, so the enumeration completes in bounded
+// memory with bit-identical results.
 //
 // Checkpoints go through the durable snapshot store (internal/ckptio):
 // atomic checksummed writes, rotation keeping the last -checkpoint-keep

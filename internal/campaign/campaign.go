@@ -3,7 +3,7 @@
 // cache count) plus a policy; the runner gives every job a deadline,
 // retries transient failures with exponential backoff, degrades jobs that
 // exhaust their resources down a ladder of cheaper configurations
-// (parallel → sequential enumeration → smaller n → symbolic expansion),
+// (the requested enumeration → smaller n → symbolic expansion),
 // and quarantines jobs that keep failing so one pathological input cannot
 // stall the fleet.
 //
@@ -133,8 +133,8 @@ type Policy struct {
 	// MaxStates is the per-attempt distinct-state budget (0: engine
 	// default). A job that exhausts it degrades down the ladder.
 	MaxStates int
-	// Workers is the parallel-enumeration width of the ladder's first
-	// rung (≤1: start at the sequential rung).
+	// Workers is the width of every rung: the enumeration's BFS workers
+	// and the symbolic speculation workers (≤1: one worker).
 	Workers int
 	// MinN bounds how far the shrink-n rungs descend (default 2).
 	MinN int
@@ -267,20 +267,17 @@ type rung struct {
 // ladder builds the degradation ladder for a job: the requested
 // configuration first, then strictly cheaper fallbacks. Symbolic jobs have
 // a single rung — the method's cost is independent of the cache count, so
-// there is nothing to shrink.
+// there is nothing to shrink. Every rung runs at Policy.Workers: all
+// widths run the same driver, a state-budget stop does not depend on the
+// width and a deadline is only harder to meet at one worker, so a
+// narrower retry never rescues a job.
 func ladder(j JobSpec, p Policy) []rung {
 	if j.Engine == EngineSymbolic {
-		// Every speculation width gives the same result, so the worker
-		// width needs no fallback rung.
 		return []rung{{desc: "symbolic", engine: EngineSymbolic, workers: p.Workers}}
 	}
-	var out []rung
-	if p.Workers > 1 {
-		out = append(out, rung{desc: fmt.Sprintf("parallel×%d", p.Workers), engine: j.Engine, n: j.N, workers: p.Workers})
-	}
-	out = append(out, rung{desc: "sequential", engine: j.Engine, n: j.N, workers: 1})
+	out := []rung{{desc: "requested", engine: j.Engine, n: j.N, workers: p.Workers}}
 	for n := j.N - 1; n >= p.MinN; n-- {
-		out = append(out, rung{desc: fmt.Sprintf("shrink-n%d", n), engine: j.Engine, n: n, workers: 1})
+		out = append(out, rung{desc: fmt.Sprintf("shrink-n%d", n), engine: j.Engine, n: n, workers: p.Workers})
 	}
 	if !p.NoSymbolicFallback {
 		out = append(out, rung{desc: "symbolic-fallback", engine: EngineSymbolic, workers: p.Workers})

@@ -157,7 +157,9 @@ func TestQuarantine(t *testing.T) {
 // TestDegradationLadder: a job whose state budget is too small for its
 // cache count walks down the ladder (resume is pointless for the
 // deterministic state cap) until a cheaper configuration fits, and the
-// result records the degradation.
+// result records the degradation. The ladder has no width rung, so a wide
+// policy reaches the same rung in the same two attempts as a one-worker
+// one.
 func TestDegradationLadder(t *testing.T) {
 	p, err := protocols.ByName("illinois")
 	if err != nil {
@@ -167,24 +169,30 @@ func TestDegradationLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := quietPolicy(t)
-	pol.MaxStates = at3.Unique + 1 // fits n=3, not n=4
-	pol.MaxAttempts = 6
-	rep := mustRun(t, Spec{Policy: pol, Jobs: []JobSpec{
-		{Protocol: "illinois", Engine: EngineEnumStrict, N: 4},
-	}})
-	j := rep.Jobs[0]
-	if j.Verdict != VerdictClean {
-		t.Fatalf("verdict = %s (%s), want clean; attempts: %+v", j.Verdict, j.FailError, j.Attempts)
-	}
-	if !j.Degraded || j.FinalRung != "shrink-n3" {
-		t.Fatalf("final rung = %q degraded=%v, want shrink-n3 after budget exhaustion", j.FinalRung, j.Degraded)
-	}
-	if j.Essential != at3.Unique {
-		t.Fatalf("degraded essential = %d, want n=3 count %d", j.Essential, at3.Unique)
-	}
-	if got := j.Attempts[0].Class; got != ClassResource {
-		t.Fatalf("budget exhaustion classified %q, want %q", got, ClassResource)
+	for _, workers := range []int{1, 4} {
+		pol := quietPolicy(t)
+		pol.MaxStates = at3.Unique + 1 // fits n=3, not n=4
+		pol.MaxAttempts = 6
+		pol.Workers = workers
+		rep := mustRun(t, Spec{Policy: pol, Jobs: []JobSpec{
+			{Protocol: "illinois", Engine: EngineEnumStrict, N: 4},
+		}})
+		j := rep.Jobs[0]
+		if j.Verdict != VerdictClean {
+			t.Fatalf("workers=%d: verdict = %s (%s), want clean; attempts: %+v", workers, j.Verdict, j.FailError, j.Attempts)
+		}
+		if !j.Degraded || j.FinalRung != "shrink-n3" {
+			t.Fatalf("workers=%d: final rung = %q degraded=%v, want shrink-n3 after budget exhaustion", workers, j.FinalRung, j.Degraded)
+		}
+		if len(j.Attempts) != 2 || j.Attempts[0].RungDesc != "requested" {
+			t.Fatalf("workers=%d: attempts %+v, want requested then shrink-n3", workers, j.Attempts)
+		}
+		if j.Essential != at3.Unique {
+			t.Fatalf("workers=%d: degraded essential = %d, want n=3 count %d", workers, j.Essential, at3.Unique)
+		}
+		if got := j.Attempts[0].Class; got != ClassResource {
+			t.Fatalf("workers=%d: budget exhaustion classified %q, want %q", workers, got, ClassResource)
+		}
 	}
 }
 

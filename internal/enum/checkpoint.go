@@ -169,8 +169,8 @@ func (b *bfs) snapshot() (*Checkpoint, error) {
 			Op:     string(b.p.Ops[rec.op]),
 		}
 	}
-	for i, c := range b.frontier {
-		cp.Frontier[i] = configState(c)
+	for i := range b.frontier {
+		cp.Frontier[i] = configState(b.kc.config(&b.frontier[i]))
 	}
 	for _, rc := range b.res.Reachable {
 		cp.Reachable = append(cp.Reachable, configState(rc))
@@ -268,18 +268,27 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 	for _, s := range p.States {
 		known[s] = true
 	}
-	restoreConfig := func(cs ConfigState, what string) (*fsm.Config, error) {
+	// restoreConfig admits only the fixed points of Canonicalize: the
+	// engine holds every state in that form, and a stale version the data
+	// classes would rename must not slip past the key lookup (Config.Key
+	// renders every version and Latest).
+	restoreConfig := func(cs ConfigState, what string, i int) (*fsm.Config, error) {
 		c, err := cs.config()
 		if err != nil {
 			return nil, err
 		}
 		if len(c.States) != cp.N {
-			return nil, fmt.Errorf("enum: checkpoint %s config has %d caches, want %d", what, len(c.States), cp.N)
+			return nil, fmt.Errorf("enum: checkpoint %s config %d has %d caches, want %d", what, i, len(c.States), cp.N)
 		}
 		for _, s := range c.States {
 			if !known[s] {
-				return nil, fmt.Errorf("enum: checkpoint %s config references unknown state %q", what, s)
+				return nil, fmt.Errorf("enum: checkpoint %s config %d references unknown state %q", what, i, s)
 			}
+		}
+		canon := c.Clone()
+		Canonicalize(canon)
+		if canon.Key() != c.Key() {
+			return nil, fmt.Errorf("enum: checkpoint %s config %d is not canonical: %s, want %s", what, i, c.Key(), canon.Key())
 		}
 		return c, nil
 	}
@@ -306,7 +315,15 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 		parents:   make([]parentRec, 0, len(cp.Parents)),
 		res:       &Result{Protocol: p, N: cp.N, Visits: cp.Visits},
 	}
-	b.visited, b.tuples = newStores(b.kc, cp.N)
+	// The stores' fixed footprint grows with the key width, so the cache
+	// count must match the first visited key before they are built.
+	if len(cp.Visited) == 0 {
+		return nil, fmt.Errorf("enum: checkpoint has no visited states")
+	}
+	if _, err := b.kc.parse(cp.Visited[0]); err != nil {
+		return nil, err
+	}
+	b.visited, b.tuples = newCompactStore(b.kc.width), newCompactStore(b.kc.width)
 	// Re-inserting Visited in order reproduces the interrupted run's
 	// admission ranks, which the provenance records reference. Every
 	// record is validated (parent rank below its own, known op, cache in
@@ -346,29 +363,33 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 			b.tuples.insert(k)
 		}
 	}
-	b.frontier = make([]*fsm.Config, len(cp.Frontier))
+	b.frontier = make([]Key, len(cp.Frontier))
 	b.frontRanks = make([]uint32, len(cp.Frontier))
 	for i, cs := range cp.Frontier {
-		c, err := restoreConfig(cs, "frontier")
+		c, err := restoreConfig(cs, "frontier", i)
 		if err != nil {
 			return nil, err
 		}
-		r, ok := b.visited.rank(b.kc.key(c))
-		if !ok {
-			return nil, fmt.Errorf("enum: checkpoint frontier state %q not in visited set", b.kc.render(b.kc.key(c)))
+		state, key, err := b.kc.configKeys(c)
+		if err != nil {
+			return nil, err
 		}
-		b.frontier[i], b.frontRanks[i] = c, r
+		r, ok := b.visited.rank(key)
+		if !ok {
+			return nil, fmt.Errorf("enum: checkpoint frontier state %q not in visited set", b.kc.render(key))
+		}
+		b.frontier[i], b.frontRanks[i] = state, r
 	}
 	b.bytes = b.estBytes()
-	for _, cs := range cp.Reachable {
-		c, err := restoreConfig(cs, "reachable")
+	for i, cs := range cp.Reachable {
+		c, err := restoreConfig(cs, "reachable", i)
 		if err != nil {
 			return nil, err
 		}
 		b.res.Reachable = append(b.res.Reachable, c)
 	}
-	for _, vs := range cp.Violations {
-		c, err := restoreConfig(vs.Config, "violation")
+	for i, vs := range cp.Violations {
+		c, err := restoreConfig(vs.Config, "violation", i)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"time"
+	"unsafe"
 
 	"repro/internal/fsm"
 	"repro/internal/obs"
@@ -142,7 +143,7 @@ type Result struct {
 	// state cap stops mid-level and is not checkpointable).
 	Checkpoint *Checkpoint
 	// EstBytes is the run's final estimated resident footprint, the value
-	// the memory budget was enforced against (see stateBytes).
+	// the memory budget was enforced against (see estBytes).
 	EstBytes int64
 	// WorkerErrors records panics recovered in BFS workers, at any width.
 	// The affected frontier slices were re-expanded, so unless a matching
@@ -154,11 +155,10 @@ type Result struct {
 func (r *Result) OK() bool { return len(r.Violations) == 0 && len(r.SpecErrors) == 0 }
 
 // strictKey is the legacy string identity of a configuration up to strict
-// equality (Section 3.1). The engines key states by the packed Key of
-// key.go instead; the string forms remain as the reference implementation
-// the packed encoding is property-tested against, as the rendering of keys
-// in checkpoints and witnesses, and as the fallback identity for runs too
-// large to pack.
+// equality (Section 3.1). The engine keys states by the Key of key.go
+// instead; the string forms remain as the reference implementation the key
+// codec is property-tested against, and as the rendering of keys in
+// checkpoints and witnesses.
 func strictKey(c *fsm.Config) string { return c.Key() }
 
 // countingKey identifies configurations up to cache permutation
@@ -255,7 +255,7 @@ type bfs struct {
 	symmetric bool
 	maxStates int
 
-	// visited and tuples are the compact dedup sets (see store.go); a
+	// visited and tuples are the dedup sets (see store.go); a
 	// state's rank in visited is its admission order. parents is the
 	// rank-indexed provenance: parents[r] records how the state admitted
 	// at rank r was first reached.
@@ -263,12 +263,12 @@ type bfs struct {
 	tuples  visitedStore
 	parents []parentRec
 
-	// frontier lists the states the current level expands, and next the
-	// states it has admitted so far. frontRanks[i] is the admission rank of
-	// frontier[i], which the provenance records of its successors
-	// reference; nextRanks collects those of next. The pairs swap roles
-	// at every level boundary.
-	frontier, next        []*fsm.Config
+	// frontier lists the state keys (in cache order) the current level
+	// expands, and next the states it has admitted so far. frontRanks[i]
+	// is the admission rank of frontier[i], which the provenance records
+	// of its successors reference; nextRanks collects those of next. The
+	// pairs swap roles at every level boundary.
+	frontier, next        []Key
 	frontRanks, nextRanks []uint32
 
 	bytes int64 // estimated frontier+visited footprint (estBytes)
@@ -286,21 +286,24 @@ type bfs struct {
 	res *Result
 }
 
-// cfgBytes estimates the resident cost of one frontier configuration: the
-// fsm.Config struct, its States slice of string headers and its Versions
-// slice. The constant is pinned against measured heap growth by
-// TestStateBytesEstimate, which also covers the store estimates it is
+// frontierBytes estimates the resident cost of one frontier state: its
+// Key, plus the heap bytes of a long key. TestStateBytesEstimate pins it
+// against measured heap growth, together with the store estimates it is
 // summed with in estBytes.
-func cfgBytes(n int) int64 {
-	return int64(24*n + 128)
+func (kc *keyCodec) frontierBytes() int64 {
+	size := int64(unsafe.Sizeof(Key{}))
+	if kc.width > len(Key{}.packed) {
+		size += int64(kc.width)
+	}
+	return size
 }
 
 // estBytes estimates the run's resident footprint: the visited and tuple
-// sets, the provenance records and the frontier configurations.
+// sets, the provenance records and the frontier keys.
 func (b *bfs) estBytes() int64 {
 	return b.visited.bytes() + b.tuples.bytes() +
 		int64(cap(b.parents))*parentRecBytes +
-		int64(len(b.frontier)+len(b.next))*cfgBytes(b.n)
+		int64(len(b.frontier)+len(b.next))*b.kc.frontierBytes()
 }
 
 // newBFS validates the inputs and seeds the run with the initial
@@ -329,20 +332,20 @@ func newBFS(p *fsm.Protocol, n int, opts Options, mode string) (b *bfs, done boo
 		maxStates: opts.maxStates(),
 		res:       &Result{Protocol: p, N: n},
 	}
-	b.visited, b.tuples = newStores(b.kc, n)
+	b.visited, b.tuples = newCompactStore(b.kc.width), newCompactStore(b.kc.width)
 
-	init := fsm.NewConfig(p, n)
-	Canonicalize(init)
-	b.frontier = []*fsm.Config{init}
-	b.frontRanks = []uint32{b.visited.insert(b.kc.key(init))}
+	state, key := b.kc.keys(b.kc.cp.NewConfig(n))
+	b.frontier = []Key{state}
+	b.frontRanks = []uint32{b.visited.insert(key)}
 	b.parents = append(b.parents, parentRec{parent: noParent})
-	b.tuples.insert(b.kc.tupleKey(init))
+	b.tuples.insert(b.kc.tupleKey(&state))
 	b.bytes = b.estBytes()
+	init := b.kc.config(&state)
 	if opts.KeepReachable {
 		b.res.Reachable = append(b.res.Reachable, init.Clone())
 	}
 	if v := fsm.CheckConfig(p, init, opts.Strict); len(v) > 0 {
-		b.res.Violations = append(b.res.Violations, Violation{Config: init.Clone(), Violations: v})
+		b.res.Violations = append(b.res.Violations, Violation{Config: init, Violations: v})
 		b.orun.Event(obs.MetricViolations, 1)
 		if opts.StopOnViolation {
 			b.finish()
@@ -417,13 +420,13 @@ func (b *bfs) commit(it *succItem, viol []fsm.Violation) bool {
 		op:     uint8(it.op),
 	})
 	if !it.tupleDup {
-		if tk := b.kc.tupleKey(it.cfg); !b.tuples.has(tk) {
+		if tk := b.kc.tupleKey(&it.state); !b.tuples.has(tk) {
 			b.tuples.insert(tk)
 		}
 	}
 	if len(viol) > 0 {
 		b.pending = append(b.pending, pendingWitness{idx: len(b.res.Violations), key: it.key, rank: rank})
-		b.res.Violations = append(b.res.Violations, Violation{Config: it.cfg.Clone(), Violations: viol})
+		b.res.Violations = append(b.res.Violations, Violation{Config: b.kc.config(&it.state), Violations: viol})
 		b.orun.Event(obs.MetricViolations, 1)
 		if b.opts.StopOnViolation {
 			b.finish()
@@ -431,7 +434,7 @@ func (b *bfs) commit(it *succItem, viol []fsm.Violation) bool {
 		}
 	}
 	if b.opts.KeepReachable {
-		b.res.Reachable = append(b.res.Reachable, it.cfg.Clone())
+		b.res.Reachable = append(b.res.Reachable, b.kc.config(&it.state))
 	}
 	if b.visited.size() >= b.maxStates {
 		b.res.StopReason = runctl.ErrStateBudget
@@ -439,22 +442,17 @@ func (b *bfs) commit(it *succItem, viol []fsm.Violation) bool {
 		b.finish()
 		return true
 	}
-	b.next = append(b.next, it.cfg)
+	b.next = append(b.next, it.state)
 	b.nextRanks = append(b.nextRanks, rank)
 	return false
 }
 
-// SymmetryShadowed reports whether the engines' counting-mode expansion
-// would skip cache i of c as permutation-equivalent to a lower-indexed
-// sibling (see shadowedBySibling). Exported for the transition-graph
-// export, which replays the engines' expansion policy.
-func SymmetryShadowed(c *fsm.Config, i int) bool { return shadowedBySibling(c, i) }
-
-// shadowedBySibling reports whether a lower-indexed cache is in the same
-// (state, data) class as cache i; under counting equivalence expanding both
-// produces permutation-equivalent successors, so only the first
-// representative of each class is expanded.
-func shadowedBySibling(c *fsm.Config, i int) bool {
+// SymmetryShadowed reports whether the engine's counting-mode expansion
+// would skip cache i of the canonical configuration c as
+// permutation-equivalent to a lower-indexed sibling in the same (state,
+// data) class, as keyCodec.shadowed does on a state key. Exported for the
+// transition-graph export, which replays the engine's expansion policy.
+func SymmetryShadowed(c *fsm.Config, i int) bool {
 	for j := 0; j < i; j++ {
 		if c.States[j] == c.States[i] && c.Versions[j] == c.Versions[i] {
 			return true

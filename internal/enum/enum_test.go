@@ -276,18 +276,24 @@ func TestCountingKeyIsPermutationInvariant(t *testing.T) {
 	}
 }
 
+// TestSymmetricExpansionShadowing: the engine's skip on key units and the
+// exported SymmetryShadowed the graph export replays agree.
 func TestSymmetricExpansionShadowing(t *testing.T) {
 	p := protocols.Illinois()
 	c := fsm.NewConfig(p, 3)
 	c.States = []fsm.State{"Shared", "Shared", "Invalid"}
 	c.Versions = []int64{0, 0, fsm.NoData}
-	if shadowedBySibling(c, 0) {
-		t.Error("first representative must not be shadowed")
+	kc := newKeyCodec(p, 3, ModeCounting)
+	state, _, err := kc.configKeys(c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !shadowedBySibling(c, 1) {
-		t.Error("second cache of the same class must be shadowed")
-	}
-	if shadowedBySibling(c, 2) {
-		t.Error("a different class must not be shadowed")
+	for i, want := range []bool{false, true, false} {
+		if got := SymmetryShadowed(c, i); got != want {
+			t.Errorf("SymmetryShadowed(cache %d) = %v, want %v", i, got, want)
+		}
+		if got := kc.shadowed(state.bytes(kc.width), i); got != want {
+			t.Errorf("shadowed(cache %d) = %v, want %v", i, got, want)
+		}
 	}
 }

@@ -87,15 +87,15 @@ func goldenLine(p *fsm.Protocol, mode string, res *Result) string {
 // provenance slice at up to twice the final state count, and the widest
 // frontier — so the spill threshold (3/4 of the budget) is crossed as soon
 // as a level leaves states resident.
-func spillBudget(unique, frontier, n int) runctl.Budget {
-	empty := 2 * newCompactStore(n).bytes()
-	return runctl.Budget{MaxBytes: empty + int64(unique)*2*parentRecBytes + int64(frontier)*cfgBytes(n)}
+func spillBudget(kc *keyCodec, unique, frontier int) runctl.Budget {
+	empty := 2 * newCompactStore(kc.width).bytes()
+	return runctl.Budget{MaxBytes: empty + int64(unique)*2*parentRecBytes + int64(frontier)*kc.frontierBytes()}
 }
 
 // TestGoldenDigests freezes the enumeration's output over every shipped spec
 // and every mutant, in strict and counting modes at n=3, as digest lines.
-// Each case runs at one and at two workers and, for packed runs, at one and
-// at two workers under a memory budget that forces the visited set out of
+// Each case runs at one and at two workers and at one and at two workers
+// under a memory budget that forces the visited set out of
 // core; all four must render the same line, and that line must match the
 // golden file. Any change to counts, admission order, violations or witness
 // paths shows up as a line diff. Regenerate with
@@ -126,14 +126,12 @@ func TestGoldenDigests(t *testing.T) {
 				t.Errorf("two-worker run diverges from one worker:\n  two: %s\n  one: %s", l, line)
 			}
 
-			if !newKeyCodec(p, goldenN, mode).packed {
-				continue
-			}
+			kc := newKeyCodec(p, goldenN, mode)
 			for _, workers := range []int{1, 2} {
 				spillCases++
 				dir := t.TempDir()
 				so := opts
-				so.RunConfig = runctl.RunConfig{Budget: spillBudget(one.Unique, widest, goldenN), SpillDir: dir}
+				so.RunConfig = runctl.RunConfig{Budget: spillBudget(kc, one.Unique, widest), SpillDir: dir}
 				sp, err := enumerate(ctx, p, goldenN, so, mode, workers)
 				if err != nil {
 					t.Fatalf("%s %s spill at %d workers: %v", p.Name, mode, workers, err)
@@ -241,11 +239,8 @@ func TestParentRankBelowChild(t *testing.T) {
 			b := drive(name+" one worker", p, mode, po, 1)
 			drive(name+" two workers", p, mode, Options{}, 2)
 
-			if !b.kc.packed {
-				continue
-			}
 			dir := t.TempDir()
-			so := Options{RunConfig: runctl.RunConfig{Budget: spillBudget(b.res.Unique, widest, goldenN), SpillDir: dir}}
+			so := Options{RunConfig: runctl.RunConfig{Budget: spillBudget(b.kc, b.res.Unique, widest), SpillDir: dir}}
 			drive(name+" out-of-core", p, mode, so, 2)
 			if spillFileCount(t, dir, "spill-visited-") == 0 {
 				t.Fatalf("%s: budgeted run did not spill", name)

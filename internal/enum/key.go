@@ -5,46 +5,40 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/compile"
 	"repro/internal/fsm"
 )
 
-// This file is the state-identity layer of the explicit-state engines.
+// This file is the state-identity layer of the explicit-state engine.
 //
 // The mⁿ spaces of Section 3.1 make the per-successor cost of computing a
-// visited-set key the dominant term of an enumeration run. The original
-// implementation keyed every successor by a freshly built string
-// (fmt.Sprintf per cache, plus a string sort for counting equivalence);
-// this file replaces it with an allocation-free packed encoding: after
-// Canonicalize, every cache is exactly one byte (state index in the high
-// six bits, the 3-value abstract data domain of Definition 4 in the low
-// two), and a whole configuration is a fixed-width comparable value usable
-// directly as a map key. Counting equivalence (Definition 5) becomes an
-// in-place byte sort instead of a string sort.
+// visited-set key the dominant term of an enumeration run, and a state's
+// identity needs only what Definition 4 keeps of it: each cache's state and
+// data class (nodata, fresh or obsolete), and the memory's data class. So
+// every state of a run is one fixed-width byte string, its key: one unit of
+// u bytes per cache, holding the compiled state index shifted left by two
+// and or'ed with the data class (big-endian), then a tail byte holding the
+// memory's class and a marker. u is the smallest byte count that holds the
+// largest unit, so u = 1 up to 64 states. Counting equivalence
+// (Definition 5) sorts the units.
 //
-// Packing applies when the protocol has at most maxPackedStates states and
-// the run has at most maxPackedCaches caches; beyond that the codec falls
-// back transparently to the legacy canonical strings, so results never
-// depend on which representation a run used.
+// The key is the only in-memory form of a state inside the engine: the
+// frontier holds keys in cache order, expansion decodes them straight into
+// a worker's compile.Config, and fsm.Config exists only at the edges (the
+// initial state, the admission check, reported configurations and
+// checkpoints). Every run, whatever its cache or state count, uses this one
+// codec, the compact store and the spill path.
 
 const (
-	// maxPackedCaches is the largest cache count the packed encoding can
-	// hold: one byte per cache, with the final byte reserved for the memory
-	// data class and the packed marker.
-	maxPackedCaches = 31
-	// maxPackedStates is the largest per-cache state count encodable in the
-	// six high bits of a packed byte.
-	maxPackedStates = 63
-	// packedMark is set in the reserved byte of every packed key so that no
-	// valid packed key equals the zero Key.
-	packedMark = 0x80
+	// keyMark is set in the tail byte of every key so that no key equals
+	// the zero Key.
+	keyMark = 0x80
 	// tupleMark distinguishes state-only tuple keys from full keys.
 	tupleMark = 0x40
 )
 
-// Abstract data classes of the packed encoding. They mirror the canonical
+// Abstract data classes of the key units. They mirror the canonical
 // version numbers: NoData, canonFresh and canonObsolete.
 const (
 	classNone     = 0
@@ -52,58 +46,53 @@ const (
 	classObsolete = 2
 )
 
-// Key is the comparable identity of a canonical configuration under one
-// equivalence mode. In packed mode the identity lives entirely in the
-// fixed-width byte array and building a Key allocates nothing; in fallback
-// mode (very large protocols or cache counts) the identity is the legacy
-// canonical string. No configuration's Key is the zero Key, which renders
-// as "".
+// Key holds a state's key bytes. A key of up to 32 bytes sits inline in
+// packed, so building one allocates nothing; a longer key (a wide run: over
+// 31 caches, or two-byte units above 15) holds the same bytes in str.
+// Either way a Key is comparable and usable as a map key, and no state's
+// Key is the zero Key.
 type Key struct {
 	packed [32]byte
 	str    string
 }
 
-// isZero reports whether k is the zero sentinel.
-func (k Key) isZero() bool { return k == Key{} }
-
-// hash folds the key into a shard selector (FNV-1a). It only needs to
-// distribute well; it is not part of the key's identity.
-func (k Key) hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	if k.str != "" {
-		for i := 0; i < len(k.str); i++ {
-			h ^= uint64(k.str[i])
-			h *= prime64
-		}
-		return h
+// keyOf returns the Key holding the key bytes b.
+func keyOf(b []byte) Key {
+	var k Key
+	if len(b) > len(k.packed) {
+		k.str = string(b)
+	} else {
+		copy(k.packed[:], b)
 	}
-	for _, b := range k.packed {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+	return k
 }
 
-// keyCodec computes, renders and parses the keys of one run. A codec is
-// specific to a (protocol, cache count, mode) triple; both engines and the
-// checkpoint layer of a run share one instance.
+// bytes returns the key's width bytes: a view of packed for an inline key,
+// a copy of str for a long one.
+func (k *Key) bytes(width int) []byte {
+	if k.str != "" {
+		return []byte(k.str)
+	}
+	return k.packed[:width]
+}
+
+// keyCodec computes, decodes, renders and parses the keys of one run. A
+// codec is specific to a (protocol, cache count, mode) triple; the engine
+// and the checkpoint layer of a run share one instance.
 type keyCodec struct {
-	p      *fsm.Protocol
-	n      int
-	mode   string
-	packed bool
+	p    *fsm.Protocol
+	n    int
+	mode string
 	// cp is the compiled protocol expandOne steps through: the run's one
-	// lowering, shared by every BFS worker.
-	// A state's packed byte prefix is its compiled index << 2.
+	// lowering, shared by every BFS worker. A unit's state is an index
+	// into its states.
 	cp *compile.Protocol
+	// unit is the byte count of one cache's unit, and width that of a
+	// whole key: n units and the tail byte.
+	unit, width int
 }
 
 func newKeyCodec(p *fsm.Protocol, n int, mode string) *keyCodec {
-	kc := &keyCodec{p: p, n: n, mode: mode}
 	// Compilation fails only for protocols that fail Validate, which every
 	// caller has already checked (newBFS, checkpoint restore, tests on
 	// library protocols); a failure here is therefore a program bug.
@@ -111,23 +100,55 @@ func newKeyCodec(p *fsm.Protocol, n int, mode string) *keyCodec {
 	if err != nil {
 		panic(fmt.Sprintf("enum: compiling validated protocol %s: %v", p.Name, err))
 	}
-	kc.cp = cp
-	kc.packed = n >= 1 && n <= maxPackedCaches && p.NumStates() <= maxPackedStates
-	return kc
+	unit := 1
+	for top := (cp.NumStates-1)<<2 | 3; top > 0xff; top >>= 8 {
+		unit++
+	}
+	return &keyCodec{p: p, n: n, mode: mode, cp: cp, unit: unit, width: n*unit + 1}
 }
 
-// stateByte returns the packed byte prefix of a declared state, or false
-// for an undeclared one.
-func (kc *keyCodec) stateByte(s fsm.State) (byte, bool) {
-	i := kc.cp.StateIndex(s)
-	return byte(i) << 2, i >= 0
+// scratch returns width bytes to build a key in: backing when it is long
+// enough, so inline keys are built on the caller's stack.
+func (kc *keyCodec) scratch(backing []byte) []byte {
+	if kc.width <= len(backing) {
+		return backing[:kc.width]
+	}
+	return make([]byte, kc.width)
 }
 
-// class maps a canonical version number to its packed data class. The
-// engines only key canonicalized configurations, for which v is one of
-// {NoData, Latest, canonObsolete}; any other stale version classifies as
-// obsolete exactly like Canonicalize would.
-func class(v, latest int64) byte {
+// unitAt returns the unit of cache i in the key bytes b.
+func (kc *keyCodec) unitAt(b []byte, i int) int {
+	v := 0
+	for _, x := range b[i*kc.unit : (i+1)*kc.unit] {
+		v = v<<8 | int(x)
+	}
+	return v
+}
+
+// putUnit stores v as the unit of cache i in the key bytes b.
+func (kc *keyCodec) putUnit(b []byte, i, v int) {
+	for j := (i+1)*kc.unit - 1; j >= i*kc.unit; j-- {
+		b[j] = byte(v)
+		v >>= 8
+	}
+}
+
+// sortUnits sorts the units of the key bytes b in place (insertion sort:
+// the counting-mode multiset identity).
+func (kc *keyCodec) sortUnits(b []byte) {
+	for i := 1; i < kc.n; i++ {
+		v := kc.unitAt(b, i)
+		j := i - 1
+		for ; j >= 0 && kc.unitAt(b, j) > v; j-- {
+			kc.putUnit(b, j+1, kc.unitAt(b, j))
+		}
+		kc.putUnit(b, j+1, v)
+	}
+}
+
+// class maps a version number to its data class, exactly as Canonicalize
+// renames it: NoData stays, latest is fresh, any other version obsolete.
+func class(v, latest int64) int {
 	switch {
 	case v == fsm.NoData:
 		return classNone
@@ -139,7 +160,7 @@ func class(v, latest int64) byte {
 }
 
 // classVersion is the inverse of class over the canonical domain.
-func classVersion(c byte) int64 {
+func classVersion(c int) int64 {
 	switch c {
 	case classNone:
 		return fsm.NoData
@@ -150,94 +171,114 @@ func classVersion(c byte) int64 {
 	}
 }
 
-// key returns the equivalence-class key of a canonicalized configuration:
-// strict tuple identity (Section 3.1) for ModeStrict, multiset identity
-// (Definition 5) for ModeCounting.
-func (kc *keyCodec) key(c *fsm.Config) Key {
-	if !kc.packed {
-		if kc.mode == ModeCounting {
-			return Key{str: countingKey(c)}
+// keys returns the keys of the canonical form of a compiled configuration,
+// which need not be canonical itself. state lists the caches in their
+// order, the form the frontier holds; key is the run's dedup identity:
+// strict tuple identity (Section 3.1) for ModeStrict, the same Key as
+// state, and multiset identity (Definition 5), with the units sorted, for
+// ModeCounting.
+func (kc *keyCodec) keys(c *compile.Config) (state, key Key) {
+	var backing [32]byte
+	b := kc.scratch(backing[:])
+	for i, s := range c.States {
+		kc.putUnit(b, i, int(s)<<2|class(c.Versions[i], c.Latest))
+	}
+	b[kc.width-1] = keyMark | byte(class(c.MemVersion, c.Latest))
+	state = keyOf(b)
+	if kc.mode != ModeCounting {
+		return state, state
+	}
+	kc.sortUnits(b)
+	return state, keyOf(b)
+}
+
+// configKeys returns the keys of a configuration of n caches in declared
+// states, for the edges that hold an fsm.Config.
+func (kc *keyCodec) configKeys(c *fsm.Config) (state, key Key, err error) {
+	var cc compile.Config
+	if err := kc.cp.Encode(c, &cc); err != nil {
+		return Key{}, Key{}, err
+	}
+	state, key = kc.keys(&cc)
+	return state, key, nil
+}
+
+// decode writes the canonical configuration of the state key bytes b into
+// c: each unit's state index, the version of its data class, and Latest 0.
+func (kc *keyCodec) decode(b []byte, c *compile.Config) {
+	c.States = c.States[:0]
+	c.Versions = c.Versions[:0]
+	for i := 0; i < kc.n; i++ {
+		u := kc.unitAt(b, i)
+		c.States = append(c.States, int32(u>>2))
+		c.Versions = append(c.Versions, classVersion(u&3))
+	}
+	c.MemVersion = classVersion(int(b[kc.width-1] & 3))
+	c.Latest = canonFresh
+}
+
+// decodeConfig is decode into an fsm.Config, reusing c's capacity.
+func (kc *keyCodec) decodeConfig(b []byte, c *fsm.Config) {
+	c.States = c.States[:0]
+	c.Versions = c.Versions[:0]
+	for i := 0; i < kc.n; i++ {
+		u := kc.unitAt(b, i)
+		c.States = append(c.States, kc.cp.States[u>>2])
+		c.Versions = append(c.Versions, classVersion(u&3))
+	}
+	c.MemVersion = classVersion(int(b[kc.width-1] & 3))
+	c.Latest = canonFresh
+}
+
+// config returns the configuration of a state key as a new fsm.Config.
+func (kc *keyCodec) config(state *Key) *fsm.Config {
+	c := &fsm.Config{States: make([]fsm.State, 0, kc.n), Versions: make([]int64, 0, kc.n)}
+	kc.decodeConfig(state.bytes(kc.width), c)
+	return c
+}
+
+// shadowed reports whether a lower-indexed cache of the state key bytes b
+// has cache i's unit, that is, the same state and data class. Counting
+// mode expands only the first cache of each class: expanding its siblings
+// yields permutation-equivalent successors.
+func (kc *keyCodec) shadowed(b []byte, i int) bool {
+	u := kc.unitAt(b, i)
+	for j := 0; j < i; j++ {
+		if kc.unitAt(b, j) == u {
+			return true
 		}
-		return Key{str: strictKey(c)}
 	}
-	var k Key
-	for i, s := range c.States {
-		sb, _ := kc.stateByte(s)
-		k.packed[i] = sb | class(c.Versions[i], c.Latest)
-	}
-	kc.seal(&k, len(c.States), class(c.MemVersion, c.Latest))
-	return k
+	return false
 }
 
-// compiledKey returns the key of a packed codec for the canonical form of a
-// compiled configuration, which need not be canonicalized itself: the state
-// index is the packed state prefix, and class maps every version onto the
-// abstract data domain exactly as Canonicalize would. This is how
-// expandOne keys a successor before deciding whether to materialise it.
-func (kc *keyCodec) compiledKey(c *compile.Config) Key {
-	var k Key
-	for i, s := range c.States {
-		k.packed[i] = byte(s)<<2 | class(c.Versions[i], c.Latest)
+// tupleKey returns the state-only tuple identity (data ignored) of a state
+// key, the strict tuple census key of Result.TupleStates: its units with
+// the class bits cleared, in cache order in both modes, exactly like the
+// legacy Config.StateKey.
+func (kc *keyCodec) tupleKey(state *Key) Key {
+	var backing [32]byte
+	b := kc.scratch(backing[:])
+	copy(b, state.bytes(kc.width))
+	for i := 1; i <= kc.n; i++ {
+		b[i*kc.unit-1] &^= 3
 	}
-	kc.seal(&k, len(c.States), class(c.MemVersion, c.Latest))
-	return k
-}
-
-// seal finishes a packed key whose n per-cache bytes are filled in: the
-// multiset sort of counting mode, then the reserved marker/memory byte.
-func (kc *keyCodec) seal(k *Key, n int, mem byte) {
-	if kc.mode == ModeCounting {
-		sortBytes(k.packed[:n])
-	}
-	k.packed[maxPackedCaches] = packedMark | mem
-}
-
-// tupleKey returns the state-only tuple identity (data ignored), the strict
-// tuple census key of Result.TupleStates. It is order-sensitive in both
-// modes, exactly like the legacy Config.StateKey.
-func (kc *keyCodec) tupleKey(c *fsm.Config) Key {
-	if !kc.packed {
-		return Key{str: c.StateKey()}
-	}
-	var k Key
-	for i, s := range c.States {
-		k.packed[i], _ = kc.stateByte(s)
-	}
-	k.packed[maxPackedCaches] = packedMark | tupleMark
-	return k
-}
-
-// sortBytes sorts a small byte slice in place (insertion sort: n ≤ 31).
-func sortBytes(b []byte) {
-	for i := 1; i < len(b); i++ {
-		v := b[i]
-		j := i - 1
-		for j >= 0 && b[j] > v {
-			b[j+1] = b[j]
-			j--
-		}
-		b[j+1] = v
-	}
+	b[kc.width-1] = keyMark | tupleMark
+	return keyOf(b)
 }
 
 // render returns the human-readable canonical string of a key, in exactly
-// the format the legacy string keys used (and that checkpoints store):
+// the format of strictKey and countingKey (and that checkpoints store):
 // "State:v,State:v|m:v|l:0" for strict mode and the sorted
 // "State:v,...|m:v" form for counting mode, with v one of the canonical
 // version numbers {-1 nodata, 0 fresh, -2 obsolete}.
 func (kc *keyCodec) render(k Key) string {
-	if k.str != "" {
-		return k.str
-	}
-	if k.isZero() {
-		return ""
-	}
+	b := k.bytes(kc.width)
 	pairs := make([]string, kc.n)
-	for i := 0; i < kc.n; i++ {
-		b := k.packed[i]
-		pairs[i] = string(kc.p.States[b>>2]) + ":" + strconv.FormatInt(classVersion(b&3), 10)
+	for i := range pairs {
+		u := kc.unitAt(b, i)
+		pairs[i] = string(kc.p.States[u>>2]) + ":" + strconv.FormatInt(classVersion(u&3), 10)
 	}
-	mem := strconv.FormatInt(classVersion(k.packed[maxPackedCaches]&3), 10)
+	mem := strconv.FormatInt(classVersion(int(b[kc.width-1]&3)), 10)
 	if kc.mode == ModeCounting {
 		sort.Strings(pairs)
 		return strings.Join(pairs, ",") + "|m:" + mem
@@ -248,12 +289,10 @@ func (kc *keyCodec) render(k Key) string {
 // renderTuple returns the state-only tuple string ("S1,S2,..."), matching
 // the legacy Config.StateKey format.
 func (kc *keyCodec) renderTuple(k Key) string {
-	if k.str != "" {
-		return k.str
-	}
+	b := k.bytes(kc.width)
 	parts := make([]string, kc.n)
-	for i := 0; i < kc.n; i++ {
-		parts[i] = string(kc.p.States[k.packed[i]>>2])
+	for i := range parts {
+		parts[i] = string(kc.p.States[kc.unitAt(b, i)>>2])
 	}
 	return strings.Join(parts, ",")
 }
@@ -266,27 +305,25 @@ func (kc *keyCodec) parse(s string) (Key, error) {
 	if s == "" {
 		return Key{}, fmt.Errorf("enum: empty state key")
 	}
-	if !kc.packed {
-		return Key{str: s}, nil
-	}
 	fields := strings.Split(s, "|")
 	pairs := strings.Split(fields[0], ",")
 	if len(pairs) != kc.n {
 		return Key{}, fmt.Errorf("enum: state key %q has %d caches, want %d", s, len(pairs), kc.n)
 	}
-	var k Key
+	var backing [32]byte
+	b := kc.scratch(backing[:])
 	for i, pair := range pairs {
 		name, ver, err := splitPair(pair)
 		if err != nil {
 			return Key{}, fmt.Errorf("enum: state key %q: %w", s, err)
 		}
-		sb, ok := kc.stateByte(fsm.State(name))
-		if !ok {
+		st := kc.cp.StateIndex(fsm.State(name))
+		if st < 0 {
 			return Key{}, fmt.Errorf("enum: state key %q references unknown state %q", s, name)
 		}
-		k.packed[i] = sb | versionClass(ver)
+		kc.putUnit(b, i, st<<2|class(ver, canonFresh))
 	}
-	mem := int64(canonFresh)
+	mem := canonFresh
 	for _, f := range fields[1:] {
 		if rest, ok := strings.CutPrefix(f, "m:"); ok {
 			v, err := strconv.ParseInt(rest, 10, 64)
@@ -296,29 +333,30 @@ func (kc *keyCodec) parse(s string) (Key, error) {
 			mem = v
 		}
 	}
-	kc.seal(&k, kc.n, versionClass(mem))
-	return k, nil
+	b[kc.width-1] = keyMark | byte(class(mem, canonFresh))
+	if kc.mode == ModeCounting {
+		kc.sortUnits(b)
+	}
+	return keyOf(b), nil
 }
 
 // parseTuple restores a state-only tuple key from its rendered string.
 func (kc *keyCodec) parseTuple(s string) (Key, error) {
-	if !kc.packed {
-		return Key{str: s}, nil
-	}
 	parts := strings.Split(s, ",")
 	if len(parts) != kc.n {
 		return Key{}, fmt.Errorf("enum: tuple key %q has %d caches, want %d", s, len(parts), kc.n)
 	}
-	var k Key
+	var backing [32]byte
+	b := kc.scratch(backing[:])
 	for i, name := range parts {
-		sb, ok := kc.stateByte(fsm.State(name))
-		if !ok {
+		st := kc.cp.StateIndex(fsm.State(name))
+		if st < 0 {
 			return Key{}, fmt.Errorf("enum: tuple key %q references unknown state %q", s, name)
 		}
-		k.packed[i] = sb
+		kc.putUnit(b, i, st<<2)
 	}
-	k.packed[maxPackedCaches] = packedMark | tupleMark
-	return k, nil
+	b[kc.width-1] = keyMark | tupleMark
+	return keyOf(b), nil
 }
 
 func splitPair(pair string) (string, int64, error) {
@@ -331,31 +369,4 @@ func splitPair(pair string) (string, int64, error) {
 		return "", 0, fmt.Errorf("malformed version in pair %q", pair)
 	}
 	return pair[:i], v, nil
-}
-
-func versionClass(v int64) byte {
-	return class(v, canonFresh)
-}
-
-// cfgPool recycles fsm.Config allocations across expansion steps: a
-// successor that loses admission, and a frontier state that has been fully
-// expanded, return their backing slices to the pool for the next
-// materialisation to reuse. sync.Pool empties itself under GC pressure, so
-// the pool never pins memory.
-var cfgPool = &sync.Pool{New: func() any { return new(fsm.Config) }}
-
-// materialise decodes a stepped compiled configuration into a pooled
-// fsm.Config and canonicalizes it.
-func (kc *keyCodec) materialise(c *compile.Config) *fsm.Config {
-	next := cfgPool.Get().(*fsm.Config)
-	kc.cp.Decode(c, next)
-	Canonicalize(next)
-	return next
-}
-
-// releaseConfig returns a configuration that no longer escapes to the pool.
-func releaseConfig(c *fsm.Config) {
-	if c != nil {
-		cfgPool.Put(c)
-	}
 }

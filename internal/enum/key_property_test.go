@@ -27,9 +27,6 @@ func TestPackedKeyPartitionMatchesLegacy(t *testing.T) {
 		n := 2 + rng.Intn(3)
 		for _, mode := range []string{ModeStrict, ModeCounting} {
 			kc := newKeyCodec(p, n, mode)
-			if !kc.packed {
-				t.Fatalf("seed %d: codec unexpectedly unpacked for |Q|=%d n=%d", seed, p.NumStates(), n)
-			}
 			legacy := func(c *fsm.Config) string {
 				if mode == ModeCounting {
 					return countingKey(c)
@@ -46,7 +43,10 @@ func TestPackedKeyPartitionMatchesLegacy(t *testing.T) {
 					t.Fatalf("seed %d mode %s: step: %v", seed, mode, err)
 				}
 				Canonicalize(c)
-				k := kc.key(c)
+				state, k, err := kc.configKeys(c)
+				if err != nil {
+					t.Fatal(err)
+				}
 				lk := legacy(c)
 
 				if prev, ok := byLegacy[lk]; ok && prev != k {
@@ -69,7 +69,7 @@ func TestPackedKeyPartitionMatchesLegacy(t *testing.T) {
 					t.Fatalf("seed %d mode %s: parse(render) changed key of %q", seed, mode, lk)
 				}
 
-				tk := kc.tupleKey(c)
+				tk := kc.tupleKey(&state)
 				if got := kc.renderTuple(tk); got != c.StateKey() {
 					t.Fatalf("seed %d mode %s: renderTuple = %q, StateKey = %q", seed, mode, got, c.StateKey())
 				}
@@ -85,26 +85,64 @@ func TestPackedKeyPartitionMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestPackedKeyFallbackLargeN checks the transparent fallback: above the
-// packed cache limit the codec must still produce the legacy partition (it
-// IS the legacy string in that regime).
-func TestPackedKeyFallbackLargeN(t *testing.T) {
-	p := protocols.Illinois()
-	n := maxPackedCaches + 1
-	for _, mode := range []string{ModeStrict, ModeCounting} {
-		kc := newKeyCodec(p, n, mode)
-		if kc.packed {
-			t.Fatalf("codec must fall back for n=%d", n)
-		}
-		c := fsm.NewConfig(p, n)
-		Canonicalize(c)
-		k := kc.key(c)
-		want := strictKey(c)
-		if mode == ModeCounting {
-			want = countingKey(c)
-		}
-		if kc.render(k) != want {
-			t.Fatalf("fallback render = %q, want %q", kc.render(k), want)
+// TestWideKeyRoundTrip covers the keys that do not fit inline: Illinois at
+// n=32 (33 key bytes) and a 65-state protocol (two-byte units). Over a
+// random walk, render must reproduce the legacy string, parse(render(k))
+// must give k back, and decoding a state key must give the canonical
+// configuration.
+func TestWideKeyRoundTrip(t *testing.T) {
+	syn, err := protocols.Synthetic(63)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		p        *fsm.Protocol
+		n, unit  int
+		wantLong bool
+	}{
+		{protocols.Illinois(), 32, 1, true},
+		{syn, 4, 2, false},
+		{syn, 16, 2, true},
+	} {
+		for _, mode := range []string{ModeStrict, ModeCounting} {
+			kc := newKeyCodec(tc.p, tc.n, mode)
+			if kc.unit != tc.unit {
+				t.Fatalf("%s n=%d: unit %d, want %d", tc.p.Name, tc.n, kc.unit, tc.unit)
+			}
+			c := fsm.NewConfig(tc.p, tc.n)
+			Canonicalize(c)
+			for step := 0; step < 300; step++ {
+				op := tc.p.Ops[rng.Intn(len(tc.p.Ops))]
+				if _, err := fsm.Step(tc.p, c, rng.Intn(tc.n), op); err != nil {
+					t.Fatal(err)
+				}
+				Canonicalize(c)
+				state, k, err := kc.configKeys(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if long := k.str != ""; long != tc.wantLong {
+					t.Fatalf("%s n=%d: long key = %v, want %v", tc.p.Name, tc.n, long, tc.wantLong)
+				}
+				want := strictKey(c)
+				if mode == ModeCounting {
+					want = countingKey(c)
+				}
+				if got := kc.render(k); got != want {
+					t.Fatalf("%s n=%d %s: render = %q, want %q", tc.p.Name, tc.n, mode, got, want)
+				}
+				if back, err := kc.parse(kc.render(k)); err != nil || back != k {
+					t.Fatalf("%s n=%d %s: parse(render(k)) = %v, want k", tc.p.Name, tc.n, mode, err)
+				}
+				if got := kc.config(&state); strictKey(got) != strictKey(c) {
+					t.Fatalf("%s n=%d: decoded %s, want %s", tc.p.Name, tc.n, strictKey(got), strictKey(c))
+				}
+				tk := kc.tupleKey(&state)
+				if back, err := kc.parseTuple(kc.renderTuple(tk)); err != nil || back != tk || kc.renderTuple(tk) != c.StateKey() {
+					t.Fatalf("%s n=%d: tuple round trip of %q failed: %v", tc.p.Name, tc.n, c.StateKey(), err)
+				}
+			}
 		}
 	}
 }

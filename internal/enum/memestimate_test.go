@@ -11,19 +11,15 @@ import (
 // TestStateBytesEstimate pins the estBytes memory model against measured
 // heap growth. The estimate drives the MaxBytes budget (and the spill
 // threshold of out-of-core runs), so it must track what one admitted
-// state actually costs under the compact store: its packed key in the
-// visited and tuple sets, its provenance record, and a frontier
-// configuration. The test builds exactly the structures estBytes sums —
-// for a large population of distinct configurations — and requires the
-// estimate to stay within a factor of two of the allocator's per-state
-// cost in either direction.
+// state actually costs: its key in the visited and tuple sets, its
+// provenance record, and its frontier key. The test builds exactly the
+// structures estBytes sums — for a large population of distinct
+// configurations — and requires the estimate to stay within a factor of
+// two of the allocator's per-state cost in either direction.
 func TestStateBytesEstimate(t *testing.T) {
 	p := protocols.Illinois()
 	const n = 7
 	kc := newKeyCodec(p, n, ModeStrict)
-	if !kc.packed {
-		t.Fatal("illinois n=7 must use the packed codec")
-	}
 
 	// Every base-|Q| digit string of length n is a distinct state tuple, so
 	// both the full keys and the tuple keys are unique.
@@ -45,17 +41,20 @@ func TestStateBytesEstimate(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 
-	visited, tuples := newStores(kc, n)
+	visited, tuples := newCompactStore(kc.width), newCompactStore(kc.width)
 	parents := make([]parentRec, 0, m)
-	frontier := make([]*fsm.Config, 0, m)
+	frontier := make([]Key, 0, m)
 	for i := 0; i < m; i++ {
-		c := mk(i)
-		r := visited.insert(kc.key(c))
+		state, key, err := kc.configKeys(mk(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := visited.insert(key)
 		parents = append(parents, parentRec{parent: r, cache: uint16(i % n), op: 0})
-		if tk := kc.tupleKey(c); !tuples.has(tk) {
+		if tk := kc.tupleKey(&state); !tuples.has(tk) {
 			tuples.insert(tk)
 		}
-		frontier = append(frontier, c)
+		frontier = append(frontier, state)
 	}
 
 	runtime.GC()
@@ -63,7 +62,7 @@ func TestStateBytesEstimate(t *testing.T) {
 	measured := float64(after.HeapAlloc-before.HeapAlloc) / float64(m)
 	est := float64(visited.bytes()+tuples.bytes()+
 		int64(cap(parents))*parentRecBytes+
-		int64(len(frontier))*cfgBytes(n)) / float64(m)
+		int64(len(frontier))*kc.frontierBytes()) / float64(m)
 	if measured < est/2 || measured > est*2 {
 		t.Fatalf("estBytes model says %.1f B/state but measured %.1f B/state over %d states; estimate off by more than 2x",
 			est, measured, m)
@@ -98,7 +97,11 @@ func TestCompactVisitedSetFootprint(t *testing.T) {
 			c.States[j] = p.States[i%q]
 			i /= q
 		}
-		return kc.key(c)
+		_, key, err := kc.configKeys(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key
 	}
 	for i := 0; i < m; i++ {
 		keys = append(keys, mk(i))
@@ -120,7 +123,7 @@ func TestCompactVisitedSetFootprint(t *testing.T) {
 	}
 	gc2()
 	runtime.ReadMemStats(&m1)
-	cs := newCompactStore(n)
+	cs := newCompactStore(kc.width)
 	compactPar := make([]parentRec, 0, m)
 	for _, k := range keys {
 		compactPar = append(compactPar, parentRec{parent: cs.insert(k)})

@@ -9,6 +9,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/fsm"
 	"repro/internal/obs"
+	"repro/internal/stateset"
 )
 
 // ExhaustiveParallelContext is ExhaustiveContext at an explicit width:
@@ -39,13 +40,14 @@ func (e *WorkerError) Error() string {
 	return fmt.Sprintf("enum: worker %d panicked at level %d: %s", e.Worker, e.Level, e.Value)
 }
 
-// succItem is one successor kept by expandOne, tagged with provenance for
+// succItem is one successor kept by expandOne: its state key (cache
+// order) and dedup key (see keyCodec.keys), tagged with provenance for
 // witness reconstruction (the acting cache, the operation's index in
 // Protocol.Ops and the expanded state's index in the level's frontier) and
 // with ord, its index among all the successors its expansion generated
 // (dropped duplicates included), which ranks it.
 type succItem struct {
-	cfg    *fsm.Config
+	state  Key
 	key    Key
 	parent int
 	cache  int
@@ -63,10 +65,11 @@ type workerOut struct {
 	items    []succItem
 	specErrs []error
 	// base and work are the compiled-configuration scratch of expandOne:
-	// the expanded state encoded once, and the per-successor working copy.
-	// They live here so the pooled workers reuse them across expansions
-	// without allocating.
+	// the expanded state decoded once, and the per-successor working copy.
+	// cfg is the admission check's fsm.Config. They live here so the
+	// pooled workers reuse them across expansions without allocating.
 	base, work compile.Config
+	cfg        fsm.Config
 }
 
 var workerOutPool = sync.Pool{New: func() any { return new(workerOut) }}
@@ -79,23 +82,19 @@ func putWorkerOut(out *workerOut) {
 	workerOutPool.Put(out)
 }
 
-// expandOne generates the successors of one frontier configuration into
-// out and returns how many it generated (its Visits, duplicates included).
-// Expansion is key-first: each successor is a compiled step of
-// the configuration encoded once, keyed straight from the stepped compiled
+// expandOne generates the successors of one frontier state into out and
+// returns how many it generated (its Visits, duplicates included). The
+// state key is decoded once into the compiled configuration; each
+// successor is a compiled step of it, keyed straight from the stepped
 // form. One that seen reports as known (by key and ord), or that repeats
-// an earlier successor of this expansion, is counted but never
-// materialised; only survivors are decoded and canonicalized. Unpacked
-// codecs key the materialised configuration instead.
-func expandOne(kc *keyCodec, symmetric bool, cur *fsm.Config, out *workerOut, seen func(k Key, ord int) bool) int {
+// an earlier successor of this expansion, is counted and dropped.
+func expandOne(kc *keyCodec, symmetric bool, cur *Key, out *workerOut, seen func(k Key, ord int) bool) int {
 	p, n, cp := kc.p, kc.n, kc.cp
-	if err := cp.Encode(cur, &out.base); err != nil {
-		out.specErrs = append(out.specErrs, err)
-		return 0
-	}
+	cb := cur.bytes(kc.width)
+	kc.decode(cb, &out.base)
 	gen := 0
 	for i := 0; i < n; i++ {
-		if symmetric && shadowedBySibling(cur, i) {
+		if symmetric && kc.shadowed(cb, i) {
 			continue
 		}
 		st := int(out.base.States[i])
@@ -110,22 +109,11 @@ func expandOne(kc *keyCodec, symmetric bool, cur *fsm.Config, out *workerOut, se
 			}
 			ord := gen
 			gen++
-			var next *fsm.Config
-			var key Key
-			if kc.packed {
-				key = kc.compiledKey(&out.work)
-			} else {
-				next = kc.materialise(&out.work)
-				key = kc.key(next)
-			}
+			state, key := kc.keys(&out.work)
 			if seen(key, ord) || out.generated(key) {
-				releaseConfig(next)
 				continue
 			}
-			if next == nil {
-				next = kc.materialise(&out.work)
-			}
-			out.items = append(out.items, succItem{cfg: next, key: key, cache: i, op: k, ord: ord})
+			out.items = append(out.items, succItem{state: state, key: key, cache: i, op: k, ord: ord})
 		}
 	}
 	return gen
@@ -177,10 +165,11 @@ const maxPendShards = 64
 type pendSet struct {
 	shards []pendShard
 	lists  [][]pendEntry
+	width  int // key bytes, for the shard hash
 }
 
-func newPendSet(workers int) *pendSet {
-	ps := &pendSet{shards: make([]pendShard, 1), lists: make([][]pendEntry, workers)}
+func newPendSet(workers, width int) *pendSet {
+	ps := &pendSet{shards: make([]pendShard, 1), lists: make([][]pendEntry, workers), width: width}
 	if workers > 1 {
 		ps.shards = make([]pendShard, maxPendShards)
 	}
@@ -205,7 +194,7 @@ func (ps *pendSet) shard(k Key) *pendShard {
 	if len(ps.shards) == 1 {
 		return &ps.shards[0]
 	}
-	return &ps.shards[k.hash()&(maxPendShards-1)]
+	return &ps.shards[stateset.Shard(k.bytes(ps.width))&(maxPendShards-1)]
 }
 
 // beaten reports whether a successor of key k generated at rank loses to
@@ -219,21 +208,20 @@ func (ps *pendSet) beaten(k Key, rank uint64) bool {
 	return ok && r <= rank
 }
 
-// admit offers worker w a successor that was not beaten when expandOne
-// tested it. A lower-ranked entry admitted since still wins, and the
-// loser's configuration returns to the pool. An entry displaced from
-// another worker's list stays there until survivors drops it.
-func (ps *pendSet) admit(w int, it succItem, rank uint64, strict bool, p *fsm.Protocol) {
-	sh := ps.shard(it.key)
+// claim makes rank the pending rank of key k, for a successor that was
+// not beaten when expandOne tested it, and reports whether it did: a
+// lower-ranked entry admitted since still wins. The caller then appends
+// the admitted entry to its worker's list. An entry displaced from another
+// worker's list stays there until survivors drops it.
+func (ps *pendSet) claim(k Key, rank uint64) bool {
+	sh := ps.shard(k)
 	sh.mu.Lock()
-	if r, ok := sh.m[it.key]; ok && r <= rank {
-		sh.mu.Unlock()
-		releaseConfig(it.cfg)
-		return
+	defer sh.mu.Unlock()
+	if r, ok := sh.m[k]; ok && r <= rank {
+		return false
 	}
-	sh.m[it.key] = rank
-	sh.mu.Unlock()
-	ps.lists[w] = append(ps.lists[w], pendEntry{it: it, rank: rank, viol: fsm.CheckConfig(p, it.cfg, strict)})
+	sh.m[k] = rank
+	return true
 }
 
 // won reports whether e is still the pending entry of its key. Called only
@@ -252,15 +240,13 @@ func (ps *pendSet) purgeWorker(w int) {
 		if ps.won(e) {
 			delete(ps.shard(e.it.key).m, e.it.key)
 		}
-		releaseConfig(e.it.cfg)
 	}
 	clear(ps.lists[w])
 	ps.lists[w] = ps.lists[w][:0]
 }
 
 // survivors drops from the first nw lists every entry a lower rank
-// displaced, returning its configuration to the pool, and returns the
-// lists. Read in worker order, they hold the surviving admissions in rank
+// displaced, and returns the lists. Read in worker order, they hold the surviving admissions in rank
 // order: the exact order a one-worker run admits them in. Worker 0's
 // ranks are the level's lowest, so its list is never displaced.
 func (ps *pendSet) survivors(nw int) [][]pendEntry {
@@ -269,7 +255,6 @@ func (ps *pendSet) survivors(nw int) [][]pendEntry {
 		kept := l[:0]
 		for i := range l {
 			if !ps.won(&l[i]) {
-				releaseConfig(l[i].it.cfg)
 				continue
 			}
 			kept = append(kept, l[i])
@@ -317,10 +302,17 @@ func (b *bfs) expandWorker(w, lo, hi int, ps *pendSet) (int, []error) {
 	}
 	for i := lo; i < hi; i++ {
 		out.items = out.items[:0]
-		gen := expandOne(b.kc, b.symmetric, b.frontier[i], out, seen)
+		gen := expandOne(b.kc, b.symmetric, &b.frontier[i], out, seen)
 		for _, it := range out.items {
 			it.parent = i
-			ps.admit(w, it, base+uint64(it.ord), b.opts.Strict, b.p)
+			rank := base + uint64(it.ord)
+			if !ps.claim(it.key, rank) {
+				continue
+			}
+			// The admission check runs on the successor decoded into the
+			// worker's fsm.Config.
+			b.kc.decodeConfig(it.state.bytes(b.kc.width), &out.cfg)
+			ps.lists[w] = append(ps.lists[w], pendEntry{it: it, rank: rank, viol: fsm.CheckConfig(b.p, &out.cfg, b.opts.Strict)})
 		}
 		base += uint64(gen)
 	}
@@ -392,7 +384,7 @@ func (b *bfs) runPar(ctx context.Context, workers int) (*Result, error) {
 	if err := b.initSpill(); err != nil {
 		return nil, err
 	}
-	ps := newPendSet(workers)
+	ps := newPendSet(workers, b.kc.width)
 	slots := make([]levelSlot, workers)
 	// Bases for run-relative level stats (Visits and the visited set may
 	// carry over from a resumed checkpoint).
@@ -469,9 +461,6 @@ func (b *bfs) runPar(ctx context.Context, workers int) (*Result, error) {
 		}
 		b.res.Visits = visits
 		rsp.End()
-		for _, cur := range b.frontier {
-			releaseConfig(cur)
-		}
 		clear(b.frontier)
 		b.sinceCp += size
 		b.frontier, b.next = b.next, b.frontier[:0]

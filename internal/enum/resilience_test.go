@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/fsm"
 	"repro/internal/protocols"
 	"repro/internal/runctl"
 )
@@ -439,5 +441,95 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint([]byte(`{"version": 42}`)); err == nil {
 		t.Fatal("wrong version accepted")
+	}
+}
+
+// TestResumeRejectsNonCanonical: every restored frontier, reachable and
+// violation configuration must be a fixed point of Canonicalize. A stale
+// version the data classes would rename (a memory version of 1 at Latest
+// 0 classifies as obsolete) still finds its key in the visited list, so
+// without the check a hand-edited bare-JSON checkpoint resumed to wrong
+// counts. The error names the list and the index.
+func TestResumeRejectsNonCanonical(t *testing.T) {
+	dragon := protocols.Dragon()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	testLevelHook = func(level int) {
+		if level == 1 {
+			cancel()
+		}
+	}
+	stopped, err := ExhaustiveContext(ctx, dragon, 4, Options{KeepReachable: true, RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
+	testLevelHook = nil
+	if err != nil || stopped.Checkpoint == nil {
+		t.Fatalf("no stop checkpoint: %v", err)
+	}
+	broken := brokenIllinois()
+	var withViolations *Checkpoint
+	stop := errors.New("captured")
+	_, err = Exhaustive(broken, 3, Options{
+		RunConfig: runctl.RunConfig{CheckpointEvery: 1},
+		OnCheckpoint: func(cp *Checkpoint) error {
+			if len(cp.Violations) == 0 {
+				return nil
+			}
+			withViolations = cp
+			return stop
+		},
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("no checkpoint with violations: %v", err)
+	}
+
+	cases := []struct {
+		name string
+		p    *fsm.Protocol
+		base *Checkpoint
+		// mutate edits the checkpoint and returns the list and index the
+		// error must name.
+		mutate func(cp *Checkpoint) string
+	}{
+		{"stale memory version", dragon, stopped.Checkpoint, func(cp *Checkpoint) string {
+			for i := range cp.Frontier {
+				if cp.Frontier[i].Mem == canonObsolete {
+					cp.Frontier[i].Mem = 1 // still obsolete at Latest 0
+					return fmt.Sprintf("frontier config %d", i)
+				}
+			}
+			t.Fatal("no frontier state with an obsolete memory copy")
+			return ""
+		}},
+		{"latest not zero", dragon, stopped.Checkpoint, func(cp *Checkpoint) string {
+			cp.Frontier[1].Latest = 3
+			return "frontier config 1"
+		}},
+		{"reachable version", dragon, stopped.Checkpoint, func(cp *Checkpoint) string {
+			cp.Reachable[2].Versions[0] = 5
+			return "reachable config 2"
+		}},
+		{"violation version", broken, withViolations, func(cp *Checkpoint) string {
+			cp.Violations[0].Config.Versions[0] = 7
+			return "violation config 0"
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := tc.base.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := DecodeCheckpoint(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.mutate(cp)
+			_, err = ResumeContext(context.Background(), tc.p, cp, Options{KeepReachable: true})
+			if err == nil {
+				t.Fatal("non-canonical checkpoint was accepted")
+			}
+			if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "not canonical") {
+				t.Fatalf("error %q does not name %q as not canonical", err, want)
+			}
+		})
 	}
 }

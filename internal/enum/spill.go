@@ -19,11 +19,10 @@ import (
 // detection, one file resident at a time), so the run's admissions —
 // and therefore its Result — stay bit-identical to an in-memory run.
 //
-// Every run can spill, at any width: the level-synchronous BFS already
-// batches dedup at level boundaries, which is what makes one pass per
-// spill file affordable. Spilling requires the packed key codec (the
-// compact store); runs the codec cannot pack fall back to in-memory maps
-// and the plain memory budget.
+// Every run can spill, at any width, cache count or state count: the
+// level-synchronous BFS already batches dedup at level boundaries, which
+// is what makes one pass per spill file affordable, and every run keeps
+// its visited and tuple sets in the compact store over one key codec.
 
 // spillState tracks one run's spill files.
 type spillState struct {
@@ -39,14 +38,11 @@ type spillState struct {
 	seq          int
 }
 
-// initSpill arms out-of-core mode for a run when configured
-// and supported; it verifies the directory is writable up front so
-// misconfiguration fails the run at level 0, not mid-exploration.
+// initSpill arms out-of-core mode for a run when configured; it verifies
+// the directory is writable up front so misconfiguration fails the run at
+// level 0, not mid-exploration.
 func (b *bfs) initSpill() error {
 	if b.opts.SpillDir == "" || b.opts.Budget.MaxBytes <= 0 {
-		return nil
-	}
-	if _, ok := b.visited.(*compactStore); !ok {
 		return nil
 	}
 	if err := os.MkdirAll(b.opts.SpillDir, 0o755); err != nil {
@@ -137,7 +133,6 @@ func loadSpillBlob(path string) (*stateset.BlobReader, error) {
 // admit.
 func (b *bfs) spillFilter(lists [][]pendEntry) error {
 	sp := b.spill
-	var buf [maxPackedCaches + 1]byte
 	for _, path := range sp.visitedFiles {
 		br, err := loadSpillBlob(path)
 		if err != nil {
@@ -146,8 +141,7 @@ func (b *bfs) spillFilter(lists [][]pendEntry) error {
 		for w, l := range lists {
 			kept := l[:0]
 			for i := range l {
-				if br.Has(packKeyBytes(l[i].it.key, b.n, buf[:])) {
-					releaseConfig(l[i].it.cfg)
+				if br.Has(l[i].it.key.bytes(b.kc.width)) {
 					continue
 				}
 				kept = append(kept, l[i])
@@ -163,7 +157,7 @@ func (b *bfs) spillFilter(lists [][]pendEntry) error {
 	var tks []Key
 	for _, l := range lists {
 		for i := range l {
-			tks = append(tks, b.kc.tupleKey(l[i].it.cfg))
+			tks = append(tks, b.kc.tupleKey(&l[i].it.state))
 		}
 	}
 	for _, path := range sp.tupleFiles {
@@ -174,7 +168,7 @@ func (b *bfs) spillFilter(lists [][]pendEntry) error {
 		j := 0
 		for _, l := range lists {
 			for i := range l {
-				if e := &l[i]; !e.it.tupleDup && br.Has(packKeyBytes(tks[j], b.n, buf[:])) {
+				if e := &l[i]; !e.it.tupleDup && br.Has(tks[j].bytes(b.kc.width)) {
 					e.it.tupleDup = true
 				}
 				j++
@@ -193,7 +187,7 @@ func (b *bfs) forEachSpilled(files []string, f func(k Key, rank uint32)) error {
 		if err != nil {
 			return err
 		}
-		br.ForEach(func(kb []byte, r uint32) { f(unpackKeyBytes(kb, b.n), r) })
+		br.ForEach(func(kb []byte, r uint32) { f(keyOf(kb), r) })
 	}
 	return nil
 }

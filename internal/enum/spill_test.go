@@ -34,33 +34,93 @@ func resultSignature(r *Result) string {
 	return sb.String()
 }
 
+// mapStore is the map-backed visited store the compact store replaced,
+// kept as the reference TestCompactStoreMatchesLegacyStore checks it
+// against: same interface, classic map + slice layout, no spill support.
+type mapStore struct {
+	ranks map[Key]uint32
+	keys  []Key
+}
+
+// mapEntryBytes approximates the heap cost of one mapStore entry: the
+// 48-byte Key twice (map key and rank-index slice), the rank value and
+// map bucket overhead.
+const mapEntryBytes = 176
+
+func newMapStore() *mapStore {
+	return &mapStore{ranks: make(map[Key]uint32)}
+}
+
+func (ms *mapStore) has(k Key) bool {
+	_, ok := ms.ranks[k]
+	return ok
+}
+
+func (ms *mapStore) rank(k Key) (uint32, bool) {
+	r, ok := ms.ranks[k]
+	return r, ok
+}
+
+func (ms *mapStore) insert(k Key) uint32 {
+	r := uint32(len(ms.keys))
+	ms.ranks[k] = r
+	ms.keys = append(ms.keys, k)
+	return r
+}
+
+func (ms *mapStore) size() int     { return len(ms.keys) }
+func (ms *mapStore) resident() int { return len(ms.keys) }
+func (ms *mapStore) bytes() int64  { return int64(len(ms.keys)) * mapEntryBytes }
+
+func (ms *mapStore) forEach(f func(k Key, rank uint32)) {
+	for r, k := range ms.keys {
+		f(k, uint32(r))
+	}
+}
+
+func (ms *mapStore) spill() []byte { return nil }
+
+func (ms *mapStore) restore([]byte) error {
+	return fmt.Errorf("enum: map-backed visited store cannot restore a spill blob")
+}
+
+// toMapStore copies a store's resident entries, in rank order, into a
+// mapStore.
+func toMapStore(st visitedStore) *mapStore {
+	keys := make([]Key, st.size())
+	st.forEach(func(k Key, r uint32) { keys[r] = k })
+	ms := newMapStore()
+	for _, k := range keys {
+		ms.insert(k)
+	}
+	return ms
+}
+
 // TestCompactStoreMatchesLegacyStore is the correctness property of the
 // compact visited set: over random well-formed protocols, an enumeration
 // backed by the hash-sharded stateset must admit exactly the same state
 // partition — same unique states, visit counts, tuple census, violations
-// and witness paths — as the legacy map-backed store it replaced. The
-// legacy path is forced via testForceLegacyStore, which newStores
-// consults, so both runs execute the identical engine code around the
-// store boundary.
+// and witness paths — as the map-backed store it replaced. The reference
+// run is built by newBFS like any other and has its stores swapped for
+// mapStores before it starts, so both runs execute the identical engine
+// code around the store boundary.
 func TestCompactStoreMatchesLegacyStore(t *testing.T) {
-	defer func() { testForceLegacyStore = false }()
 	for seed := int64(0); seed < 15; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randproto.New(rng, 1+rng.Intn(4))
 		n := 2 + rng.Intn(3)
 		for _, mode := range []string{ModeStrict, ModeCounting} {
-			run := func(forceLegacy bool) *Result {
-				testForceLegacyStore = forceLegacy
-				defer func() { testForceLegacyStore = false }()
-				var r *Result
-				var err error
-				if mode == ModeCounting {
-					r, err = Counting(p, n, Options{Strict: true})
-				} else {
-					r, err = Exhaustive(p, n, Options{Strict: true})
+			run := func(legacy bool) *Result {
+				b, done, err := newBFS(p, n, Options{Strict: true}, mode)
+				if err != nil || done {
+					t.Fatalf("seed %d mode %s: newBFS: done=%v err=%v", seed, mode, done, err)
 				}
+				if legacy {
+					b.visited, b.tuples = toMapStore(b.visited), toMapStore(b.tuples)
+				}
+				r, err := b.runPar(context.Background(), 1)
 				if err != nil {
-					t.Fatalf("seed %d mode %s legacy=%t: %v", seed, mode, forceLegacy, err)
+					t.Fatalf("seed %d mode %s legacy=%t: %v", seed, mode, legacy, err)
 				}
 				return r
 			}
@@ -102,7 +162,7 @@ func TestSpillEnumerationBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 5 // 16812 strict states; peak in-memory footprint ~800 KiB
+	const n = 5 // 16812 strict states; peak estimated footprint ~613 KiB
 
 	ref, err := Exhaustive(p, n, Options{Strict: true})
 	if err != nil {
@@ -113,7 +173,7 @@ func TestSpillEnumerationBitIdentical(t *testing.T) {
 	}
 
 	// Sanity: the budget alone (no spill dir) must stop the run.
-	budget := runctl.Budget{MaxBytes: 768 << 10}
+	budget := runctl.Budget{MaxBytes: 512 << 10}
 	capped, err := ExhaustiveParallelContext(context.Background(), p, n, Options{
 		Strict:    true,
 		RunConfig: runctl.RunConfig{Budget: budget},

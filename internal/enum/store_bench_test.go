@@ -15,18 +15,18 @@ import (
 // benchmark above 16 bytes/state, so a layout change that inflates the
 // fixed slab or the entries cannot pass unnoticed.
 func BenchmarkVisitedStoreBytes(b *testing.B) {
-	const n = 8           // caches: width n+1 = 9 bytes per packed key
+	const n = 8           // caches: width n+1 = 9 bytes per key
 	const states = 200000 // population size, comparable to a mid-size Fig. 2 run
 	rng := rand.New(rand.NewSource(1))
 	seen := make(map[Key]bool, states)
 	keys := make([]Key, 0, states)
+	var kb [n + 1]byte
 	for len(keys) < states {
-		var k Key
 		for i := 0; i < n; i++ {
-			k.packed[i] = byte(1 + rng.Intn(62))
+			kb[i] = byte(1 + rng.Intn(62))
 		}
-		k.packed[maxPackedCaches] = byte(rng.Intn(3))
-		if !seen[k] {
+		kb[n] = keyMark | byte(rng.Intn(3))
+		if k := keyOf(kb[:]); !seen[k] {
 			seen[k] = true
 			keys = append(keys, k)
 		}
@@ -36,7 +36,7 @@ func BenchmarkVisitedStoreBytes(b *testing.B) {
 		mk    func() visitedStore
 		limit float64 // bytes/state ceiling; 0 for none
 	}{
-		{"compact", func() visitedStore { return newCompactStore(n) }, 16},
+		{"compact", func() visitedStore { return newCompactStore(n + 1) }, 16},
 		{"legacy-map", func() visitedStore { return newMapStore() }, 0},
 	} {
 		b.Run(impl.name, func(b *testing.B) {

@@ -48,18 +48,23 @@ const (
 	tableOverhead = 16 * 1024
 )
 
-// blobMagic prefixes a spill blob: "SSP" + format version. Version 2
-// lays the sections out by Shard; version 1 blobs were sectioned by the
-// key's leading byte, so searching one with Shard would miss keys.
-var blobMagic = [4]byte{'S', 'S', 'P', '2'}
+// blobMagic prefixes a spill blob: "SSP" + format version. Version 3
+// stores the key width in four bytes (little-endian), so keys may be
+// wider than 255 bytes; version 2 stored it in one. Version 2 lays the
+// sections out by Shard; version 1 blobs were sectioned by the key's
+// leading byte, so searching one with Shard would miss keys.
+var blobMagic = [4]byte{'S', 'S', 'P', '3'}
+
+// blobHeader is the byte length of a spill blob's magic and key width.
+const blobHeader = len(blobMagic) + 4
 
 // ErrUnsupportedVersion reports a spill blob written in a format version
 // this build cannot read.
 var ErrUnsupportedVersion = errors.New("stateset: unsupported spill blob version")
 
 // Shard returns the shard of key k: a hash of every key byte, folded to
-// [0, NumShards). It is part of the spill blob format (version 2), so it
-// must not change without bumping blobMagic.
+// [0, NumShards). It is part of the spill blob format (since version 2),
+// so it must not change without bumping blobMagic.
 func Shard(k []byte) int {
 	const m = 0x9e3779b97f4a7c15
 	h := uint64(len(k))
@@ -96,12 +101,12 @@ type Set struct {
 	shards   [NumShards]shard
 }
 
-// New returns an empty set over keys of exactly width bytes (1..255).
+// New returns an empty set over keys of exactly width bytes (width ≥ 1).
 // The shards' append logs are carved out of one slab allocated here, so
 // the set's fixed footprint is paid once and counted by Bytes.
 func New(width int) *Set {
-	if width < 1 || width > 255 {
-		panic(fmt.Sprintf("stateset: key width %d out of range [1,255]", width))
+	if width < 1 {
+		panic(fmt.Sprintf("stateset: key width %d out of range", width))
 	}
 	s := &Set{width: width, esize: width + 4}
 	lb := logBytes(s.esize)
@@ -198,9 +203,9 @@ func (s *Set) Spill() []byte {
 	if s.resident == 0 {
 		return nil
 	}
-	blob := make([]byte, 0, len(blobMagic)+1+NumShards*4+s.resident*s.esize)
+	blob := make([]byte, 0, blobHeader+NumShards*4+s.resident*s.esize)
 	blob = append(blob, blobMagic[:]...)
-	blob = append(blob, byte(s.width))
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(s.width))
 	for si := range s.shards {
 		sh := &s.shards[si]
 		merged := s.mergedShard(sh)
@@ -308,14 +313,14 @@ func mergeRuns(a, b []byte, width, esize int) []byte {
 
 // sortEntries sorts width+4-byte entries in buf by key bytes in place.
 func sortEntries(buf []byte, width, esize int) {
-	sort.Sort(&entrySorter{buf: buf, width: width, esize: esize})
+	sort.Sort(&entrySorter{buf: buf, width: width, esize: esize, tmp: make([]byte, esize)})
 }
 
 type entrySorter struct {
 	buf   []byte
 	width int
 	esize int
-	tmp   [260]byte // max esize: 255-byte key + 4-byte rank
+	tmp   []byte // one entry, for Swap
 }
 
 func (e *entrySorter) Len() int { return len(e.buf) / e.esize }
@@ -327,10 +332,9 @@ func (e *entrySorter) Less(i, j int) bool {
 func (e *entrySorter) Swap(i, j int) {
 	a := e.buf[i*e.esize : (i+1)*e.esize]
 	b := e.buf[j*e.esize : (j+1)*e.esize]
-	t := e.tmp[:e.esize]
-	copy(t, a)
+	copy(e.tmp, a)
 	copy(a, b)
-	copy(b, t)
+	copy(b, e.tmp)
 }
 
 // BlobReader answers membership and rank queries against a spill blob
@@ -346,7 +350,7 @@ type BlobReader struct {
 // The reader aliases blob; the caller must keep blob alive and
 // unmodified.
 func NewBlobReader(blob []byte) (*BlobReader, error) {
-	if len(blob) < len(blobMagic)+1 {
+	if len(blob) < blobHeader {
 		return nil, fmt.Errorf("stateset: spill blob too short (%d bytes)", len(blob))
 	}
 	if magic := blob[:len(blobMagic)]; !bytes.Equal(magic, blobMagic[:]) {
@@ -355,12 +359,12 @@ func NewBlobReader(blob []byte) (*BlobReader, error) {
 		}
 		return nil, fmt.Errorf("stateset: bad spill blob magic %q", magic)
 	}
-	r := &BlobReader{width: int(blob[len(blobMagic)])}
-	if r.width < 1 {
-		return nil, fmt.Errorf("stateset: spill blob key width %d out of range", r.width)
+	width := binary.LittleEndian.Uint32(blob[len(blobMagic):blobHeader])
+	if width < 1 || width > uint32(len(blob)) {
+		return nil, fmt.Errorf("stateset: spill blob key width %d out of range", width)
 	}
-	r.esize = r.width + 4
-	rest := blob[len(blobMagic)+1:]
+	r := &BlobReader{width: int(width), esize: int(width) + 4}
+	rest := blob[blobHeader:]
 	for si := 0; si < NumShards; si++ {
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("stateset: spill blob truncated at shard %d header", si)

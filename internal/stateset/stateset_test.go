@@ -192,10 +192,11 @@ func TestBytesGrowsLinearly(t *testing.T) {
 	}
 }
 
-// TestBlobReaderRejectsVersion1 pins the format bump: a version-1 blob
-// (sectioned by the key's leading byte rather than Shard) must be refused
-// with ErrUnsupportedVersion, both by NewBlobReader and by Restore,
-// instead of answering membership against the wrong sections.
+// TestBlobReaderRejectsVersion1 pins the format bumps: a version-1 blob
+// (sectioned by the key's leading byte rather than Shard) and a version-2
+// blob (a one-byte key width) must be refused with ErrUnsupportedVersion,
+// both by NewBlobReader and by Restore, instead of answering membership
+// against the wrong sections or a misread width.
 func TestBlobReaderRejectsVersion1(t *testing.T) {
 	s := New(4)
 	rng := rand.New(rand.NewSource(13))
@@ -203,14 +204,40 @@ func TestBlobReaderRejectsVersion1(t *testing.T) {
 		s.Insert(k)
 	}
 	blob := s.Spill()
-	if string(blob[:4]) != "SSP2" {
-		t.Fatalf("spill blob magic %q, want SSP2", blob[:4])
+	if string(blob[:4]) != "SSP3" {
+		t.Fatalf("spill blob magic %q, want SSP3", blob[:4])
 	}
-	old := append([]byte("SSP1"), blob[4:]...)
-	if _, err := NewBlobReader(old); !errors.Is(err, ErrUnsupportedVersion) {
-		t.Fatalf("NewBlobReader(SSP1) = %v, want ErrUnsupportedVersion", err)
+	for _, magic := range []string{"SSP1", "SSP2"} {
+		old := append([]byte(magic), blob[4:]...)
+		if _, err := NewBlobReader(old); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Fatalf("NewBlobReader(%s) = %v, want ErrUnsupportedVersion", magic, err)
+		}
+		if err := New(4).Restore(old); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Fatalf("Restore(%s) = %v, want ErrUnsupportedVersion", magic, err)
+		}
 	}
-	if err := New(4).Restore(old); !errors.Is(err, ErrUnsupportedVersion) {
-		t.Fatalf("Restore(SSP1) = %v, want ErrUnsupportedVersion", err)
+}
+
+// TestWideKeysSpill: keys wider than 255 bytes, which the one-byte width
+// of version-2 blobs could not describe, spill and read back.
+func TestWideKeysSpill(t *testing.T) {
+	const width = 300
+	s := New(width)
+	rng := rand.New(rand.NewSource(17))
+	keys := randomKeys(rng, width, 500)
+	for _, k := range keys {
+		s.Insert(k)
+	}
+	br, err := NewBlobReader(s.Spill())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Width() != width || br.Len() != len(keys) {
+		t.Fatalf("blob width %d len %d, want %d and %d", br.Width(), br.Len(), width, len(keys))
+	}
+	for want, k := range keys {
+		if got, ok := br.Rank(k); !ok || got != uint32(want) {
+			t.Fatalf("Rank(key %d) = %d,%v", want, got, ok)
+		}
 	}
 }
