@@ -1,36 +1,59 @@
-// Command ccverify verifies a cache coherence protocol with the symbolic
-// state expansion method of Pong & Dubois (SPAA 1993).
+// Command ccverify verifies a cache coherence protocol, either with the
+// symbolic state expansion method of Pong & Dubois (SPAA 1993) or with
+// the explicit-state baselines of the paper's Section 3.1.
 //
 // Usage:
 //
-//	ccverify -protocol illinois [-strict] [-log] [-dot out.dot] [-crosscheck 2,3,4]
+//	ccverify -protocol illinois [-strict] [-log] [-graph-out g.dot] [-crosscheck 2,3,4]
 //	ccverify -spec myprotocol.ccpsl [-local-dot out.dot]
-//	ccverify -protocol illinois -timeout 30s -checkpoint run.ckpt
-//	ccverify -protocol illinois -resume run.ckpt
-//	ccverify -run symbolic -progress illinois
-//	ccverify -run enum-strict -n 4 -metrics-json run-metrics.json illinois
-//	ccverify -symbolic-workers 8 synthetic-24
+//	ccverify -run enum-strict -n 4 [-workers k] [-max states] [-mem-budget bytes [-spill-dir dir]] illinois
+//	ccverify -run enum-counting -n 3 -graph-out g.json -graph-format json illinois
+//	ccverify -protocol illinois -timeout 30s -checkpoint run.ckpt [-checkpoint-keep 3]
+//	ccverify -resume run.ckpt
+//	ccverify -run enum-strict -resume run.ckpt -workers 8
+//	ccverify -run symbolic -progress -metrics-json run-metrics.json illinois
 //	ccverify -protocol illinois -compile-out illinois.ccfsm
 //	ccverify -load illinois.ccfsm
+//	ccverify -compare illinois,firefly
 //
-// The protocol may also be named as the positional argument, as in the last
-// two forms. -run selects the engine: symbolic (the default: the full
-// pipeline with graph construction and cross-checks), enum-strict (Figure 2
-// exhaustive search for -n caches) or enum-counting (the Definition 5
+// The protocol may also be named as the positional argument. -run selects
+// the engine: symbolic (the default: the full pipeline with graph
+// construction and cross-checks), enum-strict (the Figure 2 exhaustive
+// search for -n caches) or enum-counting (the Definition 5
 // counting-equivalence variant).
+//
+// A symbolic run prints the protocol's essential states with their context
+// variables, the verdict (permissible or erroneous, with witness paths),
+// and optionally the expansion log. An enum run prints one table row:
+// distinct states, state tuples, visits, violations and whether the run
+// was truncated. -graph-out FILE ("-": stdout) writes the run's transition
+// diagram — the global diagram over the essential states (Figure 4) or the
+// concrete diagram over the enumerated configurations — as Graphviz DOT or,
+// with -graph-format json, as JSON.
+//
+// Run control is the same for every engine. -workers k sets the run's
+// width (the enumeration's BFS workers per level, the symbolic expansion's
+// speculation workers; 0 is GOMAXPROCS, default 1); every width gives the
+// same results. -max bounds the distinct states (enum) or state visits
+// (symbolic). -mem-budget stops the run cleanly at the point where its
+// estimated resident footprint crosses the budget; on an enum run,
+// -spill-dir turns the same budget into an out-of-core run whose cold
+// visited-set shards spill to checksummed files under the directory, so
+// the enumeration completes in bounded memory with bit-identical results.
+//
+// Runs stop cleanly on SIGINT/SIGTERM, -timeout or a budget, reporting a
+// structured stop reason; -checkpoint writes the stopped run's state to a
+// durable snapshot store (internal/ckptio: atomic checksummed writes,
+// rotation keeping the last -checkpoint-keep good snapshots, fallback to
+// the newest valid one when the latest is truncated or corrupt), and
+// -resume continues it at any width to the exact results an uninterrupted
+// run would have produced. A resumed run needs no protocol flag when the
+// checkpoint names a built-in protocol, and its -run must match the engine
+// that wrote the checkpoint.
 //
 // -compile-out writes the protocol in the compact binary .ccfsm interchange
 // format (see docs/ccpsl.md) and exits without verifying; -load reads a
 // .ccfsm file as the protocol source, as an alternative to -protocol/-spec.
-//
-// It prints the protocol's essential states with their context variables,
-// the verdict (permissible or erroneous, with witness paths), and optionally
-// the expansion log and the global transition diagram in Graphviz DOT form.
-// Runs stop cleanly on SIGINT/SIGTERM or when -timeout expires, reporting a
-// structured stop reason; -checkpoint preserves the interrupted symbolic
-// expansion and -resume continues it. -symbolic-workers k (k > 1) runs the
-// expansion with k speculation workers — results are bit-identical at
-// every width, and checkpoints are portable between widths.
 //
 // Observability: -progress prints one line per expansion level (and per
 // completed phase) to stderr, and -metrics-json FILE writes the run's full
@@ -43,9 +66,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -63,15 +88,19 @@ import (
 	"repro/internal/symbolic"
 )
 
-// cliOpts carries the output and resilience flags; run takes it whole so
-// tests can drive exact configurations.
+// cliOpts carries every flag below the protocol source; run takes it whole
+// so tests can drive exact configurations.
 type cliOpts struct {
 	engine      string // -run: symbolic, enum-strict or enum-counting
 	n           int    // cache count for the enum engines
-	symWorkers  int    // symbolic speculation workers (≤ 1: expand inline)
+	workers     int    // run width (≤ 1: one worker; negative is a usage error)
+	max         int    // enum distinct states or symbolic visits (0: default)
+	memBudget   int64  // resident-bytes budget (0: none)
+	spillDir    string // enum out-of-core spill directory (needs memBudget)
 	strict      bool
 	showLog     bool
-	dotFile     string
+	graphOut    string // write the transition diagram here ("-": stdout)
+	graphFormat string // dot or json
 	localDot    string
 	crossCheck  string
 	jsonFile    string
@@ -99,14 +128,6 @@ func (o cliOpts) observability() (obs.Observer, *obs.Registry) {
 	return observer, reg
 }
 
-// writeMetrics flushes the registry snapshot to -metrics-json, if set.
-func (o cliOpts) writeMetrics(reg *obs.Registry) error {
-	if o.metricsJSON == "" {
-		return nil
-	}
-	return obs.WriteFile(o.metricsJSON, reg)
-}
-
 func main() {
 	var (
 		protoName   = flag.String("protocol", "", "built-in protocol name ("+strings.Join(protocols.Names(), ", ")+"); may also be given as the positional argument")
@@ -115,10 +136,14 @@ func main() {
 		compileOut  = flag.String("compile-out", "", "write the protocol as compact binary .ccfsm to this file and exit")
 		engine      = flag.String("run", "symbolic", "engine: symbolic (full pipeline), enum-strict or enum-counting")
 		nCaches     = flag.Int("n", 4, "cache count for the enum engines")
-		symWorkers  = flag.Int("symbolic-workers", 1, "speculation workers for the symbolic expansion (1: expand inline)")
+		workers     = flag.Int("workers", 1, "run width: BFS workers per level or symbolic speculation workers (0: GOMAXPROCS)")
+		max         = flag.Int("max", 0, "bound on distinct states (enum) or state visits (symbolic) (0: default)")
+		memBudget   = flag.Int64("mem-budget", 0, "resident memory budget in bytes (0: none)")
+		spillDir    = flag.String("spill-dir", "", "enum runs: spill cold state shards to this directory instead of stopping at -mem-budget")
 		strict      = flag.Bool("strict", false, "enable the clean-state/memory consistency extension check")
 		showLog     = flag.Bool("log", false, "print the expansion visit log (Appendix A.2 style)")
-		dotFile     = flag.String("dot", "", "write the global transition diagram to this DOT file")
+		graphOut    = flag.String("graph-out", "", "write the run's transition diagram to this file (\"-\": stdout)")
+		graphFormat = flag.String("graph-format", "dot", "transition-diagram rendering: dot or json")
 		localDot    = flag.String("local-dot", "", "write the per-cache diagram (Figure 1 style) to this DOT file")
 		crossCheck  = flag.String("crosscheck", "", "comma-separated cache counts for explicit-state cross-validation, e.g. 2,3,4")
 		compare     = flag.String("compare", "", "compare the global diagrams of two protocols, e.g. illinois,firefly")
@@ -126,7 +151,7 @@ func main() {
 		timeout     = flag.Duration("timeout", 0, "wall-clock limit for the whole run (0: none)")
 		checkpoint  = flag.String("checkpoint", "", "write a resumable checkpoint here when the run is stopped")
 		keep        = flag.Int("checkpoint-keep", ckptio.DefaultKeep, "good checkpoint snapshots to retain (rotation)")
-		resume      = flag.String("resume", "", "resume an interrupted symbolic expansion from this checkpoint file")
+		resume      = flag.String("resume", "", "resume an interrupted run of the same -run engine from this checkpoint file")
 		progress    = flag.Bool("progress", false, "print one progress line per expansion level (and per phase) to stderr")
 		metricsJSON = flag.String("metrics-json", "", "write the run's metrics snapshot to this JSON file")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -174,9 +199,14 @@ func main() {
 	ctx, stop := runctl.WithSignals(context.Background(), *timeout)
 	defer stop()
 
+	if *workers == 0 {
+		*workers = runtime.GOMAXPROCS(0)
+	}
 	code, err := run(ctx, *protoName, *specFile, cliOpts{
-		engine: *engine, n: *nCaches, symWorkers: *symWorkers,
-		strict: *strict, showLog: *showLog, dotFile: *dotFile, localDot: *localDot,
+		engine: *engine, n: *nCaches, workers: *workers, max: *max,
+		memBudget: *memBudget, spillDir: *spillDir,
+		strict: *strict, showLog: *showLog,
+		graphOut: *graphOut, graphFormat: *graphFormat, localDot: *localDot,
 		crossCheck: *crossCheck, jsonFile: *jsonFile,
 		checkpoint: *checkpoint, resume: *resume, keep: *keep,
 		progress: *progress, metricsJSON: *metricsJSON,
@@ -216,9 +246,61 @@ func runCompare(pair string) error {
 	return nil
 }
 
-// run dispatches on -run, threads the observability flags through, and
-// returns the process exit code (0 clean, 2 violations, 3 stopped early).
+// validate checks the flag combination before anything runs and
+// normalises the engine name.
+func (o *cliOpts) validate() error {
+	switch o.engine {
+	case "", "symbolic":
+		o.engine = "symbolic"
+		if o.spillDir != "" {
+			return fmt.Errorf("-spill-dir works on enum runs only, not -run symbolic")
+		}
+	case "enum-strict", "enum-counting":
+		if o.crossCheck != "" || o.showLog || o.jsonFile != "" || o.localDot != "" {
+			return fmt.Errorf("-run %s does not take the symbolic pipeline's -crosscheck, -log, -json or -local-dot", o.engine)
+		}
+	default:
+		return fmt.Errorf("invalid -run %q (want symbolic, enum-strict or enum-counting)", o.engine)
+	}
+	if o.workers < 0 {
+		return fmt.Errorf("invalid -workers %d (want 0 for GOMAXPROCS, or a positive count)", o.workers)
+	}
+	if o.spillDir != "" && o.memBudget <= 0 {
+		return fmt.Errorf("-spill-dir requires -mem-budget: spilling is triggered by the memory budget")
+	}
+	switch o.graphFormat {
+	case "", "dot", "json":
+	default:
+		return fmt.Errorf("invalid -graph-format %q (want dot or json)", o.graphFormat)
+	}
+	return nil
+}
+
+// run validates the flags, resolves the protocol (from the checkpoint's
+// built-in name when -resume is given without a source), dispatches on
+// -run, and returns the process exit code (0 clean, 2 violations, 3
+// stopped early).
 func run(ctx context.Context, protoName, specFile string, o cliOpts) (int, error) {
+	if err := o.validate(); err != nil {
+		return 0, err
+	}
+	var ckpt []byte
+	if o.resume != "" {
+		data, engine, cpProto, err := o.loadCheckpoint()
+		if err != nil {
+			return 0, err
+		}
+		if engine != o.engine {
+			return 0, fmt.Errorf("checkpoint %s was written by -run %s; it cannot resume -run %s", o.resume, engine, o.engine)
+		}
+		if protoName == "" && specFile == "" && o.loadFile == "" {
+			if _, err := protocols.ByName(cpProto); err != nil {
+				return 0, fmt.Errorf("checkpoint %s is for protocol %q, which is not built in: name its source with -spec or -load", o.resume, cpProto)
+			}
+			protoName = cpProto
+		}
+		ckpt = data
+	}
 	p, err := loadProtocol(protoName, specFile, o.loadFile)
 	if err != nil {
 		return 0, err
@@ -230,83 +312,190 @@ func run(ctx context.Context, protoName, specFile string, o cliOpts) (int, error
 		fmt.Printf("wrote compiled protocol %s to %s\n", p.Name, o.compileOut)
 		return runctl.ExitClean, nil
 	}
+	if o.checkpoint != "" {
+		// Probe the checkpoint directory up front: an unwritable -checkpoint
+		// target should fail before the run, not at the stop snapshot.
+		if err := o.store(o.checkpoint).Preflight(); err != nil {
+			return 0, err
+		}
+	}
 	observer, reg := o.observability()
 	var code int
-	switch o.engine {
-	case "", "symbolic":
-		code, err = runSymbolic(ctx, p, o, observer, reg)
-	case "enum-strict", "enum-counting":
-		code, err = runEnumEngine(ctx, p, o, observer, reg)
-	default:
-		return 0, fmt.Errorf("invalid -run %q (want symbolic, enum-strict or enum-counting)", o.engine)
+	if o.engine == "symbolic" {
+		code, err = runSymbolic(ctx, p, ckpt, o, observer, reg)
+	} else {
+		code, err = runEnum(ctx, p, ckpt, o, observer, reg)
 	}
 	if err != nil {
 		return code, err
 	}
-	if err := o.writeMetrics(reg); err != nil {
-		return 0, err
+	if o.metricsJSON != "" {
+		if err := obs.WriteFile(o.metricsJSON, reg); err != nil {
+			return 0, err
+		}
 	}
 	return code, nil
 }
 
-// runEnumEngine is the -run enum-strict / enum-counting path: one
-// explicit-state enumeration at -n caches. Checkpoints and the symbolic
-// pipeline's outputs belong to ccenum / the symbolic path.
-func runEnumEngine(ctx context.Context, p *fsm.Protocol, o cliOpts, observer obs.Observer, reg *obs.Registry) (int, error) {
-	if o.checkpoint != "" || o.resume != "" || o.crossCheck != "" || o.dotFile != "" || o.showLog || o.jsonFile != "" {
-		return 0, fmt.Errorf("-run %s supports only -n, -strict, -progress and -metrics-json (use ccenum for checkpointed enumeration)", o.engine)
+// store is the durable snapshot store at path.
+func (o cliOpts) store(path string) *ckptio.Store {
+	return &ckptio.Store{Path: path, Keep: o.keep}
+}
+
+// loadCheckpoint reads the newest valid snapshot at -resume and reports
+// which engine wrote it (enum checkpoints record their mode, symbolic ones
+// do not) and the protocol it is for.
+func (o cliOpts) loadCheckpoint() (data []byte, engine, protocol string, err error) {
+	data, info, err := o.store(o.resume).Load()
+	if err != nil {
+		return nil, "", "", err
 	}
-	eopts := enum.Options{
-		RunConfig: runctl.RunConfig{Observer: observer, Metrics: reg},
+	if info.Generation > 0 {
+		fmt.Fprintf(os.Stderr, "ccverify: newest checkpoint unusable (%v); resuming from older snapshot %s\n",
+			info.Skipped[0], info.Path)
+	}
+	var head struct{ Protocol, Mode string }
+	if err := json.Unmarshal(data, &head); err != nil {
+		return nil, "", "", fmt.Errorf("decoding checkpoint %s: %w", o.resume, err)
+	}
+	engine = "symbolic"
+	if head.Mode != "" {
+		engine = "enum-" + head.Mode
+	}
+	return data, engine, head.Protocol, nil
+}
+
+// stopped reports a stopped run on stderr and, with -checkpoint, saves
+// its snapshot (cp is nil when the run stopped where none could be taken).
+func (o cliOpts) stopped(reason error, cp interface{ Encode() ([]byte, error) }) error {
+	fmt.Fprintf(os.Stderr, "ccverify: stopped early: %v\n", reason)
+	if o.checkpoint == "" || cp == nil {
+		return nil
+	}
+	data, err := cp.Encode()
+	if err == nil {
+		err = o.store(o.checkpoint).Save(data)
+	}
+	if err != nil {
+		return fmt.Errorf("saving checkpoint: %w", err)
+	}
+	fmt.Fprintf(os.Stderr, "ccverify: checkpoint written to %s (resume with -resume %s)\n", o.checkpoint, o.checkpoint)
+	return nil
+}
+
+// writeGraph renders a transition diagram per -graph-format and writes it
+// to -graph-out ("-": stdout).
+func (o cliOpts) writeGraph(g interface {
+	DOT() string
+	JSON() ([]byte, error)
+}) error {
+	var data []byte
+	var err error
+	if o.graphFormat == "json" {
+		data, err = g.JSON()
+	} else {
+		data = []byte(g.DOT())
+	}
+	if err != nil {
+		return err
+	}
+	if o.graphOut == "-" {
+		_, err = os.Stdout.Write(data)
+		return err
+	}
+	if err := os.WriteFile(o.graphOut, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote transition diagram to %s\n", o.graphOut)
+	return nil
+}
+
+// runEnum is the -run enum-strict / enum-counting path: one explicit-state
+// enumeration at -n caches, or the continuation of the checkpointed one.
+func runEnum(ctx context.Context, p *fsm.Protocol, ckpt []byte, o cliOpts, observer obs.Observer, reg *obs.Registry) (int, error) {
+	opts := enum.Options{
+		RunConfig: runctl.RunConfig{
+			Budget:           runctl.Budget{MaxBytes: o.memBudget},
+			CheckpointOnStop: o.checkpoint != "",
+			SpillDir:         o.spillDir,
+			Workers:          o.workers,
+			Observer:         observer,
+			Metrics:          reg,
+		},
 		Strict:    o.strict,
+		MaxStates: o.max,
+	}
+	mode, label, enumerate := enum.ModeStrict, "strict (Figure 2)", enum.ExhaustiveContext
+	if o.engine == "enum-counting" {
+		mode, label, enumerate = enum.ModeCounting, "counting (Definition 5)", enum.CountingContext
 	}
 	var res *enum.Result
 	var err error
-	if o.engine == "enum-counting" {
-		res, err = enum.CountingContext(ctx, p, o.n, eopts)
+	if ckpt == nil {
+		res, err = enumerate(ctx, p, o.n, opts)
 	} else {
-		res, err = enum.ExhaustiveContext(ctx, p, o.n, eopts)
+		var cp *enum.Checkpoint
+		if cp, err = enum.DecodeCheckpoint(ckpt); err == nil {
+			o.n = cp.N
+			res, err = enum.ResumeContext(ctx, p, cp, opts)
+		}
 	}
 	if err != nil {
 		return 0, err
 	}
-	fmt.Printf("protocol %s, n=%d caches (%s): %d distinct states, %d visits, %d violations\n",
-		p.Name, o.n, o.engine, res.Unique, res.Visits, len(res.Violations))
+
+	t := report.NewTable("equivalence", "distinct states", "state tuples", "visits", "violations", "truncated")
+	t.AddRow(label, res.Unique, res.TupleStates, res.Visits, len(res.Violations), res.Truncated)
+	fmt.Printf("protocol %s, n=%d caches\n%s", p.Name, o.n, t.String())
+	code := runctl.ExitClean
 	for _, v := range res.Violations {
 		fmt.Fprintf(os.Stderr, "erroneous state %s: %s\n", v.Config, v.Violations[0].Error())
-	}
-	code := runctl.ExitClean
-	if len(res.Violations) > 0 {
 		code = runctl.ExitViolation
 	}
+	for _, we := range res.WorkerErrors {
+		fmt.Fprintf(os.Stderr, "recovered worker panic (results unaffected): %v\n", we)
+	}
 	if res.Truncated {
-		fmt.Fprintf(os.Stderr, "ccverify: stopped early: %v\n", res.StopReason)
+		var cp interface{ Encode() ([]byte, error) }
+		if res.Checkpoint != nil {
+			cp = res.Checkpoint
+		}
+		if err := o.stopped(res.StopReason, cp); err != nil {
+			return 0, err
+		}
 		if code == runctl.ExitClean {
 			code = runctl.ExitStopped
+		}
+	}
+	if o.graphOut != "" {
+		if res.Truncated {
+			fmt.Fprintln(os.Stderr, "ccverify: run stopped early; skipping -graph-out (the graph must cover the full reachable set)")
+			return code, nil
+		}
+		g, err := graph.BuildConcrete(p, o.n, mode, o.max)
+		if err != nil {
+			return 0, err
+		}
+		if err := o.writeGraph(g); err != nil {
+			return 0, err
 		}
 	}
 	return code, nil
 }
 
 // runSymbolic executes the full verification pipeline (the default -run
-// symbolic engine).
-func runSymbolic(ctx context.Context, p *fsm.Protocol, o cliOpts, observer obs.Observer, reg *obs.Registry) (int, error) {
+// symbolic engine), or continues the checkpointed expansion.
+func runSymbolic(ctx context.Context, p *fsm.Protocol, ckpt []byte, o cliOpts, observer obs.Observer, reg *obs.Registry) (int, error) {
 	opts := core.Options{
 		Strict:           o.strict,
 		RecordLog:        o.showLog,
 		BuildGraph:       true,
+		MaxVisits:        o.max,
+		SymbolicWorkers:  o.workers,
+		Budget:           runctl.Budget{MaxBytes: o.memBudget},
 		CheckpointOnStop: o.checkpoint != "",
-		SymbolicWorkers:  o.symWorkers,
 		Observer:         observer,
 		Metrics:          reg,
-	}
-	var err error
-	if o.checkpoint != "" {
-		// Probe the checkpoint directory up front: an unwritable -checkpoint
-		// target should fail before the expansion, not at the stop snapshot.
-		if err := (&ckptio.Store{Path: o.checkpoint, Keep: o.keep}).Preflight(); err != nil {
-			return 0, err
-		}
 	}
 	if o.crossCheck != "" {
 		for _, part := range strings.Split(o.crossCheck, ",") {
@@ -317,16 +506,8 @@ func runSymbolic(ctx context.Context, p *fsm.Protocol, o cliOpts, observer obs.O
 			opts.CrossCheckN = append(opts.CrossCheckN, n)
 		}
 	}
-	if o.resume != "" {
-		data, info, err := (&ckptio.Store{Path: o.resume, Keep: o.keep}).Load()
-		if err != nil {
-			return 0, err
-		}
-		if info.Generation > 0 {
-			fmt.Fprintf(os.Stderr, "ccverify: newest checkpoint unusable (%v); resuming from older snapshot %s\n",
-				info.Skipped[0], info.Path)
-		}
-		cp, err := symbolic.DecodeCheckpoint(data)
+	if ckpt != nil {
+		cp, err := symbolic.DecodeCheckpoint(ckpt)
 		if err != nil {
 			return 0, err
 		}
@@ -337,19 +518,14 @@ func runSymbolic(ctx context.Context, p *fsm.Protocol, o cliOpts, observer obs.O
 	if err != nil && !runctl.IsStop(err) {
 		return 0, err
 	}
-	stopped := err != nil
 	fmt.Print(rep.Summary())
-	if stopped {
-		fmt.Fprintf(os.Stderr, "ccverify: stopped early: %v\n", err)
-		if o.checkpoint != "" && rep.Symbolic.Checkpoint != nil {
-			data, err := rep.Symbolic.Checkpoint.Encode()
-			if err != nil {
-				return 0, fmt.Errorf("saving checkpoint: %w", err)
-			}
-			if err := (&ckptio.Store{Path: o.checkpoint, Keep: o.keep}).Save(data); err != nil {
-				return 0, fmt.Errorf("saving checkpoint: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "ccverify: checkpoint written to %s (resume with -resume %s)\n", o.checkpoint, o.checkpoint)
+	if err != nil {
+		var cp interface{ Encode() ([]byte, error) }
+		if rep.Symbolic.Checkpoint != nil {
+			cp = rep.Symbolic.Checkpoint
+		}
+		if err := o.stopped(err, cp); err != nil {
+			return 0, err
 		}
 		return runctl.ExitStopped, nil
 	}
@@ -369,14 +545,13 @@ func runSymbolic(ctx context.Context, p *fsm.Protocol, o cliOpts, observer obs.O
 		fmt.Print(t.String())
 	}
 
-	if o.dotFile != "" {
+	if o.graphOut != "" {
 		if rep.Graph == nil {
 			return 0, fmt.Errorf("no global diagram available (protocol erroneous?)")
 		}
-		if err := os.WriteFile(o.dotFile, []byte(rep.Graph.DOT()), 0o644); err != nil {
+		if err := o.writeGraph(rep.Graph); err != nil {
 			return 0, err
 		}
-		fmt.Printf("wrote global diagram to %s\n", o.dotFile)
 	}
 	if o.localDot != "" {
 		l := graph.BuildLocal(p)

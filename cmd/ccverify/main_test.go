@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/ckptio"
+	"repro/internal/enum"
 	"repro/internal/obs"
 )
 
@@ -99,7 +102,7 @@ func TestRunVerifyWritesDOT(t *testing.T) {
 	dot := filepath.Join(dir, "g.dot")
 	localDot := filepath.Join(dir, "l.dot")
 	code, err := run(context.Background(), "illinois", "", cliOpts{
-		strict: true, dotFile: dot, localDot: localDot, crossCheck: "2,3",
+		strict: true, graphOut: dot, localDot: localDot, crossCheck: "2,3",
 		jsonFile: filepath.Join(dir, "r.json"),
 	})
 	if err != nil || code != 0 {
@@ -250,5 +253,280 @@ func TestRunCrossCheckMode(t *testing.T) {
 	defer cancel()
 	if code, err := run(ctx, "msi", "", cliOpts{crossCheck: "2"}); err != nil || code != 3 {
 		t.Errorf("cross-check under expired deadline: code %d err %v, want 3 nil", code, err)
+	}
+}
+
+// runOut runs the CLI entry point, failing the test on a usage error, and
+// returns the exit code with everything the run printed to stdout.
+func runOut(t *testing.T, ctx context.Context, protoName, specFile string, o cliOpts) (int, string) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		data, _ := io.ReadAll(r)
+		out <- string(data)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	code, runErr := run(ctx, protoName, specFile, o)
+	os.Stdout = stdout
+	w.Close()
+	printed := <-out
+	if runErr != nil {
+		t.Fatalf("run: %v", runErr)
+	}
+	return code, printed
+}
+
+// expired is a context whose deadline has already passed: a run under it
+// stops at its first check.
+func expired(t *testing.T) context.Context {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	t.Cleanup(cancel)
+	return ctx
+}
+
+var enumEngines = []string{"enum-strict", "enum-counting"}
+
+func TestRunModes(t *testing.T) {
+	for _, engine := range enumEngines {
+		code, out := runOut(t, context.Background(), "illinois", "", cliOpts{engine: engine, n: 3})
+		if code != 0 {
+			t.Errorf("%s: exit %d", engine, code)
+		}
+		for _, want := range []string{"protocol Illinois, n=3 caches", "distinct states", "state tuples", "truncated"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: output lacks %q:\n%s", engine, want, out)
+			}
+		}
+	}
+}
+
+func TestRunStrictFlag(t *testing.T) {
+	for _, engine := range enumEngines {
+		if code, err := run(context.Background(), "firefly", "", cliOpts{engine: engine, n: 2, strict: true}); err != nil || code != 0 {
+			t.Errorf("%s: code %d err %v", engine, code, err)
+		}
+	}
+}
+
+func TestRunParallelWorkers(t *testing.T) {
+	for _, engine := range enumEngines {
+		_, one := runOut(t, context.Background(), "illinois", "", cliOpts{engine: engine, n: 3, workers: 1})
+		code, four := runOut(t, context.Background(), "illinois", "", cliOpts{engine: engine, n: 3, workers: 4})
+		if code != 0 || four != one {
+			t.Errorf("%s at 4 workers: exit %d, output\n%s\nwant\n%s", engine, code, four, one)
+		}
+	}
+}
+
+// TestRunWorkersFlag pins the run width for every engine: a negative
+// width is a usage error naming -workers, and widths 0 and 2 print exactly
+// what one worker prints.
+func TestRunWorkersFlag(t *testing.T) {
+	for _, engine := range []string{"symbolic", "enum-strict", "enum-counting"} {
+		_, want := runOut(t, context.Background(), "illinois", "", cliOpts{engine: engine, n: 3, workers: 1})
+		for _, workers := range []int{-1, 0, 2} {
+			o := cliOpts{engine: engine, n: 3, workers: workers}
+			if workers < 0 {
+				if _, err := run(context.Background(), "illinois", "", o); err == nil || !strings.Contains(err.Error(), "-workers") {
+					t.Errorf("%s -workers %d: err %v, want a usage error naming -workers", engine, workers, err)
+				}
+				continue
+			}
+			if code, got := runOut(t, context.Background(), "illinois", "", o); code != 0 || got != want {
+				t.Errorf("%s -workers %d: exit %d, output\n%s\nwant\n%s", engine, workers, code, got, want)
+			}
+		}
+	}
+}
+
+func TestRunErrors(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name      string
+		protoName string
+		o         cliOpts
+	}{
+		{"unknown protocol", "nonexistent", cliOpts{engine: "enum-strict", n: 2}},
+		{"zero caches", "illinois", cliOpts{engine: "enum-strict", n: 0}},
+		{"missing resume file", "illinois", cliOpts{engine: "enum-strict", n: 3, resume: "/does/not/exist.ckpt"}},
+		{"spill-dir without mem-budget", "illinois", cliOpts{engine: "enum-strict", n: 3, spillDir: dir}},
+		{"spill-dir on a symbolic run", "illinois", cliOpts{engine: "symbolic", memBudget: 1 << 20, spillDir: dir}},
+		{"unwritable checkpoint", "illinois", cliOpts{engine: "enum-strict", n: 3, checkpoint: "/does/not/exist/run.ckpt"}},
+	} {
+		if _, err := run(context.Background(), tc.protoName, "", tc.o); err == nil {
+			t.Errorf("%s: want an error", tc.name)
+		}
+	}
+}
+
+// TestRunGraphOut exercises -graph-out on enum runs: the concrete
+// transition diagram renders as DOT or JSON, two runs write byte-identical
+// files in both formats, "-" writes to stdout, and an unknown format is a
+// usage error.
+func TestRunGraphOut(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ engine, format, want string }{
+		{"enum-strict", "dot", `digraph "MSI"`},
+		{"enum-counting", "json", `"kind": "concrete"`},
+	} {
+		path := filepath.Join(dir, "g."+tc.format)
+		var renders []string
+		for range 2 {
+			o := cliOpts{engine: tc.engine, n: 2, graphOut: path, graphFormat: tc.format}
+			if code, err := run(context.Background(), "msi", "", o); err != nil || code != 0 {
+				t.Fatalf("%s: code %d err %v", tc.engine, code, err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			renders = append(renders, string(data))
+		}
+		if !strings.Contains(renders[0], tc.want) {
+			t.Errorf("%s %s render lacks %q:\n%s", tc.engine, tc.format, tc.want, renders[0])
+		}
+		if renders[0] != renders[1] {
+			t.Errorf("%s %s graph export is not deterministic across runs", tc.engine, tc.format)
+		}
+	}
+	if _, out := runOut(t, context.Background(), "msi", "", cliOpts{engine: "enum-strict", n: 2, graphOut: "-"}); !strings.Contains(out, `digraph "MSI"`) {
+		t.Errorf("-graph-out - printed no DOT:\n%s", out)
+	}
+	if _, err := run(context.Background(), "msi", "", cliOpts{engine: "enum-strict", n: 2, graphOut: filepath.Join(dir, "g.svg"), graphFormat: "svg"}); err == nil {
+		t.Error("unknown -graph-format must error")
+	}
+}
+
+// TestRunSymbolicGraphOut exercises -graph-out on symbolic runs: the
+// global diagram over the essential states, byte-identical across runs in
+// both formats.
+func TestRunSymbolicGraphOut(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ format, want string }{
+		{"dot", "digraph"},
+		{"json", `"kind": "global"`},
+	} {
+		path := filepath.Join(dir, "g."+tc.format)
+		var renders []string
+		for range 2 {
+			if code, err := run(context.Background(), "illinois", "", cliOpts{graphOut: path, graphFormat: tc.format}); err != nil || code != 0 {
+				t.Fatalf("%s: code %d err %v", tc.format, code, err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			renders = append(renders, string(data))
+		}
+		if !strings.Contains(renders[0], tc.want) {
+			t.Errorf("%s render lacks %q:\n%s", tc.format, tc.want, renders[0])
+		}
+		if renders[0] != renders[1] {
+			t.Errorf("%s graph export is not deterministic across runs", tc.format)
+		}
+	}
+}
+
+// TestInterruptCheckpointResume is the CLI-level acceptance path for enum
+// runs: a run stopped by its deadline or by its memory budget writes a
+// checkpoint naming the protocol and cache count, and resuming it — with
+// no protocol flag, at one or two workers — prints exactly what an
+// uninterrupted run prints.
+func TestInterruptCheckpointResume(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		protoName string
+		n         int
+		ctx       context.Context
+		memBudget int64
+	}{
+		{"deadline", "illinois", 4, expired(t), 0},
+		{"level-boundary budget", "dragon", 5, context.Background(), 116000},
+	} {
+		_, want := runOut(t, context.Background(), tc.protoName, "", cliOpts{engine: "enum-strict", n: tc.n, workers: 1})
+		for _, workers := range []int{1, 2} {
+			ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+			o := cliOpts{engine: "enum-strict", n: tc.n, workers: workers, memBudget: tc.memBudget, checkpoint: ckpt}
+			if code, _ := runOut(t, tc.ctx, tc.protoName, "", o); code != 3 {
+				t.Fatalf("%s: interrupted run exit code %d, want 3", tc.name, code)
+			}
+			data, _, err := (&ckptio.Store{Path: ckpt}).Load()
+			if err != nil {
+				t.Fatalf("%s: no usable checkpoint written: %v", tc.name, err)
+			}
+			cp, err := enum.DecodeCheckpoint(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.EqualFold(cp.Protocol, tc.protoName) || cp.N != tc.n {
+				t.Fatalf("%s: checkpoint identifies %s/n=%d", tc.name, cp.Protocol, cp.N)
+			}
+			code, got := runOut(t, context.Background(), "", "", cliOpts{engine: "enum-strict", workers: workers, resume: ckpt})
+			if code != 0 || got != want {
+				t.Errorf("%s at %d workers: resumed exit %d, output\n%s\nwant\n%s", tc.name, workers, code, got, want)
+			}
+		}
+	}
+}
+
+// TestResumeRejectsOtherEngine pins the -resume engine rule: a checkpoint
+// resumes only under the -run that wrote it, and the usage error names
+// both engines.
+func TestResumeRejectsOtherEngine(t *testing.T) {
+	dir := t.TempDir()
+	ckpts := map[string]string{}
+	for _, engine := range []string{"symbolic", "enum-strict", "enum-counting"} {
+		ckpts[engine] = filepath.Join(dir, engine+".ckpt")
+		o := cliOpts{engine: engine, n: 3, checkpoint: ckpts[engine]}
+		if code, _ := runOut(t, expired(t), "illinois", "", o); code != 3 {
+			t.Fatalf("%s: interrupted run exit code %d, want 3", engine, code)
+		}
+	}
+	for _, tc := range []struct{ wrote, resume string }{
+		{"symbolic", "enum-strict"},
+		{"enum-strict", "symbolic"},
+		{"enum-counting", "enum-strict"},
+	} {
+		_, err := run(context.Background(), "", "", cliOpts{engine: tc.resume, resume: ckpts[tc.wrote]})
+		if err == nil || !strings.Contains(err.Error(), "-run "+tc.wrote) || !strings.Contains(err.Error(), "-run "+tc.resume) {
+			t.Errorf("%s checkpoint under -run %s: err %v, want a usage error naming both engines", tc.wrote, tc.resume, err)
+		}
+	}
+}
+
+// TestSpecCheckpointResume checkpoints and resumes an enum run of a -spec
+// protocol: the checkpoint names a protocol that is not built in, so the
+// resume needs the source again, and then prints what an uninterrupted
+// run prints.
+func TestSpecCheckpointResume(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "specs", "dragon.ccpsl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "dragon-copy.ccpsl")
+	if err := os.WriteFile(spec, bytes.Replace(src, []byte("protocol Dragon"), []byte("protocol DragonCopy"), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, want := runOut(t, context.Background(), "", spec, cliOpts{engine: "enum-strict", n: 5})
+	if !strings.Contains(want, "protocol DragonCopy") {
+		t.Fatalf("uninterrupted run:\n%s", want)
+	}
+	ckpt := filepath.Join(dir, "run.ckpt")
+	o := cliOpts{engine: "enum-strict", n: 5, memBudget: 116000, checkpoint: ckpt}
+	if code, _ := runOut(t, context.Background(), "", spec, o); code != 3 {
+		t.Fatalf("budgeted run exit code %d, want 3", code)
+	}
+	if _, err := run(context.Background(), "", "", cliOpts{engine: "enum-strict", resume: ckpt}); err == nil || !strings.Contains(err.Error(), "not built in") {
+		t.Errorf("resume without a source: err %v, want the not-built-in usage error", err)
+	}
+	code, got := runOut(t, context.Background(), "", spec, cliOpts{engine: "enum-strict", resume: ckpt})
+	if code != 0 || got != want {
+		t.Errorf("resumed exit %d, output\n%s\nwant\n%s", code, got, want)
 	}
 }

@@ -96,7 +96,7 @@ func SweepDir(dir, suffix string, maxBytes int64) (SweepStats, error) {
 
 // SweepPrefix removes every regular file in dir whose name starts with
 // prefix, returning what it found and freed. It is the startup cleanup for
-// directories that hold strictly run-scoped scratch files — ccenum's
+// directories that hold strictly run-scoped scratch files — an enum run's
 // out-of-core spill directory, where spill-visited-*.bin / spill-tuples-*.bin
 // left behind by a budgeted run that failed or was killed are garbage by
 // construction (enumeration checkpoints are self-contained, so no resume

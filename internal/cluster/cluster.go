@@ -175,7 +175,7 @@ type Client struct {
 	reg   *obs.Registry
 	stats clusterStats
 	comp  computeStats
-	lat   *latencyTracker
+	lat   *LatencyWindow
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -227,7 +227,7 @@ func New(cfg Config) (*Client, error) {
 			degraded: reg.Counter("peer_fill_degraded_total"),
 			latency:  reg.Histogram("peer_fetch_latency_seconds"),
 		},
-		lat:  &latencyTracker{},
+		lat:  &LatencyWindow{},
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 		now:  time.Now,
 		stop: make(chan struct{}),
@@ -311,7 +311,7 @@ func (c *Client) hedgeDelay() time.Duration {
 	if c.cfg.HedgeDelay > 0 {
 		return c.cfg.HedgeDelay
 	}
-	d, ok := c.lat.quantile(0.9)
+	d, ok := c.lat.Quantile(0.9)
 	if !ok {
 		return defaultHedgeDelay
 	}
@@ -379,7 +379,7 @@ func (c *Client) Fetch(ctx context.Context, key string) ([]byte, bool) {
 			d := time.Since(began)
 			c.stats.hits.Add(1)
 			c.stats.latency.Observe(d.Seconds())
-			c.lat.observe(d)
+			c.lat.Observe(d)
 			return payload, true
 		}
 		if attempt >= c.cfg.Retries || ctx.Err() != nil {

@@ -6,26 +6,27 @@ import (
 	"time"
 )
 
-// latencyRing is the sample window behind the adaptive hedge deadline.
+// latencyRing is the sample window behind the adaptive hedge deadlines.
 const latencyRing = 64
 
-// latencyMinSamples is how many observations the tracker wants before it
-// trusts its quantile over the static default.
+// latencyMinSamples is how many observations the window wants before it
+// trusts its quantile over the caller's static default.
 const latencyMinSamples = 8
 
-// latencyTracker keeps a fixed ring of recent successful peer-fetch
-// latencies and answers quantile queries over it. It is the data source
-// for the adaptive hedge deadline: hedge when the primary is slower than
-// most recent successes were.
-type latencyTracker struct {
+// LatencyWindow keeps a fixed ring of recent successful call latencies and
+// answers quantile queries over it. It is the data source for the adaptive
+// hedge deadlines — the client's peer fetches and the service's batch
+// forwards: hedge when a call is slower than most recent successes were.
+// The zero value is an empty window, safe for concurrent use.
+type LatencyWindow struct {
 	mu   sync.Mutex
 	ring [latencyRing]time.Duration
 	n    int // samples stored (caps at latencyRing)
 	idx  int // next write position
 }
 
-// observe records one successful fetch latency.
-func (t *latencyTracker) observe(d time.Duration) {
+// Observe records one successful call latency.
+func (t *LatencyWindow) Observe(d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ring[t.idx] = d
@@ -35,9 +36,10 @@ func (t *latencyTracker) observe(d time.Duration) {
 	}
 }
 
-// quantile returns the q-quantile (0 < q <= 1) of the window, or ok=false
-// while fewer than latencyMinSamples observations exist.
-func (t *latencyTracker) quantile(q float64) (time.Duration, bool) {
+// Quantile returns the q-quantile (0 < q <= 1) of the window — the sample
+// at rank int(q·n)−1 of the n sorted samples, clamped to [0, n−1] — or
+// ok=false while fewer than latencyMinSamples observations exist.
+func (t *LatencyWindow) Quantile(q float64) (time.Duration, bool) {
 	t.mu.Lock()
 	n := t.n
 	samples := make([]time.Duration, n)

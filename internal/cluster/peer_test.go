@@ -104,14 +104,14 @@ func TestBreakerReopensOnFailedTrial(t *testing.T) {
 }
 
 func TestLatencyTrackerQuantile(t *testing.T) {
-	tr := &latencyTracker{}
-	if _, ok := tr.quantile(0.9); ok {
+	tr := &LatencyWindow{}
+	if _, ok := tr.Quantile(0.9); ok {
 		t.Fatal("quantile with no samples reported ok")
 	}
 	for i := 1; i <= 10; i++ {
-		tr.observe(time.Duration(i) * time.Millisecond)
+		tr.Observe(time.Duration(i) * time.Millisecond)
 	}
-	p90, ok := tr.quantile(0.9)
+	p90, ok := tr.Quantile(0.9)
 	if !ok {
 		t.Fatal("quantile with 10 samples not ok")
 	}
@@ -120,9 +120,9 @@ func TestLatencyTrackerQuantile(t *testing.T) {
 	}
 	// The window slides: flooding with large samples moves the quantile up.
 	for i := 0; i < latencyRing; i++ {
-		tr.observe(time.Second)
+		tr.Observe(time.Second)
 	}
-	if p90, _ := tr.quantile(0.9); p90 != time.Second {
+	if p90, _ := tr.Quantile(0.9); p90 != time.Second {
 		t.Errorf("p90 after window turnover = %v, want 1s", p90)
 	}
 }

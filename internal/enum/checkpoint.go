@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/ckptio"
 	"repro/internal/fsm"
 )
 
@@ -206,31 +205,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("enum: unsupported checkpoint version %d (this build reads version %d; checkpoints from older builds cannot be resumed — re-run the enumeration)", cp.Version, CheckpointVersion)
 	}
 	return &cp, nil
-}
-
-// SaveCheckpoint writes the checkpoint through the durable snapshot store
-// (internal/ckptio): checksummed envelope, atomic temp-file + rename with
-// fsync. A crash during the write can never leave a torn checkpoint
-// behind, and a later bit flip is detected on load instead of being fed to
-// the decoder. Callers wanting rotation across several good snapshots use
-// a ckptio.Store with Keep > 1 around Encode/DecodeCheckpoint directly
-// (as cmd/ccenum and internal/campaign do).
-func SaveCheckpoint(path string, cp *Checkpoint) error {
-	data, err := cp.Encode()
-	if err != nil {
-		return err
-	}
-	return (&ckptio.Store{Path: path, Keep: 1}).Save(data)
-}
-
-// LoadCheckpoint reads, validates and decodes a checkpoint file, accepting
-// both enveloped snapshots and bare pre-envelope JSON files.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	data, _, err := (&ckptio.Store{Path: path, Keep: 1}).Load()
-	if err != nil {
-		return nil, err
-	}
-	return DecodeCheckpoint(data)
 }
 
 // ResumeContext continues an interrupted enumeration from a checkpoint,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ckptio"
 	"repro/internal/fsm"
 	"repro/internal/protocols"
 	"repro/internal/runctl"
@@ -373,11 +374,25 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatal("no checkpoint")
 	}
 
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if err := SaveCheckpoint(path, cp); err != nil {
+	// The durable store around Encode/DecodeCheckpoint, as the CLI and the
+	// campaign runner write and read checkpoints.
+	store := &ckptio.Store{Path: filepath.Join(t.TempDir(), "run.ckpt"), Keep: 1}
+	save := func(cp *Checkpoint) {
+		t.Helper()
+		data, err := cp.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Save(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save(cp)
+	data, _, err := store.Load()
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCheckpoint(path)
+	loaded, err := DecodeCheckpoint(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,9 +400,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatal("checkpoint did not survive the file round trip")
 	}
 	// Saving twice over the same path must succeed (atomic replace).
-	if err := SaveCheckpoint(path, loaded); err != nil {
-		t.Fatal(err)
-	}
+	save(loaded)
 }
 
 func TestResumeValidation(t *testing.T) {

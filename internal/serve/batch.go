@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/ccpsl"
+	"repro/internal/cluster"
 	"repro/internal/fsm"
 	"repro/internal/mutate"
 	"repro/internal/protocols"
@@ -229,8 +230,10 @@ type batchRun struct {
 	tenant  string
 	timeout time.Duration
 	noCache bool
-	hedge   *hedgeClock
 	backoff runctl.Backoff
+	// forwards holds the wall times of recent successful forwards, the
+	// data behind hedgeDeadline.
+	forwards cluster.LatencyWindow
 }
 
 // runBatch drives every job with bounded parallelism, emitting one line
@@ -242,7 +245,6 @@ func (s *Server) runBatch(ctx context.Context, jobs []batchJob, tenant string,
 		tenant:  tenant,
 		timeout: timeout,
 		noCache: noCache,
-		hedge:   newHedgeClock(s.cfg.BatchHedge),
 		backoff: runctl.Backoff{Base: 50 * time.Millisecond, Factor: 2, Max: 2 * time.Second, Jitter: 0.5},
 	}
 	summary := BatchSummary{Summary: true, Total: len(jobs), Dispositions: map[string]int{}}
@@ -348,12 +350,12 @@ func (b *batchRun) tryOnce(ctx context.Context, bj *batchJob) (json.RawMessage, 
 		}
 		forward <- payload
 	}()
-	hedge := time.NewTimer(b.hedge.deadline())
+	hedge := time.NewTimer(hedgeDeadline(s.cfg.BatchHedge, &b.forwards))
 	defer hedge.Stop()
 	select {
 	case payload := <-forward:
 		if payload != nil {
-			b.hedge.observe(time.Since(began))
+			b.forwards.Observe(time.Since(began))
 			return payload, BatchForwarded, nil
 		}
 		// Every owner declined or failed; the local pool is the backstop.
@@ -403,58 +405,22 @@ func (b *batchRun) local(ctx context.Context, bj *batchJob) (json.RawMessage, st
 	}
 }
 
-// hedgeClock tracks recent forward latencies and derives the straggler
-// re-dispatch deadline: three times the rolling p90, clamped to sane
-// bounds. Until enough samples exist it answers a generous default — the
-// cost of hedging late is bounded (the job just runs locally a bit later),
-// while hedging early on a cold estimate would stampede the local pool.
-type hedgeClock struct {
-	fixed time.Duration // Config.BatchHedge override; 0 adapts
-
-	mu   sync.Mutex
-	ring [64]time.Duration
-	n    int // samples stored (caps at len(ring))
-	idx  int // next write position
+// hedgeDeadline returns the straggler re-dispatch deadline: the fixed
+// Config.BatchHedge when set, otherwise three times the p90 of the recent
+// successful forwards, clamped to [100ms, 30s]. Until the window holds
+// enough samples it answers a generous default — the cost of hedging late
+// is bounded (the job just runs locally a bit later), while hedging early
+// on a cold estimate would stampede the local pool.
+func hedgeDeadline(fixed time.Duration, forwards *cluster.LatencyWindow) time.Duration {
+	if fixed > 0 {
+		return fixed
+	}
+	p90, ok := forwards.Quantile(0.9)
+	if !ok {
+		return hedgeDefault
+	}
+	return min(max(3*p90, 100*time.Millisecond), 30*time.Second)
 }
 
 // hedgeDefault is the deadline before enough samples exist.
 const hedgeDefault = 2 * time.Second
-
-func newHedgeClock(fixed time.Duration) *hedgeClock {
-	return &hedgeClock{fixed: fixed}
-}
-
-// observe records one successful forward's wall time.
-func (h *hedgeClock) observe(d time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.ring[h.idx] = d
-	h.idx = (h.idx + 1) % len(h.ring)
-	if h.n < len(h.ring) {
-		h.n++
-	}
-}
-
-// deadline returns the current straggler deadline.
-func (h *hedgeClock) deadline() time.Duration {
-	if h.fixed > 0 {
-		return h.fixed
-	}
-	h.mu.Lock()
-	n := h.n
-	samples := make([]time.Duration, n)
-	copy(samples, h.ring[:n])
-	h.mu.Unlock()
-	if n < 8 {
-		return hedgeDefault
-	}
-	sort.Slice(samples, func(a, b int) bool { return samples[a] < samples[b] })
-	d := 3 * samples[(n*9)/10] // (n*9)/10 < n for every n >= 1
-	switch {
-	case d < 100*time.Millisecond:
-		d = 100 * time.Millisecond
-	case d > 30*time.Second:
-		d = 30 * time.Second
-	}
-	return d
-}

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 // batchStream POSTs a batch request and decodes the NDJSON stream into its
@@ -231,5 +233,37 @@ func TestE2EBatchShedUnderQueuePressure(t *testing.T) {
 	}
 	if summary.Dispositions[BatchRetried] != 1 {
 		t.Errorf("dispositions = %v, want the shed job reported retried", summary.Dispositions)
+	}
+}
+
+// TestHedgeDeadline pins the batch straggler deadline: the fixed override
+// wins, a window under 8 samples answers the 2s default, and otherwise the
+// deadline is 3×p90 clamped to [100ms, 30s], where p90 is the cluster
+// window's sample at rank int(0.9·n)−1.
+func TestHedgeDeadline(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name    string
+		fixed   time.Duration
+		samples []time.Duration
+		want    time.Duration
+	}{
+		{"fixed override", 250 * ms, []time.Duration{ms, ms, ms, ms, ms, ms, ms, ms}, 250 * ms},
+		{"no samples", 0, nil, 2 * time.Second},
+		{"seven samples", 0, []time.Duration{ms, ms, ms, ms, ms, ms, ms}, 2 * time.Second},
+		{"fast forwards clamp up", 0, []time.Duration{ms, ms, ms, ms, ms, ms, ms, ms}, 100 * ms},
+		{"slow forwards clamp down", 0, []time.Duration{time.Minute, time.Minute, time.Minute, time.Minute,
+			time.Minute, time.Minute, time.Minute, time.Minute}, 30 * time.Second},
+		// 10..100ms: rank int(9)−1 = 8 holds 90ms.
+		{"3x p90", 0, []time.Duration{10 * ms, 20 * ms, 30 * ms, 40 * ms, 50 * ms,
+			60 * ms, 70 * ms, 80 * ms, 90 * ms, 100 * ms}, 270 * ms},
+	} {
+		var w cluster.LatencyWindow
+		for _, d := range tc.samples {
+			w.Observe(d)
+		}
+		if got := hedgeDeadline(tc.fixed, &w); got != tc.want {
+			t.Errorf("%s: deadline %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
