@@ -7,131 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/fsm"
-	"repro/internal/protocols"
-	"repro/internal/symbolic"
 )
-
-const msiSpec = `
-# A minimal MSI protocol.
-protocol MSI-spec
-characteristic null
-
-states {
-  Invalid  initial
-  Shared   valid readable clean
-  Modified valid readable exclusive owner
-}
-
-rule read-hit-shared   { from Shared on R
-                         next Shared
-                         data keep }
-rule read-hit-modified { from Modified on R
-                         next Modified
-                         data keep }
-rule read-miss-owned   { from Invalid on R when any-other Modified
-                         next Shared
-                         observe Modified -> Shared
-                         data from-cache Modified writeback-supplier }
-rule read-miss-clean   { from Invalid on R when no-other Modified
-                         next Shared
-                         observe Modified -> Shared
-                         data memory }
-rule write-hit-mod     { from Modified on W
-                         next Modified
-                         data keep store }
-rule write-hit-shared  { from Shared on W
-                         next Modified
-                         observe Shared -> Invalid, Modified -> Invalid
-                         data keep store }
-rule write-miss-owned  { from Invalid on W when any-other Modified
-                         next Modified
-                         observe Shared -> Invalid, Modified -> Invalid
-                         data from-cache Modified writeback-supplier store }
-rule write-miss-clean  { from Invalid on W when no-other Modified
-                         next Modified
-                         observe Shared -> Invalid, Modified -> Invalid
-                         data memory store }
-rule replace-modified  { from Modified on Z
-                         next Invalid
-                         data keep writeback-self drop }
-rule replace-shared    { from Shared on Z
-                         next Invalid
-                         data keep drop }
-`
-
-func TestParseMSISpec(t *testing.T) {
-	p, err := Parse(msiSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name != "MSI-spec" {
-		t.Errorf("name = %s", p.Name)
-	}
-	if p.Characteristic != fsm.CharNull {
-		t.Errorf("characteristic = %v", p.Characteristic)
-	}
-	if len(p.States) != 3 || len(p.Rules) != 10 {
-		t.Errorf("%d states, %d rules", len(p.States), len(p.Rules))
-	}
-	if p.Initial != "Invalid" {
-		t.Errorf("initial = %s", p.Initial)
-	}
-	if len(p.Inv.ValidCopy) != 2 || len(p.Inv.Exclusive) != 1 || len(p.Inv.Owners) != 1 {
-		t.Errorf("invariants wrong: %+v", p.Inv)
-	}
-}
-
-func TestParsedSpecVerifiesLikeBuiltin(t *testing.T) {
-	p, err := Parse(msiSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specRes, err := symbolic.Expand(p, symbolic.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	builtinRes, err := symbolic.Expand(protocols.MSI(), symbolic.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !specRes.OK() {
-		t.Fatalf("spec MSI refuted: %v", specRes.Violations)
-	}
-	if len(specRes.Essential) != len(builtinRes.Essential) {
-		t.Fatalf("spec gives %d essential states, builtin %d",
-			len(specRes.Essential), len(builtinRes.Essential))
-	}
-}
-
-func TestRoundTripAllBuiltins(t *testing.T) {
-	for _, p := range protocols.All() {
-		p := p
-		t.Run(p.Name, func(t *testing.T) {
-			spec := Format(p)
-			q, err := Parse(spec)
-			if err != nil {
-				t.Fatalf("re-parse failed: %v\nspec:\n%s", err, spec)
-			}
-			// Formatting the parsed protocol must be a fixpoint.
-			if spec2 := Format(q); spec2 != spec {
-				t.Fatalf("Format∘Parse is not a fixpoint:\n--- first\n%s\n--- second\n%s", spec, spec2)
-			}
-			// And it must verify identically.
-			a, err := symbolic.Expand(p, symbolic.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := symbolic.Expand(q, symbolic.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a.Essential) != len(b.Essential) || a.Visits != b.Visits || a.OK() != b.OK() {
-				t.Fatalf("round-tripped protocol verifies differently: %d/%d vs %d/%d",
-					len(a.Essential), a.Visits, len(b.Essential), b.Visits)
-			}
-		})
-	}
-}
 
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
@@ -263,14 +139,6 @@ rule hb     { from B on R
 	}
 }
 
-func TestFormatStableOrdering(t *testing.T) {
-	p := protocols.Illinois()
-	a, b := Format(p), Format(p)
-	if a != b {
-		t.Fatal("Format must be deterministic (observe map ordering)")
-	}
-}
-
 func TestLexerArrowVersusHyphen(t *testing.T) {
 	toks, err := lex("Valid-Exclusive -> Shared-Dirty")
 	if err != nil {
@@ -335,31 +203,5 @@ func TestParseRejectsRepeatedInvariantFlag(t *testing.T) {
 	var dup *fsm.DuplicateInvariantError
 	if !errors.As(err, &dup) || dup.Set != "Owners" || dup.State != "Dirty" {
 		t.Fatalf("want a DuplicateInvariantError for Owners/Dirty, got %v", err)
-	}
-}
-
-func TestSpinFlagRoundTrips(t *testing.T) {
-	// The spin flag must survive Format → Parse: a lost spin flag would
-	// silently turn a blocking lock acquire into a stale-read false
-	// positive in the simulator.
-	p, err := protocols.ByName("lock-msi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := Parse(Format(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spins := 0
-	for i := range q.Rules {
-		if q.Rules[i].Data.Spin {
-			spins++
-			if q.Rules[i].Next != q.Rules[i].From {
-				t.Errorf("rule %s: spin rule moved", q.Rules[i].Name)
-			}
-		}
-	}
-	if spins != 3 {
-		t.Fatalf("round-tripped Lock-MSI has %d spin rules, want 3", spins)
 	}
 }

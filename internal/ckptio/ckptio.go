@@ -46,8 +46,7 @@ const EnvelopeVersion = 1
 const DefaultKeep = 3
 
 // headerMagic starts every enveloped snapshot. A file without it is
-// treated as a bare legacy payload (pre-envelope checkpoints began with
-// '{'), so checkpoints written by older builds still load.
+// corrupt: there is no checksum to verify it by.
 const headerMagic = "ccckpt "
 
 // Sentinel errors, matchable with errors.Is.
@@ -192,42 +191,35 @@ func Encode(payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// Decode validates an enveloped snapshot and returns its payload. Files
-// without the envelope magic are returned whole when they plausibly are a
-// bare legacy payload (leading '{' of the pre-envelope JSON checkpoints);
-// legacy reports true for them. Anything else fails with a *CorruptError
-// or *UnsupportedVersionError; path only labels the error.
-func Decode(path string, data []byte) (payload []byte, legacy bool, err error) {
+// Decode validates an enveloped snapshot and returns its payload. Anything
+// else fails with a *CorruptError or *UnsupportedVersionError; path only
+// labels the error.
+func Decode(path string, data []byte) ([]byte, error) {
 	if !strings.HasPrefix(string(data), headerMagic) {
-		if len(data) > 0 && data[0] == '{' {
-			// Pre-envelope checkpoint: no checksum to verify; the format
-			// decoder downstream is the only validation.
-			return data, true, nil
-		}
-		return nil, false, &CorruptError{Path: path, Reason: "missing envelope header"}
+		return nil, &CorruptError{Path: path, Reason: "missing envelope header"}
 	}
 	nl := strings.IndexByte(string(data), '\n')
 	if nl < 0 {
-		return nil, false, &CorruptError{Path: path, Reason: "unterminated envelope header"}
+		return nil, &CorruptError{Path: path, Reason: "unterminated envelope header"}
 	}
 	var version, length int
 	var sum uint32
 	if _, err := fmt.Sscanf(string(data[:nl]), headerMagic+"v%d crc32=%x len=%d", &version, &sum, &length); err != nil {
-		return nil, false, &CorruptError{Path: path, Reason: "malformed envelope header"}
+		return nil, &CorruptError{Path: path, Reason: "malformed envelope header"}
 	}
 	if version != EnvelopeVersion {
-		return nil, false, &UnsupportedVersionError{Path: path, Version: version}
+		return nil, &UnsupportedVersionError{Path: path, Version: version}
 	}
-	payload = data[nl+1:]
+	payload := data[nl+1:]
 	if len(payload) != length {
-		return nil, false, &CorruptError{Path: path, Version: version,
+		return nil, &CorruptError{Path: path, Version: version,
 			Reason: fmt.Sprintf("payload is %d bytes, envelope says %d (truncated or padded)", len(payload), length)}
 	}
 	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, false, &CorruptError{Path: path, Version: version,
+		return nil, &CorruptError{Path: path, Version: version,
 			Reason: fmt.Sprintf("checksum %08x does not match envelope %08x", got, sum)}
 	}
-	return payload, false, nil
+	return payload, nil
 }
 
 // Save durably writes payload as the newest generation: envelope + temp
@@ -279,8 +271,6 @@ type LoadInfo struct {
 	// Path and Generation identify the snapshot that validated.
 	Path       string
 	Generation int
-	// Legacy reports a bare pre-envelope payload (no checksum verified).
-	Legacy bool
 	// Skipped collects the validation errors of newer generations that
 	// were passed over, newest first. Non-empty Skipped with a nil Load
 	// error means the store recovered from corruption.
@@ -302,12 +292,12 @@ func (s *Store) Load() ([]byte, *LoadInfo, error) {
 			}
 			continue
 		}
-		payload, legacy, err := Decode(path, data)
+		payload, err := Decode(path, data)
 		if err != nil {
 			info.Skipped = append(info.Skipped, err)
 			continue
 		}
-		info.Path, info.Generation, info.Legacy = path, gen, legacy
+		info.Path, info.Generation = path, gen
 		return payload, info, nil
 	}
 	return nil, info, fmt.Errorf("%w at %s (%d generation(s) rejected)", ErrNoSnapshot, s.Path, len(info.Skipped))

@@ -27,7 +27,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("payload = %q, want %q", got, payload)
 	}
-	if info.Generation != 0 || info.Legacy || len(info.Skipped) != 0 {
+	if info.Generation != 0 || len(info.Skipped) != 0 {
 		t.Fatalf("info = %+v, want pristine generation 0", info)
 	}
 }
@@ -45,7 +45,7 @@ func TestRotationKeepsLastK(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generation %d: %v", gen, err)
 		}
-		payload, _, err := Decode(s.GenPath(gen), data)
+		payload, err := Decode(s.GenPath(gen), data)
 		if err != nil {
 			t.Fatalf("generation %d: %v", gen, err)
 		}
@@ -123,18 +123,34 @@ func TestLoadNoSnapshot(t *testing.T) {
 	}
 }
 
+// TestLegacyBarePayload: a bare JSON file (the pre-envelope checkpoint
+// format) carries no checksum, so it is corrupt like any other file
+// without the envelope, and Load falls back to the older good generation.
 func TestLegacyBarePayload(t *testing.T) {
 	s := storeAt(t, 3)
-	legacy := []byte(`{"version":2,"plain":"pre-envelope checkpoint"}`)
-	if err := os.WriteFile(s.Path, legacy, 0o644); err != nil {
+	good := []byte(`{"gen":1}`)
+	if err := s.Save(good); err != nil {
 		t.Fatal(err)
+	}
+	if err := s.Save([]byte(`{"gen":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	bare := []byte(`{"version":2,"plain":"pre-envelope checkpoint"}`)
+	if err := os.WriteFile(s.Path, bare, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(s.Path, bare); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Decode(bare) err = %v, want ErrCorrupt", err)
 	}
 	payload, info, err := s.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(payload, legacy) || !info.Legacy {
-		t.Fatalf("payload = %q legacy = %v, want the bare file flagged legacy", payload, info.Legacy)
+	if !bytes.Equal(payload, good) || info.Generation != 1 || len(info.Skipped) != 1 {
+		t.Fatalf("payload = %q info = %+v, want generation 1 after skipping the bare file", payload, info)
+	}
+	if !errors.Is(info.Skipped[0], ErrCorrupt) {
+		t.Fatalf("skipped = %v, want ErrCorrupt", info.Skipped[0])
 	}
 }
 

@@ -490,11 +490,10 @@ func (c *Client) attempt(ctx context.Context, p *peer, key string) ([]byte, bool
 		c.stats.errors.Add(1)
 		return nil, false
 	}
-	// The wire format is ckptio's checksummed envelope, and a bare legacy
-	// payload is NOT accepted here: without the envelope there is no CRC,
-	// and an unverifiable peer response must be a miss, never an answer.
-	payload, legacy, err := ckptio.Decode(p.url+CachePathPrefix+key, body)
-	if err != nil || legacy {
+	// The wire format is ckptio's checksummed envelope: an unverifiable
+	// peer response must be a miss, never an answer.
+	payload, err := ckptio.Decode(p.url+CachePathPrefix+key, body)
+	if err != nil {
 		p.failure(c.now())
 		c.stats.corrupt.Add(1)
 		c.stats.errors.Add(1)

@@ -187,8 +187,8 @@ func (c *Client) attemptCompute(ctx context.Context, p *peer, body []byte) ([]by
 	}
 	// Same wire contract as cache fill: the CRC envelope is mandatory, and
 	// an unverifiable response is a failure, never an answer.
-	payload, legacy, err := ckptio.Decode(p.url+ComputePath, raw)
-	if err != nil || legacy {
+	payload, err := ckptio.Decode(p.url+ComputePath, raw)
+	if err != nil {
 		p.failure(c.now())
 		c.comp.corrupt.Add(1)
 		c.comp.errors.Add(1)

@@ -6,15 +6,22 @@ import (
 )
 
 // hrwScore is the rendezvous weight of (node, key): a 64-bit FNV-1a over
-// the node address and the key, NUL-separated. Every node computes the
-// same scores from the same inputs, so the cluster agrees on each key's
-// owner ranking with no coordination.
+// the node address and the key, NUL-separated, passed through the
+// splitmix64 finalizer. Every node computes the same scores from the same
+// inputs, so the cluster agrees on each key's owner ranking with no
+// coordination. The finalizer matters: FNV-1a's high bits mix the last
+// bytes weakly, and without it some address pairs differing only in the
+// port (127.0.0.1:40000 and :40074) compared the same way for every key,
+// so one node owned them all.
 func hrwScore(node, key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(node))
 	h.Write([]byte{0})
 	h.Write([]byte(key))
-	return h.Sum64()
+	z := h.Sum64()
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Rank orders node addresses by descending rendezvous weight for key —

@@ -276,12 +276,9 @@ func (r *binReader) count(what string) (int, error) {
 // corresponding typed error; structural damage fails with *CorruptError or
 // ckptio's *CorruptError.
 func DecodeBinary(data []byte) (*fsm.Protocol, error) {
-	payload, legacy, err := ckptio.Decode(".ccfsm", data)
+	payload, err := ckptio.Decode(".ccfsm", data)
 	if err != nil {
 		return nil, err
-	}
-	if legacy {
-		return nil, ErrBadMagic
 	}
 	r := &binReader{buf: payload}
 	magic, err := r.take(uint64(len(ccfsmMagic)))

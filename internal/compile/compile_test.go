@@ -219,7 +219,7 @@ func TestDecodeRejectsUnknownVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _, err := ckptio.Decode("t", data)
+	payload, err := ckptio.Decode("t", data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	p := specProtocol(t, "msi")
 	data, _ := EncodeBinary(p)
-	payload, _, _ := ckptio.Decode("t", data)
+	payload, _ := ckptio.Decode("t", data)
 	for cut := len(ccfsmMagic) + 1; cut < len(payload); cut += 13 {
 		truncated := ckptio.Encode(payload[:cut])
 		if _, err := DecodeBinary(truncated); err == nil {
@@ -265,7 +265,7 @@ func TestDecodeRejectsDuplicateInvariantState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, _, err := ckptio.Decode("t", data)
+		payload, err := ckptio.Decode("t", data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func FuzzDecodeBinary(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		payload, _, err := ckptio.Decode("seed", data)
+		payload, err := ckptio.Decode("seed", data)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func TestLockMSIAcquireSpinsWhileLocked(t *testing.T) {
 	if res.Rule.Name != "acquire-spin" || !res.Rule.Data.Spin {
 		t.Fatalf("second acquire must spin, got rule %s", res.Rule.Name)
 	}
-	if c.States[0] != LkLocked || c.States[1] != LkInvalid {
+	if c.States[0] != LkLocked || c.States[1] != "Invalid" {
 		t.Fatalf("spin changed states: %v", c.States)
 	}
 	// Reads and writes by others spin too.
@@ -59,14 +59,14 @@ func TestLockMSIAcquireSpinsWhileLocked(t *testing.T) {
 	if _, err := fsm.Step(p, c, 0, OpRelease); err != nil {
 		t.Fatal(err)
 	}
-	if c.States[0] != LkModified {
+	if c.States[0] != "Modified" {
 		t.Fatalf("release should retain the data Modified, got %s", c.States[0])
 	}
 	res, err = fsm.Step(p, c, 1, OpAcquire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rule.Name != "acquire-owned" || c.States[1] != LkLocked || c.States[0] != LkInvalid {
+	if res.Rule.Name != "acquire-owned" || c.States[1] != LkLocked || c.States[0] != "Invalid" {
 		t.Fatalf("handover failed: rule %s, states %v", res.Rule.Name, c.States)
 	}
 }

@@ -158,18 +158,18 @@ func TestIllinoisMatchesPaperFigure1(t *testing.T) {
 		next fsm.State
 	}
 	want := []edge{
-		{IllInvalid, fsm.OpRead, IllVEx},    // read miss, not shared
-		{IllInvalid, fsm.OpRead, IllShared}, // read miss, shared
-		{IllInvalid, fsm.OpWrite, IllDirty}, // write miss
-		{IllVEx, fsm.OpRead, IllVEx},
-		{IllVEx, fsm.OpWrite, IllDirty},
-		{IllVEx, fsm.OpReplace, IllInvalid},
-		{IllShared, fsm.OpRead, IllShared},
-		{IllShared, fsm.OpWrite, IllDirty},
-		{IllShared, fsm.OpReplace, IllInvalid},
-		{IllDirty, fsm.OpRead, IllDirty},
-		{IllDirty, fsm.OpWrite, IllDirty},
-		{IllDirty, fsm.OpReplace, IllInvalid},
+		{"Invalid", fsm.OpRead, "Valid-Exclusive"}, // read miss, not shared
+		{"Invalid", fsm.OpRead, "Shared"},          // read miss, shared
+		{"Invalid", fsm.OpWrite, "Dirty"},          // write miss
+		{"Valid-Exclusive", fsm.OpRead, "Valid-Exclusive"},
+		{"Valid-Exclusive", fsm.OpWrite, "Dirty"},
+		{"Valid-Exclusive", fsm.OpReplace, "Invalid"},
+		{"Shared", fsm.OpRead, "Shared"},
+		{"Shared", fsm.OpWrite, "Dirty"},
+		{"Shared", fsm.OpReplace, "Invalid"},
+		{"Dirty", fsm.OpRead, "Dirty"},
+		{"Dirty", fsm.OpWrite, "Dirty"},
+		{"Dirty", fsm.OpReplace, "Invalid"},
 	}
 	for _, e := range want {
 		found := false
@@ -186,20 +186,20 @@ func TestIllinoisMatchesPaperFigure1(t *testing.T) {
 
 func TestWriteOnceFirstWriteIsWriteThrough(t *testing.T) {
 	p := WriteOnce()
-	rules := p.RulesFor(WOValid, fsm.OpWrite)
+	rules := p.RulesFor("Valid", fsm.OpWrite)
 	if len(rules) != 1 {
 		t.Fatalf("want one write-hit rule on Valid, got %d", len(rules))
 	}
 	r := rules[0]
-	if r.Next != WOReserved {
+	if r.Next != "Reserved" {
 		t.Errorf("the write-once must leave the block Reserved, got %s", r.Next)
 	}
 	if !r.Data.WriteThrough || !r.Data.Store {
 		t.Error("the write-once must write through to memory")
 	}
 	// Second write: Reserved -> Dirty without bus traffic.
-	rules = p.RulesFor(WOReserved, fsm.OpWrite)
-	if len(rules) != 1 || rules[0].Next != WODirty || rules[0].Data.WriteThrough {
+	rules = p.RulesFor("Reserved", fsm.OpWrite)
+	if len(rules) != 1 || rules[0].Next != "Dirty" || rules[0].Data.WriteThrough {
 		t.Error("the second write must be a local upgrade to Dirty")
 	}
 }
@@ -208,10 +208,10 @@ func TestSynapseDirtyOwnerYieldsToMemory(t *testing.T) {
 	// Synapse's signature behavior: on a read miss the Dirty holder writes
 	// back and invalidates itself.
 	p := Synapse()
-	for _, r := range p.RulesFor(SynInvalid, fsm.OpRead) {
-		if r.ObservedNext(SynDirty) != SynInvalid {
+	for _, r := range p.RulesFor("Invalid", fsm.OpRead) {
+		if r.ObservedNext("Dirty") != "Invalid" {
 			t.Errorf("rule %s: a bus read must invalidate the Dirty holder, got %s",
-				r.Name, r.ObservedNext(SynDirty))
+				r.Name, r.ObservedNext("Dirty"))
 		}
 	}
 }
@@ -219,7 +219,7 @@ func TestSynapseDirtyOwnerYieldsToMemory(t *testing.T) {
 func TestBerkeleyOwnerSuppliesWithoutMemoryUpdate(t *testing.T) {
 	p := Berkeley()
 	var owned *fsm.Rule
-	for _, r := range p.RulesFor(BerkInvalid, fsm.OpRead) {
+	for _, r := range p.RulesFor("Invalid", fsm.OpRead) {
 		if r.Guard.Kind == fsm.GuardAnyOther {
 			owned = r
 		}
@@ -230,7 +230,7 @@ func TestBerkeleyOwnerSuppliesWithoutMemoryUpdate(t *testing.T) {
 	if owned.Data.SupplierWriteBack {
 		t.Error("Berkeley owners supply without updating memory")
 	}
-	if owned.ObservedNext(BerkDirty) != BerkSharedDirty {
+	if owned.ObservedNext("Dirty") != "Shared-Dirty" {
 		t.Error("the owner must degrade to Shared-Dirty on a bus read")
 	}
 }
@@ -251,7 +251,7 @@ func TestFireflyNeverInvalidates(t *testing.T) {
 
 func TestFireflySharedWritesAreWriteThrough(t *testing.T) {
 	p := Firefly()
-	for _, r := range p.RulesFor(FfShared, fsm.OpWrite) {
+	for _, r := range p.RulesFor("Shared", fsm.OpWrite) {
 		if !r.Data.WriteThrough {
 			t.Errorf("rule %s: Firefly shared writes must update memory", r.Name)
 		}
@@ -260,22 +260,22 @@ func TestFireflySharedWritesAreWriteThrough(t *testing.T) {
 
 func TestDragonSharedWritesSkipMemory(t *testing.T) {
 	p := Dragon()
-	for _, r := range p.RulesFor(DrSharedClean, fsm.OpWrite) {
+	for _, r := range p.RulesFor("Shared-Clean", fsm.OpWrite) {
 		if r.Data.WriteThrough {
 			t.Errorf("rule %s: Dragon shared writes must NOT update memory", r.Name)
 		}
 	}
 	// The writer takes ownership when sharers remain.
 	var line *fsm.Rule
-	for _, r := range p.RulesFor(DrSharedClean, fsm.OpWrite) {
+	for _, r := range p.RulesFor("Shared-Clean", fsm.OpWrite) {
 		if r.Guard.Kind == fsm.GuardAnyOther {
 			line = r
 		}
 	}
-	if line == nil || line.Next != DrSharedDirty {
+	if line == nil || line.Next != "Shared-Dirty" {
 		t.Fatal("a shared write with the line asserted must take ownership (Shared-Dirty)")
 	}
-	if line.ObservedNext(DrSharedDirty) != DrSharedClean {
+	if line.ObservedNext("Shared-Dirty") != "Shared-Clean" {
 		t.Error("the previous owner must yield ownership")
 	}
 }

@@ -12,36 +12,13 @@ import (
 	"repro/internal/fsm"
 )
 
-// mustValidate panics when a built-in protocol definition is ill-formed.
-// Built-in definitions are program constants, so a failure here is a bug in
-// this package, not a runtime condition.
-func mustValidate(p *fsm.Protocol) {
-	if err := p.Validate(); err != nil {
-		panic(fmt.Sprintf("protocols: built-in definition invalid: %v", err))
-	}
-}
-
-// Builder constructs a fresh protocol value.
-type Builder func() *fsm.Protocol
-
 // mu guards registry: the built-in table is extended at runtime by Register
 // and LoadDir (e.g. ccserved -spec-dir), and read concurrently by lookups.
 var mu sync.RWMutex
 
-var registry = map[string]Builder{
-	"illinois":      Illinois,
-	"write-once":    WriteOnce,
-	"write-through": WriteThrough,
-	"synapse":       Synapse,
-	"berkeley":      Berkeley,
-	"firefly":       Firefly,
-	"dragon":        Dragon,
-	"msi":           MSI,
-	"moesi":         MOESI,
-	"mesif":         MESIF,
-	"mesi":          MESI,
-	"lock-msi":      LockMSI,
-}
+// registry maps canonical names to detached masters; every lookup hands
+// out a Clone, so callers never alias each other's state.
+var registry = map[string]*fsm.Protocol{}
 
 // canonicalName maps a protocol name to its registry key: lowercase,
 // trimmed, with underscores and spaces folded to dashes. Registration and
@@ -70,16 +47,16 @@ func Names() []string {
 // ("Illinois", "Write-Once").
 func ByName(name string) (*fsm.Protocol, error) {
 	mu.RLock()
-	b, ok := registry[canonicalName(name)]
+	p, ok := registry[canonicalName(name)]
 	mu.RUnlock()
 	if ok {
-		return b(), nil
+		return p.Clone(), nil
 	}
 	return nil, fmt.Errorf("protocols: unknown protocol %q (have %s)", name, strings.Join(Names(), ", "))
 }
 
 // Register adds a protocol under its canonical name. The protocol is
-// validated once up front; builders then return deep copies so callers can
+// validated once up front; lookups then return deep copies so callers can
 // never alias each other's state. Registering a name that is already taken
 // (built-in or previously registered) is an error — the built-in library is
 // authoritative and silent shadowing would change verdicts.
@@ -91,15 +68,14 @@ func Register(p *fsm.Protocol) error {
 	if key == "" {
 		return fmt.Errorf("protocols: protocol has no name")
 	}
-	// Keep a detached master copy; the builder clones it so callers can
-	// never alias each other's state (or the registrant's).
+	// Keep a detached master copy so the registrant cannot alias it either.
 	master := p.Clone()
 	mu.Lock()
 	defer mu.Unlock()
 	if _, taken := registry[key]; taken {
 		return fmt.Errorf("protocols: name %q already registered", key)
 	}
-	registry[key] = func() *fsm.Protocol { return master.Clone() }
+	registry[key] = master
 	return nil
 }
 
@@ -138,7 +114,7 @@ func All() []*fsm.Protocol {
 	defer mu.RUnlock()
 	out := make([]*fsm.Protocol, 0, len(names))
 	for _, n := range names {
-		out = append(out, registry[n]())
+		out = append(out, registry[n].Clone())
 	}
 	return out
 }

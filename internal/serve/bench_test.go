@@ -41,7 +41,7 @@ func benchSubmit(b *testing.B, srv *Server, noCache bool) {
 		b.Fatal(err)
 	}
 	// Warm run so the hit benchmark measures hits from iteration one.
-	j, _, err := srv.Submit(p, canonical, opts, 30*time.Second, false)
+	j, _, err := srv.SubmitEx(p, canonical, opts, SubmitOptions{Timeout: 30 * time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func benchSubmit(b *testing.B, srv *Server, noCache bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j, _, err := srv.Submit(p, canonical, opts, 30*time.Second, noCache)
+		j, _, err := srv.SubmitEx(p, canonical, opts, SubmitOptions{Timeout: 30 * time.Second, NoCache: noCache})
 		if err != nil {
 			b.Fatal(err)
 		}

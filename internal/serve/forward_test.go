@@ -66,9 +66,9 @@ func TestClusterComputeEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("forwarded compute: http %d (%s)", resp.StatusCode, data)
 	}
-	payload, legacy, err := ckptio.Decode("compute-response", data)
-	if err != nil || legacy {
-		t.Fatalf("decoding compute envelope: legacy=%t err=%v", legacy, err)
+	payload, err := ckptio.Decode("compute-response", data)
+	if err != nil {
+		t.Fatalf("decoding compute envelope: %v", err)
 	}
 	opts := JobOptions{}
 	if err := opts.normalize(); err != nil {

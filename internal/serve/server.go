@@ -446,16 +446,9 @@ type SubmitOptions struct {
 	Internal bool
 }
 
-// Submit routes one verification request: cache hit, coalesce onto an
-// identical in-flight job, or admit a fresh job — in that order. timeout
-// <= 0 means the server's JobTimeout; larger values are capped by it.
-// noCache bypasses the cache read (the result is still stored).
-func (s *Server) Submit(p *fsm.Protocol, canonical string, opts JobOptions, timeout time.Duration, noCache bool) (*Job, string, error) {
-	return s.SubmitEx(p, canonical, opts, SubmitOptions{Timeout: timeout, NoCache: noCache})
-}
-
-// SubmitEx is Submit with tenancy, work class and cluster routing control.
-// The full admission order: tenant rate limit, cache, peer cache fill,
+// SubmitEx routes one verification request: cache hit, coalesce onto an
+// identical in-flight job, or admit a fresh job, under the tenancy, work
+// class and cluster routing control of so. The full admission order: tenant rate limit, cache, peer cache fill,
 // drain check, coalesce, saturation (forward to a peer or reject busy),
 // batch shed, tenant queue share, enqueue. Rejections after the rate gate
 // arrive as RetryAfterError wrapping ErrBusy / ErrShedBatch /

@@ -18,8 +18,8 @@
 //   - internal/compile    shared compiled representation and .ccfsm format
 //   - internal/symbolic   composite states and the expansion algorithm
 //   - internal/enum       explicit-state enumeration baselines
-//   - internal/protocols  Illinois, Write-Once, Synapse, Berkeley, Firefly,
-//     Dragon, MSI
+//   - internal/protocols  registry of the built-in protocols, whose only
+//     definitions are the ccpsl files embedded from specs/
 //   - internal/graph      global and per-cache transition diagrams (DOT)
 //   - internal/core       verification pipeline and reports
 //   - internal/sim        concrete multiprocessor simulator

@@ -2,13 +2,16 @@ package repro
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
 
 // TestFacadeServiceWithCluster drives the whole embedder story through
 // the facade alone: build a Service, attach a ClusterClient, verify a
-// protocol, and observe that an empty peer set degrades cleanly to local
+// protocol through its HTTP handler, and observe that an empty peer set degrades cleanly to local
 // compute — without importing any internal package.
 func TestFacadeServiceWithCluster(t *testing.T) {
 	svc, err := NewService(ServiceConfig{Workers: 1, QueueDepth: 4})
@@ -32,21 +35,14 @@ func TestFacadeServiceWithCluster(t *testing.T) {
 		svc.Drain(ctx)
 	}()
 
-	p, err := ProtocolByName("illinois")
-	if err != nil {
-		t.Fatal(err)
+	req := httptest.NewRequest(http.MethodPost, "/v1/verify?wait=1", strings.NewReader(`{"protocol": "illinois"}`))
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"state":"done"`) {
+		t.Fatalf("verify answered %d: %s", rec.Code, rec.Body)
 	}
-	job, disposition, err := svc.Submit(p, FormatSpec(p), ServiceJobOptions{}, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if disposition != "queued" {
-		t.Fatalf("disposition %q, want queued (peerless cluster must not invent hits)", disposition)
-	}
-	select {
-	case <-job.Done():
-	case <-time.After(30 * time.Second):
-		t.Fatal("job did not finish")
+	if d := rec.Header().Get("X-CC-Disposition"); d != "queued" {
+		t.Fatalf("disposition %q, want queued (peerless cluster must not invent hits)", d)
 	}
 
 	stats := svc.Stats()
