@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fsm"
 	"repro/internal/mutate"
@@ -294,6 +295,31 @@ func TestReplayCompareExitCodes(t *testing.T) {
 
 // TestUsageErrors checks that malformed command lines exit 1 with a
 // message naming the problem, before any trace is read.
+// TestReplayPinnedLockFitsOverCapacity replays a held Lock-MSI lock (a
+// state with no Replace rule) into a one-block cache, then reads another
+// block. The lock cannot be evicted, so the read is admitted over
+// capacity; replacing the pinned victim forever would never return.
+func TestReplayPinnedLockFitsOverCapacity(t *testing.T) {
+	trace := "# cctrace v1\n# caches: 2\n0 l 0\n0 r 40\n"
+	type outcome struct {
+		code   int
+		stderr string
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		code, _, errOut := invoke(trace, "replay", "-protocol", "lock-msi", "-capacity", "1", "-timeout", "2s", "-")
+		done <- outcome{code, errOut}
+	}()
+	select {
+	case got := <-done:
+		if got.code != runctl.ExitClean {
+			t.Fatalf("exit %d, stderr %q; want 0", got.code, got.stderr)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("replay of a pinned block did not return")
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	cases := []struct {
 		args []string

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/fsm"
@@ -298,22 +300,88 @@ func TestFalseSharingFoldsWordsIntoBlocks(t *testing.T) {
 	}
 }
 
-// BenchmarkReplayThroughput is the PR's throughput gate: the streaming
-// parser plus RunRefs must replay well above a million operations per
-// second. CI publishes it as BENCH_PR9.json.
-func BenchmarkReplayThroughput(b *testing.B) {
-	spec := WorkloadSpec{Kind: KindMigratory, Seed: 1, Caches: 4, Blocks: 64, Ops: 200000}
-	data := materialized(b, spec, false)
-	p := protocols.MESI()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		res, err := Replay(context.Background(), bytes.NewReader(data), p, Options{})
-		if err != nil {
-			b.Fatal(err)
+// permuteCaches renumbers every reference's cache index through perm,
+// leaving the header, comments and addresses as they are.
+func permuteCaches(t testing.TB, data []byte, perm []int) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) != 3 || strings.HasPrefix(line, "#") {
+			out.WriteString(line)
+			continue
 		}
-		total += int(res.Ops)
+		c, err := strconv.Atoi(fields[0])
+		if err != nil {
+			t.Fatalf("reference line %q: %v", line, err)
+		}
+		fmt.Fprintf(&out, "%d %s %s\n", perm[c], fields[1], fields[2])
 	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "ops/s")
+	return out.Bytes()
+}
+
+// TestCompareCachePermutationInvariant is a metamorphic property of the
+// simulator: caches are interchangeable, so renumbering a trace's cache
+// indices leaves every protocol's totals unchanged, bounded or not.
+func TestCompareCachePermutationInvariant(t *testing.T) {
+	protos := []*fsm.Protocol{protocols.MSI(), protocols.MESI(), protocols.MOESI(), protocols.Dragon()}
+	perm := []int{2, 0, 3, 1}
+	for _, kind := range []string{KindUniform, KindMigratory, KindFalseSharing} {
+		spec := WorkloadSpec{Kind: kind, Seed: 17, Caches: len(perm), Blocks: 16, Ops: 20000}
+		data := materialized(t, spec, false)
+		permuted := permuteCaches(t, data, perm)
+		for _, capacity := range []int{0, 8} {
+			a, err := Compare(context.Background(), bytes.NewReader(data), protos, Options{Capacity: capacity})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Compare(context.Background(), bytes.NewReader(permuted), protos, Options{Capacity: capacity})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range protos {
+				if a.Results[i].Ops != int64(spec.Ops) || b.Results[i].Ops != a.Results[i].Ops {
+					t.Fatalf("%s %s capacity %d: replayed %d and %d ops, want %d",
+						kind, p.Name, capacity, a.Results[i].Ops, b.Results[i].Ops, spec.Ops)
+				}
+				if a.Results[i].Stats != b.Results[i].Stats {
+					t.Errorf("%s %s capacity %d: totals change when caches are renumbered:\noriginal: %+v\npermuted: %+v",
+						kind, p.Name, capacity, a.Results[i].Stats, b.Results[i].Stats)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkReplayThroughput is the replay throughput gate: the streaming
+// parser plus RunRefs must replay well above a million operations per
+// second. The migratory trace never evicts; the capacity trace (uniform
+// over 1,024 blocks into 64-block caches) evicts on most misses. CI
+// publishes both as BENCH_PR9.json.
+func BenchmarkReplayThroughput(b *testing.B) {
+	cases := []struct {
+		name     string
+		spec     WorkloadSpec
+		capacity int
+	}{
+		{"migratory", WorkloadSpec{Kind: KindMigratory, Seed: 1, Caches: 4, Blocks: 64, Ops: 200000}, 0},
+		{"capacity", WorkloadSpec{Kind: KindUniform, Seed: 1, Caches: 8, Blocks: 1024, Ops: 200000}, 64},
+	}
+	p := protocols.MESI()
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			data := materialized(b, c.spec, false)
+			b.SetBytes(int64(len(data)))
+			b.ResetTimer()
+			total := 0
+			for i := 0; i < b.N; i++ {
+				res, err := Replay(context.Background(), bytes.NewReader(data), p, Options{Capacity: c.capacity})
+				if err != nil {
+					b.Fatal(err)
+				}
+				total += int(res.Ops)
+			}
+			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "ops/s")
+		})
+	}
 }

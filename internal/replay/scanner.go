@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bufio"
+	"bytes"
 	"compress/flate"
 	"compress/gzip"
 	"crypto/sha256"
@@ -47,6 +48,8 @@ type Scanner struct {
 
 	digest hash.Hash // SHA-256 over the raw (possibly compressed) bytes
 	eof    bool
+	// long accumulates a line longer than the read buffer; it is reused.
+	long []byte
 }
 
 // NewScanner sniffs compression, reads and validates the header, and
@@ -99,32 +102,43 @@ func (s *Scanner) Digest() string {
 	return hex.EncodeToString(s.digest.Sum(nil))
 }
 
-// readLine reads the next line, bumping the line counter. io.EOF is
-// returned bare; any other failure is classified (a gzip stream that ends
-// mid-member or carries corrupt deflate data surfaces as ErrTruncated).
-func (s *Scanner) readLine() (string, error) {
-	line, err := s.br.ReadString('\n')
+// readLine reads the next line, bumping the line counter, and returns it
+// with its line terminator. The slice aliases the reader's buffer (or,
+// for a line longer than the buffer, the scanner's reused long-line
+// buffer) and is valid until the next read. io.EOF is returned bare; any
+// other failure is classified (a gzip stream that ends mid-member or
+// carries corrupt deflate data surfaces as ErrTruncated).
+func (s *Scanner) readLine() ([]byte, error) {
+	line, err := s.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		s.long = append(s.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = s.br.ReadSlice('\n')
+			s.long = append(s.long, line...)
+		}
+		line = s.long
+	}
 	if len(line) > 0 {
 		s.line++
 	}
 	if err != nil {
 		if err == io.EOF {
-			if line == "" {
-				return "", io.EOF
+			if len(line) == 0 {
+				return nil, io.EOF
 			}
 			return line, nil // final line without trailing newline
 		}
 		var corrupt flate.CorruptInputError
 		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, gzip.ErrHeader) || errors.Is(err, gzip.ErrChecksum) || errors.As(err, &corrupt) {
-			return "", parseErr(s.line+1, ErrTruncated, "%v", err)
+			return nil, parseErr(s.line+1, ErrTruncated, "%v", err)
 		}
-		return "", err
+		return nil, err
 	}
 	return line, nil
 }
 
 // readHeader consumes the magic line and the metadata comments up to (not
-// including) the first reference line, which is pushed back for NextBatch.
+// including) the first reference line, which stays buffered for NextBatch.
 func (s *Scanner) readHeader() error {
 	first, err := s.readLine()
 	if err != nil {
@@ -133,8 +147,8 @@ func (s *Scanner) readHeader() error {
 		}
 		return err
 	}
-	if trimEOL(first) != Magic {
-		return parseErr(s.line, ErrHeader, "first line %q, expected %q", trimEOL(first), Magic)
+	if first = trimEOL(first); string(first) != Magic {
+		return parseErr(s.line, ErrHeader, "first line %q, expected %q", first, Magic)
 	}
 	for {
 		peek, err := s.br.Peek(1)
@@ -161,33 +175,27 @@ func (s *Scanner) readHeader() error {
 
 // headerComment interprets one "# key: value" comment; unknown keys and
 // malformed values are ignored (comments stay comments).
-func (s *Scanner) headerComment(line string) {
+func (s *Scanner) headerComment(line []byte) {
 	if len(line) < 2 || line[0] != '#' {
 		return
 	}
 	rest := trimSpaces(line[1:])
-	colon := -1
-	for i := 0; i < len(rest); i++ {
-		if rest[i] == ':' {
-			colon = i
-			break
-		}
-	}
+	colon := bytes.IndexByte(rest, ':')
 	if colon < 0 {
 		return
 	}
 	key, val := trimSpaces(rest[:colon]), trimSpaces(rest[colon+1:])
-	switch key {
+	switch string(key) {
 	case "caches":
-		if n, err := strconv.Atoi(val); err == nil && n > 0 {
+		if n, err := strconv.Atoi(string(val)); err == nil && n > 0 {
 			s.meta.Caches = n
 		}
 	case "blocksize":
-		if n, err := strconv.Atoi(val); err == nil && n > 0 {
+		if n, err := strconv.Atoi(string(val)); err == nil && n > 0 {
 			s.meta.BlockSize = n
 		}
 	case "workload":
-		s.meta.Workload = val
+		s.meta.Workload = string(val)
 	}
 }
 
@@ -216,7 +224,7 @@ func (s *Scanner) NextBatch(buf []trace.Ref) (int, error) {
 			return n, err
 		}
 		line = trimEOL(line)
-		if line == "" || line[0] == '#' {
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
 		ref, err := s.parseRef(line)
@@ -231,15 +239,15 @@ func (s *Scanner) NextBatch(buf []trace.Ref) (int, error) {
 }
 
 // parseRef decodes one "<cache> <op> <hex-address>" line.
-func (s *Scanner) parseRef(line string) (trace.Ref, error) {
+func (s *Scanner) parseRef(line []byte) (trace.Ref, error) {
 	var ref trace.Ref
 	f0, rest0, ok := nextField(line)
 	f1, rest1, ok1 := nextField(rest0)
 	f2, rest2, ok2 := nextField(rest1)
-	if !ok || !ok1 || !ok2 || trimSpaces(rest2) != "" {
+	if !ok || !ok1 || !ok2 || len(trimSpaces(rest2)) != 0 {
 		return ref, parseErr(s.line, ErrBadLine, "want '<cache> <op> <hex-address>', got %q", line)
 	}
-	cache, err := strconv.Atoi(f0)
+	cache, err := strconv.Atoi(string(f0))
 	if err != nil {
 		return ref, parseErr(s.line, ErrBadLine, "cache field %q is not a number", f0)
 	}
@@ -256,7 +264,7 @@ func (s *Scanner) parseRef(line string) (trace.Ref, error) {
 	if len(f2) > 2 && f2[0] == '0' && (f2[1] == 'x' || f2[1] == 'X') {
 		f2 = f2[2:]
 	}
-	addr, err := strconv.ParseUint(f2, 16, 63)
+	addr, err := strconv.ParseUint(string(f2), 16, 63)
 	if err != nil {
 		return ref, parseErr(s.line, ErrBadAddress, "address %q is not hex", f2)
 	}
@@ -286,36 +294,36 @@ func (s *Scanner) blockOf(addr int64) (int, error) {
 }
 
 // trimEOL strips a trailing \n and \r.
-func trimEOL(s string) string {
-	for len(s) > 0 && (s[len(s)-1] == '\n' || s[len(s)-1] == '\r') {
-		s = s[:len(s)-1]
+func trimEOL(b []byte) []byte {
+	for len(b) > 0 && (b[len(b)-1] == '\n' || b[len(b)-1] == '\r') {
+		b = b[:len(b)-1]
 	}
-	return s
+	return b
 }
 
 // trimSpaces strips leading and trailing spaces and tabs.
-func trimSpaces(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
+func trimSpaces(b []byte) []byte {
+	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t') {
+		b = b[1:]
 	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
+	for len(b) > 0 && (b[len(b)-1] == ' ' || b[len(b)-1] == '\t') {
+		b = b[:len(b)-1]
 	}
-	return s
+	return b
 }
 
 // nextField splits off the next space/tab-separated field.
-func nextField(s string) (field, rest string, ok bool) {
+func nextField(b []byte) (field, rest []byte, ok bool) {
 	i := 0
-	for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t') {
 		i++
 	}
-	if i == len(s) {
-		return "", "", false
+	if i == len(b) {
+		return nil, nil, false
 	}
 	j := i
-	for j < len(s) && s[j] != ' ' && s[j] != '\t' {
+	for j < len(b) && b[j] != ' ' && b[j] != '\t' {
 		j++
 	}
-	return s[i:j], s[j:], true
+	return b[i:j], b[j:], true
 }

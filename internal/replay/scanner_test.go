@@ -5,9 +5,11 @@ import (
 	"compress/gzip"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/fsm"
 	"repro/internal/trace"
 )
 
@@ -257,6 +259,81 @@ func TestScannerDigestMatchesRawBytes(t *testing.T) {
 	}
 }
 
+// longLine is a line body longer than the scanner's 64 KiB read buffer.
+var longLine = strings.Repeat("x", 70000)
+
+func TestScannerLongLines(t *testing.T) {
+	// A comment longer than the read buffer, in the header and between
+	// references, is skipped like any comment; line numbers still count
+	// it as one line.
+	src := Magic + "\n# caches: 2\n# workload: " + longLine + "\n0 r 40\n# " + longLine + "\n1 w 80\n"
+	sc, err := NewScanner(strings.NewReader(src), ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Meta().Workload != longLine {
+		t.Fatalf("workload is %d bytes, want the %d-byte header value", len(sc.Meta().Workload), len(longLine))
+	}
+	refs, err := scanAll(t, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []trace.Ref{{Cache: 0, Op: fsm.OpRead, Block: 0}, {Cache: 1, Op: fsm.OpWrite, Block: 1}}
+	if !slices.Equal(refs, want) {
+		t.Fatalf("refs %+v, want %+v", refs, want)
+	}
+	_, err = scanAll(t, src+"0 r 40\n"+longLine+"\n")
+	wantParseError(t, err, ErrBadLine, 8)
+	// The same malformed line, last and unterminated.
+	_, err = scanAll(t, src+longLine)
+	wantParseError(t, err, ErrBadLine, 7)
+}
+
+func TestScannerCRLF(t *testing.T) {
+	src := Magic + "\r\n# caches: 2\r\n# blocksize: 64\r\n0 r 40\r\n\r\n# note\r\n1 W 0x80\r\n"
+	refs, err := scanAll(t, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []trace.Ref{{Cache: 0, Op: fsm.OpRead, Block: 0}, {Cache: 1, Op: fsm.OpWrite, Block: 1}}
+	if !slices.Equal(refs, want) {
+		t.Fatalf("refs %+v, want %+v", refs, want)
+	}
+	_, err = scanAll(t, src+"2 r 40\r\n")
+	wantParseError(t, err, ErrCacheRange, 8)
+	_, err = scanAll(t, src+"1 q 40\r\n")
+	wantParseError(t, err, ErrBadOp, 8)
+}
+
+// TestScannerNextBatchAllocFree pins the decode loop allocation-free: once
+// every block of the trace has its dense index, a batch costs no
+// allocation, whatever its length.
+func TestScannerNextBatchAllocFree(t *testing.T) {
+	spec := WorkloadSpec{Kind: KindUniform, Seed: 5, Caches: 4, Blocks: 16, Ops: 40000}
+	var data bytes.Buffer
+	if _, err := MaterializeTo(&data, spec, false); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := NewScanner(bytes.NewReader(data.Bytes()), ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]trace.Ref, 256)
+	for sc.Blocks() < spec.Blocks {
+		if _, err := sc.NextBatch(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if n, err := sc.NextBatch(buf); n != len(buf) || err != nil {
+			t.Fatalf("batch of %d refs: %v", n, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("NextBatch allocates %.1f times per batch of %d refs", allocs, len(buf))
+	}
+}
+
 // FuzzScanner feeds arbitrary bytes, plain or gzipped, through the scanner.
 // The seeds are short materialized traces from every generator. Properties:
 // no panic; every failure is a *ParseError wrapping one of the package's
@@ -273,6 +350,9 @@ func FuzzScanner(f *testing.F) {
 			f.Add(buf.Bytes())
 		}
 	}
+	// Lines longer than the 64 KiB read buffer: a comment and a malformed
+	// reference.
+	f.Add([]byte(Magic + "\n# caches: 2\n0 r 40\n# " + longLine + "\n1 w 80\n" + longLine + "\n"))
 	sentinels := []error{ErrHeader, ErrEmpty, ErrBadLine, ErrCacheRange, ErrBadOp, ErrBadAddress, ErrTruncated, ErrTooManyBlocks}
 	const maxBlocks = 16
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,0 +1,247 @@
+package sim
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/compile"
+	"repro/internal/fsm"
+	"repro/internal/protocols"
+	"repro/internal/trace"
+)
+
+// TestPinnedBlocksAreSkipped fills a cache with a held Lock-MSI lock, which
+// has no Replace rule. With every resident block pinned the next reference
+// is admitted over capacity; with an unpinned block behind the lock, that
+// block is the victim. A victim loop that kept replacing the pinned head
+// would never return, so the test runs under a deadline.
+func TestPinnedBlocksAreSkipped(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m := newMachine(t, Config{Protocol: protocols.LockMSI(), Caches: 2, Blocks: 3, Capacity: 1})
+		for _, ref := range []trace.Ref{
+			{Cache: 0, Op: protocols.OpAcquire, Block: 0},
+			{Cache: 0, Op: fsm.OpRead, Block: 1},
+		} {
+			if _, err := m.Apply(ref); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if !m.resident(0, 0) || !m.resident(0, 1) || m.lru.n[0] != 2 {
+			t.Errorf("all-pinned cache: resident %v %v, count %d; want both, 2", m.resident(0, 0), m.resident(0, 1), m.lru.n[0])
+		}
+		if st := m.Stats(); st.CapacityEvictions != 0 || st.Replacements != 0 {
+			t.Errorf("pinned block was stepped: %+v", st)
+		}
+
+		m = newMachine(t, Config{Protocol: protocols.LockMSI(), Caches: 2, Blocks: 3, Capacity: 2})
+		for _, ref := range []trace.Ref{
+			{Cache: 0, Op: protocols.OpAcquire, Block: 0},
+			{Cache: 0, Op: fsm.OpRead, Block: 1},
+			{Cache: 0, Op: fsm.OpRead, Block: 2},
+		} {
+			if _, err := m.Apply(ref); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if !m.resident(0, 0) || m.resident(0, 1) || !m.resident(0, 2) {
+			t.Errorf("want the lock kept and block 1 evicted: resident %v %v %v", m.resident(0, 0), m.resident(0, 1), m.resident(0, 2))
+		}
+		if m.Stats().CapacityEvictions != 1 {
+			t.Errorf("capacity evictions = %d, want 1", m.Stats().CapacityEvictions)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a reference to a cache full of pinned blocks did not return")
+	}
+}
+
+// refMachine is the reference model of the replacement bookkeeping: the
+// slice LRU the intrusive lists replaced. Each cache's resident blocks sit
+// in a slice, most recently used last, found by linear scan; each block's
+// state is its own *compile.Config. Victims are chosen as Machine chooses
+// them: least recently used first, pinned blocks skipped, each block
+// resident on entry examined once.
+type refMachine struct {
+	cp        *compile.Protocol
+	capacity  int
+	block     []*compile.Config
+	lru       [][]int
+	evictions int64
+}
+
+func newRefMachine(cp *compile.Protocol, caches, blocks, capacity int) *refMachine {
+	r := &refMachine{cp: cp, capacity: capacity, lru: make([][]int, caches)}
+	for b := 0; b < blocks; b++ {
+		r.block = append(r.block, cp.NewConfig(caches))
+	}
+	return r
+}
+
+func (r *refMachine) touch(i, b int) {
+	r.drop(i, b)
+	r.lru[i] = append(r.lru[i], b)
+}
+
+func (r *refMachine) drop(i, b int) {
+	if k := slices.Index(r.lru[i], b); k >= 0 {
+		r.lru[i] = slices.Delete(r.lru[i], k, k+1)
+	}
+}
+
+func (r *refMachine) apply(ref trace.Ref) error {
+	c := r.block[ref.Block]
+	if ref.Op != fsm.OpReplace && r.capacity > 0 && !r.cp.ValidCopy[c.States[ref.Cache]] {
+		replace := r.cp.OpIndex(fsm.OpReplace)
+		for _, victim := range slices.Clone(r.lru[ref.Cache]) {
+			if len(r.lru[ref.Cache]) < r.capacity {
+				break
+			}
+			if replace < 0 || !r.cp.HasRules(int(r.block[victim].States[ref.Cache]), replace) {
+				continue
+			}
+			if err := r.step(trace.Ref{Cache: ref.Cache, Op: fsm.OpReplace, Block: victim}); err != nil {
+				return err
+			}
+			r.evictions++
+		}
+	}
+	return r.step(ref)
+}
+
+func (r *refMachine) step(ref trace.Ref) error {
+	c := r.block[ref.Block]
+	before := slices.Clone(c.States)
+	if op := r.cp.OpIndex(ref.Op); op >= 0 {
+		if _, err := r.cp.Step(c, ref.Cache, op); err != nil {
+			return err
+		}
+	}
+	for j, prev := range before {
+		if j != ref.Cache && prev != c.States[j] && r.cp.ValidCopy[prev] && !r.cp.ValidCopy[c.States[j]] {
+			r.drop(j, ref.Block)
+		}
+	}
+	if r.capacity > 0 {
+		if r.cp.ValidCopy[c.States[ref.Cache]] {
+			r.touch(ref.Cache, ref.Block)
+		} else {
+			r.drop(ref.Cache, ref.Block)
+		}
+	}
+	return nil
+}
+
+// checkLists compares m's lists with the model's and checks their links:
+// the same blocks in the same order, every next mirrored by a prev, the
+// ends unlinked, the count equal to the walked length, and no links left
+// on blocks off the list.
+func checkLists(t *testing.T, m *Machine, r *refMachine) {
+	t.Helper()
+	if r.capacity == 0 {
+		if m.lru != nil {
+			t.Fatal("unbounded machine keeps LRU lists")
+		}
+		return
+	}
+	l := m.lru
+	for i := range r.lru {
+		var walk []int
+		prev := -1
+		for b := l.front(i); b >= 0; b = l.after(i, b) {
+			if len(walk) > m.cfg.Blocks {
+				t.Fatalf("cache %d: list does not end", i)
+			}
+			if got := int(l.prev[i*l.blocks+b]) - 1; got != prev {
+				t.Fatalf("cache %d: block %d has prev %d, want %d", i, b, got, prev)
+			}
+			walk = append(walk, b)
+			prev = b
+		}
+		if int(l.tail[i])-1 != prev {
+			t.Fatalf("cache %d: tail %d, walk ends at %d", i, l.tail[i]-1, prev)
+		}
+		if int(l.n[i]) != len(walk) {
+			t.Fatalf("cache %d: count %d, list length %d", i, l.n[i], len(walk))
+		}
+		if !slices.Equal(walk, r.lru[i]) {
+			t.Fatalf("cache %d: LRU order %v, model %v", i, walk, r.lru[i])
+		}
+		for b := 0; b < m.cfg.Blocks; b++ {
+			k := i*l.blocks + b
+			if !slices.Contains(walk, b) && (l.prev[k] != 0 || l.next[k] != 0) {
+				t.Fatalf("cache %d: block %d is off the list but still linked", i, b)
+			}
+		}
+	}
+	if m.stats.CapacityEvictions != r.evictions {
+		t.Fatalf("capacity evictions %d, model %d", m.stats.CapacityEvictions, r.evictions)
+	}
+}
+
+// FuzzMachine runs random references over every built-in protocol through
+// a Machine and the slice-LRU reference model, and after every Apply
+// checks that both agree on errors, on every block's state, on each
+// cache's resident set and eviction order, and that the intrusive lists
+// are consistently linked. The first four bytes pick the protocol, caches
+// (1–4), blocks (1–8) and capacity (0–4); each following pair is one
+// reference: cache and op from the first byte, block from the second.
+func FuzzMachine(f *testing.F) {
+	all := protocols.All()
+	compiled := make([]*compile.Protocol, len(all))
+	for i, p := range all {
+		cp, err := compile.Compile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		compiled[i] = cp
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := range all {
+		seed := []byte{byte(i), 3, 5, 2}
+		for k := 0; k < 200; k++ {
+			seed = append(seed, byte(rng.Intn(256)))
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		cp := compiled[int(data[0])%len(compiled)]
+		caches, blocks, capacity := 1+int(data[1])%4, 1+int(data[2])%8, int(data[3])%5
+		m, err := New(Config{Protocol: cp.Src, Compiled: cp, Caches: caches, Blocks: blocks, Capacity: capacity})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newRefMachine(cp, caches, blocks, capacity)
+		data = data[4:]
+		for k := 0; k+1 < len(data) && k < 1024; k += 2 {
+			ref := trace.Ref{
+				Cache: int(data[k]) % caches,
+				Op:    cp.Ops[int(data[k]>>2)%len(cp.Ops)],
+				Block: int(data[k+1]) % blocks,
+			}
+			_, gotErr := m.Apply(ref)
+			wantErr := r.apply(ref)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("ref %d %+v: error %v, model %v", k/2, ref, gotErr, wantErr)
+			}
+			for b := range r.block {
+				got, want := &m.block[b], r.block[b]
+				if !slices.Equal(got.States, want.States) || !slices.Equal(got.Versions, want.Versions) ||
+					got.MemVersion != want.MemVersion || got.Latest != want.Latest {
+					t.Fatalf("ref %d %+v: block %d is %+v, model %+v", k/2, ref, b, *got, *want)
+				}
+			}
+			checkLists(t, m, r)
+		}
+	})
+}

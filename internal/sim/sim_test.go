@@ -149,7 +149,7 @@ func TestRemoteInvalidationSheddsResidency(t *testing.T) {
 	if m.Stats().Invalidations != 1 {
 		t.Fatalf("invalidations = %d, want 1", m.Stats().Invalidations)
 	}
-	if len(m.lru[0]) != 0 {
+	if m.lru.n[0] != 0 {
 		t.Fatal("LRU bookkeeping kept an invalidated block")
 	}
 }
