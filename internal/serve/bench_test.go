@@ -124,3 +124,38 @@ func BenchmarkMutantSweep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkReportEncode renders the strict n=4 enumeration sweep's 53
+// reports the way a /v1/verify/batch stream does: each report once into
+// its indented cache form, then spliced into its NDJSON row. The engine
+// runs happen before the timer starts.
+//
+//	go test -run '^$' -bench BenchmarkReportEncode -benchmem ./internal/serve
+func BenchmarkReportEncode(b *testing.B) {
+	jobs := sweepJobs(b, JobOptions{Engine: EngineEnumStrict, N: 4})
+	reps := make([]*Report, len(jobs))
+	for i := range jobs {
+		bj := &jobs[i]
+		rep, _, err := runVerification(context.Background(), bj.Proto, bj.Key, bj.Opts, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reps[i] = rep
+	}
+	var row []byte
+	reportBytes := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reportBytes = 0
+		for k, rep := range reps {
+			payload := encodeReport(rep)
+			line := BatchLine{Index: k, Protocol: rep.Protocol, CacheKey: rep.CacheKey,
+				State: StateDone, Disposition: BatchComputed, Attempts: 1, Report: payload}
+			row = appendBatchLine(row[:0], &line)
+			reportBytes += len(payload)
+		}
+	}
+	b.ReportMetric(float64(len(reps)), "reports")
+	b.ReportMetric(float64(reportBytes)/(1<<20), "MiB/sweep")
+}

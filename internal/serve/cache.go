@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
@@ -87,7 +88,10 @@ func (c *Cache) diskPath(key string) string {
 }
 
 // Get returns the cached payload for key. disk reports that the hit came
-// from the disk tier (and was promoted into memory).
+// from the disk tier (and was promoted into memory). A disk entry that
+// passes its CRC but is not a JSON document (written by something other
+// than this cache) counts as a disk error and a miss: cached bytes are
+// spliced into responses verbatim, so they must be valid JSON.
 func (c *Cache) Get(key string) (payload []byte, hit, disk bool) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -99,19 +103,24 @@ func (c *Cache) Get(key string) (payload []byte, hit, disk bool) {
 	}
 	c.mu.Unlock()
 
+	notJSON := false
 	if c.dir != "" {
 		store := &ckptio.Store{Path: c.diskPath(key), Keep: 1}
 		data, _, err := store.Load()
-		if err == nil {
+		if err == nil && json.Valid(data) {
 			c.mu.Lock()
 			c.diskHits++
 			c.insertLocked(key, data)
 			c.mu.Unlock()
 			return data, true, true
 		}
+		notJSON = err == nil
 	}
 
 	c.mu.Lock()
+	if notJSON {
+		c.diskErrors++
+	}
 	c.misses++
 	c.mu.Unlock()
 	return nil, false, false

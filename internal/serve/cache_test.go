@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -161,7 +163,8 @@ func TestCacheDiskSweepBoundsTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := make([]byte, 1000)
+	// A 1000-byte JSON document: the disk tier serves only valid JSON.
+	payload := []byte(`"` + strings.Repeat("x", 998) + `"`)
 	keys := []string{"aa", "bb", "cc", "dd"}
 	var total int64
 	for i, k := range keys {
@@ -229,6 +232,59 @@ func TestCacheDiskCorruptionIsMiss(t *testing.T) {
 	}
 	if st := fresh.Stats(); st.Misses != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestDiskEntryNotJSONIsRecomputed: a disk-tier entry with a valid CRC
+// whose payload is not JSON (written by something other than the cache)
+// is a disk error and a miss, never a hit: a verify request gets a
+// freshly computed report, and a batch still emits one row per job.
+func TestDiskEntryNotJSONIsRecomputed(t *testing.T) {
+	for _, via := range []string{"verify", "batch"} {
+		t.Run(via, func(t *testing.T) {
+			dir := t.TempDir()
+			_, canonical, err := ResolveSpec("illinois", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := JobOptions{}
+			if err := opts.normalize(); err != nil {
+				t.Fatal(err)
+			}
+			store := ckptio.Store{Path: filepath.Join(dir, CacheKey(canonical, opts)+diskSuffix)}
+			if err := store.Save([]byte("not json")); err != nil {
+				t.Fatal(err)
+			}
+			srv := newServer(t, Config{Workers: 2, CacheDir: dir})
+			tc := startUnixServer(t, srv)
+
+			var report []byte
+			if via == "verify" {
+				st, code := tc.post(t, `{"protocol":"illinois"}`, true)
+				if code != http.StatusOK || st.State != StateDone || st.Cached {
+					t.Fatalf("verify: http %d, state %s, cached %t, error %q", code, st.State, st.Cached, st.Error)
+				}
+				report = st.Report
+			} else {
+				lines, summary, code := tc.batchStream(t, `{"jobs":[{"protocol":"illinois"}]}`, "")
+				if code != http.StatusOK || len(lines) != summary.Total || summary.Total != 1 || summary.Done != 1 {
+					t.Fatalf("batch: http %d, %d rows, summary %+v", code, len(lines), summary)
+				}
+				if l := lines[0]; l.State != StateDone || l.Disposition != BatchComputed {
+					t.Fatalf("batch row: state %s, disposition %s, error %q", l.State, l.Disposition, l.Error)
+				}
+				report = lines[0].Report
+			}
+			var rep Report
+			if err := json.Unmarshal(report, &rep); err != nil || rep.Protocol != "Illinois" || rep.Verdict != VerdictClean {
+				t.Fatalf("report %q: %v", report, err)
+			}
+			s := tc.stats(t)
+			if s.EngineRuns != 1 || s.DiskErrors != 1 || s.DiskHits != 0 {
+				t.Errorf("engine_runs=%d cache_disk_errors=%d cache_disk_hits=%d, want 1, 1, 0",
+					s.EngineRuns, s.DiskErrors, s.DiskHits)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -62,15 +61,6 @@ type ViolationReport struct {
 	// never cached.
 	Confirmed bool   `json:"confirmed"`
 	AuditNote string `json:"audit_note,omitempty"`
-}
-
-// encodeReport is the single rendering point for Report bytes.
-func encodeReport(rep *Report) ([]byte, error) {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }
 
 // runVerification executes one verification job and renders its report.

@@ -770,11 +770,7 @@ func (s *Server) safeRun(ctx context.Context, j *Job) (payload []byte, cacheable
 	if err != nil {
 		return nil, false, err
 	}
-	payload, eerr := encodeReport(rep)
-	if eerr != nil {
-		return nil, false, eerr
-	}
-	return payload, cacheable, nil
+	return encodeReport(rep), cacheable, nil
 }
 
 // finish moves a job to its terminal state and retires it from the dedup
