@@ -267,5 +267,5 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		awaitJob(r, j)
 	}
 	st, code := status(j, disposition)
-	writeJSON(w, code, st)
+	writeStatus(w, code, &st)
 }

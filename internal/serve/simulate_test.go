@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -84,6 +85,36 @@ func TestSimulateE2E(t *testing.T) {
 	if stats.SimulateRequests != 2 || stats.SimulateRuns != 1 || stats.SimulateCacheHits != 1 {
 		t.Errorf("simulate counters = requests %d, runs %d, hits %d; want 2, 1, 1",
 			stats.SimulateRequests, stats.SimulateRuns, stats.SimulateCacheHits)
+	}
+}
+
+// TestSimulateStatusRendering pins that a simulate job's status is
+// rendered like a verify job's: the POST answer and GET /v1/jobs/{id}
+// are the same bytes, and both are what json.Marshal gave.
+func TestSimulateStatusRendering(t *testing.T) {
+	srv := newServer(t, Config{Workers: 2})
+	tc := startUnixServer(t, srv)
+
+	body := `{"workload":{"kind":"migratory","seed":7,"caches":2,"blocks":8,"ops":2000},"capacity":4}`
+	resp, err := tc.c.Post("http://ccserved/v1/simulate?wait=1", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	posted, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: http %d, err %v: %s", resp.StatusCode, err, posted)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(posted, &st); err != nil || st.State != StateDone {
+		t.Fatalf("submit: state %q, err %v: %s", st.State, err, posted)
+	}
+	if want := refJobStatus(t, &st); !bytes.Equal(posted, want) {
+		t.Errorf("POST status differs from json.Marshal\ngot:  %s\nwant: %s", posted, want)
+	}
+	got, code := tc.get(t, "/v1/jobs/"+st.ID)
+	if code != http.StatusOK || !bytes.Equal(got, posted) {
+		t.Errorf("GET status (http %d) differs from the POST answer\ngot:  %s\nwant: %s", code, got, posted)
 	}
 }
 
