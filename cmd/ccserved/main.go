@@ -15,9 +15,9 @@
 //	ccserved -spec-dir /etc/ccserved/protocols
 //
 // -spec-dir extends the built-in protocol library at startup with every
-// compiled .ccfsm protocol in the directory (write them with ccverify
-// -compile-out); the added names appear in GET /v1/protocols and are
-// addressable in verify requests like any built-in.
+// ccpsl specification (*.ccpsl) in the directory, each named after its
+// protocol's canonical name as in specs/; the added names appear in GET
+// /v1/protocols and are addressable in verify requests like any built-in.
 //
 // With -peers the node joins a fault-tolerant cluster: before computing a
 // cache miss it asks the key's rendezvous-hashed owners for the cached
@@ -87,6 +87,7 @@ const exitBind = 2
 type cliOpts struct {
 	listen       string
 	unixSocket   string
+	specDir      string // load every *.ccpsl here into the library first
 	cfg          serve.Config
 	drainTimeout time.Duration
 	// peers, when non-empty, enables cluster mode; cluster carries the
@@ -123,7 +124,7 @@ func main() {
 		cacheDir     = flag.String("cache-dir", "", "durable disk cache tier directory (empty: memory only)")
 		cacheDiskMax = flag.Int64("cache-disk-bytes", 0, "disk cache tier byte budget, enforced by an LRU sweep at startup (0: unbounded)")
 		keepJobs     = flag.Int("keep-jobs", 1024, "terminal job records retained for polling")
-		specDir      = flag.String("spec-dir", "", "directory of compiled .ccfsm protocols to add to the library at startup")
+		specDir      = flag.String("spec-dir", "", "directory of ccpsl protocol specifications (*.ccpsl) to add to the library at startup")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs after SIGTERM")
 		timeout      = flag.Duration("timeout", 0, "wall-clock limit for the whole service (0: run until signaled)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -173,22 +174,13 @@ func main() {
 		os.Exit(code)
 	}
 
-	if *specDir != "" {
-		added, err := protocols.LoadDir(*specDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ccserved:", err)
-			exit(runctl.ExitUsage)
-		}
-		fmt.Fprintf(os.Stderr, "ccserved: loaded %d protocol(s) from %s: %s\n",
-			len(added), *specDir, strings.Join(added, ", "))
-	}
-
 	ctx, stop := runctl.WithSignals(context.Background(), *timeout)
 	defer stop()
 
 	code, err := run(ctx, cliOpts{
 		listen:     *listen,
 		unixSocket: *unixSocket,
+		specDir:    *specDir,
 		cfg: serve.Config{
 			Workers:        *workers,
 			QueueDepth:     *queue,
@@ -257,9 +249,18 @@ func listenOn(o cliOpts) (net.Listener, error) {
 	return ln, nil
 }
 
-// run starts the service and blocks until ctx is canceled (signal or
-// -timeout), then drains and returns the shared stopped exit code.
+// run loads -spec-dir, starts the service and blocks until ctx is canceled
+// (signal or -timeout), then drains and returns the shared stopped exit
+// code.
 func run(ctx context.Context, o cliOpts) (int, error) {
+	if o.specDir != "" {
+		added, err := protocols.LoadDir(o.specDir)
+		if err != nil {
+			return 0, err
+		}
+		fmt.Fprintf(os.Stderr, "ccserved: loaded %d protocol(s) from %s: %s\n",
+			len(added), o.specDir, strings.Join(added, ", "))
+	}
 	srv, err := serve.New(o.cfg)
 	if err != nil {
 		return 0, err

@@ -1,16 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/ccpsl"
+	"repro/internal/protocols"
 	"repro/internal/runctl"
 	"repro/internal/serve"
 )
@@ -272,5 +278,85 @@ func TestRunClusterPeerFill(t *testing.T) {
 		case <-time.After(15 * time.Second):
 			t.Fatal("a daemon did not exit after cancellation")
 		}
+	}
+}
+
+// specDirRuns numbers TestRunSpecDir's protocols: the library is global, so
+// a repeated run (-count) must not collide with the names of the last one.
+var specDirRuns atomic.Int32
+
+// TestRunSpecDir starts the daemon with -spec-dir over one ccpsl file: the
+// protocol is listed by GET /v1/protocols, and verifying it by name gives
+// the same cache key as submitting the file's text, so both routes land on
+// one identity.
+func TestRunSpecDir(t *testing.T) {
+	p, err := protocols.ByName("synapse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Name = fmt.Sprintf("spec-dir-%d", specDirRuns.Add(1))
+	text := ccpsl.Format(p)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, p.Name+".ccpsl"), []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr, done, _ := startRun(t, ctx, cliOpts{
+		listen:       "127.0.0.1:0",
+		specDir:      dir,
+		cfg:          serve.Config{Workers: 1, QueueDepth: 4},
+		drainTimeout: 5 * time.Second,
+	})
+	base := "http://" + addr
+
+	resp, err := http.Get(base + "/v1/protocols")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct{ Protocols []string }
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(list.Protocols, p.Name) {
+		t.Fatalf("GET /v1/protocols = %v, missing %s", list.Protocols, p.Name)
+	}
+
+	verify := func(body any) serve.JobStatus {
+		t.Helper()
+		req, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(base+"/v1/verify?wait=1", "application/json", bytes.NewReader(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st serve.JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != serve.StateDone {
+			t.Fatalf("verify %s: state %s err %q", req, st.State, st.Error)
+		}
+		return st
+	}
+	byName := verify(map[string]string{"protocol": p.Name})
+	bySpec := verify(map[string]string{"spec": text})
+	if byName.CacheKey != bySpec.CacheKey {
+		t.Errorf("cache_key by name %s != by spec text %s", byName.CacheKey, bySpec.CacheKey)
+	}
+	if !bySpec.Cached {
+		t.Error("the spec-text submission was not served from the by-name entry")
+	}
+
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not exit after cancellation")
 	}
 }

@@ -12,8 +12,6 @@
 //	ccverify -resume run.ckpt
 //	ccverify -run enum-strict -resume run.ckpt -workers 8
 //	ccverify -run symbolic -progress -metrics-json run-metrics.json illinois
-//	ccverify -protocol illinois -compile-out illinois.ccfsm
-//	ccverify -load illinois.ccfsm
 //	ccverify -compare illinois,firefly
 //
 // The protocol may also be named as the positional argument. -run selects
@@ -51,10 +49,6 @@
 // checkpoint names a built-in protocol, and its -run must match the engine
 // that wrote the checkpoint.
 //
-// -compile-out writes the protocol in the compact binary .ccfsm interchange
-// format (see docs/ccpsl.md) and exits without verifying; -load reads a
-// .ccfsm file as the protocol source, as an alternative to -protocol/-spec.
-//
 // Observability: -progress prints one line per expansion level (and per
 // completed phase) to stderr, and -metrics-json FILE writes the run's full
 // metrics snapshot — counters, gauges and phase-timing histograms — as
@@ -76,7 +70,6 @@ import (
 
 	"repro/internal/ccpsl"
 	"repro/internal/ckptio"
-	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/enum"
 	"repro/internal/fsm"
@@ -109,8 +102,6 @@ type cliOpts struct {
 	keep        int    // good snapshot generations retained at -checkpoint
 	progress    bool   // one stderr line per expansion level and phase
 	metricsJSON string // write the metrics snapshot here after the run
-	loadFile    string // read the protocol from this .ccfsm file
-	compileOut  string // write the protocol as .ccfsm here and exit
 }
 
 // observability builds the run's observer and metrics registry from the
@@ -132,8 +123,6 @@ func main() {
 	var (
 		protoName   = flag.String("protocol", "", "built-in protocol name ("+strings.Join(protocols.Names(), ", ")+"); may also be given as the positional argument")
 		specFile    = flag.String("spec", "", "path to a ccpsl protocol specification")
-		loadFile    = flag.String("load", "", "path to a compiled .ccfsm protocol (alternative to -protocol/-spec)")
-		compileOut  = flag.String("compile-out", "", "write the protocol as compact binary .ccfsm to this file and exit")
 		engine      = flag.String("run", "symbolic", "engine: symbolic (full pipeline), enum-strict or enum-counting")
 		nCaches     = flag.Int("n", 4, "cache count for the enum engines")
 		workers     = flag.Int("workers", 1, "run width: BFS workers per level or symbolic speculation workers (0: GOMAXPROCS)")
@@ -159,7 +148,7 @@ func main() {
 		showVersion = flag.Bool("version", false, "print version information and exit")
 	)
 	flag.Parse()
-	if flag.NArg() == 1 && *protoName == "" && *specFile == "" && *loadFile == "" {
+	if flag.NArg() == 1 && *protoName == "" && *specFile == "" {
 		*protoName = flag.Arg(0)
 	} else if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "ccverify: unexpected arguments %q\n", flag.Args())
@@ -210,7 +199,6 @@ func main() {
 		crossCheck: *crossCheck, jsonFile: *jsonFile,
 		checkpoint: *checkpoint, resume: *resume, keep: *keep,
 		progress: *progress, metricsJSON: *metricsJSON,
-		loadFile: *loadFile, compileOut: *compileOut,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ccverify:", err)
@@ -293,24 +281,17 @@ func run(ctx context.Context, protoName, specFile string, o cliOpts) (int, error
 		if engine != o.engine {
 			return 0, fmt.Errorf("checkpoint %s was written by -run %s; it cannot resume -run %s", o.resume, engine, o.engine)
 		}
-		if protoName == "" && specFile == "" && o.loadFile == "" {
+		if protoName == "" && specFile == "" {
 			if _, err := protocols.ByName(cpProto); err != nil {
-				return 0, fmt.Errorf("checkpoint %s is for protocol %q, which is not built in: name its source with -spec or -load", o.resume, cpProto)
+				return 0, fmt.Errorf("checkpoint %s is for protocol %q, which is not built in: name its source with -spec", o.resume, cpProto)
 			}
 			protoName = cpProto
 		}
 		ckpt = data
 	}
-	p, err := loadProtocol(protoName, specFile, o.loadFile)
+	p, err := loadProtocol(protoName, specFile)
 	if err != nil {
 		return 0, err
-	}
-	if o.compileOut != "" {
-		if err := compile.WriteFile(o.compileOut, p); err != nil {
-			return 0, err
-		}
-		fmt.Printf("wrote compiled protocol %s to %s\n", p.Name, o.compileOut)
-		return runctl.ExitClean, nil
 	}
 	if o.checkpoint != "" {
 		// Probe the checkpoint directory up front: an unwritable -checkpoint
@@ -577,16 +558,10 @@ func runSymbolic(ctx context.Context, p *fsm.Protocol, ckpt []byte, o cliOpts, o
 	return runctl.ExitClean, nil
 }
 
-func loadProtocol(protoName, specFile, loadFile string) (*fsm.Protocol, error) {
-	sources := 0
-	for _, s := range []string{protoName, specFile, loadFile} {
-		if s != "" {
-			sources++
-		}
-	}
+func loadProtocol(protoName, specFile string) (*fsm.Protocol, error) {
 	switch {
-	case sources > 1:
-		return nil, fmt.Errorf("use exactly one of -protocol, -spec or -load")
+	case protoName != "" && specFile != "":
+		return nil, fmt.Errorf("use exactly one of -protocol or -spec")
 	case protoName != "":
 		return protocols.ByName(protoName)
 	case specFile != "":
@@ -595,9 +570,7 @@ func loadProtocol(protoName, specFile, loadFile string) (*fsm.Protocol, error) {
 			return nil, err
 		}
 		return ccpsl.Parse(string(src))
-	case loadFile != "":
-		return compile.ReadFile(loadFile)
 	default:
-		return nil, fmt.Errorf("one of -protocol, -spec or -load is required")
+		return nil, fmt.Errorf("one of -protocol or -spec is required")
 	}
 }

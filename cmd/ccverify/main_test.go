@@ -17,7 +17,7 @@ import (
 )
 
 func TestLoadProtocolByName(t *testing.T) {
-	p, err := loadProtocol("illinois", "", "")
+	p, err := loadProtocol("illinois", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ rule hit  { from V on R
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p, err := loadProtocol("", path, "")
+	p, err := loadProtocol("", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,46 +54,17 @@ rule hit  { from V on R
 }
 
 func TestLoadProtocolArgumentErrors(t *testing.T) {
-	if _, err := loadProtocol("", "", ""); err == nil {
+	if _, err := loadProtocol("", ""); err == nil {
 		t.Error("no source must error")
 	}
-	if _, err := loadProtocol("illinois", "x.ccpsl", ""); err == nil {
+	if _, err := loadProtocol("illinois", "x.ccpsl"); err == nil {
 		t.Error("both sources must error")
 	}
-	if _, err := loadProtocol("nonexistent", "", ""); err == nil {
+	if _, err := loadProtocol("nonexistent", ""); err == nil {
 		t.Error("unknown protocol must error")
 	}
-	if _, err := loadProtocol("", "/does/not/exist.ccpsl", ""); err == nil {
+	if _, err := loadProtocol("", "/does/not/exist.ccpsl"); err == nil {
 		t.Error("missing spec file must error")
-	}
-}
-
-// TestCompileOutLoadRoundTrip pins the .ccfsm conversion path: -compile-out
-// writes the binary form without verifying, -load verifies from it with the
-// same verdict as the built-in source, and exactly one protocol source is
-// accepted.
-func TestCompileOutLoadRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "illinois.ccfsm")
-	code, err := run(context.Background(), "illinois", "", cliOpts{compileOut: path})
-	if err != nil || code != 0 {
-		t.Fatalf("compile-out: code %d err %v", code, err)
-	}
-	p, err := loadProtocol("", "", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name != "Illinois" {
-		t.Errorf("loaded name = %s", p.Name)
-	}
-	code, err = run(context.Background(), "", "", cliOpts{loadFile: path})
-	if err != nil || code != 0 {
-		t.Fatalf("verify from .ccfsm: code %d err %v", code, err)
-	}
-	if _, err := loadProtocol("illinois", "", path); err == nil {
-		t.Error("-protocol with -load must error")
-	}
-	if _, err := loadProtocol("", "", filepath.Join(t.TempDir(), "missing.ccfsm")); err == nil {
-		t.Error("missing .ccfsm must error")
 	}
 }
 

@@ -1,25 +1,19 @@
 package compile
 
 import (
-	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
-	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/ccpsl"
-	"repro/internal/ckptio"
 	"repro/internal/fsm"
 	"repro/internal/mutate"
 )
 
-// specProtocol loads one shipped spec by file name. The specs are pinned
-// in sync with the built-in Go definitions, and loading them directly
-// keeps this package's tests free of the protocols registry (which imports
-// this package for .ccfsm corpus loading).
+// specProtocol loads one shipped spec by file name, straight from specs/,
+// so this package's tests need no protocols registry.
 func specProtocol(t testing.TB, name string) *fsm.Protocol {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join("..", "..", "specs", name+".ccpsl"))
@@ -160,181 +154,4 @@ func TestJumpTablesMatchRulesFor(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestBinaryRoundTrip: encode → decode → re-encode must be byte-identical
-// for every spec and every mutant, and the decoded protocol must be deeply
-// equal to the source (up to the unexported lazy indexes, hence Clone).
-func TestBinaryRoundTrip(t *testing.T) {
-	for _, p := range corpus(t) {
-		data, err := EncodeBinary(p)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", p.Name, err)
-		}
-		q, err := DecodeBinary(data)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", p.Name, err)
-		}
-		if ccpsl.Format(p) != ccpsl.Format(q) {
-			t.Fatalf("%s: canonical rendering drifted through the binary round trip", p.Name)
-		}
-		if !reflect.DeepEqual(p.Clone(), q.Clone()) {
-			t.Fatalf("%s: decoded protocol differs structurally", p.Name)
-		}
-		again, err := EncodeBinary(q)
-		if err != nil {
-			t.Fatalf("%s: re-encode: %v", p.Name, err)
-		}
-		if string(again) != string(data) {
-			t.Fatalf("%s: re-encode is not byte-identical (%d vs %d bytes)", p.Name, len(again), len(data))
-		}
-	}
-}
-
-// TestBinaryGolden pins the exact .ccfsm bytes of the illinois spec via the
-// ckptio envelope header (which embeds the payload CRC32 and length): any
-// unintentional format change breaks this test, and an intentional one must
-// bump BinaryVersion and re-pin.
-func TestBinaryGolden(t *testing.T) {
-	p := specProtocol(t, "illinois")
-	data, err := EncodeBinary(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nl := 0
-	for nl < len(data) && data[nl] != '\n' {
-		nl++
-	}
-	const want = "ccckpt v1 crc32=372bcba5 len=543"
-	if got := string(data[:nl]); got != want {
-		t.Fatalf(".ccfsm golden drift for illinois:\n  got  %q\n  want %q\n"+
-			"(an intentional format change must bump compile.BinaryVersion and re-pin this header)", got, want)
-	}
-}
-
-// TestDecodeRejectsUnknownVersion checks the typed version error.
-func TestDecodeRejectsUnknownVersion(t *testing.T) {
-	p := specProtocol(t, "msi")
-	data, err := EncodeBinary(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := ckptio.Decode("t", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := append([]byte(nil), payload...)
-	raw[len(ccfsmMagic)] = 99 // version byte
-	_, err = DecodeBinary(ckptio.Encode(raw))
-	var uv *UnsupportedVersionError
-	if !errors.As(err, &uv) || uv.Version != 99 {
-		t.Fatalf("want *UnsupportedVersionError{99}, got %v", err)
-	}
-}
-
-// TestDecodeRejectsGarbage checks the typed corruption errors on the easy
-// cases; FuzzDecodeBinary covers the long tail.
-func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeBinary([]byte("not an envelope")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := DecodeBinary(ckptio.Encode([]byte("WRONG magic here"))); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("want ErrBadMagic, got %v", err)
-	}
-	p := specProtocol(t, "msi")
-	data, _ := EncodeBinary(p)
-	payload, _ := ckptio.Decode("t", data)
-	for cut := len(ccfsmMagic) + 1; cut < len(payload); cut += 13 {
-		truncated := ckptio.Encode(payload[:cut])
-		if _, err := DecodeBinary(truncated); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-}
-
-// TestDecodeRejectsDuplicateInvariantState: a .ccfsm payload listing a
-// state twice in an invariant set decodes to a CorruptError wrapping the
-// typed validation error. The payload is made by encoding two valid
-// protocols that differ in one owner, and pointing the differing index at
-// the other owner.
-func TestDecodeRejectsDuplicateInvariantState(t *testing.T) {
-	payloadWithOwners := func(owners ...fsm.State) []byte {
-		p := specProtocol(t, "illinois").Clone()
-		p.Inv.Owners = owners
-		data, err := EncodeBinary(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload, err := ckptio.Decode("t", data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []byte(payload)
-	}
-	a := payloadWithOwners("Dirty", "Shared")
-	b := payloadWithOwners("Dirty", "Valid-Exclusive")
-	if len(a) != len(b) {
-		t.Fatalf("payload lengths differ: %d vs %d", len(a), len(b))
-	}
-	diff := -1
-	for i := range a {
-		if a[i] != b[i] {
-			if diff >= 0 {
-				t.Fatal("payloads differ in more than one byte")
-			}
-			diff = i
-		}
-	}
-	if diff < 0 {
-		t.Fatal("payloads are identical")
-	}
-	p := specProtocol(t, "illinois")
-	a[diff] = byte(slices.Index(p.States, "Dirty"))
-	_, err := DecodeBinary(ckptio.Encode(a))
-	var corrupt *CorruptError
-	var dup *fsm.DuplicateInvariantError
-	if !errors.As(err, &corrupt) || !errors.As(err, &dup) || dup.Set != "Owners" || dup.State != "Dirty" {
-		t.Fatalf("want a CorruptError wrapping DuplicateInvariantError{Owners, Dirty}, got %v", err)
-	}
-}
-
-// FuzzDecodeBinary asserts the decoder never panics and either returns a
-// valid protocol or an error, for arbitrary payload bytes (the envelope is
-// applied so the fuzzer exercises the format decoder, not just the CRC).
-func FuzzDecodeBinary(f *testing.F) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.ccpsl"))
-	if err != nil || len(paths) == 0 {
-		f.Fatalf("no specs found: %v", err)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		p, err := ccpsl.Parse(string(src))
-		if err != nil {
-			f.Fatal(err)
-		}
-		data, err := EncodeBinary(p)
-		if err != nil {
-			f.Fatal(err)
-		}
-		payload, err := ckptio.Decode("seed", data)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add([]byte(payload))
-	}
-	f.Add([]byte(ccfsmMagic))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		p, err := DecodeBinary(ckptio.Encode(payload))
-		if err != nil {
-			return
-		}
-		if err := p.Validate(); err != nil {
-			t.Fatalf("decoder returned invalid protocol: %v", err)
-		}
-	})
 }

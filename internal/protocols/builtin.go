@@ -1,10 +1,6 @@
 package protocols
 
 import (
-	"fmt"
-	"strings"
-
-	"repro/internal/ccpsl"
 	"repro/internal/fsm"
 	"repro/specs"
 )
@@ -19,30 +15,11 @@ const (
 )
 
 // The built-in protocols are the specifications embedded from specs/,
-// parsed once here. A spec that fails to parse, or whose file name is not
-// its protocol's canonical name, is a bug in the shipped files, so it
-// panics rather than surfacing as a runtime condition.
+// loaded once here. A spec that fails to load is a bug in the shipped
+// files, so it panics rather than surfacing as a runtime condition.
 func init() {
-	entries, err := specs.FS.ReadDir(".")
-	if err != nil {
-		panic(fmt.Sprintf("protocols: reading embedded specs: %v", err))
-	}
-	for _, e := range entries {
-		src, err := specs.FS.ReadFile(e.Name())
-		if err != nil {
-			panic(fmt.Sprintf("protocols: reading embedded spec %s: %v", e.Name(), err))
-		}
-		p, err := ccpsl.Parse(string(src))
-		if err != nil {
-			panic(fmt.Sprintf("protocols: built-in spec %s: %v", e.Name(), err))
-		}
-		if key := strings.TrimSuffix(e.Name(), ".ccpsl"); key != canonicalName(p.Name) {
-			panic(fmt.Sprintf("protocols: built-in spec %s defines %q, want a file named %s.ccpsl",
-				e.Name(), p.Name, canonicalName(p.Name)))
-		}
-		if err := Register(p); err != nil {
-			panic(err)
-		}
+	if _, err := loadFS(specs.FS, "specs"); err != nil {
+		panic(err)
 	}
 }
 

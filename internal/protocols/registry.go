@@ -2,13 +2,14 @@ package protocols
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 
-	"repro/internal/compile"
+	"repro/internal/ccpsl"
 	"repro/internal/fsm"
 )
 
@@ -79,29 +80,55 @@ func Register(p *fsm.Protocol) error {
 	return nil
 }
 
-// LoadDir registers every compiled protocol (*.ccfsm) in dir, returning the
-// canonical names added, sorted. Files are loaded in name order so
-// duplicate-name errors are deterministic; any unreadable, corrupt or
-// conflicting file fails the whole load.
+// LoadDir registers every ccpsl specification (*.ccpsl) in dir, returning
+// the canonical names added, sorted. Each file goes through the same
+// checks as the built-ins in specs/, and any unreadable, unparsable,
+// misnamed or conflicting file fails the load with an error naming it.
 func LoadDir(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
+	return loadFS(os.DirFS(dir), dir)
+}
+
+// loadFS parses and registers every *.ccpsl file at the top of fsys; dir
+// names fsys in errors. Files load in name order, so which duplicate fails
+// is deterministic. A file must be named after its protocol's canonical
+// name. A *.ccfsm file fails the load, so a directory still holding the
+// removed binary format is refused rather than loaded short of protocols.
+func loadFS(fsys fs.FS, dir string) ([]string, error) {
+	entries, err := fs.ReadDir(fsys, ".")
 	if err != nil {
-		return nil, fmt.Errorf("protocols: %w", err)
+		return nil, fmt.Errorf("protocols: reading %s: %w", dir, err)
 	}
 	var added []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".ccfsm") {
+		if e.IsDir() {
 			continue
 		}
-		path := filepath.Join(dir, e.Name())
-		p, err := compile.ReadFile(path)
+		name := e.Name()
+		path := filepath.Join(dir, name)
+		if strings.HasSuffix(name, ".ccfsm") {
+			return nil, fmt.Errorf("protocols: %s: the compiled .ccfsm format is no longer supported; "+
+				"replace the file with the protocol's ccpsl specification", path)
+		}
+		key, ok := strings.CutSuffix(name, ".ccpsl")
+		if !ok {
+			continue
+		}
+		src, err := fs.ReadFile(fsys, name)
 		if err != nil {
-			return nil, fmt.Errorf("protocols: loading %s: %w", path, err)
+			return nil, fmt.Errorf("protocols: reading %s: %w", path, err)
+		}
+		p, err := ccpsl.Parse(string(src))
+		if err != nil {
+			return nil, fmt.Errorf("protocols: %s: %w", path, err)
+		}
+		if key != canonicalName(p.Name) {
+			return nil, fmt.Errorf("protocols: %s defines %q, want a file named %s.ccpsl",
+				path, p.Name, canonicalName(p.Name))
 		}
 		if err := Register(p); err != nil {
 			return nil, fmt.Errorf("protocols: loading %s: %w", path, err)
 		}
-		added = append(added, canonicalName(p.Name))
+		added = append(added, key)
 	}
 	sort.Strings(added)
 	return added, nil

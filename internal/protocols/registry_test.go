@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/compile"
+	"repro/internal/ccpsl"
 	"repro/internal/fsm"
 )
 
@@ -118,22 +118,32 @@ func TestRegisterAndLookup(t *testing.T) {
 	}
 }
 
+// TestLoadDir drives the -spec-dir loader over ccpsl files: it registers
+// every *.ccpsl under its canonical name, ignores other files, and fails,
+// naming the file, on a duplicate, an unparsable or misnamed spec, a
+// missing directory, or a leftover file in the removed .ccfsm format.
 func TestLoadDir(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"LoadDir-A", "LoadDir-B"} {
-		p, err := ByName("synapse")
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Name = name
-		if err := compile.WriteFile(filepath.Join(dir, name+".ccfsm"), p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Non-.ccfsm files are ignored.
-	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("x"), 0o644); err != nil {
+	synapse, err := ByName("synapse")
+	if err != nil {
 		t.Fatal(err)
 	}
+	renamed := func(name string) string {
+		p := synapse.Clone()
+		p.Name = name
+		return ccpsl.Format(p)
+	}
+	write := func(dir, file, body string) string {
+		t.Helper()
+		path := filepath.Join(dir, file)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	dir := t.TempDir()
+	write(dir, "loaddir-a.ccpsl", renamed("LoadDir-A"))
+	write(dir, "loaddir-b.ccpsl", renamed("LoadDir-B"))
+	write(dir, "README.txt", "not a spec")
 	added, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -146,23 +156,38 @@ func TestLoadDir(t *testing.T) {
 		t.Fatalf("added = %v, want %v", added, want)
 	}
 	for _, name := range want {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("ByName(%q) after LoadDir: %v", name, err)
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%q) after LoadDir: %v", name, err)
+		}
+		if len(p.Rules) != len(synapse.Rules) {
+			t.Errorf("%s: %d rules, want synapse's %d", name, len(p.Rules), len(synapse.Rules))
 		}
 	}
-	// A second load of the same directory collides on every name.
-	if _, err := LoadDir(dir); err == nil {
-		t.Error("reloading the same directory must error on duplicate names")
+	if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), "already registered") {
+		t.Errorf("reloading the same directory: err %v, want a duplicate-name error", err)
 	}
-	// Corrupt files fail the load.
-	bad := t.TempDir()
-	if err := os.WriteFile(filepath.Join(bad, "bad.ccfsm"), []byte("not a ccfsm"), 0o644); err != nil {
-		t.Fatal(err)
+
+	for _, tc := range []struct {
+		name, file, body, want string
+	}{
+		{"unparsable", "loaddir-c.ccpsl", "protocol LoadDir-C\nstates {", "loaddir-c.ccpsl"},
+		{"misnamed", "other-name.ccpsl", renamed("LoadDir-D"), "want a file named loaddir-d.ccpsl"},
+		{"ccfsm", "loaddir-e.ccfsm", "ccckpt v1 crc32=00000000 len=0\n", ".ccfsm format is no longer supported"},
+	} {
+		bad := t.TempDir()
+		path := write(bad, tc.file, tc.body)
+		_, err := LoadDir(bad)
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one naming %s and saying %q", tc.name, err, path, tc.want)
+		}
 	}
-	if _, err := LoadDir(bad); err == nil {
-		t.Error("corrupt .ccfsm must fail the load")
+	for _, name := range []string{"loaddir-c", "loaddir-d"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("%s registered by a failed load", name)
+		}
 	}
-	if _, err := LoadDir(filepath.Join(bad, "missing")); err == nil {
+	if _, err := LoadDir(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing directory must error")
 	}
 }

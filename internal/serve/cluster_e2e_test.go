@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ckptio"
 	"repro/internal/cluster"
 	"repro/internal/fsm"
 	"repro/internal/obs"
@@ -645,4 +647,76 @@ func TestClusterBatchChaos(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Errorf("goroutines: %d at start, %d after chaos drill", g0, runtime.NumGoroutine())
+}
+
+// TestPeerPayloadValidation pins validReport through the peer-fill path: a
+// stub peer answers every cache lookup with a CRC-valid envelope around the
+// row's payload, so the cluster layer counts a hit and only the serve-side
+// check stands between the bytes and the cache. A rejected payload is a
+// miss and bumps peer_fill_rejected_total; the valid one is served as is.
+func TestPeerPayloadValidation(t *testing.T) {
+	_, canonical, err := ResolveSpec("illinois", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := JobOptions{}
+	if err := opts.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	key := CacheKey(canonical, opts)
+	opts.Workers = 8
+	otherKey := CacheKey(canonical, opts)
+	doc := func(schema int, key string) string {
+		return fmt.Sprintf(`{"schema": %d, "protocol": "Illinois", "cache_key": %q, "verdict": "clean"}`, schema, key)
+	}
+	valid := doc(ReportSchema, key)
+
+	var served atomic.Pointer[string]
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != cluster.CachePathPrefix+key {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write(ckptio.Encode([]byte(*served.Load())))
+	}))
+	defer peer.Close()
+	reg := obs.NewRegistry()
+	srv := newServer(t, Config{Metrics: reg})
+	cl, err := cluster.New(cluster.Config{
+		Self:    "http://127.0.0.1:1",
+		Peers:   []string{peer.URL},
+		Metrics: reg,
+		Retries: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	srv.SetCluster(cl)
+
+	rejected := int64(0)
+	for _, tc := range []struct {
+		name    string
+		payload string
+		ok      bool
+	}{
+		{"valid", valid, true},
+		{"wrong-cache-key", doc(ReportSchema, otherKey), false},
+		{"wrong-schema", doc(ReportSchema+1, key), false},
+		{"truncated", valid[:len(valid)-1], false},
+		{"trailing-garbage", valid + "garbage", false},
+		{"array", "[" + valid + "]", false},
+	} {
+		served.Store(&tc.payload)
+		got, ok := srv.peerFill(key)
+		if ok != tc.ok || (ok && string(got) != tc.payload) {
+			t.Errorf("%s: peerFill = %q, %t; want ok=%t", tc.name, got, ok, tc.ok)
+		}
+		if !ok {
+			rejected++
+		}
+		if n := reg.Snapshot().Counters["peer_fill_rejected_total"]; n != rejected {
+			t.Errorf("%s: peer_fill_rejected_total = %d, want %d", tc.name, n, rejected)
+		}
+	}
 }

@@ -676,6 +676,10 @@ func (s *Server) peerFill(key string) ([]byte, bool) {
 // a confused or malicious peer answering with a different key's (valid)
 // report must be rejected, never served or cached. Applied to every
 // payload a peer hands back, whether cache fill or forwarded compute.
+// The full json.Unmarshal is load-bearing: it is the only JSON-validity
+// check peer bytes get before appendCompact splices them verbatim into
+// batch rows and job statuses (see encode.go), so a cheaper two-field scan
+// would let a truncated or trailing-garbage payload corrupt responses.
 func (s *Server) validReport(key string, payload []byte) bool {
 	var probe struct {
 		Schema   int    `json:"schema"`
