@@ -10,21 +10,21 @@ import (
 // JSONReport is the machine-readable form of a verification report, stable
 // for tooling (CI gates, dashboards, diffing two protocol versions).
 type JSONReport struct {
-	Protocol       string          `json:"protocol"`
-	Characteristic string          `json:"characteristic"`
-	Permissible    bool            `json:"permissible"`
+	Protocol       string `json:"protocol"`
+	Characteristic string `json:"characteristic"`
+	Permissible    bool   `json:"permissible"`
 	// Truncated and StopReason report a run stopped early by cancellation
 	// or a resource budget; Permissible is not trustworthy then.
-	Truncated  bool   `json:"truncated,omitempty"`
-	StopReason string `json:"stop_reason,omitempty"`
-	Visits     int    `json:"visits"`
-	Expansions int    `json:"expansions"`
-	Essential      []JSONState     `json:"essential"`
-	Edges          []JSONEdge      `json:"edges,omitempty"`
-	Violations     []JSONViolation `json:"violations,omitempty"`
-	SpecErrors     []string        `json:"spec_errors,omitempty"`
-	CrossChecks    []JSONCross     `json:"cross_checks,omitempty"`
-	DeadRules      []string        `json:"dead_rules,omitempty"`
+	Truncated   bool            `json:"truncated,omitempty"`
+	StopReason  string          `json:"stop_reason,omitempty"`
+	Visits      int             `json:"visits"`
+	Expansions  int             `json:"expansions"`
+	Essential   []JSONState     `json:"essential"`
+	Edges       []JSONEdge      `json:"edges,omitempty"`
+	Violations  []JSONViolation `json:"violations,omitempty"`
+	SpecErrors  []string        `json:"spec_errors,omitempty"`
+	CrossChecks []JSONCross     `json:"cross_checks,omitempty"`
+	DeadRules   []string        `json:"dead_rules,omitempty"`
 }
 
 // JSONState is one essential composite state.

@@ -3,7 +3,6 @@ package enum
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 	"unsafe"
@@ -165,25 +164,43 @@ func strictKey(c *fsm.Config) string { return c.Key() }
 // (Definition 5, counting equivalence), extended with the per-cache data
 // class so the data-consistency attributes survive the quotient.
 func countingKey(c *fsm.Config) string {
-	pairs := make([]string, len(c.States))
-	var buf [64]byte
-	size := 0
+	var buf [128]byte
+	return string(appendCountingKey(buf[:0], c))
+}
+
+// appendCountingKey appends countingKey's rendering of c to dst: the
+// per-cache "State:version" pairs in sorted order, then "|m:" and the
+// memory version. The pairs are rendered past dst's end, joined in order
+// after them, and the joined key is then moved down over them.
+func appendCountingKey(dst []byte, c *fsm.Config) []byte {
+	type span struct{ from, to int }
+	var small [8]span
+	spans := small[:0]
+	start := len(dst)
 	for i, s := range c.States {
-		b := append(buf[:0], s...)
-		b = append(b, ':')
-		pairs[i] = string(strconv.AppendInt(b, c.Versions[i], 10))
-		size += len(pairs[i]) + 1
+		from := len(dst)
+		dst = append(dst, s...)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, c.Versions[i], 10)
+		spans = append(spans, span{from, len(dst)})
 	}
-	sort.Strings(pairs)
-	out := make([]byte, 0, size+24)
-	for i, pair := range pairs {
-		if i > 0 {
-			out = append(out, ',')
+	// Insertion sort: n is a cache count, and bytewise order is
+	// sort.Strings' order.
+	for i := 1; i < len(spans); i++ {
+		for j := i; j > 0 && string(dst[spans[j].from:spans[j].to]) < string(dst[spans[j-1].from:spans[j-1].to]); j-- {
+			spans[j], spans[j-1] = spans[j-1], spans[j]
 		}
-		out = append(out, pair...)
 	}
-	out = append(out, "|m:"...)
-	return string(strconv.AppendInt(out, c.MemVersion, 10))
+	joined := len(dst)
+	for i, sp := range spans {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, dst[sp.from:sp.to]...)
+	}
+	dst = append(dst, "|m:"...)
+	dst = strconv.AppendInt(dst, c.MemVersion, 10)
+	return dst[:start+copy(dst[start:], dst[joined:])]
 }
 
 // CanonicalKey renders the canonical string identity of a canonicalized
@@ -194,13 +211,22 @@ func countingKey(c *fsm.Config) string {
 // fsm.Step can match claimed keys without trusting the engine's packed
 // encoding.
 func CanonicalKey(c *fsm.Config, mode string) (string, error) {
+	var buf [128]byte
+	b, err := AppendCanonicalKey(buf[:0], c, mode)
+	return string(b), err
+}
+
+// AppendCanonicalKey appends CanonicalKey's rendering of c to dst and
+// returns the extended buffer; on an unknown mode it returns dst
+// unchanged and the error.
+func AppendCanonicalKey(dst []byte, c *fsm.Config, mode string) ([]byte, error) {
 	if err := validMode(mode); err != nil {
-		return "", err
+		return dst, err
 	}
 	if mode == ModeCounting {
-		return countingKey(c), nil
+		return appendCountingKey(dst, c), nil
 	}
-	return strictKey(c), nil
+	return c.AppendKey(dst), nil
 }
 
 // Enumeration modes, recorded in checkpoints so a resumed run re-selects

@@ -68,19 +68,24 @@ func (c *Config) N() int { return len(c.States) }
 // including data versions: "State:v,State:v,...|m:v|l:v".
 func (c *Config) Key() string {
 	var buf [128]byte
-	b := buf[:0]
+	return string(c.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key's rendering of c to dst and returns the extended
+// buffer, so a caller holding a reused buffer renders without allocating.
+func (c *Config) AppendKey(dst []byte) []byte {
 	for i, s := range c.States {
 		if i > 0 {
-			b = append(b, ',')
+			dst = append(dst, ',')
 		}
-		b = append(b, s...)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, c.Versions[i], 10)
+		dst = append(dst, s...)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, c.Versions[i], 10)
 	}
-	b = append(b, "|m:"...)
-	b = strconv.AppendInt(b, c.MemVersion, 10)
-	b = append(b, "|l:"...)
-	return string(strconv.AppendInt(b, c.Latest, 10))
+	dst = append(dst, "|m:"...)
+	dst = strconv.AppendInt(dst, c.MemVersion, 10)
+	dst = append(dst, "|l:"...)
+	return strconv.AppendInt(dst, c.Latest, 10)
 }
 
 // StateKey returns a canonical string identifying only the state tuple,

@@ -30,7 +30,9 @@ type Mutant struct {
 }
 
 // Operator transforms one rule in place, returning a description, or false
-// when it does not apply to the rule.
+// when it does not apply to the rule. An operator that returns false has
+// not touched the rule or the protocol, which lets Catalog try the next
+// pair on the same clone.
 type operator struct {
 	kind  string
 	apply func(p *fsm.Protocol, r *fsm.Rule) (string, bool)
@@ -142,14 +144,22 @@ var operators = []operator{
 // skipped), so the verifier sees them as legitimate — but wrong — designs.
 func Catalog(p *fsm.Protocol) []Mutant {
 	var out []Mutant
+	// scratch is the clone the next (operator, rule) pair is tried on. A
+	// pair that does not apply leaves it untouched, so p is cloned again
+	// only after a mutation has landed in scratch.
+	var scratch *fsm.Protocol
 	for _, op := range operators {
 		for ri := range p.Rules {
-			clone := p.Clone()
-			clone.Name = p.Name + "!" + op.kind
-			detail, ok := op.apply(clone, &clone.Rules[ri])
+			if scratch == nil {
+				scratch = p.Clone()
+			}
+			scratch.Name = p.Name + "!" + op.kind
+			detail, ok := op.apply(scratch, &scratch.Rules[ri])
 			if !ok {
 				continue
 			}
+			clone := scratch
+			scratch = nil
 			if clone.Validate() != nil {
 				continue
 			}

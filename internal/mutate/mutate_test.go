@@ -163,3 +163,18 @@ func ruleFingerprint(r *fsm.Rule) string {
 		[]bool{r.Data.Store, r.Data.WriteThrough, r.Data.UpdateSharers,
 			r.Data.SupplierWriteBack, r.Data.WriteBackSelf, r.Data.DropSelf})
 }
+
+// BenchmarkCatalog builds the mutant catalog of every built-in protocol,
+// the serial part of expanding a {"sweep": {"mutants": true}} batch.
+//
+//	go test -run '^$' -bench BenchmarkCatalog -benchmem ./internal/mutate
+func BenchmarkCatalog(b *testing.B) {
+	ps := protocols.All()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range ps {
+			Catalog(p)
+		}
+	}
+}

@@ -191,3 +191,46 @@ func TestLoadDir(t *testing.T) {
 		t.Error("missing directory must error")
 	}
 }
+
+// TestLoadDirAllOrNothing loads a directory holding a good spec next to a
+// misnamed one. The load must fail naming the bad file and register
+// nothing, so that once the bad file is removed the same directory loads.
+func TestLoadDirAllOrNothing(t *testing.T) {
+	moesi, err := ByName("moesi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(name string) []byte {
+		p := moesi.Clone()
+		p.Name = name
+		return []byte(ccpsl.Format(p))
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "site-moesi.ccpsl"), spec("Site-MOESI"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wrong := filepath.Join(dir, "wrong.ccpsl")
+	if err := os.WriteFile(wrong, spec("Site-Other"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := Names()
+	if _, err := LoadDir(dir); err == nil || !strings.Contains(err.Error(), wrong) {
+		t.Fatalf("LoadDir with a misnamed file: err %v, want one naming %s", err, wrong)
+	}
+	if after := Names(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a failed load changed the registry: %v, was %v", after, before)
+	}
+	if err := os.Remove(wrong); err != nil {
+		t.Fatal(err)
+	}
+	added, err := LoadDir(dir)
+	if err != nil {
+		t.Fatalf("retrying after removing the bad file: %v", err)
+	}
+	for _, name := range added {
+		unregister(t, name)
+	}
+	if want := []string{"site-moesi"}; !reflect.DeepEqual(added, want) {
+		t.Fatalf("added = %v, want %v", added, want)
+	}
+}
