@@ -11,6 +11,20 @@ import (
 	"repro/internal/protocols"
 )
 
+// concreteOf builds the concrete diagram of the named built-in protocol.
+func concreteOf(t *testing.T, name, mode string, n int) *Concrete {
+	t.Helper()
+	p, err := protocols.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := BuildConcrete(p, n, mode, 0)
+	if err != nil {
+		t.Fatalf("%s %s n=%d: %v", name, mode, n, err)
+	}
+	return g
+}
+
 // TestConcreteMatchesEnumCensus pins the graph builder to the engines: for
 // every built-in protocol, in both equivalence modes, the diagram's node set
 // must equal the enumeration's distinct-state census, node for node in
