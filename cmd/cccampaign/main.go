@@ -140,7 +140,7 @@ func buildJobs(protos, engines, ns string, strict, mutants bool) ([]campaign.Job
 				targets = append(targets, campaign.JobSpec{
 					Protocol: m.Protocol.Name + "!" + m.Rule,
 					Proto:    m.Protocol,
-					Strict:   strict || m.NeedsStrict,
+					Strict:   strict,
 				})
 			}
 		}

@@ -27,7 +27,11 @@
 // was truncated. -graph-out FILE ("-": stdout) writes the run's transition
 // diagram — the global diagram over the essential states (Figure 4) or the
 // concrete diagram over the enumerated configurations — as Graphviz DOT or,
-// with -graph-format json, as JSON.
+// with -graph-format json, as JSON. On an enum run the diagram is read off
+// that same run, which then keeps every configuration it reaches: the space
+// is enumerated once, at -workers, and -timeout, a signal or -mem-budget
+// stop it like any run (the budget's estimate leaves out the kept
+// configurations). A run that stops early writes no diagram.
 //
 // Run control is the same for every engine. -workers k sets the run's
 // width (the enumeration's BFS workers per level, the symbolic expansion's
@@ -403,8 +407,9 @@ func runEnum(ctx context.Context, p *fsm.Protocol, ckpt []byte, o cliOpts, obser
 			Observer:         observer,
 			Metrics:          reg,
 		},
-		Strict:    o.strict,
-		MaxStates: o.max,
+		Strict:        o.strict,
+		MaxStates:     o.max,
+		KeepReachable: o.graphOut != "",
 	}
 	mode, label, enumerate := enum.ModeStrict, "strict (Figure 2)", enum.ExhaustiveContext
 	if o.engine == "enum-counting" {
@@ -453,7 +458,7 @@ func runEnum(ctx context.Context, p *fsm.Protocol, ckpt []byte, o cliOpts, obser
 			fmt.Fprintln(os.Stderr, "ccverify: run stopped early; skipping -graph-out (the graph must cover the full reachable set)")
 			return code, nil
 		}
-		g, err := graph.BuildConcrete(p, o.n, mode, o.max)
+		g, err := graph.BuildConcrete(res, mode)
 		if err != nil {
 			return 0, err
 		}

@@ -445,6 +445,61 @@ func TestInterruptCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestResumeGraphOut stops an enum run by its memory budget with
+// -checkpoint and no -graph-out, then resumes it with -graph-out: the
+// diagram must be byte-identical to an uninterrupted run's, though the
+// checkpoint holds no reachable list for the resumed run to start from.
+// The budgets stop each run after some levels: dragon strict n=5 at 41 of
+// its states, dragon counting n=8 at 9 of its 19.
+func TestResumeGraphOut(t *testing.T) {
+	for _, tc := range []struct {
+		engine    string
+		n         int
+		memBudget int64
+	}{
+		{"enum-strict", 5, 116000},
+		{"enum-counting", 8, 139600},
+	} {
+		dir := t.TempDir()
+		want := filepath.Join(dir, "want.dot")
+		if code, err := run(context.Background(), "dragon", "", cliOpts{engine: tc.engine, n: tc.n, graphOut: want}); err != nil || code != 0 {
+			t.Fatalf("%s: uninterrupted run: code %d err %v", tc.engine, code, err)
+		}
+		ckpt := filepath.Join(dir, "run.ckpt")
+		o := cliOpts{engine: tc.engine, n: tc.n, memBudget: tc.memBudget, checkpoint: ckpt}
+		if code, _ := runOut(t, context.Background(), "dragon", "", o); code != 3 {
+			t.Fatalf("%s: budgeted run exit code %d, want 3", tc.engine, code)
+		}
+		data, _, err := (&ckptio.Store{Path: ckpt}).Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := enum.DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cp.Visited) < 2 || len(cp.Reachable) != 0 {
+			t.Fatalf("%s: checkpoint holds %d visited and %d reachable states, want a mid-run stop without a reachable list",
+				tc.engine, len(cp.Visited), len(cp.Reachable))
+		}
+		got := filepath.Join(dir, "got.dot")
+		if code, err := run(context.Background(), "", "", cliOpts{engine: tc.engine, resume: ckpt, graphOut: got}); err != nil || code != 0 {
+			t.Fatalf("%s: resumed run: code %d err %v", tc.engine, code, err)
+		}
+		a, err := os.ReadFile(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: resumed -graph-out differs from the uninterrupted run's:\n%s\nwant\n%s", tc.engine, b, a)
+		}
+	}
+}
+
 // TestResumeRejectsOtherEngine pins the -resume engine rule: a checkpoint
 // resumes only under the -run that wrote it, and the usage error names
 // both engines.

@@ -30,9 +30,7 @@ func sweepProtocols(tb testing.TB) []*fsm.Protocol {
 		}
 		out = append(out, p)
 		for _, m := range mutate.Catalog(p) {
-			if !m.NeedsStrict {
-				out = append(out, m.Protocol)
-			}
+			out = append(out, m.Protocol)
 		}
 	}
 	return out

@@ -213,12 +213,10 @@ func TestFaultInjectionWitnessesConfirmed(t *testing.T) {
 				JobSpec{
 					Name:  JobName(m.Protocol.Name+"!"+m.Rule, EngineEnumStrict, 3),
 					Proto: m.Protocol, Engine: EngineEnumStrict, N: 3,
-					Strict: m.NeedsStrict,
 				},
 				JobSpec{
 					Name:  JobName(m.Protocol.Name+"!"+m.Rule, EngineSymbolic, 0),
 					Proto: m.Protocol, Engine: EngineSymbolic,
-					Strict: m.NeedsStrict,
 				})
 		}
 		pol := quietPolicy(t)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/compile"
 	"repro/internal/fsm"
 )
 
@@ -355,12 +356,24 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 		b.frontier[i], b.frontRanks[i] = state, r
 	}
 	b.bytes = b.estBytes()
-	for i, cs := range cp.Reachable {
-		c, err := restoreConfig(cs, "reachable", i)
-		if err != nil {
-			return nil, err
+	// Reachable is kept only for a KeepReachable resume. A checkpoint taken
+	// without KeepReachable lists no reachable states, so the list is then
+	// rebuilt from the provenance records.
+	if opts.KeepReachable {
+		for i, cs := range cp.Reachable {
+			c, err := restoreConfig(cs, "reachable", i)
+			if err != nil {
+				return nil, err
+			}
+			b.res.Reachable = append(b.res.Reachable, c)
 		}
-		b.res.Reachable = append(b.res.Reachable, c)
+		if len(b.res.Reachable) != len(cp.Visited) {
+			reachable, err := b.replayReachable()
+			if err != nil {
+				return nil, err
+			}
+			b.res.Reachable = reachable
+		}
 	}
 	for i, vs := range cp.Violations {
 		c, err := restoreConfig(vs.Config, "violation", i)
@@ -380,4 +393,32 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 		b.res.SpecErrors = append(b.res.SpecErrors, fmt.Errorf("%s", s))
 	}
 	return b, nil
+}
+
+// replayReachable rebuilds the reachable list from the provenance records:
+// the state admitted at rank r is its parent's successor under the recorded
+// (cache, op) step, in the cache order the engine admitted it in (the
+// counting-mode representative), and must sit at rank r in the visited set.
+func (b *bfs) replayReachable() ([]*fsm.Config, error) {
+	kc := b.kc
+	states := make([]Key, len(b.parents))
+	out := make([]*fsm.Config, len(b.parents))
+	var work compile.Config
+	for r, rec := range b.parents {
+		if rec.parent == noParent {
+			work = *kc.cp.NewConfig(b.n)
+		} else {
+			kc.decode(states[rec.parent].bytes(kc.width), &work)
+			if _, err := kc.cp.Step(&work, int(rec.cache), int(rec.op)); err != nil {
+				return nil, fmt.Errorf("enum: replaying checkpoint provenance %d: %w", r, err)
+			}
+		}
+		var key Key
+		states[r], key = kc.keys(&work)
+		if got, ok := b.visited.rank(key); !ok || got != uint32(r) {
+			return nil, fmt.Errorf("enum: checkpoint provenance %d does not reach the state visited at that rank", r)
+		}
+		out[r] = kc.config(&states[r])
+	}
+	return out, nil
 }

@@ -276,6 +276,75 @@ func TestCheckpointResumeSequential(t *testing.T) {
 	sameCounts(t, resumed, full, "resumed vs uninterrupted")
 }
 
+// TestResumeRebuildsReachable resumes checkpoints taken without
+// KeepReachable with it set: every built-in protocol, in both modes, must
+// reach the golden line of an uninterrupted KeepReachable run, whose
+// digest covers the reachable list in admission order with each state's
+// cache order (the counting-mode representative). A resume without
+// KeepReachable keeps no list, and provenance that disagrees with the
+// visited list is refused.
+func TestResumeRebuildsReachable(t *testing.T) {
+	ctx := context.Background()
+	for _, p := range protocols.All() {
+		for _, mode := range []string{ModeStrict, ModeCounting} {
+			stopCtx, cancel := context.WithCancel(ctx)
+			testLevelHook = func(level int) {
+				if level == 2 {
+					cancel()
+				}
+			}
+			partial, err := enumerate(stopCtx, p, 3, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}}, mode, 1)
+			testLevelHook = nil
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if partial.Checkpoint == nil || len(partial.Checkpoint.Reachable) != 0 {
+				t.Fatalf("%s %s: want a stop checkpoint without a reachable list", p.Name, mode)
+			}
+			full, err := enumerate(ctx, p, 3, Options{KeepReachable: true}, mode, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := ResumeContext(ctx, p, partial.Checkpoint, Options{KeepReachable: true})
+			if err != nil {
+				t.Fatalf("%s %s: %v", p.Name, mode, err)
+			}
+			if got, want := goldenLine(p, mode, resumed), goldenLine(p, mode, full); got != want {
+				t.Errorf("%s %s: resumed\n  got:  %s\n  want: %s", p.Name, mode, got, want)
+			}
+		}
+	}
+
+	p := protocols.Illinois()
+	ckCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	testLevelHook = func(level int) {
+		if level == 2 {
+			cancel()
+		}
+	}
+	partial, err := ExhaustiveContext(ckCtx, p, 4, Options{KeepReachable: true, RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
+	testLevelHook = nil
+	if err != nil || partial.Checkpoint == nil {
+		t.Fatalf("no stop checkpoint: %v", err)
+	}
+	bare, err := ResumeContext(ctx, p, partial.Checkpoint, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bare.Reachable) != 0 {
+		t.Errorf("a resume without KeepReachable holds %d reachable states", len(bare.Reachable))
+	}
+	cp := *partial.Checkpoint
+	cp.Reachable = nil
+	cp.Visited = append([]string(nil), cp.Visited...)
+	cp.Visited[1], cp.Visited[2] = cp.Visited[2], cp.Visited[1]
+	if _, err := ResumeContext(ctx, p, &cp, Options{KeepReachable: true}); err == nil || !strings.Contains(err.Error(), "provenance 1") {
+		t.Errorf("swapped visited ranks: err %v, want a provenance mismatch at rank 1", err)
+	}
+}
+
 // TestCheckpointResumeParallel interrupts a four-worker run at a level
 // boundary and resumes it at one and at three workers; each must reach the
 // uninterrupted counts.

@@ -33,61 +33,53 @@ type Concrete struct {
 	Protocol *fsm.Protocol
 	N        int
 	Mode     string // enum.ModeStrict or enum.ModeCounting
-	// Nodes are the canonical configuration keys in BFS discovery order —
-	// the engines' admission order, so node numbering is deterministic.
+	// Nodes are the canonical configuration keys in the enumeration's
+	// admission order, so node numbering is deterministic.
 	Nodes []string
-	// Edges are deduplicated labelled transitions in discovery order.
+	// Edges are the labelled transitions in discovery order, one per
+	// (node, cache, op) step.
 	Edges []ConcreteEdge
 	// Initial is the node index of the initial configuration (always 0).
 	Initial int
-	// Truncated reports that MaxStates stopped discovery early; edges into
-	// undiscovered configurations are omitted.
-	Truncated bool
 }
 
-// BuildConcrete enumerates the canonical configurations of p with n caches
-// under the given equivalence mode and returns the labelled transition
-// diagram, expanding through the shared compiled representation with the
-// engines' expansion policy (same op order, same counting-mode symmetry
-// pruning), so the node set matches an enum run's distinct-state census
-// exactly. maxStates > 0 bounds discovery; spec-level step errors fail the
-// build, matching the engines' refusal to certify an ill-formed protocol.
-func BuildConcrete(p *fsm.Protocol, n int, mode string, maxStates int) (*Concrete, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("graph: need at least one cache, got %d", n)
+// BuildConcrete reads the labelled transition diagram off a completed
+// enumeration run: res must come from an enum run of the given mode with
+// KeepReachable set, and must not have stopped early. The nodes are
+// res.Reachable in admission order. The edges come from re-stepping each
+// node through the shared compiled representation in the engine's
+// (cache, op) order, with its counting-mode symmetry skip, so every edge
+// lands on a node of the run. A spec-level step error fails the build,
+// matching the engines' refusal to certify an ill-formed protocol.
+func BuildConcrete(res *enum.Result, mode string) (*Concrete, error) {
+	if res.Truncated {
+		return nil, fmt.Errorf("graph: the enumeration stopped early (%v); the diagram must cover the full reachable set", res.StopReason)
 	}
-	if mode != enum.ModeStrict && mode != enum.ModeCounting {
-		return nil, fmt.Errorf("graph: unknown equivalence mode %q", mode)
+	if len(res.Reachable) != res.Unique {
+		return nil, fmt.Errorf("graph: the enumeration kept %d of its %d configurations; run it with KeepReachable", len(res.Reachable), res.Unique)
 	}
+	p, n := res.Protocol, res.N
 	cp, err := compile.Compile(p)
 	if err != nil {
 		return nil, err
 	}
-	g := &Concrete{Protocol: p, N: n, Mode: mode}
+	g := &Concrete{Protocol: p, N: n, Mode: mode, Nodes: make([]string, len(res.Reachable))}
+	index := make(map[string]int, len(res.Reachable))
+	for i, c := range res.Reachable {
+		key, err := enum.CanonicalKey(c, mode)
+		if err != nil {
+			return nil, err
+		}
+		if _, dup := index[key]; dup {
+			return nil, fmt.Errorf("graph: configuration %s repeats under %s equivalence; the enumeration ran in another mode", key, mode)
+		}
+		g.Nodes[i], index[key] = key, i
+	}
+
 	symmetric := mode == enum.ModeCounting
-
-	init := fsm.NewConfig(p, n)
-	enum.Canonicalize(init)
-	initKey, err := enum.CanonicalKey(init, mode)
-	if err != nil {
-		return nil, err
-	}
-	index := map[string]int{initKey: 0}
-	g.Nodes = append(g.Nodes, initKey)
-	queue := []*fsm.Config{init}
-
-	type edgeKey struct {
-		from, to int
-		op       fsm.Op
-		cache    int
-	}
-	seen := make(map[edgeKey]bool)
-
 	var base, work compile.Config
 	var decoded fsm.Config
-	for at := 0; at < len(queue); at++ {
-		cur := queue[at]
-		from := at
+	for from, cur := range res.Reachable {
 		if err := cp.Encode(cur, &base); err != nil {
 			return nil, err
 		}
@@ -101,7 +93,7 @@ func BuildConcrete(p *fsm.Protocol, n int, mode string, maxStates int) (*Concret
 					continue
 				}
 				work.CopyFrom(&base)
-				res, err := cp.Step(&work, i, k)
+				sr, err := cp.Step(&work, i, k)
 				if err != nil {
 					return nil, fmt.Errorf("graph: expanding %s: %w", g.Nodes[from], err)
 				}
@@ -113,22 +105,10 @@ func BuildConcrete(p *fsm.Protocol, n int, mode string, maxStates int) (*Concret
 				}
 				to, ok := index[key]
 				if !ok {
-					if maxStates > 0 && len(g.Nodes) >= maxStates {
-						g.Truncated = true
-						continue
-					}
-					to = len(g.Nodes)
-					index[key] = to
-					g.Nodes = append(g.Nodes, key)
-					queue = append(queue, decoded.Clone())
+					return nil, fmt.Errorf("graph: %s steps to %s, which the enumeration did not reach", g.Nodes[from], key)
 				}
-				ek := edgeKey{from, to, op, i}
-				if seen[ek] {
-					continue
-				}
-				seen[ek] = true
 				rule := ""
-				if r := cp.Result(res).Rule; r != nil {
+				if r := cp.Result(sr).Rule; r != nil {
 					rule = r.Name
 				}
 				g.Edges = append(g.Edges, ConcreteEdge{From: from, To: to, Op: op, Cache: i, Rule: rule})

@@ -11,14 +11,30 @@ import (
 	"repro/internal/protocols"
 )
 
-// concreteOf builds the concrete diagram of the named built-in protocol.
-func concreteOf(t *testing.T, name, mode string, n int) *Concrete {
+// enumerate runs the named built-in protocol's enumeration in mode with
+// KeepReachable, the run BuildConcrete reads.
+func enumerate(t *testing.T, name, mode string, n int, opts enum.Options) *enum.Result {
 	t.Helper()
 	p, err := protocols.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildConcrete(p, n, mode, 0)
+	opts.KeepReachable = true
+	run := enum.ExhaustiveContext
+	if mode == enum.ModeCounting {
+		run = enum.CountingContext
+	}
+	res, err := run(context.Background(), p, n, opts)
+	if err != nil {
+		t.Fatalf("%s %s n=%d: %v", name, mode, n, err)
+	}
+	return res
+}
+
+// concreteOf builds the concrete diagram of the named built-in protocol.
+func concreteOf(t *testing.T, name, mode string, n int) *Concrete {
+	t.Helper()
+	g, err := BuildConcrete(enumerate(t, name, mode, n, enum.Options{}), mode)
 	if err != nil {
 		t.Fatalf("%s %s n=%d: %v", name, mode, n, err)
 	}
@@ -33,17 +49,8 @@ func TestConcreteMatchesEnumCensus(t *testing.T) {
 	const n = 3
 	for _, p := range protocols.All() {
 		for _, mode := range []string{enum.ModeStrict, enum.ModeCounting} {
-			g, err := BuildConcrete(p, n, mode, 0)
-			if err != nil {
-				t.Fatalf("%s %s: %v", p.Name, mode, err)
-			}
-			opts := enum.Options{KeepReachable: true}
-			var res *enum.Result
-			if mode == enum.ModeCounting {
-				res, err = enum.CountingContext(context.Background(), p, n, opts)
-			} else {
-				res, err = enum.ExhaustiveContext(context.Background(), p, n, opts)
-			}
+			res := enumerate(t, p.Name, mode, n, enum.Options{})
+			g, err := BuildConcrete(res, mode)
 			if err != nil {
 				t.Fatalf("%s %s: %v", p.Name, mode, err)
 			}
@@ -69,18 +76,7 @@ func TestConcreteMatchesEnumCensus(t *testing.T) {
 // byte-identical DOT and JSON — the contract the service's graph memoization
 // and the CLI goldens rely on.
 func TestConcreteDeterministicBytes(t *testing.T) {
-	build := func() *Concrete {
-		p, err := protocols.ByName("illinois")
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := BuildConcrete(p, 3, enum.ModeCounting, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	a, b := build(), build()
+	a, b := concreteOf(t, "illinois", enum.ModeCounting, 3), concreteOf(t, "illinois", enum.ModeCounting, 3)
 	if a.DOT() != b.DOT() {
 		t.Error("DOT rendering is not deterministic")
 	}
@@ -98,14 +94,7 @@ func TestConcreteDeterministicBytes(t *testing.T) {
 }
 
 func TestConcreteDOTShape(t *testing.T) {
-	p, err := protocols.ByName("msi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := BuildConcrete(p, 2, enum.ModeStrict, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := concreteOf(t, "msi", enum.ModeStrict, 2)
 	dot := g.DOT()
 	for _, want := range []string{`digraph "MSI"`, "rankdir=LR", "penwidth=2", "c0 ["} {
 		if !strings.Contains(dot, want) {
@@ -118,14 +107,7 @@ func TestConcreteDOTShape(t *testing.T) {
 }
 
 func TestConcreteJSONShape(t *testing.T) {
-	p, err := protocols.ByName("msi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := BuildConcrete(p, 2, enum.ModeStrict, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := concreteOf(t, "msi", enum.ModeStrict, 2)
 	data, err := g.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -191,37 +173,32 @@ func TestGlobalJSONShape(t *testing.T) {
 	}
 }
 
+// TestBuildConcreteErrors: BuildConcrete reads only a complete
+// KeepReachable run of the mode it is given.
 func TestBuildConcreteErrors(t *testing.T) {
-	p, err := protocols.ByName("msi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildConcrete(p, 0, enum.ModeStrict, 0); err == nil {
-		t.Error("n=0 must error")
-	}
-	if _, err := BuildConcrete(p, 2, "fuzzy", 0); err == nil {
+	full := enumerate(t, "illinois", enum.ModeStrict, 3, enum.Options{})
+	if _, err := BuildConcrete(full, "fuzzy"); err == nil {
 		t.Error("unknown mode must error")
 	}
-}
-
-func TestBuildConcreteTruncation(t *testing.T) {
+	if _, err := BuildConcrete(full, enum.ModeCounting); err == nil {
+		t.Error("a strict run read as a counting one must error")
+	}
+	counting := enumerate(t, "illinois", enum.ModeCounting, 3, enum.Options{})
+	if _, err := BuildConcrete(counting, enum.ModeStrict); err == nil {
+		t.Error("a counting run read as a strict one must error")
+	}
+	if _, err := BuildConcrete(enumerate(t, "illinois", enum.ModeStrict, 3, enum.Options{MaxStates: 4}), enum.ModeStrict); err == nil {
+		t.Error("a run stopped by its state cap must error")
+	}
 	p, err := protocols.ByName("illinois")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := BuildConcrete(p, 3, enum.ModeStrict, 4)
+	bare, err := enum.ExhaustiveContext(context.Background(), p, 3, enum.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Truncated {
-		t.Error("4-state cap must truncate the illinois n=3 diagram")
-	}
-	if len(g.Nodes) > 4 {
-		t.Errorf("%d nodes exceed the cap", len(g.Nodes))
-	}
-	for _, e := range g.Edges {
-		if e.From >= len(g.Nodes) || e.To >= len(g.Nodes) {
-			t.Errorf("edge %+v escapes the discovered node set", e)
-		}
+	if _, err := BuildConcrete(bare, enum.ModeStrict); err == nil {
+		t.Error("a run without KeepReachable must error")
 	}
 }

@@ -1,6 +1,7 @@
 // Package graph builds the global transition diagrams of the paper over a
-// protocol's essential composite states (Figure 4) and the per-cache local
-// transition diagram (Figure 1), and exports both to Graphviz DOT.
+// protocol's essential composite states (Figure 4), the per-cache local
+// transition diagram (Figure 1) and the concrete diagram read off an enum
+// run's reachable configurations, and exports them to Graphviz DOT.
 //
 // The global diagram is computed in a second pass after the symbolic
 // expansion: every essential state is expanded one step and each raw

@@ -50,11 +50,10 @@ type ExportJSON struct {
 	Kind string `json:"kind"`
 	// N and Mode describe a concrete diagram's geometry and equivalence
 	// (absent for global diagrams).
-	N         int        `json:"n,omitempty"`
-	Mode      string     `json:"mode,omitempty"`
-	Truncated bool       `json:"truncated,omitempty"`
-	Nodes     []NodeJSON `json:"nodes"`
-	Edges     []EdgeJSON `json:"edges"`
+	N     int        `json:"n,omitempty"`
+	Mode  string     `json:"mode,omitempty"`
+	Nodes []NodeJSON `json:"nodes"`
+	Edges []EdgeJSON `json:"edges"`
 }
 
 // marshal renders an export with a trailing newline, the byte form both
@@ -93,7 +92,7 @@ func (g *Global) JSON() ([]byte, error) {
 func (g *Concrete) JSON() ([]byte, error) {
 	e := &ExportJSON{
 		Schema: GraphSchema, Protocol: g.Protocol.Name, Kind: "concrete",
-		N: g.N, Mode: g.Mode, Truncated: g.Truncated,
+		N: g.N, Mode: g.Mode,
 	}
 	e.Nodes = make([]NodeJSON, len(g.Nodes))
 	for i, key := range g.Nodes {

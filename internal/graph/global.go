@@ -160,28 +160,6 @@ func BuildGlobal(eng *symbolic.Engine, essential []*symbolic.CState) (*Global, e
 // NodeName returns a short name for node i ("s0", "s1", ...).
 func (g *Global) NodeName(i int) string { return fmt.Sprintf("s%d", i) }
 
-// HasEdge reports whether the diagram has an edge (from, to) labelled with
-// op originated by origin, ignoring the N-step annotation.
-func (g *Global) HasEdge(from, to int, op fsm.Op, origin fsm.State) bool {
-	for _, e := range g.Edges {
-		if e.From == from && e.To == to && e.Op == op && e.Origin == origin {
-			return true
-		}
-	}
-	return false
-}
-
-// FindNode returns the index of the essential state whose structure string
-// matches, or -1.
-func (g *Global) FindNode(structure string) int {
-	for i, n := range g.Nodes {
-		if n.StructureString(g.Protocol) == structure {
-			return i
-		}
-	}
-	return -1
-}
-
 // DOT renders the diagram in Graphviz format, with one record per node
 // showing the composite structure and the context variables.
 func (g *Global) DOT() string {

@@ -329,3 +329,36 @@ func TestLocalEdgeLabelIncludesGuard(t *testing.T) {
 		t.Error("expected both guarded and unguarded edges")
 	}
 }
+
+// HasEdge reports whether the diagram has an edge (from, to) labelled with
+// op originated by origin, ignoring the N-step annotation.
+func (g *Global) HasEdge(from, to int, op fsm.Op, origin fsm.State) bool {
+	for _, e := range g.Edges {
+		if e.From == from && e.To == to && e.Op == op && e.Origin == origin {
+			return true
+		}
+	}
+	return false
+}
+
+// FindNode returns the index of the essential state whose structure string
+// matches, or -1.
+func (g *Global) FindNode(structure string) int {
+	for i, n := range g.Nodes {
+		if n.StructureString(g.Protocol) == structure {
+			return i
+		}
+	}
+	return -1
+}
+
+// HasEdge reports whether the local diagram moves a cache from one state to
+// another under op (any guard).
+func (l *Local) HasEdge(from, to fsm.State, op fsm.Op) bool {
+	for _, e := range l.Edges {
+		if e.From == from && e.To == to && e.Op == op {
+			return true
+		}
+	}
+	return false
+}

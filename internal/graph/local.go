@@ -56,17 +56,6 @@ func BuildLocal(p *fsm.Protocol) *Local {
 	return l
 }
 
-// HasEdge reports whether the local diagram moves a cache from one state to
-// another under op (any guard).
-func (l *Local) HasEdge(from, to fsm.State, op fsm.Op) bool {
-	for _, e := range l.Edges {
-		if e.From == from && e.To == to && e.Op == op {
-			return true
-		}
-	}
-	return false
-}
-
 // DOT renders the local diagram in Graphviz format.
 func (l *Local) DOT() string {
 	var b strings.Builder

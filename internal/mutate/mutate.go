@@ -24,8 +24,8 @@ type Mutant struct {
 	Rule string
 	// Detail describes the injected fault.
 	Detail string
-	// NeedsStrict is true when only the strict (CleanShared) extension
-	// check can see the fault symbolically.
+	// NeedsStrict is never set: no Catalog operator injects a fault only
+	// the strict (CleanShared) check sees. Only perfbench still reads it.
 	NeedsStrict bool
 }
 

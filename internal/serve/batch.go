@@ -162,9 +162,6 @@ func (s *Server) expandBatch(req *BatchRequest) ([]batchJob, error) {
 				continue
 			}
 			for _, m := range mutate.Catalog(p) {
-				if m.NeedsStrict && !sw.Strict {
-					continue
-				}
 				// Mutant names carry "!" as the catalog's visual marker;
 				// ccpsl identifiers only allow "-", and the canonical spec
 				// must round-trip through the parser on a forwarding peer.

@@ -89,9 +89,7 @@ func BenchmarkMutantSweep(b *testing.B) {
 		}
 		protos = append(protos, p)
 		for _, m := range mutate.Catalog(p) {
-			if !m.NeedsStrict {
-				protos = append(protos, m.Protocol)
-			}
+			protos = append(protos, m.Protocol)
 		}
 	}
 	for _, c := range []struct {

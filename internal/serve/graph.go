@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/enum"
 	"repro/internal/graph"
-	"repro/internal/runctl"
-	"repro/internal/symbolic"
 )
 
 // Transition-graph export formats (GET /v1/jobs/{id}/graph?format=...).
@@ -86,47 +84,34 @@ func (s *Server) JobGraph(ctx context.Context, id, format string) ([]byte, strin
 	return data, ctype, nil
 }
 
-// buildJobGraph recomputes the job's reachable structure and renders it.
-// Verification already proved the expansion terminates within the job's
-// bounds, so the rebuild is at most as expensive as the original run.
+// buildJobGraph recomputes the job's reachable structure under ctx, with
+// the job's own width, bound and strictness, and renders it: the global
+// diagram over a symbolic job's essential states, or the concrete diagram
+// read off an enum job's enumeration run with KeepReachable. Verification
+// already proved the run terminates within the job's bounds, so the
+// rebuild is at most as expensive as the original run, and a cancelled
+// ctx (a client that went away) stops it at its next check.
 func buildJobGraph(ctx context.Context, j *Job, format string) ([]byte, error) {
+	var g interface {
+		DOT() string
+		JSON() ([]byte, error)
+	}
 	if j.opts.Engine == EngineSymbolic {
-		eng, err := symbolic.NewEngine(j.proto)
+		eng, res, err := expand(ctx, j.proto, j.opts, nil)
 		if err != nil {
 			return nil, err
 		}
-		sopts := symbolic.Options{
-			RunConfig: runctl.RunConfig{},
-			Strict:    j.opts.Strict,
-			MaxVisits: j.opts.MaxStates,
+		if g, err = graph.BuildGlobal(eng, res.Essential); err != nil {
+			return nil, err
 		}
-		res, err := eng.ExpandContext(ctx, sopts)
+	} else {
+		res, mode, err := enumerate(ctx, j.proto, j.opts, enum.Options{KeepReachable: true})
 		if err != nil {
 			return nil, err
 		}
-		if res.Truncated {
-			return nil, fmt.Errorf("serve: graph expansion stopped: %w", res.StopReason)
-		}
-		g, err := graph.BuildGlobal(eng, res.Essential)
-		if err != nil {
+		if g, err = graph.BuildConcrete(res, mode); err != nil {
 			return nil, err
 		}
-		if format == GraphFormatJSON {
-			return g.JSON()
-		}
-		return []byte(g.DOT()), nil
-	}
-
-	mode := enum.ModeStrict
-	if j.opts.Engine == EngineEnumCounting {
-		mode = enum.ModeCounting
-	}
-	g, err := graph.BuildConcrete(j.proto, j.opts.N, mode, j.opts.MaxStates)
-	if err != nil {
-		return nil, err
-	}
-	if g.Truncated {
-		return nil, fmt.Errorf("serve: graph enumeration truncated at %d states", len(g.Nodes))
 	}
 	if format == GraphFormatJSON {
 		return g.JSON()

@@ -2,11 +2,21 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/enum"
 	"repro/internal/graph"
+	"repro/internal/protocols"
+	"repro/internal/runctl"
 )
 
 // getGraph fetches a job's graph and returns body, status and content type.
@@ -132,5 +142,77 @@ func TestE2EJobGraphErrors(t *testing.T) {
 	pend, _ := btc.post(t, `{"protocol":"illinois"}`, false)
 	if _, code, _ := btc.getGraph(t, pend.ID, ""); code != 409 {
 		t.Errorf("pending job graph: %d, want 409", code)
+	}
+}
+
+// goldenGraphDigest returns the SHA-256 the graph package's golden file
+// records for one concrete diagram rendering.
+func goldenGraphDigest(t *testing.T, protocol, mode string, n int, format string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "graph", "testdata", "concrete_golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := fmt.Sprintf("%s %s n=%d ", protocol, mode, n)
+	for _, line := range strings.Split(string(data), "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		for _, field := range strings.Fields(line) {
+			if digest, ok := strings.CutPrefix(field, format+"="); ok {
+				return digest
+			}
+		}
+	}
+	t.Fatalf("no %s digest for %q in the concrete golden file", format, prefix)
+	return ""
+}
+
+// TestJobGraphCanceled: the graph of an enum job is an enumeration run
+// under the request's context, so an already-cancelled context stops it
+// with ErrCanceled and memoizes nothing, and a later fetch under a live
+// context still renders the golden bytes.
+func TestJobGraphCanceled(t *testing.T) {
+	srv := newServer(t, Config{Workers: 1, QueueDepth: 8})
+	srv.Start()
+	p, err := protocols.ByName("illinois")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, canonical, err := ResolveSpec("illinois", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ engine, mode, format string }{
+		{EngineEnumStrict, enum.ModeStrict, GraphFormatDOT},
+		{EngineEnumCounting, enum.ModeCounting, GraphFormatJSON},
+	} {
+		opts := JobOptions{Engine: tc.engine, N: 3, Workers: 2}
+		if err := opts.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		j, _, err := srv.SubmitEx(p, canonical, opts, SubmitOptions{Timeout: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, _, err := srv.JobGraph(ctx, j.ID, tc.format); !errors.Is(err, runctl.ErrCanceled) {
+			t.Fatalf("%s: graph under a cancelled context: err %v, want ErrCanceled", tc.engine, err)
+		}
+		j.mu.Lock()
+		memo := len(j.graphs)
+		j.mu.Unlock()
+		if memo != 0 {
+			t.Errorf("%s: a cancelled build memoized %d rendering(s)", tc.engine, memo)
+		}
+		data, _, err := srv.JobGraph(context.Background(), j.ID, tc.format)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.engine, err)
+		}
+		if got, want := fmt.Sprintf("%x", sha256.Sum256(data)), goldenGraphDigest(t, "Illinois", tc.mode, 3, tc.format); got != want {
+			t.Errorf("%s: %s graph digest %s, golden %s", tc.engine, tc.format, got, want)
+		}
 	}
 }

@@ -3,12 +3,15 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"io/fs"
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/ccpsl"
+	"repro/internal/replay"
 	"repro/specs"
 )
 
@@ -104,6 +107,75 @@ func FuzzRequestBodies(f *testing.F) {
 			for _, j := range jobs {
 				sameIdentity("batch job "+j.Protocol, j.Key, j.Canonical, j.Opts)
 			}
+		}
+	})
+}
+
+// FuzzSimulateBody decodes arbitrary bytes as a POST /v1/simulate body
+// (SimulateRequest → resolve → SimulateCacheKey, as in handleSimulate and
+// SubmitSimulate). Nothing may panic and every rejection wraps
+// ErrSimulateRequest. An accepted request must respect the caps on the
+// protocol fan-out, caches, ops and blocks, and its normalized form,
+// re-encoded and resolved again, must key to the same entry.
+func FuzzSimulateBody(f *testing.F) {
+	for _, body := range []string{
+		`{"workload":{"kind":"uniform","seed":1,"caches":2,"blocks":8,"ops":5000},"protocols":["msi"]}`,
+		`{"workload":{"kind":"hot-block","seed":7,"caches":4,"blocks":16,"ops":100,"p_write":0.5,"hot_frac":0.9}}`,
+		`{"workload":{"kind":"migratory","seed":2,"caches":3,"blocks":4,"ops":64,"burst":2},"capacity":2,"max_ops":10}`,
+		`{"workload":{"kind":"lock","seed":3,"caches":2,"blocks":2,"ops":50,"work_len":3},"strict":true}`,
+		`{"workload":{"kind":"uniform","seed":1,"caches":65,"blocks":8,"ops":10}}`,
+		`{"workload":{"kind":"uniform","seed":1,"caches":2,"blocks":8,"ops":5000001}}`,
+		`{"trace":"# cctrace v1\n# caches: 2\n0 r 0\n1 w 40\n","protocols":["dragon","Illinois"],"block_size":32}`,
+		`{"trace":"# cctrace v1\n# caches: 99\n0 r 0\n"}`,
+		`{"trace":"not a cctrace\n","protocols":["msi"]}`,
+		`{"trace":"x","workload":{"kind":"uniform","caches":1,"blocks":1,"ops":1}}`,
+		`{"protocols":["bogus"]}`,
+		`{"max_blocks":70000}`,
+		`{}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req SimulateRequest
+		if decodeBody(body, maxSimulateBytes, &req) != nil {
+			return
+		}
+		protos, names, identity, err := req.resolve()
+		if err != nil {
+			if !errors.Is(err, ErrSimulateRequest) {
+				t.Fatalf("rejection does not wrap ErrSimulateRequest: %v", err)
+			}
+			return
+		}
+		if len(protos) == 0 || len(protos) > maxSimulateProtocols || len(names) != len(protos) {
+			t.Fatalf("accepted a fan-out of %d protocols (%d names)", len(protos), len(names))
+		}
+		if req.MaxBlocks < 1 || req.MaxBlocks > maxSimulateBlocks {
+			t.Fatalf("accepted max_blocks %d", req.MaxBlocks)
+		}
+		if w := req.Workload; w != nil {
+			if w.Caches > maxSimulateCaches || w.Ops > maxSimulateOps || w.Blocks > maxSimulateBlocks {
+				t.Fatalf("accepted workload caches=%d ops=%d blocks=%d", w.Caches, w.Ops, w.Blocks)
+			}
+		} else if sc, err := replay.NewScanner(strings.NewReader(req.Trace), replay.ScanOptions{}); err == nil && sc.Meta().Caches > maxSimulateCaches {
+			t.Fatalf("accepted a trace header of %d caches", sc.Meta().Caches)
+		}
+		key := SimulateCacheKey(identity, names, req.SimOptions)
+
+		doc, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again SimulateRequest
+		if err := decodeBody(doc, maxSimulateBytes, &again); err != nil {
+			t.Fatalf("re-decoding %s: %v", doc, err)
+		}
+		_, names2, identity2, err := again.resolve()
+		if err != nil {
+			t.Fatalf("normalized request %s is rejected: %v", doc, err)
+		}
+		if got := SimulateCacheKey(identity2, names2, again.SimOptions); got != key {
+			t.Fatalf("key %s, but the normalized request keys to %s\n%s", key, got, doc)
 		}
 	})
 }

@@ -110,21 +110,9 @@ const (
 // runSymbolic runs the Figure 3 symbolic expansion and audits any
 // violations by concretization.
 func runSymbolic(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs.Registry) (*Report, error) {
-	eng, err := symbolic.NewEngine(p)
+	_, res, err := expand(ctx, p, opts, reg)
 	if err != nil {
 		return nil, err
-	}
-	sopts := symbolic.Options{
-		RunConfig: runctl.RunConfig{Metrics: reg, Workers: opts.Workers},
-		Strict:    opts.Strict,
-		MaxVisits: opts.MaxStates,
-	}
-	res, err := eng.ExpandContext(ctx, sopts)
-	if err != nil {
-		return nil, err
-	}
-	if res.Truncated {
-		return nil, fmt.Errorf("serve: symbolic expansion stopped: %w", res.StopReason)
 	}
 	if len(res.SpecErrors) > 0 {
 		return nil, fmt.Errorf("serve: specification error: %v", res.SpecErrors[0])
@@ -151,21 +139,9 @@ func runSymbolic(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs
 // runEnum runs an explicit-state enumeration (Figure 2 strict or
 // Definition 5 counting) and audits any violations by step replay.
 func runEnum(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs.Registry) (*Report, error) {
-	eopts := enum.Options{
-		RunConfig: runctl.RunConfig{Metrics: reg, Workers: opts.Workers},
-		Strict:    opts.Strict,
-		MaxStates: opts.MaxStates,
-	}
-	mode, run := enum.ModeStrict, enum.ExhaustiveContext
-	if opts.Engine == EngineEnumCounting {
-		mode, run = enum.ModeCounting, enum.CountingContext
-	}
-	res, err := run(ctx, p, opts.N, eopts)
+	res, mode, err := enumerate(ctx, p, opts, enum.Options{RunConfig: runctl.RunConfig{Metrics: reg}})
 	if err != nil {
 		return nil, err
-	}
-	if res.Truncated {
-		return nil, fmt.Errorf("serve: enumeration stopped: %w", res.StopReason)
 	}
 	if len(res.SpecErrors) > 0 {
 		return nil, fmt.Errorf("serve: specification error: %v", res.SpecErrors[0])
@@ -184,4 +160,46 @@ func runEnum(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs.Reg
 		rep.Violations = append(rep.Violations, vr)
 	}
 	return rep, nil
+}
+
+// expand runs a symbolic job's expansion under ctx, at the job's width,
+// visit cap and strictness. A run that stops early returns an error
+// matching the runctl sentinels.
+func expand(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs.Registry) (*symbolic.Engine, *symbolic.Result, error) {
+	eng, err := symbolic.NewEngine(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := eng.ExpandContext(ctx, symbolic.Options{
+		RunConfig: runctl.RunConfig{Metrics: reg, Workers: opts.Workers},
+		Strict:    opts.Strict,
+		MaxVisits: opts.MaxStates,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if res.Truncated {
+		return nil, nil, fmt.Errorf("serve: symbolic expansion stopped: %w", res.StopReason)
+	}
+	return eng, res, nil
+}
+
+// enumerate runs an enum job's enumeration under ctx, at the job's cache
+// count, width, state cap and strictness, on top of eopts. It returns the
+// result and the run's equivalence mode; a run that stops early returns
+// an error matching the runctl sentinels.
+func enumerate(ctx context.Context, p *fsm.Protocol, opts JobOptions, eopts enum.Options) (*enum.Result, string, error) {
+	eopts.Workers, eopts.Strict, eopts.MaxStates = opts.Workers, opts.Strict, opts.MaxStates
+	mode, run := enum.ModeStrict, enum.ExhaustiveContext
+	if opts.Engine == EngineEnumCounting {
+		mode, run = enum.ModeCounting, enum.CountingContext
+	}
+	res, err := run(ctx, p, opts.N, eopts)
+	if err != nil {
+		return nil, "", err
+	}
+	if res.Truncated {
+		return nil, "", fmt.Errorf("serve: enumeration stopped: %w", res.StopReason)
+	}
+	return res, mode, nil
 }

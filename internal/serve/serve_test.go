@@ -405,9 +405,6 @@ func TestViolationVerdictAuditedAndCached(t *testing.T) {
 
 	found := false
 	for _, m := range mutate.Catalog(p) {
-		if m.NeedsStrict {
-			continue
-		}
 		// Mutant names carry a "!" marker the ccpsl grammar rejects.
 		m.Protocol.Name = strings.ReplaceAll(m.Protocol.Name, "!", "-")
 		spec, err := json.Marshal(ccpsl.Format(m.Protocol))
