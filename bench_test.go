@@ -9,6 +9,7 @@ package repro
 // claim: verification cost is a small constant independent of the number of
 // caches, while the Figure 2 exhaustive baseline grows like mⁿ with n.
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/enum"
 	"repro/internal/experiments"
+	"repro/internal/fsm"
 	"repro/internal/graph"
 	"repro/internal/mutate"
 	"repro/internal/protocols"
@@ -388,14 +390,21 @@ func BenchmarkAbstraction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := enum.Counting(p, 8, enum.Options{KeepReachable: true})
+	res, err := enum.Counting(p, 8, enum.Options{})
 	if err != nil {
+		b.Fatal(err)
+	}
+	var reachable []*fsm.Config
+	if err := res.Configs(context.Background(), func(c *fsm.Config) error {
+		reachable = append(reachable, c.Clone())
+		return nil
+	}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, c := range res.Reachable {
+		for _, c := range reachable {
 			if _, err := eng.Abstract(c); err != nil {
 				b.Fatal(err)
 			}

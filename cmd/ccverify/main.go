@@ -28,10 +28,11 @@
 // diagram — the global diagram over the essential states (Figure 4) or the
 // concrete diagram over the enumerated configurations — as Graphviz DOT or,
 // with -graph-format json, as JSON. On an enum run the diagram is read off
-// that same run, which then keeps every configuration it reaches: the space
-// is enumerated once, at -workers, and -timeout, a signal or -mem-budget
-// stop it like any run (the budget's estimate leaves out the kept
-// configurations). A run that stops early writes no diagram.
+// that same run, whose reachable set is replayed from the provenance
+// records every run keeps: the space is enumerated once, at -workers, and
+// -mem-budget and -spill-dir bound it like any run. -timeout or a signal
+// stops the diagram's build and rendering too (exit 3). A run that stops
+// early writes no diagram.
 //
 // Run control is the same for every engine. -workers k sets the run's
 // width (the enumeration's BFS workers per level, the symbolic expansion's
@@ -368,19 +369,17 @@ func (o cliOpts) stopped(reason error, cp interface{ Encode() ([]byte, error) })
 	return nil
 }
 
-// writeGraph renders a transition diagram per -graph-format and writes it
-// to -graph-out ("-": stdout).
-func (o cliOpts) writeGraph(g interface {
-	DOT() string
-	JSON() ([]byte, error)
+// writeGraph renders a transition diagram per -graph-format under ctx and
+// writes it to -graph-out ("-": stdout), unless ctx stops the rendering.
+func (o cliOpts) writeGraph(ctx context.Context, g interface {
+	DOT(context.Context) ([]byte, error)
+	JSON(context.Context) ([]byte, error)
 }) error {
-	var data []byte
-	var err error
+	render := g.DOT
 	if o.graphFormat == "json" {
-		data, err = g.JSON()
-	} else {
-		data = []byte(g.DOT())
+		render = g.JSON
 	}
+	data, err := render(ctx)
 	if err != nil {
 		return err
 	}
@@ -407,13 +406,12 @@ func runEnum(ctx context.Context, p *fsm.Protocol, ckpt []byte, o cliOpts, obser
 			Observer:         observer,
 			Metrics:          reg,
 		},
-		Strict:        o.strict,
-		MaxStates:     o.max,
-		KeepReachable: o.graphOut != "",
+		Strict:    o.strict,
+		MaxStates: o.max,
 	}
-	mode, label, enumerate := enum.ModeStrict, "strict (Figure 2)", enum.ExhaustiveContext
+	label, enumerate := "strict (Figure 2)", enum.ExhaustiveContext
 	if o.engine == "enum-counting" {
-		mode, label, enumerate = enum.ModeCounting, "counting (Definition 5)", enum.CountingContext
+		label, enumerate = "counting (Definition 5)", enum.CountingContext
 	}
 	var res *enum.Result
 	var err error
@@ -441,29 +439,32 @@ func runEnum(ctx context.Context, p *fsm.Protocol, ckpt []byte, o cliOpts, obser
 	for _, we := range res.WorkerErrors {
 		fmt.Fprintf(os.Stderr, "recovered worker panic (results unaffected): %v\n", we)
 	}
-	if res.Truncated {
+	reason := res.StopReason
+	if o.graphOut != "" && !res.Truncated {
+		// The diagram is part of the run: a stop while it is built or
+		// rendered ends the run like a stop during the enumeration.
+		g, err := graph.BuildConcrete(ctx, res)
+		if err == nil {
+			err = o.writeGraph(ctx, g)
+		}
+		if err != nil && !runctl.IsStop(err) {
+			return 0, err
+		}
+		reason = err
+	}
+	if reason != nil {
 		var cp interface{ Encode() ([]byte, error) }
 		if res.Checkpoint != nil {
 			cp = res.Checkpoint
 		}
-		if err := o.stopped(res.StopReason, cp); err != nil {
+		if err := o.stopped(reason, cp); err != nil {
 			return 0, err
 		}
 		if code == runctl.ExitClean {
 			code = runctl.ExitStopped
 		}
-	}
-	if o.graphOut != "" {
-		if res.Truncated {
+		if o.graphOut != "" && res.Truncated {
 			fmt.Fprintln(os.Stderr, "ccverify: run stopped early; skipping -graph-out (the graph must cover the full reachable set)")
-			return code, nil
-		}
-		g, err := graph.BuildConcrete(res, mode)
-		if err != nil {
-			return 0, err
-		}
-		if err := o.writeGraph(g); err != nil {
-			return 0, err
 		}
 	}
 	return code, nil
@@ -535,7 +536,7 @@ func runSymbolic(ctx context.Context, p *fsm.Protocol, ckpt []byte, o cliOpts, o
 		if rep.Graph == nil {
 			return 0, fmt.Errorf("no global diagram available (protocol erroneous?)")
 		}
-		if err := o.writeGraph(rep.Graph); err != nil {
+		if err := o.writeGraph(ctx, rep.Graph); err != nil {
 			return 0, err
 		}
 	}

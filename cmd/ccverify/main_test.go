@@ -4,16 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/ckptio"
 	"repro/internal/enum"
 	"repro/internal/obs"
+	"repro/internal/runctl"
 )
 
 func TestLoadProtocolByName(t *testing.T) {
@@ -447,8 +453,8 @@ func TestInterruptCheckpointResume(t *testing.T) {
 
 // TestResumeGraphOut stops an enum run by its memory budget with
 // -checkpoint and no -graph-out, then resumes it with -graph-out: the
-// diagram must be byte-identical to an uninterrupted run's, though the
-// checkpoint holds no reachable list for the resumed run to start from.
+// diagram must be byte-identical to an uninterrupted run's, replayed from
+// the provenance the checkpoint carried over.
 // The budgets stop each run after some levels: dragon strict n=5 at 41 of
 // its states, dragon counting n=8 at 9 of its 19.
 func TestResumeGraphOut(t *testing.T) {
@@ -478,9 +484,9 @@ func TestResumeGraphOut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(cp.Visited) < 2 || len(cp.Reachable) != 0 {
-			t.Fatalf("%s: checkpoint holds %d visited and %d reachable states, want a mid-run stop without a reachable list",
-				tc.engine, len(cp.Visited), len(cp.Reachable))
+		if len(cp.Visited) < 2 || len(cp.Frontier) == 0 {
+			t.Fatalf("%s: checkpoint holds %d visited and %d frontier states, want a mid-run stop",
+				tc.engine, len(cp.Visited), len(cp.Frontier))
 		}
 		got := filepath.Join(dir, "got.dot")
 		if code, err := run(context.Background(), "", "", cliOpts{engine: tc.engine, resume: ckpt, graphOut: got}); err != nil || code != 0 {
@@ -497,6 +503,100 @@ func TestResumeGraphOut(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Errorf("%s: resumed -graph-out differs from the uninterrupted run's:\n%s\nwant\n%s", tc.engine, b, a)
 		}
+	}
+}
+
+// errAfter is a context whose Err reports a passed deadline from call
+// limit+1 on; Done never fires. The calls of a run that is never stopped
+// count the checks it makes, which places a deadline just past them in
+// another run.
+type errAfter struct {
+	context.Context
+	calls atomic.Int64
+	limit int64
+}
+
+func (c *errAfter) Err() error {
+	if c.calls.Add(1) > c.limit {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// stderrOf runs f and returns what it wrote to os.Stderr.
+func stderrOf(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		data, _ := io.ReadAll(r)
+		out <- string(data)
+	}()
+	stderr := os.Stderr
+	os.Stderr = w
+	f()
+	os.Stderr = stderr
+	w.Close()
+	return <-out
+}
+
+// TestGraphOutStopsInDiagram: a -graph-out run whose deadline passes after
+// its enumeration completed, while the diagram is built, exits 3 like a run
+// stopped during the enumeration. It prints the stop reason and writes no
+// file.
+func TestGraphOutStopsInDiagram(t *testing.T) {
+	o := cliOpts{engine: "enum-strict", n: 5}
+	enumOnly := &errAfter{Context: context.Background(), limit: math.MaxInt64}
+	if code, _ := runOut(t, enumOnly, "dragon", "", o); code != 0 {
+		t.Fatalf("unbounded run exit code %d", code)
+	}
+	o.graphOut = filepath.Join(t.TempDir(), "g.dot")
+	ctx := &errAfter{Context: context.Background(), limit: enumOnly.calls.Load()}
+	var code int
+	stderr := stderrOf(t, func() { code, _ = runOut(t, ctx, "dragon", "", o) })
+	if code != runctl.ExitStopped {
+		t.Errorf("exit code %d, want %d", code, runctl.ExitStopped)
+	}
+	if want := "stopped early: " + runctl.ErrDeadline.Error(); !strings.Contains(stderr, want) {
+		t.Errorf("stderr lacks %q:\n%s", want, stderr)
+	}
+	if _, err := os.Stat(o.graphOut); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a stopped diagram left %s (stat: %v)", o.graphOut, err)
+	}
+	if ctx.calls.Load() <= ctx.limit {
+		t.Error("the diagram build never checked its context")
+	}
+}
+
+// TestGraphOutSpilling: the diagram of a run whose visited set spilled out
+// of core is byte-identical to the in-memory run's, since it is replayed
+// from the provenance records rather than read from the spilled store.
+func TestGraphOutSpilling(t *testing.T) {
+	dir := t.TempDir()
+	spillDir := filepath.Join(dir, "spill")
+	var renders [][]byte
+	for i, o := range []cliOpts{
+		{engine: "enum-strict", n: 8},
+		{engine: "enum-strict", n: 8, memBudget: 250000, spillDir: spillDir},
+	} {
+		o.graphOut = filepath.Join(dir, fmt.Sprintf("g%d.dot", i))
+		if code, err := run(context.Background(), "dragon", "", o); err != nil || code != 0 {
+			t.Fatalf("run %d: code %d err %v", i, code, err)
+		}
+		data, err := os.ReadFile(o.graphOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		renders = append(renders, data)
+	}
+	if files, err := filepath.Glob(filepath.Join(spillDir, "spill-visited-*")); err != nil || len(files) == 0 {
+		t.Fatalf("the budgeted run wrote no spill file (%v)", err)
+	}
+	if !bytes.Equal(renders[0], renders[1]) {
+		t.Error("the spilled run's diagram differs from the in-memory run's")
 	}
 }
 

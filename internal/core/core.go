@@ -169,19 +169,21 @@ func VerifyContext(ctx context.Context, p *fsm.Protocol, opts Options) (*Report,
 		csp := orun.Phase(obs.PhaseCrossCheck)
 		cc, err := crossCheck(ctx, eng, rep.Symbolic.Essential, n, opts)
 		csp.End()
-		if err != nil {
+		if err != nil && !runctl.IsStop(err) {
 			return nil, err
 		}
 		rep.CrossChecks = append(rep.CrossChecks, *cc)
-		if cc.Enum.Truncated && cc.Enum.StopReason != nil {
-			return rep, fmt.Errorf("core: cross-check of %s with %d caches stopped: %w", p.Name, n, cc.Enum.StopReason)
+		if err != nil {
+			return rep, fmt.Errorf("core: cross-check of %s with %d caches stopped: %w", p.Name, n, err)
 		}
 	}
 	return rep, nil
 }
 
 // crossCheck enumerates the concrete state space for n caches and verifies
-// that every reachable state is covered by an essential state.
+// that every reachable state, replayed from the run, is covered by an
+// essential state. A run or replay that stops returns the partial check
+// with the stop.
 func crossCheck(ctx context.Context, eng *symbolic.Engine, essential []*symbolic.CState, n int, opts Options) (*CrossCheck, error) {
 	p := eng.Protocol()
 	res, err := enum.CountingContext(ctx, p, n, enum.Options{
@@ -190,23 +192,26 @@ func crossCheck(ctx context.Context, eng *symbolic.Engine, essential []*symbolic
 			Observer: opts.Observer,
 			Metrics:  opts.Metrics,
 		},
-		KeepReachable: true,
-		Strict:        opts.Strict,
+		Strict: opts.Strict,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: enumerating %s with %d caches: %w", p.Name, n, err)
 	}
 	cc := &CrossCheck{N: n, Enum: res}
-	for _, cfg := range res.Reachable {
+	err = res.Configs(ctx, func(cfg *fsm.Config) error {
 		cs, err := eng.Abstract(cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if _, ok := symbolic.CoveredBy(cs, essential); !ok {
 			cc.Uncovered = append(cc.Uncovered, cfg.String()+" ~ "+cs.StructureString(p))
 		}
+		return nil
+	})
+	if err == nil && res.Truncated {
+		err = res.StopReason
 	}
-	return cc, nil
+	return cc, err
 }
 
 // Summary renders a human-readable report.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/compile"
 	"repro/internal/fsm"
 )
 
@@ -45,16 +44,15 @@ type Checkpoint struct {
 
 	// Visited[i] is the canonical key of the state admitted at rank i;
 	// Parents[i] is its provenance. A resumed run re-inserts the list in
-	// order, reproducing the interrupted run's ranks exactly (including
-	// the ranks of states sitting in spill files when the snapshot was
-	// taken — the snapshot folds them back in, so a resumed run starts
-	// fully resident).
+	// order, reproducing the interrupted run's ranks exactly (spilled
+	// states included, so it starts fully resident), and checks it against
+	// a replay of Parents. Tuples, the sorted state-only tuples, is
+	// rebuilt from that replay rather than read.
 	Visited  []string      `json:"visited"`
 	Tuples   []string      `json:"tuples"`
 	Parents  []ParentState `json:"parents"`
 	Frontier []ConfigState `json:"frontier"`
 
-	Reachable  []ConfigState    `json:"reachable,omitempty"`
 	Violations []ViolationState `json:"violations,omitempty"`
 	SpecErrors []string         `json:"spec_errors,omitempty"`
 }
@@ -128,9 +126,10 @@ func (cs ConfigState) config() (*fsm.Config, error) {
 
 // snapshot captures the run at a level boundary, where the frontier lists
 // the admitted-but-unexpanded states. Pending witness paths are resolved
-// first. An out-of-core run's spilled entries are folded back in (rank
-// order makes the merge trivial: every rank indexes its slot), so the
-// snapshot is self-contained and resuming it needs no spill files.
+// first. The visited list and the tuple census are rendered from a replay
+// of the provenance records, which covers an out-of-core run's spilled
+// states without reading its spill files, so the snapshot is
+// self-contained and resuming it needs no spill files.
 func (b *bfs) snapshot() (*Checkpoint, error) {
 	b.resolveWitnesses()
 	cp := &Checkpoint{
@@ -145,17 +144,16 @@ func (b *bfs) snapshot() (*Checkpoint, error) {
 		Parents:  make([]ParentState, len(b.parents)),
 		Frontier: make([]ConfigState, len(b.frontier)),
 	}
-	fillVisited := func(k Key, r uint32) { cp.Visited[r] = b.kc.render(k) }
-	b.visited.forEach(fillVisited)
-	addTuple := func(k Key, _ uint32) { cp.Tuples = append(cp.Tuples, b.kc.renderTuple(k)) }
-	b.tuples.forEach(addTuple)
-	if b.spill != nil {
-		if err := b.forEachSpilled(b.spill.visitedFiles, fillVisited); err != nil {
-			return nil, err
+	tuples := make(map[Key]bool, b.tuples.size())
+	if _, err := replay(context.Background(), b.kc, b.parents, func(r uint32, state *Key, key Key) error {
+		cp.Visited[r] = b.kc.render(key)
+		if tk := b.kc.tupleKey(state); !tuples[tk] {
+			tuples[tk] = true
+			cp.Tuples = append(cp.Tuples, b.kc.renderTuple(tk))
 		}
-		if err := b.forEachSpilled(b.spill.tupleFiles, addTuple); err != nil {
-			return nil, err
-		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	sort.Strings(cp.Tuples)
 	for i, rec := range b.parents {
@@ -171,9 +169,6 @@ func (b *bfs) snapshot() (*Checkpoint, error) {
 	}
 	for i := range b.frontier {
 		cp.Frontier[i] = configState(b.kc.config(&b.frontier[i]))
-	}
-	for _, rc := range b.res.Reachable {
-		cp.Reachable = append(cp.Reachable, configState(rc))
 	}
 	for _, v := range b.res.Violations {
 		vs := ViolationState{Config: configState(v.Config)}
@@ -211,7 +206,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // ResumeContext continues an interrupted enumeration from a checkpoint,
 // RunConfig.Workers wide (≤ 1: one worker). The run's mode, cache count
 // and strictness come from the checkpoint (opts.Strict is ignored);
-// budgets, width, KeepReachable and the checkpoint options come from opts.
+// budgets, width and the checkpoint options come from opts.
 // An uninterrupted run and an interrupted-then-resumed run reach identical
 // state counts, whatever the widths of either.
 func ResumeContext(ctx context.Context, p *fsm.Protocol, cp *Checkpoint, opts Options) (*Result, error) {
@@ -239,10 +234,7 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 	if err := validMode(cp.Mode); err != nil {
 		return nil, err
 	}
-	known := make(map[fsm.State]bool, len(p.States))
-	for _, s := range p.States {
-		known[s] = true
-	}
+	kc := newKeyCodec(p, cp.N, cp.Mode)
 	// restoreConfig admits only the fixed points of Canonicalize: the
 	// engine holds every state in that form, and a stale version the data
 	// classes would rename must not slip past the key lookup (Config.Key
@@ -256,7 +248,7 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 			return nil, fmt.Errorf("enum: checkpoint %s config %d has %d caches, want %d", what, i, len(c.States), cp.N)
 		}
 		for _, s := range c.States {
-			if !known[s] {
+			if kc.cp.StateIndex(s) < 0 {
 				return nil, fmt.Errorf("enum: checkpoint %s config %d references unknown state %q", what, i, s)
 			}
 		}
@@ -278,17 +270,13 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 	if err := checkOpCount(p); err != nil {
 		return nil, err
 	}
-	opIx := make(map[fsm.Op]uint8, len(p.Ops))
-	for i, op := range p.Ops {
-		opIx[op] = uint8(i)
-	}
 	b := &bfs{
-		p: p, n: cp.N, opts: opts, kc: newKeyCodec(p, cp.N, cp.Mode), mode: cp.Mode,
+		p: p, n: cp.N, opts: opts, kc: kc, mode: cp.Mode,
 		orun:      opts.Sink().Run("enum-"+cp.Mode, p.Name),
 		symmetric: cp.Mode == ModeCounting,
 		maxStates: opts.maxStates(),
 		parents:   make([]parentRec, 0, len(cp.Parents)),
-		res:       &Result{Protocol: p, N: cp.N, Visits: cp.Visits},
+		res:       &Result{Protocol: p, N: cp.N, Mode: cp.Mode, Visits: cp.Visits},
 	}
 	// The stores' fixed footprint grows with the key width, so the cache
 	// count must match the first visited key before they are built.
@@ -323,20 +311,11 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 		if ps.Cache < 0 || ps.Cache >= cp.N {
 			return nil, fmt.Errorf("enum: checkpoint provenance %d has cache %d (want 0..%d)", i, ps.Cache, cp.N-1)
 		}
-		opi, ok := opIx[fsm.Op(ps.Op)]
-		if !ok {
+		opi := kc.cp.OpIndex(fsm.Op(ps.Op))
+		if opi < 0 {
 			return nil, fmt.Errorf("enum: checkpoint provenance %d references unknown operation %q", i, ps.Op)
 		}
-		b.parents = append(b.parents, parentRec{parent: uint32(ps.Parent), cache: uint16(ps.Cache), op: opi})
-	}
-	for _, s := range cp.Tuples {
-		k, err := b.kc.parseTuple(s)
-		if err != nil {
-			return nil, err
-		}
-		if !b.tuples.has(k) {
-			b.tuples.insert(k)
-		}
+		b.parents = append(b.parents, parentRec{parent: uint32(ps.Parent), cache: uint16(ps.Cache), op: uint8(opi)})
 	}
 	b.frontier = make([]Key, len(cp.Frontier))
 	b.frontRanks = make([]uint32, len(cp.Frontier))
@@ -345,36 +324,34 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 		if err != nil {
 			return nil, err
 		}
-		state, key, err := b.kc.configKeys(c)
-		if err != nil {
+		if b.frontier[i], _, err = b.kc.configKeys(c); err != nil {
 			return nil, err
 		}
-		r, ok := b.visited.rank(key)
-		if !ok {
-			return nil, fmt.Errorf("enum: checkpoint frontier state %q not in visited set", b.kc.render(key))
+	}
+	// Every resume replays the provenance records, on which witness paths
+	// and the reachable set rest: each must reach the state visited at its
+	// rank, and the frontier must list reached states in rank and cache
+	// order. The tuple census is rebuilt from the replayed states.
+	fi := 0
+	if _, err := replay(context.Background(), b.kc, b.parents, func(r uint32, state *Key, key Key) error {
+		if got, ok := b.visited.rank(key); !ok || got != r {
+			return fmt.Errorf("enum: checkpoint provenance %d does not reach the state visited at that rank", r)
 		}
-		b.frontier[i], b.frontRanks[i] = state, r
+		if fi < len(b.frontier) && *state == b.frontier[fi] {
+			b.frontRanks[fi] = r
+			fi++
+		}
+		if tk := b.kc.tupleKey(state); !b.tuples.has(tk) {
+			b.tuples.insert(tk)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	if fi != len(b.frontier) {
+		return nil, fmt.Errorf("enum: checkpoint frontier state %d is not reached by its provenance in admission order", fi)
 	}
 	b.bytes = b.estBytes()
-	// Reachable is kept only for a KeepReachable resume. A checkpoint taken
-	// without KeepReachable lists no reachable states, so the list is then
-	// rebuilt from the provenance records.
-	if opts.KeepReachable {
-		for i, cs := range cp.Reachable {
-			c, err := restoreConfig(cs, "reachable", i)
-			if err != nil {
-				return nil, err
-			}
-			b.res.Reachable = append(b.res.Reachable, c)
-		}
-		if len(b.res.Reachable) != len(cp.Visited) {
-			reachable, err := b.replayReachable()
-			if err != nil {
-				return nil, err
-			}
-			b.res.Reachable = reachable
-		}
-	}
 	for i, vs := range cp.Violations {
 		c, err := restoreConfig(vs.Config, "violation", i)
 		if err != nil {
@@ -393,32 +370,4 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 		b.res.SpecErrors = append(b.res.SpecErrors, fmt.Errorf("%s", s))
 	}
 	return b, nil
-}
-
-// replayReachable rebuilds the reachable list from the provenance records:
-// the state admitted at rank r is its parent's successor under the recorded
-// (cache, op) step, in the cache order the engine admitted it in (the
-// counting-mode representative), and must sit at rank r in the visited set.
-func (b *bfs) replayReachable() ([]*fsm.Config, error) {
-	kc := b.kc
-	states := make([]Key, len(b.parents))
-	out := make([]*fsm.Config, len(b.parents))
-	var work compile.Config
-	for r, rec := range b.parents {
-		if rec.parent == noParent {
-			work = *kc.cp.NewConfig(b.n)
-		} else {
-			kc.decode(states[rec.parent].bytes(kc.width), &work)
-			if _, err := kc.cp.Step(&work, int(rec.cache), int(rec.op)); err != nil {
-				return nil, fmt.Errorf("enum: replaying checkpoint provenance %d: %w", r, err)
-			}
-		}
-		var key Key
-		states[r], key = kc.keys(&work)
-		if got, ok := b.visited.rank(key); !ok || got != uint32(r) {
-			return nil, fmt.Errorf("enum: checkpoint provenance %d does not reach the state visited at that rank", r)
-		}
-		out[r] = kc.config(&states[r])
-	}
-	return out, nil
 }

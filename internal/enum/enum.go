@@ -63,9 +63,6 @@ type Options struct {
 	// Unique never exceeds it; a run stopped this way carries no
 	// checkpoint.
 	MaxStates int
-	// KeepReachable retains every distinct canonical configuration in the
-	// result, for cross-validation against the symbolic essential states.
-	KeepReachable bool
 	// Strict enables the CleanShared extension check.
 	Strict bool
 	// StopOnViolation aborts at the first erroneous state.
@@ -110,9 +107,10 @@ type Violation struct {
 
 // Result reports an enumeration run.
 type Result struct {
-	// Protocol and N identify the run.
+	// Protocol, N and Mode (ModeStrict or ModeCounting) identify the run.
 	Protocol *fsm.Protocol
 	N        int
+	Mode     string
 	// Unique counts distinct states explored under the run's equivalence
 	// (strict tuples for Exhaustive, multisets for Counting).
 	Unique int
@@ -126,9 +124,6 @@ type Result struct {
 	Violations []Violation
 	// SpecErrors records protocol-definition-level failures.
 	SpecErrors []error
-	// Reachable holds every distinct configuration when KeepReachable was
-	// set, in discovery order.
-	Reachable []*fsm.Config
 	// Truncated reports that the run stopped before the frontier emptied.
 	// StopReason carries the structured cause.
 	Truncated bool
@@ -148,6 +143,11 @@ type Result struct {
 	// The affected frontier slices were re-expanded, so unless a matching
 	// SpecError reports a persistent panic the results are unaffected.
 	WorkerErrors []*WorkerError
+
+	// kc and parents are the run's key codec and provenance records, from
+	// which Configs replays the reachable set.
+	kc      *keyCodec
+	parents []parentRec
 }
 
 // OK reports whether the protocol verified cleanly at this cache count.
@@ -356,7 +356,7 @@ func newBFS(p *fsm.Protocol, n int, opts Options, mode string) (b *bfs, done boo
 		orun:      opts.Sink().Run("enum-"+mode, p.Name),
 		symmetric: mode == ModeCounting,
 		maxStates: opts.maxStates(),
-		res:       &Result{Protocol: p, N: n},
+		res:       &Result{Protocol: p, N: n, Mode: mode},
 	}
 	b.visited, b.tuples = newCompactStore(b.kc.width), newCompactStore(b.kc.width)
 
@@ -367,9 +367,6 @@ func newBFS(p *fsm.Protocol, n int, opts Options, mode string) (b *bfs, done boo
 	b.tuples.insert(b.kc.tupleKey(&state))
 	b.bytes = b.estBytes()
 	init := b.kc.config(&state)
-	if opts.KeepReachable {
-		b.res.Reachable = append(b.res.Reachable, init.Clone())
-	}
 	if v := fsm.CheckConfig(p, init, opts.Strict); len(v) > 0 {
 		b.res.Violations = append(b.res.Violations, Violation{Config: init, Violations: v})
 		b.orun.Event(obs.MetricViolations, 1)
@@ -430,6 +427,7 @@ func (b *bfs) finish() {
 	b.resolveWitnesses()
 	b.res.Unique = b.visited.size()
 	b.res.TupleStates = b.tuples.size()
+	b.res.kc, b.res.parents = b.kc, b.parents
 	b.bytes = b.estBytes()
 	b.res.EstBytes = b.bytes
 }
@@ -459,9 +457,6 @@ func (b *bfs) commit(it *succItem, viol []fsm.Violation) bool {
 			return true
 		}
 	}
-	if b.opts.KeepReachable {
-		b.res.Reachable = append(b.res.Reachable, b.kc.config(&it.state))
-	}
 	if b.visited.size() >= b.maxStates {
 		b.res.StopReason = runctl.ErrStateBudget
 		b.res.Truncated = true
@@ -470,20 +465,6 @@ func (b *bfs) commit(it *succItem, viol []fsm.Violation) bool {
 	}
 	b.next = append(b.next, it.state)
 	b.nextRanks = append(b.nextRanks, rank)
-	return false
-}
-
-// SymmetryShadowed reports whether the engine's counting-mode expansion
-// would skip cache i of the canonical configuration c as
-// permutation-equivalent to a lower-indexed sibling in the same (state,
-// data) class, as keyCodec.shadowed does on a state key. Exported for the
-// transition-graph export, which replays the engine's expansion policy.
-func SymmetryShadowed(c *fsm.Config, i int) bool {
-	for j := 0; j < i; j++ {
-		if c.States[j] == c.States[i] && c.Versions[j] == c.Versions[i] {
-			return true
-		}
-	}
 	return false
 }
 
@@ -500,11 +481,12 @@ type pendingWitness struct {
 // legacy canonical string format (PathStep.To equals fsm.Config.Key of the
 // state reached, in strict mode). All pending witnesses of the run are
 // resolved together: the union of their ancestor ranks is collected first,
-// then one pass over the store (plus the spill files of an out-of-core
-// run) renders each ancestor key once, and witnesses sharing a prefix
-// share its rendered strings. Mutant sweeps record thousands of
-// violations per run, so the cost is one store pass per resolution, not
-// one per violation. The rank→key map lives only for the call. It runs
+// then one replay of the provenance records, up to the highest of them,
+// renders each ancestor key once (an out-of-core run needs no spill file
+// for it), and witnesses sharing a prefix share its rendered strings.
+// Mutant sweeps record thousands of violations per run, so the cost is one
+// replay per resolution, not one per violation. The rank→key map lives
+// only for the call. It runs
 // before every snapshot and in finish, so neither a checkpoint nor a
 // returned Result ever carries an unresolved path.
 //
@@ -523,28 +505,23 @@ func (b *bfs) resolveWitnesses() {
 	for _, w := range b.pending {
 		keys[w.rank] = b.kc.render(w.key)
 	}
-	unrendered := 0
+	unrendered := -1 // the highest rank still to render
 	for _, w := range b.pending {
 		for cur := b.parents[w.rank].parent; cur != noParent && b.parents[cur].parent != noParent; cur = b.parents[cur].parent {
 			if _, ok := keys[cur]; ok {
 				break
 			}
 			keys[cur] = ""
-			unrendered++
+			unrendered = max(unrendered, int(cur))
 		}
 	}
-	if unrendered > 0 {
-		collect := func(k Key, r uint32) {
-			if s, ok := keys[r]; ok && s == "" {
-				keys[r] = b.kc.render(k)
-			}
+	if _, err := replay(context.Background(), b.kc, b.parents[:unrendered+1], func(r uint32, _ *Key, k Key) error {
+		if s, ok := keys[r]; ok && s == "" {
+			keys[r] = b.kc.render(k)
 		}
-		b.visited.forEach(collect)
-		if b.spill != nil {
-			if err := b.forEachSpilled(b.spill.visitedFiles, collect); err != nil {
-				b.res.SpecErrors = append(b.res.SpecErrors, fmt.Errorf("enum: resolving witness paths: %w", err))
-			}
-		}
+		return nil
+	}); err != nil {
+		b.res.SpecErrors = append(b.res.SpecErrors, fmt.Errorf("enum: resolving witness paths: %w", err))
 	}
 	for _, w := range b.pending {
 		depth := 0

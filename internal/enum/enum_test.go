@@ -220,24 +220,6 @@ func TestMaxStatesTruncates(t *testing.T) {
 	}
 }
 
-func TestKeepReachableMatchesUnique(t *testing.T) {
-	res, err := Counting(protocols.MSI(), 3, Options{KeepReachable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Reachable) != res.Unique {
-		t.Fatalf("reachable %d != unique %d", len(res.Reachable), res.Unique)
-	}
-	seen := map[string]bool{}
-	for _, c := range res.Reachable {
-		k := countingKey(c)
-		if seen[k] {
-			t.Fatalf("duplicate reachable state %s", k)
-		}
-		seen[k] = true
-	}
-}
-
 func TestRejectsInvalidArguments(t *testing.T) {
 	if _, err := Exhaustive(protocols.Illinois(), 0, Options{}); err == nil {
 		t.Error("n=0 must be rejected")
@@ -276,8 +258,9 @@ func TestCountingKeyIsPermutationInvariant(t *testing.T) {
 	}
 }
 
-// TestSymmetricExpansionShadowing: the engine's skip on key units and the
-// exported SymmetryShadowed the graph export replays agree.
+// TestSymmetricExpansionShadowing: the engine's skip on key units, which
+// the replayed steps of Result.Steps share, skips exactly the caches whose
+// (state, data) class a lower-indexed cache already has.
 func TestSymmetricExpansionShadowing(t *testing.T) {
 	p := protocols.Illinois()
 	c := fsm.NewConfig(p, 3)
@@ -289,9 +272,6 @@ func TestSymmetricExpansionShadowing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []bool{false, true, false} {
-		if got := SymmetryShadowed(c, i); got != want {
-			t.Errorf("SymmetryShadowed(cache %d) = %v, want %v", i, got, want)
-		}
 		if got := kc.shadowed(state.bytes(kc.width), i); got != want {
 			t.Errorf("shadowed(cache %d) = %v, want %v", i, got, want)
 		}

@@ -73,8 +73,11 @@ func goldenLine(p *fsm.Protocol, mode string, res *Result) string {
 	for _, err := range res.SpecErrors {
 		fmt.Fprintf(h, "S %v\n", err)
 	}
-	for _, c := range res.Reachable {
+	if err := res.Configs(context.Background(), func(c *fsm.Config) error {
 		fmt.Fprintf(h, "R %s\n", c.Key())
+		return nil
+	}); err != nil {
+		fmt.Fprintf(h, "replay: %v\n", err)
 	}
 	return fmt.Sprintf("%s %s unique=%d visits=%d tuples=%d violations=%d specerrs=%d truncated=%v sha256=%x",
 		strings.ReplaceAll(p.Name, " ", "_"), mode, res.Unique, res.Visits, res.TupleStates,
@@ -103,13 +106,12 @@ func spillBudget(kc *keyCodec, unique, frontier int) runctl.Budget {
 // deliberate behaviour change.
 func TestGoldenDigests(t *testing.T) {
 	ctx := context.Background()
-	opts := Options{KeepReachable: true}
 	var got []string
 	spilledRuns, spillCases := 0, 0
 	for _, p := range goldenCorpus(t) {
 		for _, mode := range []string{ModeStrict, ModeCounting} {
 			widest := 1
-			po := opts
+			var po Options
 			po.Observer = obs.Funcs{Level: func(ls obs.LevelStats) { widest = max(widest, ls.Frontier) }}
 			one, err := enumerate(ctx, p, goldenN, po, mode, 1)
 			if err != nil {
@@ -118,7 +120,7 @@ func TestGoldenDigests(t *testing.T) {
 			line := goldenLine(p, mode, one)
 			got = append(got, line)
 
-			two, err := enumerate(ctx, p, goldenN, opts, mode, 2)
+			two, err := enumerate(ctx, p, goldenN, Options{}, mode, 2)
 			if err != nil {
 				t.Fatalf("%s %s two workers: %v", p.Name, mode, err)
 			}
@@ -130,8 +132,7 @@ func TestGoldenDigests(t *testing.T) {
 			for _, workers := range []int{1, 2} {
 				spillCases++
 				dir := t.TempDir()
-				so := opts
-				so.RunConfig = runctl.RunConfig{Budget: spillBudget(kc, one.Unique, widest), SpillDir: dir}
+				so := Options{RunConfig: runctl.RunConfig{Budget: spillBudget(kc, one.Unique, widest), SpillDir: dir}}
 				sp, err := enumerate(ctx, p, goldenN, so, mode, workers)
 				if err != nil {
 					t.Fatalf("%s %s spill at %d workers: %v", p.Name, mode, workers, err)
@@ -338,7 +339,7 @@ func TestOneWorkerPanicMatchesGolden(t *testing.T) {
 	corpus := goldenCorpus(t)
 	for i, p := range corpus[:2] { // a shipped spec and its first mutant
 		for j, mode := range []string{ModeStrict, ModeCounting} {
-			opts := Options{KeepReachable: true, RunConfig: runctl.RunConfig{Workers: 1}}
+			opts := Options{RunConfig: runctl.RunConfig{Workers: 1}}
 			res, err := enumerate(context.Background(), p, goldenN, opts, mode, opts.Workers)
 			if err != nil {
 				t.Fatal(err)

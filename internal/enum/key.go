@@ -340,25 +340,6 @@ func (kc *keyCodec) parse(s string) (Key, error) {
 	return keyOf(b), nil
 }
 
-// parseTuple restores a state-only tuple key from its rendered string.
-func (kc *keyCodec) parseTuple(s string) (Key, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != kc.n {
-		return Key{}, fmt.Errorf("enum: tuple key %q has %d caches, want %d", s, len(parts), kc.n)
-	}
-	var backing [32]byte
-	b := kc.scratch(backing[:])
-	for i, name := range parts {
-		st := kc.cp.StateIndex(fsm.State(name))
-		if st < 0 {
-			return Key{}, fmt.Errorf("enum: tuple key %q references unknown state %q", s, name)
-		}
-		kc.putUnit(b, i, st<<2)
-	}
-	b[kc.width-1] = keyMark | tupleMark
-	return keyOf(b), nil
-}
-
 func splitPair(pair string) (string, int64, error) {
 	i := strings.LastIndexByte(pair, ':')
 	if i < 0 {

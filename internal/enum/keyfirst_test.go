@@ -17,19 +17,19 @@ func TestExpandDuplicateAllocs(t *testing.T) {
 	p := protocols.Dragon()
 	const n = 4
 	for _, mode := range []string{ModeStrict, ModeCounting} {
-		res, err := enumerate(context.Background(), p, n, Options{KeepReachable: true}, mode, 1)
+		res, err := enumerate(context.Background(), p, n, Options{}, mode, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		kc := newKeyCodec(p, n, mode)
 		visited := newCompactStore(kc.width)
-		states := make([]Key, len(res.Reachable))
-		for i, c := range res.Reachable {
+		var states []Key
+		for _, c := range reachable(t, res) {
 			state, key, err := kc.configKeys(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			states[i] = state
+			states = append(states, state)
 			visited.insert(key)
 		}
 		seen := func(k Key, _ int) bool { return visited.has(k) }
@@ -51,7 +51,7 @@ func TestExpandDuplicateAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(20, func() { expandAll() }); allocs != 0 {
 			t.Fatalf("%s: expanding %d states with only duplicate successors allocated %.1f times, want 0",
-				mode, len(res.Reachable), allocs)
+				mode, len(states), allocs)
 		}
 	}
 }
@@ -76,9 +76,12 @@ func TestVisitedShardBalance(t *testing.T) {
 		t.Fatalf("Dragon n=10: %d states, want 6164", res.Unique)
 	}
 	var counts [stateset.NumShards]int
-	b.visited.forEach(func(k Key, _ uint32) {
+	if _, err := replay(context.Background(), b.kc, b.parents, func(_ uint32, _ *Key, k Key) error {
 		counts[stateset.Shard(k.bytes(b.kc.width))]++
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	mean := float64(res.Unique) / stateset.NumShards
 	largest := 0
 	for _, c := range counts {

@@ -41,11 +41,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestParallelCountingMatchesSequential(t *testing.T) {
 	p := protocols.Illinois()
-	seq, err := Counting(p, 8, Options{KeepReachable: true})
+	seq, err := Counting(p, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Counting(p, 8, Options{KeepReachable: true, RunConfig: runctl.RunConfig{Workers: 4}})
+	par, err := Counting(p, 8, Options{RunConfig: runctl.RunConfig{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,12 @@ func TestParallelCountingMatchesSequential(t *testing.T) {
 		t.Fatalf("parallel counting diverged: %d/%d vs %d/%d",
 			par.Unique, par.Visits, seq.Unique, seq.Visits)
 	}
-	if len(par.Reachable) != len(seq.Reachable) {
+	parR, seqR := reachable(t, par), reachable(t, seq)
+	if len(parR) != len(seqR) {
 		t.Fatalf("reachable sets differ in size")
 	}
-	for i := range par.Reachable {
-		if countingKey(par.Reachable[i]) != countingKey(seq.Reachable[i]) {
+	for i := range parR {
+		if countingKey(parR[i]) != countingKey(seqR[i]) {
 			t.Fatalf("reachable order diverged at %d", i)
 		}
 	}

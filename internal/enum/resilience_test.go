@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -176,11 +177,11 @@ func TestWorkerPanicRecovered(t *testing.T) {
 	}
 	defer func() { testWorkerHook = nil }()
 
-	par, err := Exhaustive(p, 4, Options{KeepReachable: true, RunConfig: runctl.RunConfig{Workers: 4}})
+	par, err := Exhaustive(p, 4, Options{RunConfig: runctl.RunConfig{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Exhaustive(p, 4, Options{KeepReachable: true})
+	seq, err := Exhaustive(p, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +206,8 @@ func TestWorkerPanicRecovered(t *testing.T) {
 	}
 	// Bit-for-bit: same distinct states in both runs.
 	keys := func(r *Result) map[string]bool {
-		m := make(map[string]bool, len(r.Reachable))
-		for _, c := range r.Reachable {
+		m := make(map[string]bool, r.Unique)
+		for _, c := range reachable(t, r) {
 			m[c.Key()] = true
 		}
 		return m
@@ -276,13 +277,12 @@ func TestCheckpointResumeSequential(t *testing.T) {
 	sameCounts(t, resumed, full, "resumed vs uninterrupted")
 }
 
-// TestResumeRebuildsReachable resumes checkpoints taken without
-// KeepReachable with it set: every built-in protocol, in both modes, must
-// reach the golden line of an uninterrupted KeepReachable run, whose
-// digest covers the reachable list in admission order with each state's
-// cache order (the counting-mode representative). A resume without
-// KeepReachable keeps no list, and provenance that disagrees with the
-// visited list is refused.
+// TestResumeRebuildsReachable resumes stop checkpoints: every built-in
+// protocol, in both modes, must reach the golden line of an uninterrupted
+// run, whose digest covers the replayed reachable set in admission order
+// with each state's cache order (the counting-mode representative). Every
+// resume replays the checkpoint's provenance, so one that disagrees with
+// the visited list or the frontier is refused.
 func TestResumeRebuildsReachable(t *testing.T) {
 	ctx := context.Background()
 	for _, p := range protocols.All() {
@@ -299,14 +299,14 @@ func TestResumeRebuildsReachable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if partial.Checkpoint == nil || len(partial.Checkpoint.Reachable) != 0 {
-				t.Fatalf("%s %s: want a stop checkpoint without a reachable list", p.Name, mode)
+			if partial.Checkpoint == nil {
+				t.Fatalf("%s %s: want a stop checkpoint", p.Name, mode)
 			}
-			full, err := enumerate(ctx, p, 3, Options{KeepReachable: true}, mode, 1)
+			full, err := enumerate(ctx, p, 3, Options{}, mode, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := ResumeContext(ctx, p, partial.Checkpoint, Options{KeepReachable: true})
+			resumed, err := ResumeContext(ctx, p, partial.Checkpoint, Options{})
 			if err != nil {
 				t.Fatalf("%s %s: %v", p.Name, mode, err)
 			}
@@ -324,25 +324,56 @@ func TestResumeRebuildsReachable(t *testing.T) {
 			cancel()
 		}
 	}
-	partial, err := ExhaustiveContext(ckCtx, p, 4, Options{KeepReachable: true, RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
+	partial, err := ExhaustiveContext(ckCtx, p, 4, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
 	testLevelHook = nil
 	if err != nil || partial.Checkpoint == nil {
 		t.Fatalf("no stop checkpoint: %v", err)
 	}
-	bare, err := ResumeContext(ctx, p, partial.Checkpoint, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bare.Reachable) != 0 {
-		t.Errorf("a resume without KeepReachable holds %d reachable states", len(bare.Reachable))
-	}
 	cp := *partial.Checkpoint
-	cp.Reachable = nil
 	cp.Visited = append([]string(nil), cp.Visited...)
 	cp.Visited[1], cp.Visited[2] = cp.Visited[2], cp.Visited[1]
-	if _, err := ResumeContext(ctx, p, &cp, Options{KeepReachable: true}); err == nil || !strings.Contains(err.Error(), "provenance 1") {
+	if _, err := ResumeContext(ctx, p, &cp, Options{}); err == nil || !strings.Contains(err.Error(), "provenance 1") {
 		t.Errorf("swapped visited ranks: err %v, want a provenance mismatch at rank 1", err)
 	}
+	cp = *partial.Checkpoint
+	cp.Frontier = append([]ConfigState(nil), cp.Frontier...)
+	cp.Frontier[0], cp.Frontier[1] = cp.Frontier[1], cp.Frontier[0]
+	if _, err := ResumeContext(ctx, p, &cp, Options{}); err == nil || !strings.Contains(err.Error(), "frontier state 1 is not reached") {
+		t.Errorf("swapped frontier states: err %v, want frontier state 1 out of admission order", err)
+	}
+
+	// A counting checkpoint's frontier state in another cache order has
+	// the same key, but is not the representative its provenance reaches.
+	ckCtx, cancel = context.WithCancel(ctx)
+	defer cancel()
+	testLevelHook = func(level int) {
+		if level == 2 {
+			cancel()
+		}
+	}
+	partial, err = CountingContext(ckCtx, p, 4, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
+	testLevelHook = nil
+	if err != nil || partial.Checkpoint == nil {
+		t.Fatalf("no stop checkpoint: %v", err)
+	}
+	cp = *partial.Checkpoint
+	cp.Frontier = append([]ConfigState(nil), cp.Frontier...)
+	for i, cs := range cp.Frontier {
+		if cs.States[0] == cs.States[len(cs.States)-1] {
+			continue
+		}
+		cs.States = append([]string(nil), cs.States...)
+		cs.Versions = append([]int64(nil), cs.Versions...)
+		slices.Reverse(cs.States)
+		slices.Reverse(cs.Versions)
+		cp.Frontier[i] = cs
+		want := fmt.Sprintf("frontier state %d is not reached", i)
+		if _, err := ResumeContext(ctx, p, &cp, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("reordered frontier state: err %v, want %q", err, want)
+		}
+		return
+	}
+	t.Fatal("no frontier state with two distinct caches at its ends")
 }
 
 // TestCheckpointResumeParallel interrupts a four-worker run at a level
@@ -541,7 +572,7 @@ func TestResumeRejectsNonCanonical(t *testing.T) {
 			cancel()
 		}
 	}
-	stopped, err := ExhaustiveContext(ctx, dragon, 4, Options{KeepReachable: true, RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
+	stopped, err := ExhaustiveContext(ctx, dragon, 4, Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
 	testLevelHook = nil
 	if err != nil || stopped.Checkpoint == nil {
 		t.Fatalf("no stop checkpoint: %v", err)
@@ -585,10 +616,6 @@ func TestResumeRejectsNonCanonical(t *testing.T) {
 			cp.Frontier[1].Latest = 3
 			return "frontier config 1"
 		}},
-		{"reachable version", dragon, stopped.Checkpoint, func(cp *Checkpoint) string {
-			cp.Reachable[2].Versions[0] = 5
-			return "reachable config 2"
-		}},
 		{"violation version", broken, withViolations, func(cp *Checkpoint) string {
 			cp.Violations[0].Config.Versions[0] = 7
 			return "violation config 0"
@@ -605,7 +632,7 @@ func TestResumeRejectsNonCanonical(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := tc.mutate(cp)
-			_, err = ResumeContext(context.Background(), tc.p, cp, Options{KeepReachable: true})
+			_, err = ResumeContext(context.Background(), tc.p, cp, Options{})
 			if err == nil {
 				t.Fatal("non-canonical checkpoint was accepted")
 			}

@@ -177,17 +177,3 @@ func (b *bfs) spillFilter(lists [][]pendEntry) error {
 	}
 	return nil
 }
-
-// forEachSpilled streams every entry of the given spill files through f
-// with its admission rank, loading one file at a time. Checkpoint
-// snapshots and witness reconstruction use it to cover spilled states.
-func (b *bfs) forEachSpilled(files []string, f func(k Key, rank uint32)) error {
-	for _, path := range files {
-		br, err := loadSpillBlob(path)
-		if err != nil {
-			return err
-		}
-		br.ForEach(func(kb []byte, r uint32) { f(keyOf(kb), r) })
-	}
-	return nil
-}

@@ -72,28 +72,10 @@ func (ms *mapStore) size() int     { return len(ms.keys) }
 func (ms *mapStore) resident() int { return len(ms.keys) }
 func (ms *mapStore) bytes() int64  { return int64(len(ms.keys)) * mapEntryBytes }
 
-func (ms *mapStore) forEach(f func(k Key, rank uint32)) {
-	for r, k := range ms.keys {
-		f(k, uint32(r))
-	}
-}
-
 func (ms *mapStore) spill() []byte { return nil }
 
 func (ms *mapStore) restore([]byte) error {
 	return fmt.Errorf("enum: map-backed visited store cannot restore a spill blob")
-}
-
-// toMapStore copies a store's resident entries, in rank order, into a
-// mapStore.
-func toMapStore(st visitedStore) *mapStore {
-	keys := make([]Key, st.size())
-	st.forEach(func(k Key, r uint32) { keys[r] = k })
-	ms := newMapStore()
-	for _, k := range keys {
-		ms.insert(k)
-	}
-	return ms
 }
 
 // TestCompactStoreMatchesLegacyStore is the correctness property of the
@@ -116,7 +98,15 @@ func TestCompactStoreMatchesLegacyStore(t *testing.T) {
 					t.Fatalf("seed %d mode %s: newBFS: done=%v err=%v", seed, mode, done, err)
 				}
 				if legacy {
-					b.visited, b.tuples = toMapStore(b.visited), toMapStore(b.tuples)
+					vs, ts := newMapStore(), newMapStore()
+					if _, err := replay(context.Background(), b.kc, b.parents, func(_ uint32, state *Key, key Key) error {
+						vs.insert(key)
+						ts.insert(b.kc.tupleKey(state))
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					b.visited, b.tuples = vs, ts
 				}
 				r, err := b.runPar(context.Background(), 1)
 				if err != nil {

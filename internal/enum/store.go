@@ -26,8 +26,6 @@ type visitedStore interface {
 	resident() int
 	// bytes estimates the resident heap footprint.
 	bytes() int64
-	// forEach visits every resident key with its rank.
-	forEach(f func(k Key, rank uint32))
 	// spill serializes and drops all resident entries (nil when nothing
 	// is resident).
 	spill() []byte
@@ -83,10 +81,6 @@ func (cs *compactStore) insert(k Key) uint32 { return cs.set.Insert(k.bytes(cs.w
 func (cs *compactStore) size() int     { return cs.set.Len() }
 func (cs *compactStore) resident() int { return cs.set.Resident() }
 func (cs *compactStore) bytes() int64  { return cs.set.Bytes() }
-
-func (cs *compactStore) forEach(f func(k Key, rank uint32)) {
-	cs.set.ForEach(func(b []byte, r uint32) { f(keyOf(b), r) })
-}
 
 func (cs *compactStore) spill() []byte { return cs.set.Spill() }
 

@@ -30,16 +30,13 @@ type wideCase struct {
 // strict run, and the synthetic protocols with 64 and 65 states.
 func wideCases(t testing.TB) []wideCase {
 	t.Helper()
-	keep := Options{KeepReachable: true}
-	capped := keep
-	capped.MaxStates = 5000
 	ill := protocols.Illinois()
 	cases := []wideCase{
-		{ill, ModeCounting, 32, keep},
-		{ill, ModeStrict, 32, capped},
+		{ill, ModeCounting, 32, Options{}},
+		{ill, ModeStrict, 32, Options{MaxStates: 5000}},
 	}
 	for _, m := range mutate.Catalog(ill) {
-		cases = append(cases, wideCase{m.Protocol, ModeCounting, 32, keep})
+		cases = append(cases, wideCase{m.Protocol, ModeCounting, 32, Options{}})
 	}
 	for _, levels := range []int{62, 63} {
 		p, err := protocols.Synthetic(levels)
@@ -47,7 +44,7 @@ func wideCases(t testing.TB) []wideCase {
 			t.Fatal(err)
 		}
 		for _, mode := range []string{ModeStrict, ModeCounting} {
-			cases = append(cases, wideCase{p, mode, 2, keep})
+			cases = append(cases, wideCase{p, mode, 2, Options{}})
 		}
 	}
 	return cases
@@ -96,8 +93,10 @@ func TestWideGoldenDigests(t *testing.T) {
 	}
 }
 
-// ckptFixture is a checkpoint file taken from a one-worker KeepReachable
-// run stopped at the start of level.
+// ckptFixture is a checkpoint file taken from a one-worker run stopped at
+// the start of level. The files were written by a build whose snapshots
+// also listed every reachable configuration ("reachable"); decoding drops
+// that list.
 type ckptFixture struct {
 	file  string
 	p     func() (*fsm.Protocol, error)
@@ -125,7 +124,7 @@ func stoppedCheckpoint(t *testing.T, p *fsm.Protocol, fx ckptFixture) []byte {
 		}
 	}
 	defer func() { testLevelHook = nil }()
-	opts := Options{KeepReachable: true, RunConfig: runctl.RunConfig{CheckpointOnStop: true}}
+	opts := Options{RunConfig: runctl.RunConfig{CheckpointOnStop: true}}
 	res, err := enumerate(ctx, p, fx.n, opts, fx.mode, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +142,8 @@ func stoppedCheckpoint(t *testing.T, p *fsm.Protocol, fx ckptFixture) []byte {
 // TestCheckpointFixtures pins the checkpoint format against files written
 // by an earlier build: resuming each fixture, at one and at two workers,
 // must render the uninterrupted run's golden line, and a snapshot taken at
-// the same level boundary must encode to the fixture's bytes.
+// the same level boundary must encode to the bytes of the fixture decoded
+// and encoded again, which are the fixture's without its reachable list.
 func TestCheckpointFixtures(t *testing.T) {
 	for _, fx := range ckptFixtures {
 		p, err := fx.p()
@@ -161,10 +161,17 @@ func TestCheckpointFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(fresh, data) {
-			t.Errorf("%s: a snapshot at level %d no longer encodes to the fixture's bytes", filepath.Base(fx.file), fx.level)
+		if !bytes.Contains(data, []byte(`"reachable": [`)) {
+			t.Errorf("%s: the fixture lists no reachable configurations; it no longer pins that older files resume", filepath.Base(fx.file))
 		}
-		full, err := enumerate(context.Background(), p, fx.n, Options{KeepReachable: true}, fx.mode, 1)
+		old, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.file, err)
+		}
+		if reencoded, err := old.Encode(); err != nil || !bytes.Equal(fresh, reencoded) {
+			t.Errorf("%s: a snapshot at level %d no longer encodes to the fixture's bytes (%v)", filepath.Base(fx.file), fx.level, err)
+		}
+		full, err := enumerate(context.Background(), p, fx.n, Options{}, fx.mode, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +181,7 @@ func TestCheckpointFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", fx.file, err)
 			}
-			opts := Options{KeepReachable: true, RunConfig: runctl.RunConfig{Workers: workers}}
+			opts := Options{RunConfig: runctl.RunConfig{Workers: workers}}
 			res, err := ResumeContext(context.Background(), p, cp, opts)
 			if err != nil {
 				t.Fatalf("%s: resume at %d workers: %v", fx.file, workers, err)
@@ -206,7 +213,7 @@ func TestWideRunsSpill(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		dir := t.TempDir()
-		opts := Options{KeepReachable: true, RunConfig: runctl.RunConfig{
+		opts := Options{RunConfig: runctl.RunConfig{
 			Budget:   runctl.Budget{MaxBytes: 200 << 10},
 			SpillDir: dir,
 		}}

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -92,8 +93,11 @@ func RenderFig4(w io.Writer) error {
 	}
 	b.WriteString(et.String())
 	fmt.Fprint(w, report.Section("E4 / Figure 4 — Illinois global transition diagram", b.String()))
-	fmt.Fprintln(w, "\nGraphviz DOT:")
-	fmt.Fprintln(w, g.DOT())
+	dot, err := g.DOT(context.Background())
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nGraphviz DOT:\n%s\n", dot)
 	return nil
 }
 

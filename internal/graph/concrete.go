@@ -1,11 +1,10 @@
 package graph
 
 import (
+	"context"
 	"fmt"
 	"strconv"
-	"strings"
 
-	"repro/internal/compile"
 	"repro/internal/enum"
 	"repro/internal/fsm"
 )
@@ -44,76 +43,35 @@ type Concrete struct {
 }
 
 // BuildConcrete reads the labelled transition diagram off a completed
-// enumeration run: res must come from an enum run of the given mode with
-// KeepReachable set, and must not have stopped early. The nodes are
-// res.Reachable in admission order. The edges come from re-stepping each
-// node through the shared compiled representation in the engine's
-// (cache, op) order, with its counting-mode symmetry skip, so every edge
-// lands on a node of the run. A spec-level step error fails the build,
-// matching the engines' refusal to certify an ill-formed protocol.
-func BuildConcrete(res *enum.Result, mode string) (*Concrete, error) {
+// enumeration run, which must not have stopped early. The nodes are the
+// run's reachable set in admission order and the edges its states' steps
+// in the engine's expansion order, both replayed from the run's provenance
+// records (enum.Result.Configs and Steps). A spec-level step error fails
+// the build, matching the engines' refusal to certify an ill-formed
+// protocol. The build stops with ctx's run-control stop
+// (runctl.ErrCanceled or runctl.ErrDeadline).
+func BuildConcrete(ctx context.Context, res *enum.Result) (*Concrete, error) {
 	if res.Truncated {
 		return nil, fmt.Errorf("graph: the enumeration stopped early (%v); the diagram must cover the full reachable set", res.StopReason)
 	}
-	if len(res.Reachable) != res.Unique {
-		return nil, fmt.Errorf("graph: the enumeration kept %d of its %d configurations; run it with KeepReachable", len(res.Reachable), res.Unique)
+	g := &Concrete{Protocol: res.Protocol, N: res.N, Mode: res.Mode, Nodes: make([]string, 0, res.Unique)}
+	err := res.Configs(ctx, func(c *fsm.Config) error {
+		key, err := enum.CanonicalKey(c, res.Mode)
+		g.Nodes = append(g.Nodes, key)
+		return err
+	})
+	if err == nil {
+		err = res.Steps(ctx, func(from, to, cache int, op fsm.Op, rule *fsm.Rule) error {
+			e := ConcreteEdge{From: from, To: to, Op: op, Cache: cache}
+			if rule != nil {
+				e.Rule = rule.Name
+			}
+			g.Edges = append(g.Edges, e)
+			return nil
+		})
 	}
-	p, n := res.Protocol, res.N
-	cp, err := compile.Compile(p)
 	if err != nil {
 		return nil, err
-	}
-	g := &Concrete{Protocol: p, N: n, Mode: mode, Nodes: make([]string, len(res.Reachable))}
-	index := make(map[string]int, len(res.Reachable))
-	for i, c := range res.Reachable {
-		key, err := enum.CanonicalKey(c, mode)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := index[key]; dup {
-			return nil, fmt.Errorf("graph: configuration %s repeats under %s equivalence; the enumeration ran in another mode", key, mode)
-		}
-		g.Nodes[i], index[key] = key, i
-	}
-
-	symmetric := mode == enum.ModeCounting
-	var base, work compile.Config
-	var decoded fsm.Config
-	for from, cur := range res.Reachable {
-		if err := cp.Encode(cur, &base); err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			if symmetric && enum.SymmetryShadowed(cur, i) {
-				continue
-			}
-			st := int(base.States[i])
-			for k, op := range p.Ops {
-				if !cp.HasRules(st, k) {
-					continue
-				}
-				work.CopyFrom(&base)
-				sr, err := cp.Step(&work, i, k)
-				if err != nil {
-					return nil, fmt.Errorf("graph: expanding %s: %w", g.Nodes[from], err)
-				}
-				cp.Decode(&work, &decoded)
-				enum.Canonicalize(&decoded)
-				key, err := enum.CanonicalKey(&decoded, mode)
-				if err != nil {
-					return nil, err
-				}
-				to, ok := index[key]
-				if !ok {
-					return nil, fmt.Errorf("graph: %s steps to %s, which the enumeration did not reach", g.Nodes[from], key)
-				}
-				rule := ""
-				if r := cp.Result(sr).Rule; r != nil {
-					rule = r.Name
-				}
-				g.Edges = append(g.Edges, ConcreteEdge{From: from, To: to, Op: op, Cache: i, Rule: rule})
-			}
-		}
 	}
 	return g, nil
 }
@@ -121,34 +79,14 @@ func BuildConcrete(res *enum.Result, mode string) (*Concrete, error) {
 // NodeName returns a short name for node i ("c0", "c1", ...).
 func (g *Concrete) NodeName(i int) string { return fmt.Sprintf("c%d", i) }
 
-// DOT renders the concrete diagram in Graphviz format. The output is
-// deterministic: nodes in discovery order, parallel edges pooled into one
-// arrow with a combined label in discovery order.
-func (g *Concrete) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", g.Protocol.Name)
-	b.WriteString("  rankdir=LR;\n  node [shape=box, fontname=\"Helvetica\"];\n")
-	for i, key := range g.Nodes {
-		attrs := ""
-		if i == g.Initial {
-			attrs = ", penwidth=2"
-		}
-		fmt.Fprintf(&b, "  %s [label=\"%s\\n%s\"%s];\n", g.NodeName(i), g.NodeName(i), escape(key), attrs)
-	}
-	type pair struct{ from, to int }
-	labels := make(map[pair][]string)
-	var pairs []pair
-	for _, e := range g.Edges {
-		pr := pair{e.From, e.To}
-		if _, ok := labels[pr]; !ok {
-			pairs = append(pairs, pr)
-		}
-		labels[pr] = append(labels[pr], e.Label())
-	}
-	for _, pr := range pairs {
-		fmt.Fprintf(&b, "  %s -> %s [label=\"%s\"];\n",
-			g.NodeName(pr.from), g.NodeName(pr.to), escape(strings.Join(labels[pr], ", ")))
-	}
-	b.WriteString("}\n")
-	return b.String()
+// DOT renders the concrete diagram in Graphviz format: nodes in discovery
+// order, parallel edges pooled into one arrow with a combined label in
+// discovery order.
+func (g *Concrete) DOT(ctx context.Context) ([]byte, error) {
+	return writeDOT(ctx, g.Protocol.Name, "c", len(g.Nodes), g.Initial, func(i int) string {
+		return g.NodeName(i) + `\n` + escape(g.Nodes[i])
+	}, len(g.Edges), func(i int) (int, int, string) {
+		e := g.Edges[i]
+		return e.From, e.To, e.Label()
+	})
 }

@@ -4,22 +4,46 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/enum"
+	"repro/internal/fsm"
 	"repro/internal/protocols"
+	"repro/internal/runctl"
 )
 
-// enumerate runs the named built-in protocol's enumeration in mode with
-// KeepReachable, the run BuildConcrete reads.
+// diagram is what the CLI and the service render: a global or a concrete
+// diagram.
+type diagram interface {
+	DOT(context.Context) ([]byte, error)
+	JSON(context.Context) ([]byte, error)
+}
+
+// render returns the diagram's DOT and JSON renderings.
+func render(t *testing.T, g diagram) (string, []byte) {
+	t.Helper()
+	dot, err := g.DOT(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := g.JSON(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(dot), js
+}
+
+// enumerate runs the named built-in protocol's enumeration in mode, the
+// run BuildConcrete reads.
 func enumerate(t *testing.T, name, mode string, n int, opts enum.Options) *enum.Result {
 	t.Helper()
 	p, err := protocols.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.KeepReachable = true
 	run := enum.ExhaustiveContext
 	if mode == enum.ModeCounting {
 		run = enum.CountingContext
@@ -34,7 +58,7 @@ func enumerate(t *testing.T, name, mode string, n int, opts enum.Options) *enum.
 // concreteOf builds the concrete diagram of the named built-in protocol.
 func concreteOf(t *testing.T, name, mode string, n int) *Concrete {
 	t.Helper()
-	g, err := BuildConcrete(enumerate(t, name, mode, n, enum.Options{}), mode)
+	g, err := BuildConcrete(context.Background(), enumerate(t, name, mode, n, enum.Options{}))
 	if err != nil {
 		t.Fatalf("%s %s n=%d: %v", name, mode, n, err)
 	}
@@ -50,7 +74,7 @@ func TestConcreteMatchesEnumCensus(t *testing.T) {
 	for _, p := range protocols.All() {
 		for _, mode := range []string{enum.ModeStrict, enum.ModeCounting} {
 			res := enumerate(t, p.Name, mode, n, enum.Options{})
-			g, err := BuildConcrete(res, mode)
+			g, err := BuildConcrete(context.Background(), res)
 			if err != nil {
 				t.Fatalf("%s %s: %v", p.Name, mode, err)
 			}
@@ -58,15 +82,19 @@ func TestConcreteMatchesEnumCensus(t *testing.T) {
 				t.Errorf("%s %s: %d graph nodes, enum census %d", p.Name, mode, len(g.Nodes), res.Unique)
 				continue
 			}
-			for i, c := range res.Reachable {
+			i := 0
+			if err := res.Configs(context.Background(), func(c *fsm.Config) error {
 				key, err := enum.CanonicalKey(c, mode)
 				if err != nil {
-					t.Fatal(err)
+					return err
 				}
 				if g.Nodes[i] != key {
-					t.Errorf("%s %s: node %d = %q, enum discovered %q", p.Name, mode, i, g.Nodes[i], key)
-					break
+					return fmt.Errorf("node %d = %q, enum discovered %q", i, g.Nodes[i], key)
 				}
+				i++
+				return nil
+			}); err != nil {
+				t.Errorf("%s %s: %v", p.Name, mode, err)
 			}
 		}
 	}
@@ -76,17 +104,10 @@ func TestConcreteMatchesEnumCensus(t *testing.T) {
 // byte-identical DOT and JSON — the contract the service's graph memoization
 // and the CLI goldens rely on.
 func TestConcreteDeterministicBytes(t *testing.T) {
-	a, b := concreteOf(t, "illinois", enum.ModeCounting, 3), concreteOf(t, "illinois", enum.ModeCounting, 3)
-	if a.DOT() != b.DOT() {
+	ad, aj := render(t, concreteOf(t, "illinois", enum.ModeCounting, 3))
+	bd, bj := render(t, concreteOf(t, "illinois", enum.ModeCounting, 3))
+	if ad != bd {
 		t.Error("DOT rendering is not deterministic")
-	}
-	aj, err := a.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := b.JSON()
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !bytes.Equal(aj, bj) {
 		t.Error("JSON rendering is not deterministic")
@@ -95,7 +116,7 @@ func TestConcreteDeterministicBytes(t *testing.T) {
 
 func TestConcreteDOTShape(t *testing.T) {
 	g := concreteOf(t, "msi", enum.ModeStrict, 2)
-	dot := g.DOT()
+	dot, _ := render(t, g)
 	for _, want := range []string{`digraph "MSI"`, "rankdir=LR", "penwidth=2", "c0 ["} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT missing %q:\n%s", want, dot)
@@ -108,10 +129,7 @@ func TestConcreteDOTShape(t *testing.T) {
 
 func TestConcreteJSONShape(t *testing.T) {
 	g := concreteOf(t, "msi", enum.ModeStrict, 2)
-	data, err := g.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, data := render(t, g)
 	var e ExportJSON
 	if err := json.Unmarshal(data, &e); err != nil {
 		t.Fatal(err)
@@ -142,14 +160,8 @@ func TestConcreteJSONShape(t *testing.T) {
 
 func TestGlobalJSONShape(t *testing.T) {
 	_, g := illinoisGlobal(t)
-	data, err := g.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := g.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, data := render(t, g)
+	_, again := render(t, g)
 	if !bytes.Equal(data, again) {
 		t.Error("global JSON rendering is not deterministic")
 	}
@@ -173,32 +185,30 @@ func TestGlobalJSONShape(t *testing.T) {
 	}
 }
 
-// TestBuildConcreteErrors: BuildConcrete reads only a complete
-// KeepReachable run of the mode it is given.
+// TestBuildConcreteErrors: BuildConcrete reads only a complete run.
 func TestBuildConcreteErrors(t *testing.T) {
-	full := enumerate(t, "illinois", enum.ModeStrict, 3, enum.Options{})
-	if _, err := BuildConcrete(full, "fuzzy"); err == nil {
-		t.Error("unknown mode must error")
-	}
-	if _, err := BuildConcrete(full, enum.ModeCounting); err == nil {
-		t.Error("a strict run read as a counting one must error")
-	}
-	counting := enumerate(t, "illinois", enum.ModeCounting, 3, enum.Options{})
-	if _, err := BuildConcrete(counting, enum.ModeStrict); err == nil {
-		t.Error("a counting run read as a strict one must error")
-	}
-	if _, err := BuildConcrete(enumerate(t, "illinois", enum.ModeStrict, 3, enum.Options{MaxStates: 4}), enum.ModeStrict); err == nil {
+	ctx := context.Background()
+	if _, err := BuildConcrete(ctx, enumerate(t, "illinois", enum.ModeStrict, 3, enum.Options{MaxStates: 4})); err == nil {
 		t.Error("a run stopped by its state cap must error")
 	}
-	p, err := protocols.ByName("illinois")
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestDiagramsCanceled: under a cancelled context, building the concrete
+// diagram and rendering either diagram stop with runctl.ErrCanceled.
+func TestDiagramsCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := enumerate(t, "illinois", enum.ModeCounting, 3, enum.Options{})
+	if _, err := BuildConcrete(ctx, res); !errors.Is(err, runctl.ErrCanceled) {
+		t.Errorf("BuildConcrete: err %v, want ErrCanceled", err)
 	}
-	bare, err := enum.ExhaustiveContext(context.Background(), p, 3, enum.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildConcrete(bare, enum.ModeStrict); err == nil {
-		t.Error("a run without KeepReachable must error")
+	_, global := illinoisGlobal(t)
+	for _, g := range []diagram{concreteOf(t, "illinois", enum.ModeCounting, 3), global} {
+		if _, err := g.DOT(ctx); !errors.Is(err, runctl.ErrCanceled) {
+			t.Errorf("%T DOT: err %v, want ErrCanceled", g, err)
+		}
+		if _, err := g.JSON(ctx); !errors.Is(err, runctl.ErrCanceled) {
+			t.Errorf("%T JSON: err %v, want ErrCanceled", g, err)
+		}
 	}
 }

@@ -1,6 +1,11 @@
 package graph
 
-import "encoding/json"
+import (
+	"context"
+	"encoding/json"
+
+	"repro/internal/runctl"
+)
 
 // This file renders both transition diagrams — the symbolic global diagram
 // of Figure 4 (Global) and its concrete reachability counterpart (Concrete)
@@ -57,8 +62,11 @@ type ExportJSON struct {
 }
 
 // marshal renders an export with a trailing newline, the byte form both
-// diagrams serve.
-func marshal(e *ExportJSON) ([]byte, error) {
+// diagrams serve, unless ctx has ended.
+func marshal(ctx context.Context, e *ExportJSON) ([]byte, error) {
+	if err := runctl.FromContext(ctx); err != nil {
+		return nil, err
+	}
 	data, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {
 		return nil, err
@@ -67,7 +75,7 @@ func marshal(e *ExportJSON) ([]byte, error) {
 }
 
 // JSON renders the global diagram as deterministic bytes.
-func (g *Global) JSON() ([]byte, error) {
+func (g *Global) JSON(ctx context.Context) ([]byte, error) {
 	e := &ExportJSON{Schema: GraphSchema, Protocol: g.Protocol.Name, Kind: "global"}
 	e.Nodes = make([]NodeJSON, len(g.Nodes))
 	for i, n := range g.Nodes {
@@ -85,11 +93,11 @@ func (g *Global) JSON() ([]byte, error) {
 			NStep: ed.NStep, Rule: ed.Rule,
 		})
 	}
-	return marshal(e)
+	return marshal(ctx, e)
 }
 
 // JSON renders the concrete diagram as deterministic bytes.
-func (g *Concrete) JSON() ([]byte, error) {
+func (g *Concrete) JSON(ctx context.Context) ([]byte, error) {
 	e := &ExportJSON{
 		Schema: GraphSchema, Protocol: g.Protocol.Name, Kind: "concrete",
 		N: g.N, Mode: g.Mode,
@@ -105,5 +113,5 @@ func (g *Concrete) JSON() ([]byte, error) {
 			Label: ed.Label(), Op: string(ed.Op), Cache: &cache, Rule: ed.Rule,
 		})
 	}
-	return marshal(e)
+	return marshal(ctx, e)
 }

@@ -1,11 +1,14 @@
 package graph
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/fsm"
+	"repro/internal/runctl"
 	"repro/internal/symbolic"
 )
 
@@ -162,36 +165,79 @@ func (g *Global) NodeName(i int) string { return fmt.Sprintf("s%d", i) }
 
 // DOT renders the diagram in Graphviz format, with one record per node
 // showing the composite structure and the context variables.
-func (g *Global) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", g.Protocol.Name)
-	b.WriteString("  rankdir=LR;\n  node [shape=box, fontname=\"Helvetica\"];\n")
-	for i, n := range g.Nodes {
-		label := fmt.Sprintf("%s\\n%s\\n%s", g.NodeName(i),
+func (g *Global) DOT(ctx context.Context) ([]byte, error) {
+	return writeDOT(ctx, g.Protocol.Name, "s", len(g.Nodes), g.Initial, func(i int) string {
+		n := g.Nodes[i]
+		return fmt.Sprintf("%s\\n%s\\n%s", g.NodeName(i),
 			escape(n.StructureString(g.Protocol)), escape(n.ContextString(g.Protocol)))
+	}, len(g.Edges), func(i int) (int, int, string) {
+		e := g.Edges[i]
+		return e.From, e.To, e.Label()
+	})
+}
+
+// writeDOT renders a diagram in Graphviz format: node i is named prefix+i
+// and labelled label(i) (escaped), the initial node is drawn heavier, and
+// the edges edge(0..edges-1), grouped by source node as both diagrams list
+// them, are pooled per node pair into one arrow labelled with theirs in
+// order. It stops with ctx's run-control stop.
+func writeDOT(ctx context.Context, title, prefix string, nodes, initial int, label func(int) string,
+	edges int, edge func(int) (from, to int, label string)) ([]byte, error) {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n  node [shape=box, fontname=\"Helvetica\"];\n", title)
+	for i := 0; i < nodes; i++ {
+		if err := stopEvery(ctx, i); err != nil {
+			return nil, err
+		}
 		attrs := ""
-		if i == g.Initial {
+		if i == initial {
 			attrs = ", penwidth=2"
 		}
-		fmt.Fprintf(&b, "  %s [label=\"%s\"%s];\n", g.NodeName(i), label, attrs)
+		fmt.Fprintf(&b, "  %s%d [label=\"%s\"%s];\n", prefix, i, label(i), attrs)
 	}
-	// Pool parallel edges into one arrow with a combined label.
-	type pair struct{ from, to int }
-	labels := make(map[pair][]string)
-	var pairs []pair
-	for _, e := range g.Edges {
-		pr := pair{e.From, e.To}
-		if _, ok := labels[pr]; !ok {
-			pairs = append(pairs, pr)
+	type arrow struct {
+		to     int
+		labels []string
+	}
+	var arrows []arrow // the current source's, in order of first appearance
+	source := 0
+	flush := func() {
+		for _, a := range arrows {
+			fmt.Fprintf(&b, "  %s%d -> %s%d [label=\"%s\"];\n",
+				prefix, source, prefix, a.to, escape(strings.Join(a.labels, ", ")))
 		}
-		labels[pr] = append(labels[pr], e.Label())
+		arrows = arrows[:0]
 	}
-	for _, pr := range pairs {
-		fmt.Fprintf(&b, "  %s -> %s [label=\"%s\"];\n",
-			g.NodeName(pr.from), g.NodeName(pr.to), escape(strings.Join(labels[pr], ", ")))
+	for i := 0; i < edges; i++ {
+		if err := stopEvery(ctx, i); err != nil {
+			return nil, err
+		}
+		from, to, l := edge(i)
+		if from != source {
+			flush()
+			source = from
+		}
+		j := 0
+		for j < len(arrows) && arrows[j].to != to {
+			j++
+		}
+		if j == len(arrows) {
+			arrows = append(arrows, arrow{to: to})
+		}
+		arrows[j].labels = append(arrows[j].labels, l)
 	}
+	flush()
 	b.WriteString("}\n")
-	return b.String()
+	return b.Bytes(), nil
+}
+
+// stopEvery returns ctx's run-control stop (runctl.ErrCanceled or
+// runctl.ErrDeadline) at every 1024th index i, starting at 0.
+func stopEvery(ctx context.Context, i int) error {
+	if i&1023 != 0 {
+		return nil
+	}
+	return runctl.FromContext(ctx)
 }
 
 func escape(s string) string {

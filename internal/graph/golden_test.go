@@ -30,13 +30,10 @@ func TestConcreteGolden(t *testing.T) {
 		for _, mode := range []string{enum.ModeStrict, enum.ModeCounting} {
 			for _, n := range []int{2, 3} {
 				g := concreteOf(t, p.Name, mode, n)
-				js, err := g.JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
+				dot, js := render(t, g)
 				got = append(got, fmt.Sprintf("%s %s n=%d nodes=%d edges=%d dot=%x json=%x",
 					strings.ReplaceAll(p.Name, " ", "_"), mode, n, len(g.Nodes), len(g.Edges),
-					sha256.Sum256([]byte(g.DOT())), sha256.Sum256(js)))
+					sha256.Sum256([]byte(dot)), sha256.Sum256(js)))
 			}
 		}
 	}

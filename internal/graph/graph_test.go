@@ -187,7 +187,7 @@ func TestGlobalEdgesSortedAndDeduped(t *testing.T) {
 
 func TestGlobalDOTOutput(t *testing.T) {
 	_, g := illinoisGlobal(t)
-	dot := g.DOT()
+	dot, _ := render(t, g)
 	for _, want := range []string{
 		"digraph \"Illinois\"",
 		"s0", "s4",

@@ -1,10 +1,13 @@
 package randproto
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/enum"
+	"repro/internal/fsm"
 	"repro/internal/symbolic"
 )
 
@@ -79,7 +82,7 @@ func TestDifferentialCompleteness(t *testing.T) {
 		}
 		sym := eng.Expand(symbolic.Options{MaxVisits: 50000})
 		for _, n := range []int{2, 3} {
-			res, err := enum.Counting(p, n, enum.Options{KeepReachable: true, MaxStates: 200000})
+			res, err := enum.Counting(p, n, enum.Options{MaxStates: 200000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,15 +93,18 @@ func TestDifferentialCompleteness(t *testing.T) {
 				t.Fatalf("round %d: symbolic said permissible but n=%d found %v",
 					round, n, res.Violations[0].Violations[0])
 			}
-			for _, cfg := range res.Reachable {
+			if err := res.Configs(context.Background(), func(cfg *fsm.Config) error {
 				a, err := eng.Abstract(cfg)
 				if err != nil {
-					t.Fatal(err)
+					return err
 				}
 				if _, ok := symbolic.CoveredBy(a, sym.Essential); !ok {
-					t.Fatalf("round %d: reachable state %s not covered by essential states (protocol %s)",
+					return fmt.Errorf("round %d: reachable state %s not covered by essential states (protocol %s)",
 						round, cfg, p.Name)
 				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
 			}
 		}
 		if sym.OK() {

@@ -1,10 +1,13 @@
 package randproto
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/enum"
+	"repro/internal/fsm"
 	"repro/internal/symbolic"
 )
 
@@ -31,7 +34,7 @@ func FuzzDifferentialAgreement(f *testing.F) {
 			t.Fatalf("generated protocol has spec errors: %v", sym.SpecErrors)
 		}
 
-		res, err := enum.Counting(p, 3, enum.Options{KeepReachable: true, MaxStates: 100000})
+		res, err := enum.Counting(p, 3, enum.Options{MaxStates: 100000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,14 +44,17 @@ func FuzzDifferentialAgreement(f *testing.F) {
 		if len(res.Violations) > 0 && len(sym.Violations) == 0 {
 			t.Fatalf("UNSOUND: concrete violation missed symbolically (protocol %s)", p.Name)
 		}
-		for _, cfg := range res.Reachable {
+		if err := res.Configs(context.Background(), func(cfg *fsm.Config) error {
 			a, err := eng.Abstract(cfg)
 			if err != nil {
-				t.Fatal(err)
+				return err
 			}
 			if _, ok := symbolic.CoveredBy(a, sym.Essential); !ok {
-				t.Fatalf("coverage hole: %s not covered (protocol %s)", cfg, p.Name)
+				return fmt.Errorf("coverage hole: %s not covered (protocol %s)", cfg, p.Name)
 			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -87,14 +87,14 @@ func (s *Server) JobGraph(ctx context.Context, id, format string) ([]byte, strin
 // buildJobGraph recomputes the job's reachable structure under ctx, with
 // the job's own width, bound and strictness, and renders it: the global
 // diagram over a symbolic job's essential states, or the concrete diagram
-// read off an enum job's enumeration run with KeepReachable. Verification
-// already proved the run terminates within the job's bounds, so the
-// rebuild is at most as expensive as the original run, and a cancelled
-// ctx (a client that went away) stops it at its next check.
+// replayed from an enum job's enumeration run. Verification already proved
+// the run terminates within the job's bounds, and a cancelled ctx (a
+// client that went away) stops the run, the diagram's build and its
+// rendering at their next check.
 func buildJobGraph(ctx context.Context, j *Job, format string) ([]byte, error) {
 	var g interface {
-		DOT() string
-		JSON() ([]byte, error)
+		DOT(context.Context) ([]byte, error)
+		JSON(context.Context) ([]byte, error)
 	}
 	if j.opts.Engine == EngineSymbolic {
 		eng, res, err := expand(ctx, j.proto, j.opts, nil)
@@ -105,18 +105,18 @@ func buildJobGraph(ctx context.Context, j *Job, format string) ([]byte, error) {
 			return nil, err
 		}
 	} else {
-		res, mode, err := enumerate(ctx, j.proto, j.opts, enum.Options{KeepReachable: true})
+		res, err := enumerate(ctx, j.proto, j.opts, enum.Options{})
 		if err != nil {
 			return nil, err
 		}
-		if g, err = graph.BuildConcrete(res, mode); err != nil {
+		if g, err = graph.BuildConcrete(ctx, res); err != nil {
 			return nil, err
 		}
 	}
 	if format == GraphFormatJSON {
-		return g.JSON()
+		return g.JSON(ctx)
 	}
-	return []byte(g.DOT()), nil
+	return g.DOT(ctx)
 }
 
 // handleJobGraph is GET /v1/jobs/{id}/graph: the transition-graph view of

@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,10 +170,27 @@ func goldenGraphDigest(t *testing.T, protocol, mode string, n int, format string
 	return ""
 }
 
+// canceledAfter is a context whose Err reports a cancellation from call
+// limit+1 on; Done never fires.
+type canceledAfter struct {
+	context.Context
+	calls atomic.Int64
+	limit int64
+}
+
+func (c *canceledAfter) Err() error {
+	if c.calls.Add(1) > c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestJobGraphCanceled: the graph of an enum job is an enumeration run
 // under the request's context, so an already-cancelled context stops it
 // with ErrCanceled and memoizes nothing, and a later fetch under a live
-// context still renders the golden bytes.
+// context still renders the golden bytes. A client that leaves once the
+// enumeration is done stops the diagram's build and rendering with the
+// same error.
 func TestJobGraphCanceled(t *testing.T) {
 	srv := newServer(t, Config{Workers: 1, QueueDepth: 8})
 	srv.Start()
@@ -206,6 +225,18 @@ func TestJobGraphCanceled(t *testing.T) {
 		j.mu.Unlock()
 		if memo != 0 {
 			t.Errorf("%s: a cancelled build memoized %d rendering(s)", tc.engine, memo)
+		}
+		enumOnly := &canceledAfter{Context: context.Background(), limit: math.MaxInt64}
+		if _, err := enumerate(enumOnly, j.proto, j.opts, enum.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		// Past the enumeration, a diagram this small checks its context
+		// four times: the node replay, the two step replays, the rendering.
+		for extra := range 4 {
+			left := &canceledAfter{Context: context.Background(), limit: enumOnly.calls.Load() + int64(extra)}
+			if _, err := buildJobGraph(left, j, tc.format); !errors.Is(err, runctl.ErrCanceled) {
+				t.Errorf("%s: client left after %d diagram check(s): err %v, want ErrCanceled", tc.engine, extra, err)
+			}
 		}
 		data, _, err := srv.JobGraph(context.Background(), j.ID, tc.format)
 		if err != nil {

@@ -139,7 +139,7 @@ func runSymbolic(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs
 // runEnum runs an explicit-state enumeration (Figure 2 strict or
 // Definition 5 counting) and audits any violations by step replay.
 func runEnum(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs.Registry) (*Report, error) {
-	res, mode, err := enumerate(ctx, p, opts, enum.Options{RunConfig: runctl.RunConfig{Metrics: reg}})
+	res, err := enumerate(ctx, p, opts, enum.Options{RunConfig: runctl.RunConfig{Metrics: reg}})
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +147,7 @@ func runEnum(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs.Reg
 		return nil, fmt.Errorf("serve: specification error: %v", res.SpecErrors[0])
 	}
 	rep := &Report{Essential: res.Unique, Visits: res.Visits}
-	verdicts := campaign.ConfirmEnumWitnesses(p, opts.N, mode, opts.Strict, res.Violations)
+	verdicts := campaign.ConfirmEnumWitnesses(p, opts.N, res.Mode, opts.Strict, res.Violations)
 	for i, v := range res.Violations {
 		vr := ViolationReport{State: v.Config.Key()}
 		for _, viol := range v.Violations {
@@ -185,21 +185,20 @@ func expand(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs.Regi
 }
 
 // enumerate runs an enum job's enumeration under ctx, at the job's cache
-// count, width, state cap and strictness, on top of eopts. It returns the
-// result and the run's equivalence mode; a run that stops early returns
-// an error matching the runctl sentinels.
-func enumerate(ctx context.Context, p *fsm.Protocol, opts JobOptions, eopts enum.Options) (*enum.Result, string, error) {
+// count, width, state cap and strictness, on top of eopts. A run that
+// stops early returns an error matching the runctl sentinels.
+func enumerate(ctx context.Context, p *fsm.Protocol, opts JobOptions, eopts enum.Options) (*enum.Result, error) {
 	eopts.Workers, eopts.Strict, eopts.MaxStates = opts.Workers, opts.Strict, opts.MaxStates
-	mode, run := enum.ModeStrict, enum.ExhaustiveContext
+	run := enum.ExhaustiveContext
 	if opts.Engine == EngineEnumCounting {
-		mode, run = enum.ModeCounting, enum.CountingContext
+		run = enum.CountingContext
 	}
 	res, err := run(ctx, p, opts.N, eopts)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	if res.Truncated {
-		return nil, "", fmt.Errorf("serve: enumeration stopped: %w", res.StopReason)
+		return nil, fmt.Errorf("serve: enumeration stopped: %w", res.StopReason)
 	}
-	return res, mode, nil
+	return res, nil
 }

@@ -181,19 +181,6 @@ func (s *Set) Rank(k []byte) (uint32, bool) {
 	return 0, false
 }
 
-// ForEach calls f for every resident key with its rank, in unspecified
-// order. The key slice aliases internal storage: it is valid only for
-// the duration of the call and must not be mutated or retained.
-func (s *Set) ForEach(f func(key []byte, rank uint32)) {
-	for si := range s.shards {
-		sh := &s.shards[si]
-		forEachEntry(sh.log, s.width, s.esize, f)
-		for _, run := range sh.runs {
-			forEachEntry(run, s.width, s.esize, f)
-		}
-	}
-}
-
 // Spill serializes every resident entry into a self-describing sorted
 // blob, drops them from memory, and returns the blob. Ranks keep
 // increasing across spills, so a key's rank is unique over the union of

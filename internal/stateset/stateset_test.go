@@ -62,16 +62,6 @@ func TestSetMatchesMapReference(t *testing.T) {
 					t.Fatalf("width=%d count=%d: Rank(%x) membership mismatch", width, count, probe)
 				}
 			}
-			seen := 0
-			s.ForEach(func(k []byte, r uint32) {
-				if want, ok := ref[string(k)]; !ok || want != r {
-					t.Fatalf("width=%d count=%d: ForEach yielded %x rank %d", width, count, k, r)
-				}
-				seen++
-			})
-			if seen != count {
-				t.Fatalf("width=%d count=%d: ForEach yielded %d entries", width, count, seen)
-			}
 		}
 	}
 }
