@@ -86,8 +86,14 @@ type shard struct {
 }
 
 // logBytes is the capacity of one shard's append log: the log is a
-// fixed window of the set's slab and never reallocates.
+// fixed window of a log slab and never reallocates.
 func logBytes(esize int) int { return flushEntries * esize }
+
+// logsPerSlab is how many shard logs one log slab holds. A shard's log is
+// carved out of the current slab on the shard's first insert, so a set
+// that admits a few hundred keys allocates a few slabs, not the whole
+// table up front.
+const logsPerSlab = 32
 
 // Set is a compact insert-only set of fixed-width byte keys. Not safe
 // for concurrent mutation; concurrent Has/Rank calls are safe between
@@ -99,22 +105,18 @@ type Set struct {
 	count    int // total inserted, including spilled entries
 	resident int // entries currently in memory
 	shards   [NumShards]shard
+	// spare is the unused rest of the current log slab.
+	spare []byte
 }
 
 // New returns an empty set over keys of exactly width bytes (width ≥ 1).
-// The shards' append logs are carved out of one slab allocated here, so
-// the set's fixed footprint is paid once and counted by Bytes.
+// It allocates no append log: each shard's log is carved out of a shared
+// slab on the shard's first insert (see logsPerSlab).
 func New(width int) *Set {
 	if width < 1 {
 		panic(fmt.Sprintf("stateset: key width %d out of range", width))
 	}
-	s := &Set{width: width, esize: width + 4}
-	lb := logBytes(s.esize)
-	slab := make([]byte, NumShards*lb)
-	for i := range s.shards {
-		s.shards[i].log = slab[i*lb : i*lb : (i+1)*lb]
-	}
-	return s
+	return &Set{width: width, esize: width + 4}
 }
 
 // Width reports the key width the set was built with.
@@ -129,7 +131,9 @@ func (s *Set) Resident() int { return s.resident }
 
 // Bytes estimates the resident heap footprint in bytes. Entries are
 // stored in flat slabs, so the estimate is esize per resident entry
-// plus the fixed cost of the shard table and the append-log slab.
+// plus the fixed cost of the shard table and every shard's append log,
+// charged as an upper bound whether or not the log is allocated yet, so
+// budgets and spill points do not depend on which shards were touched.
 func (s *Set) Bytes() int64 {
 	return int64(s.resident)*int64(s.esize) + tableOverhead + int64(NumShards*logBytes(s.esize))
 }
@@ -150,6 +154,13 @@ func (s *Set) Insert(k []byte) uint32 {
 func (s *Set) add(k []byte, r uint32) {
 	s.resident++
 	sh := &s.shards[Shard(k)]
+	if sh.log == nil {
+		lb := logBytes(s.esize)
+		if len(s.spare) < lb {
+			s.spare = make([]byte, logsPerSlab*lb)
+		}
+		sh.log, s.spare = s.spare[:0:lb], s.spare[lb:]
+	}
 	sh.log = append(sh.log, k...)
 	sh.log = binary.LittleEndian.AppendUint32(sh.log, r)
 	if len(sh.log) == cap(sh.log) {
