@@ -18,8 +18,9 @@ import (
 // exactly the same partition as the legacy canonical strings in both
 // equivalence modes — two configurations collide under kc.key if and only if
 // they collide under strictKey/countingKey. Alongside the partition the test
-// pins the rendering (render must reproduce the legacy string byte for byte,
-// since checkpoints store it) and the parse round-trip.
+// pins the rendering (render and appendRender, after a prefix, must
+// reproduce the legacy string byte for byte, since checkpoints and witness
+// paths store it) and the parse round-trip.
 func TestPackedKeyPartitionMatchesLegacy(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -60,6 +61,9 @@ func TestPackedKeyPartitionMatchesLegacy(t *testing.T) {
 
 				if got := kc.render(k); got != lk {
 					t.Fatalf("seed %d mode %s: render = %q, legacy = %q", seed, mode, got, lk)
+				}
+				if got := kc.appendRender([]byte("prefix;"), k); string(got) != "prefix;"+lk {
+					t.Fatalf("seed %d mode %s: appendRender = %q, want the prefix and %q", seed, mode, got, lk)
 				}
 				rk, err := kc.parse(kc.render(k))
 				if err != nil {
