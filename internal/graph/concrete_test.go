@@ -194,7 +194,8 @@ func TestBuildConcreteErrors(t *testing.T) {
 }
 
 // TestDiagramsCanceled: under a cancelled context, building the concrete
-// diagram and rendering either diagram stop with runctl.ErrCanceled.
+// diagram and rendering either diagram stop with runctl.ErrCanceled, and
+// so does a JSON encode whose context ends partway through.
 func TestDiagramsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -211,4 +212,33 @@ func TestDiagramsCanceled(t *testing.T) {
 			t.Errorf("%T JSON: err %v, want ErrCanceled", g, err)
 		}
 	}
+
+	// A context that ends while a large diagram is encoded stops the
+	// encode at its next check, after the elements before it were written.
+	g := concreteOf(t, "dragon", enum.ModeStrict, 7)
+	if n := len(g.Nodes) + len(g.Edges); n <= 2*jsonStopEvery {
+		t.Fatalf("dragon strict n=7 has %d nodes and edges, want over %d", n, 2*jsonStopEvery)
+	}
+	partway := &stopAfter{Context: context.Background(), live: 2}
+	if _, err := g.JSON(partway); !errors.Is(err, runctl.ErrCanceled) {
+		t.Errorf("JSON canceled partway: err %v, want ErrCanceled", err)
+	}
+	if partway.calls != 3 {
+		t.Errorf("JSON canceled partway checked its context %d times, want 3", partway.calls)
+	}
+}
+
+// stopAfter is a context that is live for its first live Err calls and
+// canceled from then on, which ends a rendering partway through.
+type stopAfter struct {
+	context.Context
+	live, calls int
+}
+
+func (c *stopAfter) Err() error {
+	c.calls++
+	if c.calls > c.live {
+		return context.Canceled
+	}
+	return nil
 }
