@@ -366,37 +366,24 @@ func (b *batchRun) tryOnce(ctx context.Context, bj *batchJob) (json.RawMessage, 
 	return b.local(ctx, bj)
 }
 
-// local submits the job to this node's pool and waits for its verdict.
+// local runs the job on this node's pool and waits for its verdict. The
+// job is routed: the batch router already made the cluster decision for
+// it, and the batch charged the tenant's bucket once for all jobs.
 func (b *batchRun) local(ctx context.Context, bj *batchJob) (json.RawMessage, string, error) {
-	s := b.s
-	j, disposition, err := s.SubmitEx(bj.Proto, bj.Canonical, bj.Opts, SubmitOptions{
+	state, cached, errText, payload, err := b.s.runRouted(ctx, bj.Proto, bj.Canonical, bj.Opts, SubmitOptions{
 		Timeout: b.timeout,
 		NoCache: b.noCache,
 		Tenant:  b.tenant,
 		Batch:   true,
-		// The batch router already made the cluster decision for this job;
-		// the pool must not second-guess it per attempt.
-		NoForward:  true,
-		NoPeerFill: true,
-		// The batch charged the tenant's bucket once for all jobs.
-		Internal: true,
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, "", err
-	}
-	select {
-	case <-j.Done():
-	case <-ctx.Done():
-		return nil, "", ctx.Err()
-	}
-	state, _, errText, payload := j.snapshot()
-	switch state {
-	case StateDone:
-		if disposition == DispositionHit {
-			return payload, BatchCached, nil
-		}
+	case state == StateDone && cached:
+		return payload, BatchCached, nil
+	case state == StateDone:
 		return payload, BatchComputed, nil
-	case StateCanceled:
+	case state == StateCanceled:
 		return nil, "", fmt.Errorf("serve: batch job canceled: %s", errText)
 	default:
 		return nil, "", fmt.Errorf("serve: batch job failed: %s", errText)

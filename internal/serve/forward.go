@@ -25,14 +25,17 @@ type computeRequest struct {
 }
 
 // handleClusterCompute serves a forwarded verification job: resolve the
-// shipped spec, run it through the normal submit path (cache, coalesce,
+// shipped spec, run it as a routed submission (cache, coalesce,
 // admission), wait for the terminal state, and answer with the report
 // bytes in the CRC envelope. Requests must carry the forwarded marker,
-// and the submission is pinned NoForward — one marker per hop and no
-// second hop makes forwarding loops structurally impossible. A saturated
-// or draining node answers 429/503, which the sender treats as a clean
-// rejection (try the next owner, then queue locally) rather than a
-// failure.
+// and a routed submission never forwards — one marker per hop and no
+// second hop makes forwarding loops structurally impossible. Routing also
+// skips the peer cache probe (the sender already routed this job to its
+// owners, so asking them back adds latency, never information) and the
+// rate charge (the origin node already charged the tenant's bucket). A
+// saturated or draining node answers 429/503, which the sender treats as
+// a clean rejection (try the next owner, then queue locally) rather than
+// a failure.
 func (s *Server) handleClusterCompute(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(cluster.ForwardedHeader) == "" {
 		writeError(w, http.StatusBadRequest,
@@ -56,37 +59,23 @@ func (s *Server) handleClusterCompute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j, _, err := s.SubmitEx(p, canonical, opts, SubmitOptions{
+	state, _, errText, payload, err := s.runRouted(r.Context(), p, canonical, opts, SubmitOptions{
 		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
 		Tenant:  req.Tenant,
 		Batch:   req.Batch,
-		// No second hop, and no peer cache probe either: the sender already
-		// routed this job to its owners — asking them back adds latency,
-		// never information.
-		NoForward:  true,
-		NoPeerFill: true,
-		// The origin node already charged the tenant's token bucket.
-		Internal: true,
 	})
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	select {
-	case <-j.Done():
-	case <-r.Context().Done():
+	switch {
+	case err != nil && r.Context().Err() != nil:
 		// The sender hedged away or timed out. The local job keeps running:
 		// its result lands in the cache, where the next probe for this key
 		// finds it — abandoning finished-soon work would waste the compute.
-		return
-	}
-	state, _, errText, payload := j.snapshot()
-	switch state {
-	case StateDone:
+	case err != nil:
+		writeSubmitError(w, err)
+	case state == StateDone:
 		s.stats.peerComputeServed.Add(1)
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(ckptio.Encode(payload))
-	case StateCanceled:
+	case state == StateCanceled:
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("serve: forwarded job canceled: %s", errText))
 	default:
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("serve: forwarded job failed: %s", errText))

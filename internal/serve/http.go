@@ -150,15 +150,15 @@ func wantWait(r *http.Request) bool {
 	return false
 }
 
-// awaitJob blocks until the job reaches a terminal state or the client
-// gives up; it returns false on client abandonment.
-func awaitJob(r *http.Request, j *Job) bool {
-	select {
-	case <-j.Done():
-		return true
-	case <-r.Context().Done():
-		return false
+// writeSubmitted answers an accepted submission: the X-CC-Disposition
+// header, the ?wait=1 wait for a terminal state, then the job status.
+func writeSubmitted(w http.ResponseWriter, r *http.Request, j *Job, disposition string) {
+	w.Header().Set("X-CC-Disposition", disposition)
+	if wantWait(r) {
+		await(r.Context(), j)
 	}
+	st, code := status(j, disposition)
+	writeStatus(w, code, &st)
 }
 
 // handleVerify is POST /v1/verify: resolve the spec, route through cache /
@@ -192,12 +192,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, err)
 		return
 	}
-	w.Header().Set("X-CC-Disposition", disposition)
-	if wantWait(r) {
-		awaitJob(r, j)
-	}
-	st, code := status(j, disposition)
-	writeStatus(w, code, &st)
+	writeSubmitted(w, r, j, disposition)
 }
 
 // handleJobGet is GET /v1/jobs/{id}, with the same ?wait=1 contract as
@@ -209,7 +204,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wantWait(r) {
-		awaitJob(r, j)
+		await(r.Context(), j)
 	}
 	st, code := status(j, "")
 	writeStatus(w, code, &st)

@@ -141,7 +141,6 @@ type Job struct {
 	// path through Server.runJob.
 	runFn   func(ctx context.Context) (payload []byte, cacheable bool, err error)
 	timeout time.Duration
-	noStore bool
 	tenant  string // canonical tenant charged for the queue slot ("" for hits)
 
 	ctx    context.Context
@@ -183,6 +182,17 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Cancel requests cancellation of a queued or running job.
 func (j *Job) Cancel() { j.cancel() }
+
+// await blocks until j reaches a terminal state or ctx ends; it reports
+// whether the job finished.
+func await(ctx context.Context, j *Job) bool {
+	select {
+	case <-j.Done():
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
 
 // Submission dispositions.
 const (
@@ -432,37 +442,45 @@ type SubmitOptions struct {
 	// Batch marks batch-class work, which is shed before interactive work
 	// under queue pressure.
 	Batch bool
-	// NoForward suppresses compute forwarding on saturation. Set on every
-	// request that already carries the cluster forwarded marker, making a
-	// second hop — and therefore a forwarding loop — structurally
-	// impossible.
-	NoForward bool
-	// NoPeerFill suppresses the peer cache-fill probe on a local miss
-	// (used where the caller has already made the routing decision).
-	NoPeerFill bool
-	// Internal marks cluster-internal and batch-expanded submissions that
-	// were already charged against the tenant's token bucket upstream;
-	// queue-share caps still apply.
-	Internal bool
+	// Routed marks a submission whose caller has already made the cluster
+	// decision and charged the tenant's token bucket: a batch-expanded job
+	// or a forwarded compute job. It is not rate-charged, probes no peer
+	// cache and is never forwarded on saturation, so a forwarded job cannot
+	// take a second hop. The queue-share cap, batch shedding and
+	// coalescing still apply.
+	Routed bool
 }
 
 // SubmitEx routes one verification request: cache hit, coalesce onto an
 // identical in-flight job, or admit a fresh job, under the tenancy, work
-// class and cluster routing control of so. The full admission order: tenant rate limit, cache, peer cache fill,
-// drain check, coalesce, saturation (forward to a peer or reject busy),
-// batch shed, tenant queue share, enqueue. Rejections after the rate gate
-// arrive as RetryAfterError wrapping ErrBusy / ErrShedBatch /
-// ErrTenantShare, so the HTTP layer can emit 429 + Retry-After uniformly.
+// class and cluster routing control of so. The full admission order:
+// tenant rate limit, cache, peer cache fill, drain check, coalesce,
+// saturation (forward to a peer or reject busy), batch shed, tenant queue
+// share, enqueue; a Routed submission skips the rate limit, the peer fill
+// and the forward. Rejections after the rate gate arrive as
+// RetryAfterError wrapping ErrBusy / ErrShedBatch / ErrTenantShare, so the
+// HTTP layer can emit 429 + Retry-After uniformly.
 func (s *Server) SubmitEx(p *fsm.Protocol, canonical string, opts JobOptions, so SubmitOptions) (*Job, string, error) {
 	s.stats.requests.Add(1)
-	key := CacheKey(canonical, opts)
-	sub := submission{kind: jobVerify, key: key, proto: p, opts: opts}
-	if !so.NoForward {
-		sub.forward = func(timeout time.Duration, tenant string, batch bool) ([]byte, bool) {
-			return s.forwardCompute(s.jobsCtx, key, canonical, opts, timeout, tenant, batch)
-		}
+	return s.submit(submission{kind: jobVerify, key: CacheKey(canonical, opts), proto: p, canonical: canonical, opts: opts}, so)
+}
+
+// runRouted submits a Routed verification, waits for it, and returns the
+// job's terminal snapshot. err is the submission's rejection, or ctx's
+// error once the caller stops waiting; that job keeps running, and its
+// result still lands in the cache. A routed job is never peer-filled or
+// forwarded, so cached means a local cache hit.
+func (s *Server) runRouted(ctx context.Context, p *fsm.Protocol, canonical string, opts JobOptions, so SubmitOptions) (state string, cached bool, errText string, payload []byte, err error) {
+	so.Routed = true
+	j, _, err := s.SubmitEx(p, canonical, opts, so)
+	if err == nil && !await(ctx, j) {
+		err = ctx.Err()
 	}
-	return s.submit(sub, so)
+	if err != nil {
+		return "", false, "", nil, err
+	}
+	state, cached, errText, payload = j.snapshot()
+	return state, cached, errText, payload, nil
 }
 
 // submission is one unit of work entering the generic admission pipeline
@@ -470,14 +488,12 @@ func (s *Server) SubmitEx(p *fsm.Protocol, canonical string, opts JobOptions, so
 // lookup, peer fill, coalescing, saturation handling and per-tenant
 // admission behave identically for every job kind.
 type submission struct {
-	kind  string
-	key   string
-	proto *fsm.Protocol // verify only
-	opts  JobOptions    // verify only
-	runFn func(ctx context.Context) ([]byte, bool, error)
-	// forward, when non-nil, may ship the job to a cluster peer once the
-	// local queue is full; nil falls straight through to the busy rejection.
-	forward func(timeout time.Duration, tenant string, batch bool) ([]byte, bool)
+	kind      string
+	key       string
+	proto     *fsm.Protocol // verify only
+	canonical string        // verify only: the spec a forward ships
+	opts      JobOptions    // verify only
+	runFn     func(ctx context.Context) ([]byte, bool, error)
 }
 
 // submit is the kind-agnostic admission pipeline shared by every submission
@@ -490,7 +506,7 @@ func (s *Server) submit(sub submission, so SubmitOptions) (*Job, string, error) 
 	}
 	key := sub.key
 
-	if !so.Internal {
+	if !so.Routed {
 		if ok, after := s.buckets.take(tenant, 1); !ok {
 			s.stats.rateLimited.Add(1)
 			s.metrics.Counter("tenant_rejected_total." + tenant).Add(1)
@@ -505,7 +521,7 @@ func (s *Server) submit(sub submission, so SubmitOptions) (*Job, string, error) 
 			}
 			return s.recordHit(sub, payload, DispositionHit)
 		}
-		if !so.NoPeerFill {
+		if !so.Routed {
 			if payload, ok := s.peerFill(key); ok {
 				s.cache.Put(key, payload)
 				return s.recordHit(sub, payload, DispositionPeer)
@@ -552,7 +568,6 @@ func (s *Server) submit(sub submission, so SubmitOptions) (*Job, string, error) 
 		opts:     sub.opts,
 		runFn:    sub.runFn,
 		timeout:  timeout,
-		noStore:  false,
 		tenant:   tenant,
 		ctx:      jctx,
 		cancel:   cancel,
@@ -578,13 +593,14 @@ func (s *Server) submit(sub submission, so SubmitOptions) (*Job, string, error) 
 	return j, DispositionQueued, nil
 }
 
-// saturated handles a submission that found the queue full: forward the
-// job to a cluster peer with headroom when allowed, otherwise reject busy.
-// Forwarding failing for any reason degrades to the rejection — the
-// client retries exactly as on a single node.
+// saturated handles a submission that found the queue full: forward an
+// unrouted verification to a cluster peer with headroom, otherwise reject
+// busy. Simulate jobs never forward (the trace bytes would have to travel
+// with them). Forwarding failing for any reason degrades to the rejection —
+// the client retries exactly as on a single node.
 func (s *Server) saturated(sub submission, timeout time.Duration, tenant string, so SubmitOptions) (*Job, string, error) {
-	if sub.forward != nil && s.cluster != nil {
-		if payload, ok := sub.forward(timeout, tenant, so.Batch); ok {
+	if sub.kind == jobVerify && !so.Routed {
+		if payload, ok := s.forwardCompute(s.jobsCtx, sub.key, sub.canonical, sub.opts, timeout, tenant, so.Batch); ok {
 			s.stats.forwarded.Add(1)
 			return s.recordHit(sub, payload, DispositionForwarded)
 		}

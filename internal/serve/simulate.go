@@ -262,10 +262,5 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, err)
 		return
 	}
-	w.Header().Set("X-CC-Disposition", disposition)
-	if wantWait(r) {
-		awaitJob(r, j)
-	}
-	st, code := status(j, disposition)
-	writeStatus(w, code, &st)
+	writeSubmitted(w, r, j, disposition)
 }
