@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/compile"
 	"repro/internal/fsm"
 )
 
@@ -219,7 +220,8 @@ func ResumeContext(ctx context.Context, p *fsm.Protocol, cp *Checkpoint, opts Op
 
 // resumeBFS rebuilds the shared run state from a checkpoint.
 func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
-	if err := p.Validate(); err != nil {
+	compiled, err := compile.Compile(p)
+	if err != nil {
 		return nil, err
 	}
 	if cp.Version != CheckpointVersion {
@@ -234,7 +236,7 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 	if err := validMode(cp.Mode); err != nil {
 		return nil, err
 	}
-	kc := newKeyCodec(p, cp.N, cp.Mode)
+	kc := newKeyCodec(compiled, cp.N, cp.Mode)
 	// restoreConfig admits only the fixed points of Canonicalize: the
 	// engine holds every state in that form, and a stale version the data
 	// classes would rename must not slip past the key lookup (Config.Key

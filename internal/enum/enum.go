@@ -8,6 +8,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/compile"
 	"repro/internal/fsm"
 	"repro/internal/obs"
 	"repro/internal/runctl"
@@ -337,7 +338,8 @@ func (b *bfs) estBytes() int64 {
 // configuration. done reports that the run already ended (initial-state
 // violation under StopOnViolation).
 func newBFS(p *fsm.Protocol, n int, opts Options, mode string) (b *bfs, done bool, err error) {
-	if err := p.Validate(); err != nil {
+	cp, err := compile.Compile(p)
+	if err != nil {
 		return nil, false, err
 	}
 	if n < 1 {
@@ -353,7 +355,7 @@ func newBFS(p *fsm.Protocol, n int, opts Options, mode string) (b *bfs, done boo
 		return nil, false, err
 	}
 	b = &bfs{
-		p: p, n: n, opts: opts, kc: newKeyCodec(p, n, mode), mode: mode,
+		p: p, n: n, opts: opts, kc: newKeyCodec(cp, n, mode), mode: mode,
 		orun:      opts.Sink().Run("enum-"+mode, p.Name),
 		symmetric: mode == ModeCounting,
 		maxStates: opts.maxStates(),

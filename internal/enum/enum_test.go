@@ -266,7 +266,7 @@ func TestSymmetricExpansionShadowing(t *testing.T) {
 	c := fsm.NewConfig(p, 3)
 	c.States = []fsm.State{"Shared", "Shared", "Invalid"}
 	c.Versions = []int64{0, 0, fsm.NoData}
-	kc := newKeyCodec(p, 3, ModeCounting)
+	kc := mustKeyCodec(t, p, 3, ModeCounting)
 	state, _, err := kc.configKeys(c)
 	if err != nil {
 		t.Fatal(err)

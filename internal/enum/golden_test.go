@@ -128,7 +128,7 @@ func TestGoldenDigests(t *testing.T) {
 				t.Errorf("two-worker run diverges from one worker:\n  two: %s\n  one: %s", l, line)
 			}
 
-			kc := newKeyCodec(p, goldenN, mode)
+			kc := mustKeyCodec(t, p, goldenN, mode)
 			for _, workers := range []int{1, 2} {
 				spillCases++
 				dir := t.TempDir()

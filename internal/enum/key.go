@@ -91,19 +91,15 @@ type keyCodec struct {
 	unit, width int
 }
 
-func newKeyCodec(p *fsm.Protocol, n int, mode string) *keyCodec {
-	// Compilation fails only for protocols that fail Validate, which every
-	// caller has already checked (newBFS, checkpoint restore, tests on
-	// library protocols); a failure here is therefore a program bug.
-	cp, err := compile.Compile(p)
-	if err != nil {
-		panic(fmt.Sprintf("enum: compiling validated protocol %s: %v", p.Name, err))
-	}
+// newKeyCodec builds the codec of a run over the compiled protocol cp.
+// Compiling is the run's one validation of the protocol (newBFS,
+// resumeBFS).
+func newKeyCodec(cp *compile.Protocol, n int, mode string) *keyCodec {
 	unit := 1
 	for top := (cp.NumStates-1)<<2 | 3; top > 0xff; top >>= 8 {
 		unit++
 	}
-	return &keyCodec{p: p, n: n, mode: mode, cp: cp, unit: unit, width: n*unit + 1}
+	return &keyCodec{p: cp.Src, n: n, mode: mode, cp: cp, unit: unit, width: n*unit + 1}
 }
 
 // scratch returns width bytes to build a key in: backing when it is long

@@ -6,11 +6,23 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/fsm"
 	"repro/internal/protocols"
 	"repro/internal/randproto"
 	"repro/internal/runctl"
 )
+
+// mustKeyCodec compiles p and builds its key codec, failing t when p does
+// not compile.
+func mustKeyCodec(t testing.TB, p *fsm.Protocol, n int, mode string) *keyCodec {
+	t.Helper()
+	cp, err := compile.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newKeyCodec(cp, n, mode)
+}
 
 // TestPackedKeyPartitionMatchesLegacy is the correctness property of the
 // packed state-identity layer: over random well-formed protocols and random
@@ -27,7 +39,7 @@ func TestPackedKeyPartitionMatchesLegacy(t *testing.T) {
 		p := randproto.New(rng, 1+rng.Intn(4))
 		n := 2 + rng.Intn(3)
 		for _, mode := range []string{ModeStrict, ModeCounting} {
-			kc := newKeyCodec(p, n, mode)
+			kc := mustKeyCodec(t, p, n, mode)
 			legacy := func(c *fsm.Config) string {
 				if mode == ModeCounting {
 					return countingKey(c)
@@ -102,7 +114,7 @@ func TestWideKeyRoundTrip(t *testing.T) {
 		{syn, 16, 2, true},
 	} {
 		for _, mode := range []string{ModeStrict, ModeCounting} {
-			kc := newKeyCodec(tc.p, tc.n, mode)
+			kc := mustKeyCodec(t, tc.p, tc.n, mode)
 			if kc.unit != tc.unit {
 				t.Fatalf("%s n=%d: unit %d, want %d", tc.p.Name, tc.n, kc.unit, tc.unit)
 			}

@@ -21,7 +21,7 @@ func TestExpandDuplicateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kc := newKeyCodec(p, n, mode)
+		kc := mustKeyCodec(t, p, n, mode)
 		visited := newCompactStore(kc.width)
 		var states []Key
 		for _, c := range reachable(t, res) {

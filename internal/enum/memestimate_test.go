@@ -19,7 +19,7 @@ import (
 func TestStateBytesEstimate(t *testing.T) {
 	p := protocols.Illinois()
 	const n = 7
-	kc := newKeyCodec(p, n, ModeStrict)
+	kc := mustKeyCodec(t, p, n, ModeStrict)
 
 	// Every base-|Q| digit string of length n is a distinct state tuple, so
 	// both the full keys and the tuple keys are unique.
@@ -84,7 +84,7 @@ func TestStateBytesEstimate(t *testing.T) {
 func TestCompactVisitedSetFootprint(t *testing.T) {
 	p := protocols.Illinois()
 	const n = 7
-	kc := newKeyCodec(p, n, ModeStrict)
+	kc := mustKeyCodec(t, p, n, ModeStrict)
 	q := len(p.States)
 	m := 1
 	for i := 0; i < n; i++ {
