@@ -71,23 +71,12 @@ func (c *Client) SelfIsOwner(key string) bool {
 }
 
 // computeCandidates returns the owners a forwarded job may go to: the
-// key's top-ranked peers whose breakers currently admit a request, at most
-// Replicas of them, ordered least-loaded first (outstanding forwarded
-// calls ascending, rendezvous rank breaking ties). The least-loaded pick
-// is what spreads a hot key's overflow across the fleet instead of piling
-// every forward onto one owner.
+// key's owners (see owners), ordered least-loaded first (outstanding
+// forwarded calls ascending, rendezvous rank breaking ties). The
+// least-loaded pick is what spreads a hot key's overflow across the fleet
+// instead of piling every forward onto one owner.
 func (c *Client) computeCandidates(key string) []*peer {
-	now := c.now()
-	var out []*peer
-	for _, p := range rankPeers(c.peers, key) {
-		if !p.allow(now) {
-			continue
-		}
-		out = append(out, p)
-		if len(out) == c.cfg.Replicas {
-			break
-		}
-	}
+	out := c.owners(key)
 	sort.SliceStable(out, func(a, b int) bool {
 		return out[a].inflight.Load() < out[b].inflight.Load()
 	})
