@@ -14,7 +14,7 @@ import (
 
 // The cache hit / cache miss pair quantifies what the content-addressed
 // cache buys: a hit is a map lookup plus a payload copy, a miss is a full
-// symbolic verification. ccbench publishes them as BENCH_PR4.json.
+// symbolic verification. CI publishes them as the BENCH_PR4 artifact.
 
 func benchServer(b *testing.B) (*Server, func()) {
 	b.Helper()
@@ -75,9 +75,9 @@ func BenchmarkServeCacheMiss(b *testing.B) {
 // {"sweep": {"mutants": true}} batch expands to — through runSymbolic and
 // through runEnum at strict n=4, engine plus witness audit, one sweep per
 // op. witnesses/op counts the audited violations, the work the run-level
-// audit shares across prefixes. ccbench runs it by default:
+// audit shares across prefixes. CI's bench job runs it:
 //
-//	go run ./cmd/ccbench -pkg ./internal/serve -bench BenchmarkMutantSweep -count 5 -benchtime 5x
+//	go test ./internal/serve -run '^$' -bench BenchmarkMutantSweep -count 5 -benchtime 5x -benchmem
 func BenchmarkMutantSweep(b *testing.B) {
 	names := protocols.Names()
 	sort.Strings(names)
