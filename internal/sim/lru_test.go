@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -8,7 +9,9 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/fsm"
+	"repro/internal/mutate"
 	"repro/internal/protocols"
+	"repro/internal/randproto"
 	"repro/internal/trace"
 )
 
@@ -63,24 +66,27 @@ func TestPinnedBlocksAreSkipped(t *testing.T) {
 	}
 }
 
-// refMachine is the reference model of the replacement bookkeeping: the
-// slice LRU the intrusive lists replaced. Each cache's resident blocks sit
-// in a slice, most recently used last, found by linear scan; each block's
-// state is its own *compile.Config. Victims are chosen as Machine chooses
-// them: least recently used first, pinned blocks skipped, each block
-// resident on entry examined once.
+// refMachine is the reference model of the machine's bookkeeping: the
+// slice LRU the intrusive lists replaced, and the counters as they were
+// first computed, from a snapshot of the block's states before each step.
+// Each cache's resident blocks sit in a slice, most recently used last,
+// found by linear scan; each block's state is its own *fsm.Config, stepped
+// by the interpreted fsm.Step, so the model shares no code with compile.
+// Victims are chosen as Machine chooses them: least recently used first,
+// pinned blocks skipped, each block resident on entry examined once.
 type refMachine struct {
-	cp        *compile.Protocol
-	capacity  int
-	block     []*compile.Config
-	lru       [][]int
-	evictions int64
+	p        *fsm.Protocol
+	capacity int
+	block    []*fsm.Config
+	lru      [][]int
+	stats    Stats
+	rules    map[string]int64
 }
 
-func newRefMachine(cp *compile.Protocol, caches, blocks, capacity int) *refMachine {
-	r := &refMachine{cp: cp, capacity: capacity, lru: make([][]int, caches)}
+func newRefMachine(p *fsm.Protocol, caches, blocks, capacity int) *refMachine {
+	r := &refMachine{p: p, capacity: capacity, lru: make([][]int, caches), rules: map[string]int64{}}
 	for b := 0; b < blocks; b++ {
-		r.block = append(r.block, cp.NewConfig(caches))
+		r.block = append(r.block, fsm.NewConfig(p, caches))
 	}
 	return r
 }
@@ -98,19 +104,18 @@ func (r *refMachine) drop(i, b int) {
 
 func (r *refMachine) apply(ref trace.Ref) error {
 	c := r.block[ref.Block]
-	if ref.Op != fsm.OpReplace && r.capacity > 0 && !r.cp.ValidCopy[c.States[ref.Cache]] {
-		replace := r.cp.OpIndex(fsm.OpReplace)
+	if ref.Op != fsm.OpReplace && r.capacity > 0 && !r.p.IsValidCopy(c.States[ref.Cache]) {
 		for _, victim := range slices.Clone(r.lru[ref.Cache]) {
 			if len(r.lru[ref.Cache]) < r.capacity {
 				break
 			}
-			if replace < 0 || !r.cp.HasRules(int(r.block[victim].States[ref.Cache]), replace) {
+			if len(r.p.RulesFor(r.block[victim].States[ref.Cache], fsm.OpReplace)) == 0 {
 				continue
 			}
 			if err := r.step(trace.Ref{Cache: ref.Cache, Op: fsm.OpReplace, Block: victim}); err != nil {
 				return err
 			}
-			r.evictions++
+			r.stats.CapacityEvictions++
 		}
 	}
 	return r.step(ref)
@@ -119,18 +124,71 @@ func (r *refMachine) apply(ref trace.Ref) error {
 func (r *refMachine) step(ref trace.Ref) error {
 	c := r.block[ref.Block]
 	before := slices.Clone(c.States)
-	if op := r.cp.OpIndex(ref.Op); op >= 0 {
-		if _, err := r.cp.Step(c, ref.Cache, op); err != nil {
-			return err
-		}
+	wasResident := r.p.IsValidCopy(before[ref.Cache])
+	res, err := fsm.Step(r.p, c, ref.Cache, ref.Op)
+	if err != nil {
+		return err
 	}
-	for j, prev := range before {
-		if j != ref.Cache && prev != c.States[j] && r.cp.ValidCopy[prev] && !r.cp.ValidCopy[c.States[j]] {
-			r.drop(j, ref.Block)
+	st := &r.stats
+	st.Ops++
+	switch ref.Op {
+	case fsm.OpRead:
+		st.Reads++
+		if wasResident {
+			st.ReadHits++
+		} else {
+			st.ReadMisses++
+		}
+		if res.Rule != nil && !res.Rule.Data.Spin && res.ReadVersion != c.Latest {
+			st.StaleReads++
+		}
+	case fsm.OpWrite:
+		st.Writes++
+		if wasResident {
+			st.WriteHits++
+		} else {
+			st.WriteMisses++
+		}
+	case fsm.OpReplace:
+		st.Replacements++
+	}
+	if rule := res.Rule; rule != nil {
+		r.rules[rule.Name]++
+		d := rule.Data
+		bus := len(rule.Observe) > 0 || (d.Store && d.UpdateSharers)
+		if res.Supplier >= 0 {
+			st.CacheSupplies++
+			bus = true
+		}
+		if d.Source == fsm.SrcMemory {
+			st.MemorySupplies++
+			bus = true
+		}
+		if d.SupplierWriteBack || d.WriteBackSelf || (d.Store && d.WriteThrough) {
+			st.WriteBacks++
+			bus = true
+		}
+		for j, prev := range before {
+			if j != ref.Cache && prev != c.States[j] && r.p.IsValidCopy(prev) && !r.p.IsValidCopy(c.States[j]) {
+				st.Invalidations++
+				bus = true
+				r.drop(j, ref.Block)
+			}
+		}
+		if d.Store && d.UpdateSharers {
+			for j := range before {
+				if j != ref.Cache && r.p.IsValidCopy(c.States[j]) {
+					st.Updates++
+					bus = true
+				}
+			}
+		}
+		if bus {
+			st.BusTransactions++
 		}
 	}
 	if r.capacity > 0 {
-		if r.cp.ValidCopy[c.States[ref.Cache]] {
+		if r.p.IsValidCopy(c.States[ref.Cache]) {
 			r.touch(ref.Cache, ref.Block)
 		} else {
 			r.drop(ref.Cache, ref.Block)
@@ -181,30 +239,47 @@ func checkLists(t *testing.T, m *Machine, r *refMachine) {
 			}
 		}
 	}
-	if m.stats.CapacityEvictions != r.evictions {
-		t.Fatalf("capacity evictions %d, model %d", m.stats.CapacityEvictions, r.evictions)
-	}
 }
 
-// FuzzMachine runs random references over every built-in protocol through
-// a Machine and the slice-LRU reference model, and after every Apply
-// checks that both agree on errors, on every block's state, on each
-// cache's resident set and eviction order, and that the intrusive lists
-// are consistently linked. The first four bytes pick the protocol, caches
-// (1–4), blocks (1–8) and capacity (0–4); each following pair is one
-// reference: cache and op from the first byte, block from the second.
-func FuzzMachine(f *testing.F) {
-	all := protocols.All()
-	compiled := make([]*compile.Protocol, len(all))
+// fuzzCorpus is every protocol FuzzMachine draws from: the built-ins, every
+// mutate.Catalog mutant of them, and randproto protocols of one to four
+// valid states. Mutants and random protocols fire rules with data effects
+// and coincident transitions no built-in combines.
+func fuzzCorpus(f *testing.F) []*compile.Protocol {
+	var all []*fsm.Protocol
+	for _, p := range protocols.All() {
+		all = append(all, p)
+		for _, m := range mutate.Catalog(p) {
+			all = append(all, m.Protocol)
+		}
+	}
+	rng := rand.New(rand.NewSource(1993))
+	for k := 0; k < 24; k++ {
+		all = append(all, randproto.New(rng, 1+k%4))
+	}
+	out := make([]*compile.Protocol, len(all))
 	for i, p := range all {
 		cp, err := compile.Compile(p)
 		if err != nil {
 			f.Fatal(err)
 		}
-		compiled[i] = cp
+		out[i] = cp
 	}
+	return out
+}
+
+// FuzzMachine runs random references over the fuzzCorpus protocols through
+// a Machine and the reference model, and after every Apply checks that both
+// agree on errors, on every block's state, on the counters and rule
+// counts, on each cache's resident set and eviction order, and that the
+// intrusive lists are consistently linked. The first four bytes pick the
+// protocol, caches (1–4), blocks (1–8) and capacity (0–4); each following
+// pair is one reference: cache and op from the first byte, block from the
+// second.
+func FuzzMachine(f *testing.F) {
+	compiled := fuzzCorpus(f)
 	rng := rand.New(rand.NewSource(1))
-	for i := range all {
+	for i := range compiled {
 		seed := []byte{byte(i), 3, 5, 2}
 		for k := 0; k < 200; k++ {
 			seed = append(seed, byte(rng.Intn(256)))
@@ -221,7 +296,7 @@ func FuzzMachine(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := newRefMachine(cp, caches, blocks, capacity)
+		r := newRefMachine(cp.Src, caches, blocks, capacity)
 		data = data[4:]
 		for k := 0; k+1 < len(data) && k < 1024; k += 2 {
 			ref := trace.Ref{
@@ -235,11 +310,17 @@ func FuzzMachine(f *testing.F) {
 				t.Fatalf("ref %d %+v: error %v, model %v", k/2, ref, gotErr, wantErr)
 			}
 			for b := range r.block {
-				got, want := &m.block[b], r.block[b]
+				got, want := m.Block(b), r.block[b]
 				if !slices.Equal(got.States, want.States) || !slices.Equal(got.Versions, want.Versions) ||
 					got.MemVersion != want.MemVersion || got.Latest != want.Latest {
 					t.Fatalf("ref %d %+v: block %d is %+v, model %+v", k/2, ref, b, *got, *want)
 				}
+			}
+			if got := m.Stats(); got != r.stats {
+				t.Fatalf("ref %d %+v: stats %+v, model %+v", k/2, ref, got, r.stats)
+			}
+			if got := m.RuleCounts(); !maps.Equal(got, r.rules) {
+				t.Fatalf("ref %d %+v: rule counts %v, model %v", k/2, ref, got, r.rules)
 			}
 			checkLists(t, m, r)
 		}
