@@ -52,6 +52,16 @@ type Rule struct {
 	Obs        []int32
 	HasObserve bool
 
+	// Kills[c] reports whether the coincident transition invalidates the
+	// valid copy of an observer in state c, and Keeps[c] whether an
+	// observer in state c holds a valid copy after it (the copies a store
+	// with UpdateSharers refreshes). Remote reports whether the rule kills
+	// any observer's copy or refreshes sharers, so a caller can skip the
+	// observers entirely when it does neither. The simulator reads them to
+	// account for a step in one walk before the rule fires; Step does not.
+	Kills, Keeps []bool
+	Remote       bool
+
 	// Data-effect fields, flattened from fsm.DataEffect. Suppliers keeps
 	// the declared candidate order: supplier choice is order-sensitive.
 	Source            fsm.DataSource
@@ -149,6 +159,7 @@ func Compile(p *fsm.Protocol) (*Protocol, error) {
 
 	cp.Rules = make([]Rule, len(p.Rules))
 	obsSlab := make([]int32, len(p.Rules)*ns)
+	remoteSlab := make([]bool, 2*len(p.Rules)*ns)
 	for i := range p.Rules {
 		r := &p.Rules[i]
 		cr := &cp.Rules[i]
@@ -170,6 +181,13 @@ func Compile(p *fsm.Protocol) (*Protocol, error) {
 			cr.Obs[c] = cp.stateIdx[r.ObservedNext(p.States[c])]
 		}
 		cr.HasObserve = len(r.Observe) > 0
+		cr.Kills = remoteSlab[2*i*ns : (2*i+1)*ns]
+		cr.Keeps = remoteSlab[(2*i+1)*ns : (2*i+2)*ns]
+		for c, next := range cr.Obs {
+			cr.Kills[c] = cp.ValidCopy[c] && !cp.ValidCopy[next]
+			cr.Keeps[c] = cp.ValidCopy[next]
+			cr.Remote = cr.Remote || cr.Kills[c]
+		}
 		cr.Source = r.Data.Source
 		for _, ss := range r.Data.Suppliers {
 			cr.Suppliers = append(cr.Suppliers, cp.stateIdx[ss])
@@ -181,6 +199,7 @@ func Compile(p *fsm.Protocol) (*Protocol, error) {
 		cr.WriteBackSelf = r.Data.WriteBackSelf
 		cr.DropSelf = r.Data.DropSelf
 		cr.Spin = r.Data.Spin
+		cr.Remote = cr.Remote || (cr.Store && cr.UpdateSharers)
 
 		slot := int(cr.From)*no + int(cr.Op)
 		cp.rulesFor[slot] = append(cp.rulesFor[slot], cr.ID)
@@ -395,14 +414,43 @@ func (cp *Protocol) evalGuard(r *Rule, states []int32, origin int) bool {
 // because spec-level errors surface in enumeration reports — the same error
 // text, rendered from the pre-step configuration exactly as the interpreted
 // path renders it. On error c is unchanged.
+//
+// Step is Select followed by Fire. Callers that account for a step before
+// it changes c (the simulator) call the two themselves.
 func (cp *Protocol) Step(c *Config, origin, op int) (StepResult, error) {
+	rule, sup, err := cp.Select(c, origin, op)
+	if err != nil || rule == nil {
+		return Unfired(rule), err
+	}
+	return cp.Fire(c, origin, op, rule, sup), nil
+}
+
+// Unfired is the result of a step that fired no rule: a no-op (rule nil)
+// or a failed Select, which carries the rule it selected when only the
+// supplier was missing.
+func Unfired(rule *Rule) StepResult {
 	res := StepResult{RuleID: -1, ReadVersion: fsm.NoData, Supplier: -1}
+	if rule != nil {
+		res.RuleID = rule.ID
+	}
+	return res
+}
+
+// Select chooses the rule that operation op (by index) issued by cache
+// origin fires in configuration c, and the cache that supplies its data
+// (-1 when it reads none from a cache). It reads c and changes nothing. A
+// nil rule with a nil error is a no-op in the originator's state. It fails
+// when the index is out of range, when no guard matches, or when the rule
+// reads from a cache and none holds a supplier state; in the last case it
+// also returns the rule. Every failure of Step is a failure of Select, so
+// a selected rule always fires.
+func (cp *Protocol) Select(c *Config, origin, op int) (*Rule, int, error) {
 	if origin < 0 || origin >= len(c.States) {
-		return res, fmt.Errorf("fsm: step: cache index %d out of range", origin)
+		return nil, -1, fmt.Errorf("fsm: step: cache index %d out of range", origin)
 	}
 	rules := cp.rulesFor[int(c.States[origin])*cp.NumOps+op]
 	if len(rules) == 0 {
-		return res, nil // no-op in this state
+		return nil, -1, nil // no-op in this state
 	}
 	var rule *Rule
 	for _, id := range rules {
@@ -413,12 +461,31 @@ func (cp *Protocol) Step(c *Config, origin, op int) (StepResult, error) {
 		}
 	}
 	if rule == nil {
-		return res, fmt.Errorf("fsm: protocol %s: no guard matched for cache %d in state %s on %s of %s",
+		return nil, -1, fmt.Errorf("fsm: protocol %s: no guard matched for cache %d in state %s on %s of %s",
 			cp.Src.Name, origin, cp.States[c.States[origin]], cp.Ops[op], cp.String(c))
 	}
-	res.RuleID = rule.ID
+	if rule.Source != fsm.SrcCache {
+		return rule, -1, nil
+	}
+	for _, ss := range rule.Suppliers {
+		for j, s := range c.States {
+			if j != origin && s == ss {
+				return rule, j, nil
+			}
+		}
+	}
+	src := cp.Src.Rules[rule.ID]
+	return rule, -1, fmt.Errorf("fsm: protocol %s: rule %s fired with no supplier in %v for %s",
+		cp.Src.Name, src.Name, src.Data.Suppliers, cp.String(c))
+}
 
-	// 1. Locate a supplier and capture its data before any state changes.
+// Fire applies rule, which Select chose for the same configuration, origin
+// and op, with Select's supplier sup. It mutates c in place and cannot
+// fail.
+func (cp *Protocol) Fire(c *Config, origin, op int, rule *Rule, sup int) StepResult {
+	res := StepResult{RuleID: rule.ID, ReadVersion: fsm.NoData, Supplier: sup}
+
+	// 1. Capture the supplier's data before any state changes.
 	origVer := c.Versions[origin]
 	switch rule.Source {
 	case fsm.SrcNone:
@@ -428,47 +495,30 @@ func (cp *Protocol) Step(c *Config, origin, op int) (StepResult, error) {
 	case fsm.SrcMemory:
 		origVer = c.MemVersion
 	case fsm.SrcCache:
-		sup := -1
-		for _, ss := range rule.Suppliers {
-			for j, s := range c.States {
-				if j != origin && s == ss {
-					sup = j
-					break
-				}
-			}
-			if sup >= 0 {
-				break
-			}
-		}
-		if sup < 0 {
-			src := cp.Src.Rules[rule.ID]
-			return res, fmt.Errorf("fsm: protocol %s: rule %s fired with no supplier in %v for %s",
-				cp.Src.Name, src.Name, src.Data.Suppliers, cp.String(c))
-		}
-		res.Supplier = sup
 		origVer = c.Versions[sup]
 		if rule.SupplierWriteBack {
 			c.MemVersion = c.Versions[sup]
 		}
 	}
 
-	// 2. Coincident (observed) transitions on all other caches.
-	for j := range c.States {
-		if j == origin {
-			continue
-		}
-		next := rule.Obs[c.States[j]]
-		c.States[j] = next
+	// 2. Coincident (observed) transitions on all other caches. The loop
+	// runs over the originator too: step 3 overwrites its state and the end
+	// of the step its version, so skipping it would only cost a compare.
+	states, versions := c.States, c.Versions[:len(c.States)]
+	for j, s := range states {
+		next := rule.Obs[s]
+		states[j] = next
 		if !cp.ValidCopy[next] {
-			c.Versions[j] = fsm.NoData
+			versions[j] = fsm.NoData
 		}
 	}
 
 	// 3. Originator transition.
-	c.States[origin] = rule.Next
+	states[origin] = rule.Next
 
 	// 4. Store semantics: a new value is created; every copy not explicitly
-	// updated becomes stale relative to it.
+	// updated becomes stale relative to it. The refresh reaches the
+	// originator too, whose version is set below.
 	if rule.Store {
 		c.Latest++
 		origVer = c.Latest
@@ -476,9 +526,9 @@ func (cp *Protocol) Step(c *Config, origin, op int) (StepResult, error) {
 			c.MemVersion = c.Latest
 		}
 		if rule.UpdateSharers {
-			for j := range c.States {
-				if j != origin && cp.ValidCopy[c.States[j]] {
-					c.Versions[j] = c.Latest
+			for j, s := range states {
+				if cp.ValidCopy[s] {
+					versions[j] = c.Latest
 				}
 			}
 		}
@@ -496,5 +546,5 @@ func (cp *Protocol) Step(c *Config, origin, op int) (StepResult, error) {
 	if cp.opIsRead[op] {
 		res.ReadVersion = c.Versions[origin]
 	}
-	return res, nil
+	return res
 }

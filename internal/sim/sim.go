@@ -99,9 +99,6 @@ type Machine struct {
 	// ruleCounts counts firings by compiled rule ID (declaration index);
 	// RuleCounts materializes the name-keyed map on demand.
 	ruleCounts []int64
-	// scratch holds the pre-step state snapshot, reused across steps so the
-	// hot path stays allocation-free.
-	scratch []int32
 	// opsSinceCheck counts operations since the last context check in
 	// RunRefs, carried across calls so batch size does not change the
 	// cancellation cadence.
@@ -255,18 +252,28 @@ var noStep = compile.StepResult{RuleID: -1, ReadVersion: fsm.NoData, Supplier: -
 
 // step applies the reference, whose op has compiled index op (-1: not
 // declared, a no-op), to the block's coherence state and updates the
-// statistics. The caller has checked ref.Cache and ref.Block.
+// statistics. The caller has checked ref.Cache and ref.Block. The rule is
+// selected first, so a failing step changes nothing; then one walk over
+// the other caches, before the rule fires, counts the copies it kills and
+// refreshes and drops the killed ones from their LRU lists.
 func (m *Machine) step(ref trace.Ref, op int) (compile.StepResult, error) {
 	cfg := &m.block[ref.Block]
-	before := append(m.scratch[:0], cfg.States...)
-	m.scratch = before
-	wasResident := m.cp.ValidCopy[before[ref.Cache]]
+	origin := ref.Cache
+	wasResident := m.cp.ValidCopy[cfg.States[origin]]
 
 	cres := noStep
+	var r *compile.Rule
 	if op >= 0 {
+		var sup int
 		var err error
-		if cres, err = m.cp.Step(cfg, ref.Cache, op); err != nil {
-			return cres, err
+		if r, sup, err = m.cp.Select(cfg, origin, op); err != nil {
+			return compile.Unfired(r), err
+		}
+		if r != nil {
+			if r.Remote {
+				m.remote(r, cfg.States, origin, ref.Block)
+			}
+			cres = m.cp.Fire(cfg, origin, op, r, sup)
 		}
 	}
 
@@ -279,7 +286,7 @@ func (m *Machine) step(ref trace.Ref, op int) (compile.StepResult, error) {
 		} else {
 			m.stats.ReadMisses++
 		}
-		if cres.RuleID >= 0 && !m.cp.Rules[cres.RuleID].Spin && cres.ReadVersion != cfg.Latest {
+		if r != nil && !r.Spin && cres.ReadVersion != cfg.Latest {
 			m.stats.StaleReads++
 		}
 	case fsm.OpWrite:
@@ -293,11 +300,11 @@ func (m *Machine) step(ref trace.Ref, op int) (compile.StepResult, error) {
 		m.stats.Replacements++
 	}
 
-	if cres.RuleID >= 0 {
-		m.ruleCounts[cres.RuleID]++
-		r := &m.cp.Rules[cres.RuleID]
+	if r != nil {
+		m.ruleCounts[r.ID]++
 		// Observed transitions and sharer updates are snooping broadcasts:
-		// they occupy the bus even when no remote copy happens to exist.
+		// they occupy the bus even when no remote copy happens to exist. A
+		// rule that kills a copy has observed transitions, so it is one.
 		bus := r.HasObserve || (r.Store && r.UpdateSharers)
 		if cres.Supplier >= 0 {
 			m.stats.CacheSupplies++
@@ -311,46 +318,49 @@ func (m *Machine) step(ref trace.Ref, op int) (compile.StepResult, error) {
 			m.stats.WriteBacks++
 			bus = true
 		}
-		// Coincident effects on remote copies. Only the referenced block
-		// can change residency in one step, so reconciling the remote LRU
-		// lists here (rather than rescanning every list) keeps the hot
-		// path linear in caches whose state actually moved.
-		for j, prev := range before {
-			if j == ref.Cache {
-				continue
-			}
-			next := cfg.States[j]
-			if prev != next && m.cp.ValidCopy[prev] && !m.cp.ValidCopy[next] {
-				m.stats.Invalidations++
-				bus = true
-				if m.lru != nil {
-					m.lru.drop(j, ref.Block)
-				}
-			}
-		}
-		if r.Store && r.UpdateSharers {
-			for j := range before {
-				if j != ref.Cache && m.cp.ValidCopy[cfg.States[j]] {
-					m.stats.Updates++
-					bus = true
-				}
-			}
-		}
 		if bus {
 			m.stats.BusTransactions++
 		}
 	}
 
 	// Maintain the issuing cache's residency bookkeeping (remote caches
-	// were reconciled in the coincident-transition loop above).
+	// were reconciled in remote).
 	if m.lru != nil {
-		if m.cp.ValidCopy[cfg.States[ref.Cache]] {
-			m.lru.touch(ref.Cache, ref.Block)
+		if m.cp.ValidCopy[cfg.States[origin]] {
+			m.lru.touch(origin, ref.Block)
 		} else {
-			m.lru.drop(ref.Cache, ref.Block)
+			m.lru.drop(origin, ref.Block)
 		}
 	}
 	return cres, nil
+}
+
+// remote accounts for rule r's effect on the copies of block b held by
+// caches other than origin, whose states are states before r fires: it
+// counts the copies r invalidates and drops them from their LRU lists, and
+// when r is a store that updates sharers, counts the copies it refreshes.
+// Only the referenced block changes residency in one step, so the remote
+// LRU lists need no other reconciling.
+func (m *Machine) remote(r *compile.Rule, states []int32, origin, b int) {
+	var killed, kept int64
+	for j, s := range states {
+		if j == origin {
+			continue
+		}
+		if r.Kills[s] {
+			killed++
+			if m.lru != nil {
+				m.lru.drop(j, b)
+			}
+		}
+		if r.Keeps[s] {
+			kept++
+		}
+	}
+	m.stats.Invalidations += killed
+	if r.Store && r.UpdateSharers {
+		m.stats.Updates += kept
+	}
 }
 
 // Run drives the machine with nops references from the workload, stopping
