@@ -10,6 +10,8 @@ import (
 	"errors"
 	"hash"
 	"io"
+	"math"
+	"math/bits"
 	"strconv"
 
 	"repro/internal/trace"
@@ -43,8 +45,7 @@ type Scanner struct {
 
 	line   int // 1-based number of the last line read
 	refs   int64
-	blocks map[int64]int
-	order  []int64 // dense index -> address block, first-touch order
+	blocks blockTable
 
 	digest hash.Hash // SHA-256 over the raw (possibly compressed) bytes
 	eof    bool
@@ -71,7 +72,6 @@ func NewScanner(r io.Reader, opts ScanOptions) (*Scanner, error) {
 	s := &Scanner{
 		br:     br,
 		opts:   opts,
-		blocks: make(map[int64]int),
 		digest: digest,
 	}
 	if err := s.readHeader(); err != nil {
@@ -93,7 +93,7 @@ func (s *Scanner) Meta() Meta { return s.meta }
 func (s *Scanner) Refs() int64 { return s.refs }
 
 // Blocks returns the number of distinct blocks assigned so far.
-func (s *Scanner) Blocks() int { return len(s.order) }
+func (s *Scanner) Blocks() int { return s.blocks.n }
 
 // Digest returns the SHA-256 of the raw input bytes consumed so far,
 // lowercase hex. It is the trace's content address once the scanner has
@@ -238,7 +238,9 @@ func (s *Scanner) NextBatch(buf []trace.Ref) (int, error) {
 	return n, nil
 }
 
-// parseRef decodes one "<cache> <op> <hex-address>" line.
+// parseRef decodes one "<cache> <op> <hex-address>" line. The cache index
+// and the address are decoded straight from the line's bytes, with exactly
+// the syntax strconv.Atoi and strconv.ParseUint(…, 16, 63) accept.
 func (s *Scanner) parseRef(line []byte) (trace.Ref, error) {
 	var ref trace.Ref
 	f0, rest0, ok := nextField(line)
@@ -247,8 +249,8 @@ func (s *Scanner) parseRef(line []byte) (trace.Ref, error) {
 	if !ok || !ok1 || !ok2 || len(trimSpaces(rest2)) != 0 {
 		return ref, parseErr(s.line, ErrBadLine, "want '<cache> <op> <hex-address>', got %q", line)
 	}
-	cache, err := strconv.Atoi(string(f0))
-	if err != nil {
+	cache, ok := atoi(f0)
+	if !ok {
 		return ref, parseErr(s.line, ErrBadLine, "cache field %q is not a number", f0)
 	}
 	if cache < 0 || cache >= s.meta.Caches {
@@ -264,11 +266,11 @@ func (s *Scanner) parseRef(line []byte) (trace.Ref, error) {
 	if len(f2) > 2 && f2[0] == '0' && (f2[1] == 'x' || f2[1] == 'X') {
 		f2 = f2[2:]
 	}
-	addr, err := strconv.ParseUint(string(f2), 16, 63)
-	if err != nil {
+	addr, ok := hex63(f2)
+	if !ok {
 		return ref, parseErr(s.line, ErrBadAddress, "address %q is not hex", f2)
 	}
-	block, err := s.blockOf(int64(addr))
+	block, err := s.blockOf(addr)
 	if err != nil {
 		return ref, err
 	}
@@ -276,21 +278,141 @@ func (s *Scanner) parseRef(line []byte) (trace.Ref, error) {
 	return ref, nil
 }
 
+// atoi decodes b as strconv.Atoi does: an optional sign, then one or more
+// decimal digits, with the value in int's range.
+func atoi(b []byte) (int, bool) {
+	neg := false
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		neg = b[0] == '-'
+		b = b[1:]
+	}
+	if len(b) == 0 {
+		return 0, false
+	}
+	const limit = uint64(math.MaxInt) + 1 // the magnitude of math.MinInt
+	var n uint64
+	for _, c := range b {
+		d := c - '0'
+		if d > 9 || n > limit/10 {
+			return 0, false
+		}
+		if n = n*10 + uint64(d); n > limit {
+			return 0, false
+		}
+	}
+	if neg {
+		return -int(n), true // n == limit wraps to math.MinInt, as it should
+	}
+	if n == limit {
+		return 0, false
+	}
+	return int(n), true
+}
+
+// hexDigit maps a byte to its hex digit value, or to 0xff when it is not a
+// hex digit of either case.
+var hexDigit = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for i := byte(0); i < 10; i++ {
+		t['0'+i] = i
+	}
+	for i := byte(0); i < 6; i++ {
+		t['a'+i], t['A'+i] = 10+i, 10+i
+	}
+	return t
+}()
+
+// hex63 decodes b as strconv.ParseUint(b, 16, 63) does: one or more hex
+// digits, with the value below 1<<63.
+func hex63(b []byte) (int64, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	var n uint64
+	for _, c := range b {
+		d := hexDigit[c]
+		if d > 15 || n >= 1<<59 { // n<<4 would reach 1<<63
+			return 0, false
+		}
+		n = n<<4 | uint64(d)
+	}
+	return int64(n), true
+}
+
 // blockOf maps a byte address to its dense block index, assigning a new
 // index on first touch.
 func (s *Scanner) blockOf(addr int64) (int, error) {
 	ab := addr / int64(s.meta.BlockSize)
-	if idx, ok := s.blocks[ab]; ok {
-		return idx, nil
+	slot := s.blocks.find(ab)
+	if slot.idx != 0 {
+		return slot.idx - 1, nil
 	}
-	if len(s.order) >= s.opts.MaxBlocks {
+	if s.blocks.n >= s.opts.MaxBlocks {
 		return 0, parseErr(s.line, ErrTooManyBlocks, "more than %d distinct blocks at blocksize %d",
 			s.opts.MaxBlocks, s.meta.BlockSize)
 	}
-	idx := len(s.order)
-	s.blocks[ab] = idx
-	s.order = append(s.order, ab)
-	return idx, nil
+	return s.blocks.add(slot, ab), nil
+}
+
+// blockTable maps address blocks (addr/BlockSize, never negative) to dense
+// indexes in first-touch order: an open-addressed table with linear
+// probing whose slot count, a power of two, doubles whenever it would
+// become more than half full. It starts at minBlockSlots and grows with
+// the blocks a trace touches, whatever MaxBlocks allows.
+type blockTable struct {
+	slots []blockSlot
+	shift uint // 64 - log2(len(slots)): a hash's top bits pick the slot
+	n     int  // blocks assigned
+}
+
+// blockSlot holds one address block and its dense index plus one; idx 0
+// marks an empty slot.
+type blockSlot struct {
+	block int64
+	idx   int
+}
+
+const minBlockSlots = 64
+
+// find returns the slot holding block b, or the empty slot where it
+// belongs. The probe starts at the top bits of b's Fibonacci hash, so
+// that blocks with equal low bits spread out.
+func (t *blockTable) find(b int64) *blockSlot {
+	if t.slots == nil {
+		t.resize(minBlockSlots)
+	}
+	mask := len(t.slots) - 1
+	for i := int((uint64(b) * 0x9e3779b97f4a7c15) >> t.shift); ; i = (i + 1) & mask {
+		if sl := &t.slots[i]; sl.idx == 0 || sl.block == b {
+			return sl
+		}
+	}
+}
+
+// add assigns the next dense index to block b, which find placed at the
+// empty slot sl, and returns it.
+func (t *blockTable) add(sl *blockSlot, b int64) int {
+	idx := t.n
+	t.n++
+	*sl = blockSlot{block: b, idx: idx + 1}
+	if 2*t.n > len(t.slots) {
+		t.resize(2 * len(t.slots))
+	}
+	return idx
+}
+
+// resize rehashes the table into size slots, a power of two.
+func (t *blockTable) resize(size int) {
+	old := t.slots
+	t.slots = make([]blockSlot, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, o := range old {
+		if o.idx != 0 {
+			*t.find(o.block) = o
+		}
+	}
 }
 
 // trimEOL strips a trailing \n and \r.

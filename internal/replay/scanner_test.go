@@ -5,6 +5,8 @@ import (
 	"compress/gzip"
 	"errors"
 	"io"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -391,4 +393,30 @@ func FuzzScanner(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestScannerBlockTableGrowsWithTrace pins the block table's memory to the
+// blocks a trace touches: a scan of a 3-line trace allocates as much under
+// a MaxBlocks of 1<<24 as under a MaxBlocks of 4, where a table sized from
+// MaxBlocks up front would allocate hundreds of megabytes.
+func TestScannerBlockTableGrowsWithTrace(t *testing.T) {
+	data := []byte(Magic + "\n# caches: 2\n0 r 0\n1 w 1000\n0 r 2000\n")
+	scanBytes := func(maxBlocks int) uint64 {
+		least := uint64(math.MaxUint64)
+		for k := 0; k < 5; k++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			refs, blocks, err := scanBatches(data, ScanOptions{MaxBlocks: maxBlocks}, 4)
+			runtime.ReadMemStats(&after)
+			if err != nil || len(refs) != 3 || blocks != 3 {
+				t.Fatalf("MaxBlocks %d: %d refs over %d blocks: %v", maxBlocks, len(refs), blocks, err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, huge := scanBytes(4), scanBytes(1<<24)
+	if huge > small+small/4 {
+		t.Fatalf("a 3-line scan allocates %d bytes under MaxBlocks 1<<24, %d under MaxBlocks 4", huge, small)
+	}
 }
