@@ -18,8 +18,8 @@ var benchOps = []struct {
 
 // BenchmarkStepCompiled and BenchmarkStepInterpreted pin the per-step cost
 // of the shared compiled representation against the interpreted fsm.Step
-// reference it is parity-tested against. CI publishes the pair as part of
-// BENCH_PR10.json.
+// reference it is parity-tested against. CI uploads the pair in
+// bench_step.txt.
 func BenchmarkStepCompiled(b *testing.B) {
 	p := specProtocol(b, "mesi")
 	cp, err := Compile(p)

@@ -357,7 +357,7 @@ func TestCompareCachePermutationInvariant(t *testing.T) {
 // parser plus RunRefs must replay well above a million operations per
 // second. The migratory trace never evicts; the capacity trace (uniform
 // over 1,024 blocks into 64-block caches) evicts on most misses. CI
-// publishes both as BENCH_PR9.json.
+// uploads both in bench_replay.txt.
 func BenchmarkReplayThroughput(b *testing.B) {
 	cases := []struct {
 		name     string
