@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -192,6 +193,51 @@ func TestDegradationLadder(t *testing.T) {
 		}
 		if got := j.Attempts[0].Class; got != ClassResource {
 			t.Fatalf("workers=%d: budget exhaustion classified %q, want %q", workers, got, ClassResource)
+		}
+	}
+}
+
+// TestAttemptTimeout: an attempt that outlives Policy.AttemptTimeout is a
+// resource failure. With no snapshot to resume from, every rung of the
+// ladder fails once in order, and the job is quarantined at the last rung.
+func TestAttemptTimeout(t *testing.T) {
+	pol := quietPolicy(t)
+	pol.CheckpointDir = ""
+	pol.AttemptTimeout = time.Nanosecond
+	pol.MaxAttempts = 10
+	rep := mustRun(t, Spec{Policy: pol, Jobs: []JobSpec{
+		{Protocol: "illinois", Engine: EngineEnumStrict, N: 4},
+		{Protocol: "illinois", Engine: EngineSymbolic},
+	}})
+	for _, tc := range []struct {
+		job   string
+		rungs []string
+	}{
+		{"illinois-enum-strict-n4", []string{"requested", "shrink-n3", "shrink-n2", "symbolic-fallback"}},
+		{"illinois-symbolic", []string{"symbolic"}},
+	} {
+		var j *JobResult
+		for _, r := range rep.Jobs {
+			if r.Name == tc.job {
+				j = r
+			}
+		}
+		if j == nil {
+			t.Fatalf("no job %s in %+v", tc.job, rep.Jobs)
+		}
+		if j.Verdict != VerdictQuarantined || j.FailClass != ClassResource {
+			t.Errorf("%s: verdict %s class %s, want quarantined/resource", tc.job, j.Verdict, j.FailClass)
+		}
+		var got []string
+		for _, a := range j.Attempts {
+			got = append(got, a.RungDesc)
+			if a.Class != ClassResource || a.Resumed {
+				t.Errorf("%s: attempt %d on %s: class %q resumed %v, want a fresh resource failure",
+					tc.job, a.Attempt, a.RungDesc, a.Class, a.Resumed)
+			}
+		}
+		if !reflect.DeepEqual(got, tc.rungs) {
+			t.Errorf("%s: rungs %v, want %v", tc.job, got, tc.rungs)
 		}
 	}
 }

@@ -74,11 +74,13 @@ func TestSequentialDeadlineStop(t *testing.T) {
 	}
 }
 
+// TestBudgetDeadlineStop: a wide run stops on an expired context deadline
+// at its first level boundary, as the one-worker run does.
 func TestBudgetDeadlineStop(t *testing.T) {
 	p := protocols.Illinois()
-	res, err := Exhaustive(p, 3, Options{RunConfig: runctl.RunConfig{
-		Budget: runctl.Budget{Deadline: time.Now().Add(-time.Minute)},
-	}})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Minute))
+	defer cancel()
+	res, err := ExhaustiveContext(ctx, p, 3, Options{RunConfig: runctl.RunConfig{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestMemBudgetStop(t *testing.T) {
 
 func TestBudgetMaxStatesSetsStopReason(t *testing.T) {
 	p := protocols.Illinois()
-	res, err := Exhaustive(p, 6, Options{RunConfig: runctl.RunConfig{Budget: runctl.Budget{MaxStates: 10}}})
+	res, err := Exhaustive(p, 6, Options{MaxStates: 10, RunConfig: runctl.RunConfig{CheckpointOnStop: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func TestOldCheckpointVersionRejected(t *testing.T) {
 	p := protocols.Illinois()
 	partial, err := ExpandContext(context.Background(), p, Options{RunConfig: runctl.RunConfig{
-		Budget:           runctl.Budget{MaxStates: 4},
+		Budget:           midRunBudget(t, p),
 		CheckpointOnStop: true,
 	}})
 	if err != nil {

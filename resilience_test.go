@@ -44,12 +44,20 @@ func TestVerifyContextBudgetAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Stop at the worklist boundary after the third item: the memory
+	// estimate an unbounded run reported there is the budget.
+	var est []int64
+	if _, err := repro.Verify(p, repro.VerifyOptions{Observer: repro.ObserverFuncs{
+		Level: func(ls repro.LevelStats) { est = append(est, ls.EstBytes) },
+	}}); err != nil {
+		t.Fatal(err)
+	}
 	partial, err := repro.VerifyContext(context.Background(), p, repro.VerifyOptions{
-		Budget:           repro.Budget{MaxStates: 3},
+		Budget:           repro.Budget{MaxBytes: est[2]},
 		CheckpointOnStop: true,
 	})
-	if !errors.Is(err, repro.ErrStateBudget) {
-		t.Fatalf("err = %v, want ErrStateBudget", err)
+	if !errors.Is(err, repro.ErrMemBudget) {
+		t.Fatalf("err = %v, want ErrMemBudget", err)
 	}
 	cp := partial.Symbolic.Checkpoint
 	if cp == nil {
@@ -77,10 +85,9 @@ func TestVerifyContextCanceledCrossCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A deadline far in the future must not disturb a normal run.
-	rep, err := repro.VerifyContext(context.Background(), p, repro.VerifyOptions{
-		Budget:      repro.Budget{Deadline: time.Now().Add(time.Hour)},
-		CrossCheckN: []int{2, 3},
-	})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
+	defer cancel()
+	rep, err := repro.VerifyContext(ctx, p, repro.VerifyOptions{CrossCheckN: []int{2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
