@@ -116,7 +116,8 @@ type Policy struct {
 	// MaxAttempts bounds the attempts per job before quarantine
 	// (default 4).
 	MaxAttempts int
-	// AttemptTimeout is the per-attempt wall-clock deadline (0: none).
+	// AttemptTimeout is the per-attempt wall-clock deadline (0: none),
+	// carried by the context of each attempt's engine run.
 	AttemptTimeout time.Duration
 	// BackoffBase, BackoffFactor and BackoffMax shape the exponential
 	// backoff between retries (defaults 10ms, ×2, 2s).
@@ -130,8 +131,9 @@ type Policy struct {
 	// Seed makes backoff jitter (the campaign's only randomness)
 	// deterministic.
 	Seed int64
-	// MaxStates is the per-attempt distinct-state budget (0: engine
-	// default). A job that exhausts it degrades down the ladder.
+	// MaxStates is the per-attempt state cap (0: engine default): the
+	// enumeration's Options.MaxStates and the symbolic expansion's
+	// Options.MaxVisits. A job that exhausts it degrades down the ladder.
 	MaxStates int
 	// Workers is the width of every rung: the enumeration's BFS workers
 	// and the symbolic speculation workers (≤1: one worker).
@@ -584,15 +586,19 @@ func (r *runner) dropSnapshot() {
 // attemptRung runs one attempt at one rung. done=true means the attempt
 // produced a final result (recorded into r.res); otherwise err says why it
 // failed. resumed reports whether the attempt continued from a snapshot.
+// Policy.AttemptTimeout bounds the attempt's engine run through its
+// context, which stops with ErrDeadline (ClassResource).
 func (r *runner) attemptRung(rg rung) (done, resumed bool, err error) {
-	budget := runctl.Budget{MaxStates: r.policy.MaxStates}
+	ctx := r.ctx
 	if r.policy.AttemptTimeout > 0 {
-		budget.Deadline = time.Now().Add(r.policy.AttemptTimeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.policy.AttemptTimeout)
+		defer cancel()
 	}
 	if rg.engine == EngineSymbolic {
-		return r.attemptSymbolic(rg, budget)
+		return r.attemptSymbolic(ctx, rg)
 	}
-	return r.attemptEnum(rg, budget)
+	return r.attemptEnum(ctx, rg)
 }
 
 // loadSnapshot pulls the newest valid snapshot payload from the store,
@@ -661,10 +667,10 @@ func corruptFile(path string) {
 
 // attemptEnum runs one enumeration attempt (strict or counting, at the
 // rung's width) with durable periodic snapshots and chaos firing.
-func (r *runner) attemptEnum(rg rung, budget runctl.Budget) (bool, bool, error) {
+func (r *runner) attemptEnum(ctx context.Context, rg rung) (bool, bool, error) {
 	opts := enum.Options{
+		MaxStates: r.policy.MaxStates,
 		RunConfig: runctl.RunConfig{
-			Budget:           budget,
 			CheckpointOnStop: r.store != nil,
 			Observer:         r.policy.Observer,
 			Metrics:          r.policy.Metrics,
@@ -706,11 +712,11 @@ func (r *runner) attemptEnum(rg rung, budget runctl.Budget) (bool, bool, error) 
 	var err error
 	switch {
 	case cp != nil:
-		res, err = enum.ResumeContext(r.ctx, r.proto, cp, opts)
+		res, err = enum.ResumeContext(ctx, r.proto, cp, opts)
 	case rg.engine == EngineEnumCounting:
-		res, err = enum.CountingContext(r.ctx, r.proto, rg.n, opts)
+		res, err = enum.CountingContext(ctx, r.proto, rg.n, opts)
 	default:
-		res, err = enum.ExhaustiveContext(r.ctx, r.proto, rg.n, opts)
+		res, err = enum.ExhaustiveContext(ctx, r.proto, rg.n, opts)
 	}
 	resumed := cp != nil
 	if err != nil {
@@ -736,23 +742,20 @@ func (r *runner) attemptEnum(rg rung, budget runctl.Budget) (bool, bool, error) 
 // attemptSymbolic runs one symbolic expansion attempt with the same
 // durability and chaos plumbing as attemptEnum. rg.workers is the
 // speculation width (every width gives the same result).
-func (r *runner) attemptSymbolic(rg rung, budget runctl.Budget) (bool, bool, error) {
+func (r *runner) attemptSymbolic(ctx context.Context, rg rung) (bool, bool, error) {
 	eng, err := symbolic.NewEngine(r.proto)
 	if err != nil {
 		return false, false, fmt.Errorf("%w: %v", errSpec, err)
 	}
 	opts := symbolic.Options{
+		MaxVisits: r.policy.MaxStates,
 		RunConfig: runctl.RunConfig{
-			Budget:           budget,
 			CheckpointOnStop: r.store != nil,
 			Observer:         r.policy.Observer,
 			Metrics:          r.policy.Metrics,
 			Workers:          rg.workers,
 		},
 		Strict: r.job.Strict,
-	}
-	if r.policy.MaxStates > 0 {
-		opts.MaxVisits = r.policy.MaxStates
 	}
 	if r.store != nil {
 		saves := 0
@@ -782,9 +785,9 @@ func (r *runner) attemptSymbolic(rg rung, budget runctl.Budget) (bool, bool, err
 
 	var res *symbolic.Result
 	if cp != nil {
-		res, err = eng.ResumeContext(r.ctx, cp, opts)
+		res, err = eng.ResumeContext(ctx, cp, opts)
 	} else {
-		res, err = eng.ExpandContext(r.ctx, opts)
+		res, err = eng.ExpandContext(ctx, opts)
 	}
 	resumed := cp != nil
 	if err != nil {

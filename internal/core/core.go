@@ -43,11 +43,13 @@ type Options struct {
 	// bit-identical at every width.
 	SymbolicWorkers int
 
-	// Budget bounds the whole pipeline: the wall-clock deadline, state
-	// count and estimated memory are enforced uniformly by the symbolic
-	// expansion and by every cross-check enumeration. A stopped run
-	// returns the partial Report together with an error matching one of
-	// the runctl sentinels via errors.Is.
+	// Budget bounds the estimated memory of the symbolic expansion and of
+	// every cross-check enumeration; the context bounds time and MaxVisits
+	// the expansion's visits (one knob per bound). A memory or deadline
+	// stop of the expansion happens at a worklist boundary and can carry a
+	// checkpoint (CheckpointOnStop); a MaxVisits stop is mid-step and
+	// never does. A stopped run returns the partial Report together with
+	// an error matching one of the runctl sentinels via errors.Is.
 	Budget runctl.Budget
 	// CheckpointOnStop captures a resumable snapshot of the symbolic
 	// expansion into Report.Symbolic.Checkpoint when the run is stopped
@@ -113,13 +115,13 @@ func Verify(p *fsm.Protocol, opts Options) (*Report, error) {
 	return VerifyContext(context.Background(), p, opts)
 }
 
-// VerifyContext runs the pipeline under a context. Cancellation, deadlines
-// and the Options.Budget bounds stop the run at the next clean boundary of
-// whichever stage is active; the partial Report produced so far is then
-// returned TOGETHER with a non-nil error that matches one of the runctl
-// sentinels (ErrCanceled, ErrDeadline, ErrStateBudget, ErrMemBudget) via
-// errors.Is, so callers can both classify the stop and render what was
-// verified before it.
+// VerifyContext runs the pipeline under a context. The context
+// (cancellation, deadline) and the Options bounds stop whichever stage is
+// active; the partial Report produced so far is then returned TOGETHER
+// with a non-nil error that matches one of the runctl sentinels
+// (ErrCanceled, ErrDeadline, ErrStateBudget, ErrMemBudget) via errors.Is,
+// so callers can both classify the stop and render what was verified
+// before it.
 func VerifyContext(ctx context.Context, p *fsm.Protocol, opts Options) (*Report, error) {
 	eng, err := symbolic.NewEngine(p)
 	if err != nil {

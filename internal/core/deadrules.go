@@ -30,8 +30,3 @@ func DeadRules(rep *Report) []string {
 	sort.Strings(dead)
 	return dead
 }
-
-// LiveRuleCount returns how many of the protocol's rules are reachable.
-func LiveRuleCount(rep *Report) int {
-	return len(rep.Protocol.Rules) - len(DeadRules(rep))
-}

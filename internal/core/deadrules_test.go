@@ -20,9 +20,6 @@ func TestNoDeadRulesInSuiteProtocols(t *testing.T) {
 			if dead := DeadRules(rep); len(dead) != 0 {
 				t.Errorf("dead rules: %v", dead)
 			}
-			if got := LiveRuleCount(rep); got != len(p.Rules) {
-				t.Errorf("live rules = %d, want %d", got, len(p.Rules))
-			}
 		})
 	}
 }

@@ -276,7 +276,7 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 		p: p, n: cp.N, opts: opts, kc: kc, mode: cp.Mode,
 		orun:      opts.Sink().Run("enum-"+cp.Mode, p.Name),
 		symmetric: cp.Mode == ModeCounting,
-		maxStates: opts.maxStates(),
+		maxStates: opts.stateCap(),
 		parents:   make([]parentRec, 0, len(cp.Parents)),
 		res:       &Result{Protocol: p, N: cp.N, Mode: cp.Mode, Visits: cp.Visits},
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 	"unsafe"
 
 	"repro/internal/compile"
@@ -45,25 +44,25 @@ func Canonicalize(c *fsm.Config) {
 	c.Latest = canonFresh
 }
 
-// Options tune an enumeration run. Run control (budgets, checkpoint
+// Options tune an enumeration run. Run control (memory budget, checkpoint
 // cadence, width, observability) lives in the embedded runctl.RunConfig,
 // shared with symbolic.Options:
 //
 //	enum.Options{RunConfig: runctl.RunConfig{Budget: b, Workers: 4, Metrics: reg}}
 //
-// Every run, at every width, is the level-synchronous BFS, and the level
-// boundary is its one stop granularity: cancellation, the deadline, the
-// memory budget (or a spill, with RunConfig.SpillDir) and periodic
-// checkpoints happen there, so a stopped run's partial Result (and
-// checkpoint) covers whole levels only.
+// Every run, at every width, is the level-synchronous BFS. The level
+// boundary is where it stops on the context (cancellation, deadline) or
+// the memory budget (or spills, with RunConfig.SpillDir) and takes
+// periodic checkpoints, so such a stopped run's partial Result (and
+// checkpoint) covers whole levels only; the exact MaxStates cap stops
+// mid-level.
 type Options struct {
 	runctl.RunConfig
 
 	// MaxStates bounds the number of distinct states explored (0: 5_000_000).
-	// RunConfig.Budget.MaxStates, when set, takes precedence. Unlike the
-	// other budgets, the state cap is enforced per admitted state, so
-	// Unique never exceeds it; a run stopped this way carries no
-	// checkpoint.
+	// It is the run's one state cap. Unlike the level-boundary stops, it is
+	// enforced per admitted state, so Unique never exceeds it; a run
+	// stopped this way carries no checkpoint.
 	MaxStates int
 	// Strict enables the CleanShared extension check.
 	Strict bool
@@ -78,13 +77,9 @@ type Options struct {
 	OnCheckpoint func(*Checkpoint) error
 }
 
-// maxStates resolves the exact state cap: RunConfig.Budget.MaxStates, then
-// MaxStates, then the default.
-func (o Options) maxStates() int {
-	switch {
-	case o.Budget.MaxStates > 0:
-		return o.Budget.MaxStates
-	case o.MaxStates > 0:
+// stateCap resolves the exact state cap: MaxStates, or the default.
+func (o Options) stateCap() int {
+	if o.MaxStates > 0 {
 		return o.MaxStates
 	}
 	return defaultMaxStates
@@ -358,7 +353,7 @@ func newBFS(p *fsm.Protocol, n int, opts Options, mode string) (b *bfs, done boo
 		p: p, n: n, opts: opts, kc: newKeyCodec(cp, n, mode), mode: mode,
 		orun:      opts.Sink().Run("enum-"+mode, p.Name),
 		symmetric: mode == ModeCounting,
-		maxStates: opts.maxStates(),
+		maxStates: opts.stateCap(),
 		res:       &Result{Protocol: p, N: n, Mode: mode},
 	}
 	b.visited, b.tuples = newCompactStore(b.kc.width), newCompactStore(b.kc.width)
@@ -381,14 +376,11 @@ func newBFS(p *fsm.Protocol, n int, opts Options, mode string) (b *bfs, done boo
 	return b, false, nil
 }
 
-// stopCheck evaluates the boundary-granularity budgets: context liveness,
-// wall-clock deadline and memory. The state cap is enforced exactly inside
-// admit instead.
+// stopCheck evaluates the boundary-granularity bounds: the context (its
+// cancellation and deadline) and memory. The state cap is enforced exactly
+// inside admit instead.
 func (b *bfs) stopCheck(ctx context.Context) error {
 	if err := runctl.FromContext(ctx); err != nil {
-		return err
-	}
-	if err := b.opts.Budget.CheckDeadline(time.Now()); err != nil {
 		return err
 	}
 	b.bytes = b.estBytes()

@@ -3,7 +3,6 @@ package fsm
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -312,18 +311,6 @@ func (p *Protocol) IsValidCopy(s State) bool {
 	return p.validSet[s]
 }
 
-// ValidCopySet returns the set of valid-copy states as a lookup map.
-func (p *Protocol) ValidCopySet() map[State]bool {
-	p.ensureIndex()
-	out := make(map[State]bool, len(p.validSet))
-	for s, ok := range p.validSet {
-		if ok {
-			out[s] = true
-		}
-	}
-	return out
-}
-
 // RulesFor returns the rules matching an originator in state from applying
 // op, in declaration order. An empty result means the operation is a no-op
 // in that state (e.g. replacement of an Invalid block).
@@ -563,15 +550,6 @@ func sameObserve(a, b map[State]State, states []State) bool {
 		}
 	}
 	return true
-}
-
-// SortedStates returns the protocol's states sorted lexically; useful for
-// deterministic reporting independent of declaration order.
-func (p *Protocol) SortedStates() []State {
-	out := make([]State, len(p.States))
-	copy(out, p.States)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Clone returns a deep copy of the protocol, detached from the receiver's

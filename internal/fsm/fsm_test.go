@@ -283,10 +283,6 @@ func TestStateIndexAndValidCopy(t *testing.T) {
 	if !p.IsValidCopy("V") {
 		t.Error("V must be a valid copy")
 	}
-	set := p.ValidCopySet()
-	if len(set) != 1 || !set["V"] {
-		t.Errorf("ValidCopySet = %v, want {V}", set)
-	}
 	if p.NumStates() != 2 {
 		t.Errorf("NumStates = %d, want 2", p.NumStates())
 	}
@@ -334,21 +330,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Errorf("original corrupted by clone mutation: %v", err)
-	}
-}
-
-func TestSortedStates(t *testing.T) {
-	p := &Protocol{States: []State{"Z", "A", "M"}}
-	got := p.SortedStates()
-	want := []State{"A", "M", "Z"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedStates = %v, want %v", got, want)
-		}
-	}
-	// The original order must be preserved.
-	if p.States[0] != "Z" {
-		t.Error("SortedStates mutated the protocol's state order")
 	}
 }
 

@@ -23,7 +23,7 @@
 //     migratory, producer-consumer, false-sharing, lock) behind a
 //     canonical, digestable WorkloadSpec.
 //   - replay.go: the replay engine — batched decoding into pooled slices
-//     feeding sim.Machine.RunRefs, runctl budgets and cancellation at
+//     feeding sim.Machine.RunRefs, the MaxOps cap and context stops at
 //     operation boundaries, periodic obs progress events, and a fan-out
 //     mode replaying one decoded stream through N protocols concurrently.
 //   - report.go: the deterministic JSON + table comparison report.

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/compile"
 	"repro/internal/fsm"
@@ -19,12 +18,11 @@ import (
 // Options tune a replay run. The zero value replays the whole trace with
 // the header's geometry, unbounded and unobserved.
 type Options struct {
-	// RunConfig carries the run-control and observability knobs shared
-	// with every other engine: Budget.Deadline and Budget.MaxStates (read
-	// as a maximum operation count here) stop the run at an operation
-	// boundary with partial statistics; Observer and Metrics receive the
-	// progress events.
-	runctl.RunConfig
+	// Observer and Metrics receive the progress events. Time is bounded
+	// by the run's context: a canceled or expired context stops the run
+	// at an operation boundary with partial statistics.
+	Observer obs.Observer
+	Metrics  *obs.Registry
 
 	// BlockSize overrides the address→block mapping granularity (0: the
 	// trace header's blocksize, or DefaultBlockSize).
@@ -133,7 +131,7 @@ func Replay(ctx context.Context, r io.Reader, p *fsm.Protocol, opts Options) (*R
 }
 
 // replayer is the per-protocol replay state shared by the single and
-// fan-out paths: skip/limit bookkeeping, budget checks at operation
+// fan-out paths: skip/limit bookkeeping, context stops at operation
 // boundaries, and progress emission.
 type replayer struct {
 	p *fsm.Protocol
@@ -184,9 +182,9 @@ func (r *replayer) machine() (*sim.Machine, error) {
 	})
 }
 
-// apply replays one decoded batch, honoring skip, limits and budgets.
-// stop=true means the run should end now (budget/limit/cancel), with the
-// reason recorded; the caller still gets partial statistics.
+// apply replays one decoded batch, honoring SkipOps and MaxOps.
+// stop=true means the run should end now (MaxOps or a stopped context,
+// whose reason is recorded); the caller still gets partial statistics.
 func (r *replayer) apply(ctx context.Context, m *sim.Machine, refs []trace.Ref) (stop bool, err error) {
 	// Resume skip: discard leading refs without applying them.
 	if skip := r.opts.SkipOps - r.seen; skip > 0 {
@@ -197,16 +195,9 @@ func (r *replayer) apply(ctx context.Context, m *sim.Machine, refs []trace.Ref) 
 		refs = refs[skip:]
 		r.seen += skip
 	}
-	// Operation budget: MaxOps and Budget.MaxStates both bound applied ops.
 	limit := int64(len(refs))
 	if r.opts.MaxOps > 0 && r.ops+limit > r.opts.MaxOps {
 		limit = r.opts.MaxOps - r.ops
-	}
-	if mx := int64(r.opts.Budget.MaxStates); mx > 0 && r.ops+limit > mx {
-		limit = mx - r.ops
-	}
-	if limit < 0 {
-		limit = 0
 	}
 	// Apply in chunks bounded by the next progress boundary, so observed
 	// runs tick at exactly ProgressEvery ops regardless of batch size.
@@ -232,19 +223,8 @@ func (r *replayer) apply(ctx context.Context, m *sim.Machine, refs []trace.Ref) 
 			r.progress(m, 0)
 		}
 	}
-	if int64(len(refs)) > limit {
-		// The limit fired mid-batch: the run is complete-by-budget.
-		if r.opts.MaxOps > 0 && r.ops >= r.opts.MaxOps {
-			return true, nil // MaxOps is a request, not an exhaustion
-		}
-		r.stopReason = runctl.ErrStateBudget
-		return true, nil
-	}
-	if err := r.opts.Budget.CheckDeadline(time.Now()); err != nil {
-		r.stopReason = err
-		return true, nil
-	}
-	return false, nil
+	// MaxOps fired mid-batch: a request, not an exhaustion, so no reason.
+	return int64(len(refs)) > limit, nil
 }
 
 // progress emits one periodic observability tick: an OnLevel callback in
@@ -330,8 +310,8 @@ type CompareResult struct {
 // goroutine per protocol consuming the same decoded reference stream, so
 // the comparison is apples-to-apples by construction: every machine sees
 // the identical reference sequence. The first error (parse failure,
-// ill-formed protocol) fails the whole comparison; runs stopped by budget
-// or cancellation return partial results flagged Truncated.
+// ill-formed protocol) fails the whole comparison; runs stopped by MaxOps
+// or by the context return partial results flagged Truncated.
 func Compare(ctx context.Context, r io.Reader, protos []*fsm.Protocol, opts Options) (*CompareResult, error) {
 	opts = opts.withDefaults()
 	if len(protos) == 0 {
@@ -349,8 +329,8 @@ func Compare(ctx context.Context, r io.Reader, protos []*fsm.Protocol, opts Opti
 		m   *sim.Machine
 		res *Result
 		err error
-		// stopped: this lane hit its budget; it keeps draining (and
-		// releasing) batches without applying them.
+		// stopped: this lane hit MaxOps or saw the context stop; it
+		// keeps draining (and releasing) batches without applying them.
 		stopped bool
 	}
 	lanes := make([]*lane, len(protos))

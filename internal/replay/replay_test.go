@@ -129,23 +129,6 @@ func TestReplayMaxOpsAndSkip(t *testing.T) {
 	}
 }
 
-func TestReplayStateBudget(t *testing.T) {
-	spec := WorkloadSpec{Kind: KindUniform, Seed: 9, Caches: 2, Blocks: 8, Ops: 10000}
-	data := materialized(t, spec, false)
-	res, err := Replay(context.Background(), bytes.NewReader(data), protocols.MSI(), Options{
-		RunConfig: runctl.RunConfig{Budget: runctl.Budget{MaxStates: 2500}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops != 2500 {
-		t.Fatalf("budgeted run applied %d ops, want 2500", res.Ops)
-	}
-	if !res.Truncated || !errors.Is(res.StopReason, runctl.ErrStateBudget) {
-		t.Fatalf("truncated=%v stop=%v, want state-budget stop", res.Truncated, res.StopReason)
-	}
-}
-
 func TestReplayCancellation(t *testing.T) {
 	spec := WorkloadSpec{Kind: KindUniform, Seed: 9, Caches: 2, Blocks: 8, Ops: 50000}
 	data := materialized(t, spec, false)
@@ -169,10 +152,8 @@ func TestReplayEmitsProgress(t *testing.T) {
 	var levels []obs.LevelStats
 	reg := obs.NewRegistry()
 	_, err := Replay(context.Background(), bytes.NewReader(data), protocols.MSI(), Options{
-		RunConfig: runctl.RunConfig{
-			Observer: obs.Funcs{Level: func(ls obs.LevelStats) { levels = append(levels, ls) }},
-			Metrics:  reg,
-		},
+		Observer:      obs.Funcs{Level: func(ls obs.LevelStats) { levels = append(levels, ls) }},
+		Metrics:       reg,
 		ProgressEvery: 1000,
 	})
 	if err != nil {

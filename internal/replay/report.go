@@ -37,8 +37,8 @@ type ProtocolResult struct {
 	WriteBacks     int64 `json:"write_backs"`
 	StaleReads     int64 `json:"stale_reads"`
 
-	// Truncated flags a partial run; StopReason names the budget that
-	// tripped ("" on complete runs).
+	// Truncated flags a partial run; StopReason names the context stop
+	// ("" on complete runs and on runs cut by MaxOps).
 	Truncated  bool   `json:"truncated,omitempty"`
 	StopReason string `json:"stop_reason,omitempty"`
 	// Violations counts final-state invariant violations (0 for a coherent
@@ -63,7 +63,7 @@ type ComparisonReport struct {
 	BlockSize int `json:"block_size"`
 	Blocks    int `json:"blocks"`
 	// Ops is the reference count of the full trace (the maximum over rows;
-	// rows stopped by a budget may have fewer).
+	// rows stopped early may have fewer).
 	Ops int64 `json:"ops"`
 	// Results hold one row per protocol, in the order requested.
 	Results []ProtocolResult `json:"results"`

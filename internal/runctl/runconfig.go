@@ -7,24 +7,28 @@ import (
 )
 
 // RunConfig is the run-control and observability configuration shared by
-// every engine's Options struct. enum.Options and symbolic.Options embed
-// it, so the budget/checkpoint/width knobs are declared once and read
-// identically everywhere:
+// the enumeration and the symbolic expansion. enum.Options and
+// symbolic.Options embed it, so the memory/checkpoint/width knobs are
+// declared once and read identically everywhere; the state cap and the
+// deadline are not here (see the package doc):
 //
-//	opts := enum.Options{RunConfig: runctl.RunConfig{
-//		Budget:  runctl.Budget{MaxStates: 1 << 20},
+//	ctx, cancel := context.WithTimeout(ctx, time.Minute)
+//	defer cancel()
+//	opts := enum.Options{MaxStates: 1 << 20, RunConfig: runctl.RunConfig{
+//		Budget:  runctl.Budget{MaxBytes: 256 << 20},
 //		Workers: 8,
 //		Metrics: reg,
 //	}}
+//	res, err := enum.ExhaustiveContext(ctx, p, n, opts)
 //
 // The zero value runs unbounded, one worker wide and unobserved.
 type RunConfig struct {
-	// Budget bounds the run (wall clock, states, estimated bytes); the zero
-	// Budget is unlimited.
+	// Budget bounds the run's estimated bytes; the zero Budget is
+	// unlimited.
 	Budget Budget
 
 	// CheckpointOnStop asks the engine to capture a resumable checkpoint in
-	// its Result when the run stops early (budget, cancellation).
+	// its Result when the run stops at a boundary (memory budget, context).
 	CheckpointOnStop bool
 
 	// CheckpointEvery, when > 0, additionally snapshots the run every that

@@ -6,17 +6,29 @@
 // The state spaces explored by the paper's algorithms grow as mⁿ
 // (Section 3.1), so a run's cost is unknown a priori. Production model
 // checking treats resource exhaustion as an expected, reportable outcome
-// rather than a crash: every engine accepts a context.Context plus a
-// Budget and, when either trips, stops at a clean boundary (one worklist
-// item or one BFS level) and returns its partial results tagged with one
-// of the sentinel stop reasons below. Callers classify the outcome with
-// errors.Is.
+// rather than a crash: a stopped engine returns its partial results
+// tagged with one of the sentinel stop reasons below, which callers
+// classify with errors.Is.
+//
+// Each bound has one knob:
+//
+//   - time: the run's context (its deadline or cancellation);
+//   - memory: Budget.MaxBytes, an estimate computed from configuration
+//     sizes;
+//   - states: the engine's own exact cap (enum.Options.MaxStates,
+//     symbolic.Options.MaxVisits, replay.Options.MaxOps).
+//
+// The context and the memory budget are checked at a clean boundary (one
+// BFS level, one symbolic worklist item), so those stops can carry a
+// resumable checkpoint. The enumeration and symbolic state caps fire
+// mid-step, stop with ErrStateBudget and never carry one. Replay's MaxOps
+// is a request, not an exhaustion: the run it cuts is truncated with no
+// stop reason.
 package runctl
 
 import (
 	"context"
 	"errors"
-	"time"
 )
 
 // Sentinel stop reasons. Engine results wrap exactly one of these when a
@@ -24,10 +36,9 @@ import (
 var (
 	// ErrCanceled: the run's context was canceled.
 	ErrCanceled = errors.New("run canceled")
-	// ErrDeadline: the context deadline or the Budget wall-clock deadline
-	// expired.
+	// ErrDeadline: the context deadline expired.
 	ErrDeadline = errors.New("run deadline exceeded")
-	// ErrStateBudget: the state (or visit) budget was exhausted.
+	// ErrStateBudget: an engine's state (or visit) cap was exhausted.
 	ErrStateBudget = errors.New("state budget exhausted")
 	// ErrMemBudget: the estimated worklist memory budget was exhausted.
 	ErrMemBudget = errors.New("memory budget exhausted")
@@ -39,17 +50,12 @@ func IsStop(err error) bool {
 		errors.Is(err, ErrStateBudget) || errors.Is(err, ErrMemBudget)
 }
 
-// Budget bounds a run. The zero value is unlimited: every field is
-// optional and a zero field imposes no bound.
+// Budget bounds a run's estimated memory. The zero value is unlimited.
+// It is the one bound shared by every engine: time is bounded by the run's
+// context alone, and states by each engine's own exact cap
+// (enum.Options.MaxStates, symbolic.Options.MaxVisits,
+// replay.Options.MaxOps).
 type Budget struct {
-	// Deadline is an absolute wall-clock stop time (zero: none). Engines
-	// also honor the deadline of their context; Budget.Deadline exists so
-	// a deadline can be carried inside option structs that are built far
-	// from where the context is available.
-	Deadline time.Time
-	// MaxStates bounds the number of distinct states explored (0: engine
-	// default, which may itself be a safety cap).
-	MaxStates int
 	// MaxBytes bounds the estimated number of bytes held by the run's
 	// worklist and visited structures (0: unlimited). The estimate is
 	// computed from configuration sizes, not measured from the allocator,
@@ -70,23 +76,6 @@ func FromContext(ctx context.Context) error {
 	}
 }
 
-// CheckDeadline returns ErrDeadline when the budget's deadline has passed.
-func (b Budget) CheckDeadline(now time.Time) error {
-	if !b.Deadline.IsZero() && now.After(b.Deadline) {
-		return ErrDeadline
-	}
-	return nil
-}
-
-// CheckStates returns ErrStateBudget when states meets or exceeds
-// MaxStates.
-func (b Budget) CheckStates(states int) error {
-	if b.MaxStates > 0 && states >= b.MaxStates {
-		return ErrStateBudget
-	}
-	return nil
-}
-
 // CheckMem returns ErrMemBudget when the estimated bytes meet or exceed
 // MaxBytes.
 func (b Budget) CheckMem(bytes int64) error {
@@ -94,21 +83,4 @@ func (b Budget) CheckMem(bytes int64) error {
 		return ErrMemBudget
 	}
 	return nil
-}
-
-// Check runs every bound at once: context liveness first (cancellation
-// must win over budget exhaustion so an interrupted run reports what the
-// user did), then the wall clock, the state budget and the memory budget.
-// It returns nil when the run may continue.
-func (b Budget) Check(ctx context.Context, states int, bytes int64) error {
-	if err := FromContext(ctx); err != nil {
-		return err
-	}
-	if err := b.CheckDeadline(time.Now()); err != nil {
-		return err
-	}
-	if err := b.CheckStates(states); err != nil {
-		return err
-	}
-	return b.CheckMem(bytes)
 }

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/fsm"
@@ -382,5 +385,57 @@ func TestLockProtocolCriticalSections(t *testing.T) {
 	}
 	if v := m.CheckInvariants(); len(v) != 0 {
 		t.Fatalf("final state: %v", v[0])
+	}
+}
+
+// TestFailingStepChangesNothing drives Illinois with the dirty-owner read
+// miss widened to fire when only Shared copies exist, so a read by a cache
+// that holds no copy selects a rule whose supplier does not exist. The
+// step must fail with "no supplier" and leave the counters, the rule
+// counts, every block and the LRU lists exactly as they were.
+func TestFailingStepChangesNothing(t *testing.T) {
+	p := protocols.Illinois()
+	for i := range p.Rules {
+		if p.Rules[i].Name == "read-miss-dirty-owner" {
+			p.Rules[i].Guard = fsm.AnyOther("Dirty", "Shared")
+		}
+	}
+	p = p.Clone()
+	m := newMachine(t, Config{Protocol: p, Caches: 3, Blocks: 3, Capacity: 2})
+	for _, ref := range []trace.Ref{
+		{Cache: 1, Op: fsm.OpRead, Block: 0},  // Valid-Exclusive from memory
+		{Cache: 1, Op: fsm.OpRead, Block: 1},  // Valid-Exclusive: cache 1 is full
+		{Cache: 2, Op: fsm.OpRead, Block: 1},  // supplied by cache 1; both Shared
+		{Cache: 0, Op: fsm.OpWrite, Block: 2}, // Dirty
+	} {
+		if _, err := m.Apply(ref); err != nil {
+			t.Fatalf("%+v: %v", ref, err)
+		}
+	}
+	type snapshot struct {
+		stats                   Stats
+		rules                   map[string]int64
+		blocks                  []*fsm.Config
+		head, tail, n, prv, nxt []int32
+	}
+	take := func() snapshot {
+		s := snapshot{stats: m.Stats(), rules: m.RuleCounts()}
+		for b := 0; b < m.cfg.Blocks; b++ {
+			s.blocks = append(s.blocks, m.Block(b))
+		}
+		l := m.lru
+		s.head, s.tail, s.n = slices.Clone(l.head), slices.Clone(l.tail), slices.Clone(l.n)
+		s.prv, s.nxt = slices.Clone(l.prev), slices.Clone(l.next)
+		return s
+	}
+	before := take()
+	// Block 1 is Shared in caches 1 and 2 and Dirty nowhere: the widened
+	// guard holds, but the rule's Dirty supplier is missing.
+	_, err := m.Apply(trace.Ref{Cache: 0, Op: fsm.OpRead, Block: 1})
+	if err == nil || !strings.Contains(err.Error(), "no supplier") {
+		t.Fatalf("want a missing-supplier error, got %v", err)
+	}
+	if after := take(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("failing step changed the machine:\nbefore %+v\nafter  %+v", before, after)
 	}
 }

@@ -4,33 +4,31 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/fsm"
 	"repro/internal/obs"
 	"repro/internal/runctl"
 )
 
-// Options tune the Expand run. Run control (budgets, checkpoint cadence,
-// width, observability) lives in the embedded runctl.RunConfig, shared
-// with enum.Options:
+// Options tune the Expand run. Run control (memory budget, checkpoint
+// cadence, width, observability) lives in the embedded runctl.RunConfig,
+// shared with enum.Options:
 //
 //	symbolic.Options{RunConfig: runctl.RunConfig{Budget: b, Workers: 4, Metrics: reg}}
 //
-// The budgets are checked at worklist-item boundaries, so a stopped run
-// ends between expansions and its partial Result (and checkpoint) covers
-// whole expansion steps only; the exact MaxVisits cap, by contrast, may
-// stop mid-step. RunConfig.Workers is the number of speculation workers
+// The context (cancellation, deadline) and the memory budget are checked
+// at worklist-item boundaries, so such a stopped run ends between
+// expansions and its partial Result (and checkpoint) covers whole
+// expansion steps only; the exact MaxVisits cap, by contrast, may stop
+// mid-step. RunConfig.Workers is the number of speculation workers
 // (≤ 1: none, every item is expanded inline); every width gives the same
 // Result.
 type Options struct {
 	runctl.RunConfig
 
-	// MaxVisits bounds the number of generated successor states as a
-	// safety net against ill-formed protocols; 0 means the default (100000).
-	// RunConfig.Budget.MaxStates, when set, additionally bounds the number
-	// of distinct composite states generated, checked at worklist
-	// boundaries.
+	// MaxVisits bounds the number of generated successor states; 0 means
+	// the default (100000). It is the run's one state cap, a safety net
+	// against ill-formed protocols, and stops mid-step with no checkpoint.
 	MaxVisits int
 	// RecordLog keeps the full visit log (the Appendix A.2 listing).
 	RecordLog bool
@@ -336,16 +334,11 @@ func (x *expander) prune(listp *[]*CState, ix *cindex, s *CState) int {
 	return len(victims)
 }
 
-// stopCheck evaluates the boundary-granularity budgets. Distinct generated
-// states (the parent map's size) stand in for the enumerators' state count.
+// stopCheck evaluates the boundary-granularity bounds: the context (its
+// cancellation and deadline) and memory. The visit cap is enforced exactly
+// inside processItem instead.
 func (x *expander) stopCheck(ctx context.Context) error {
 	if err := runctl.FromContext(ctx); err != nil {
-		return err
-	}
-	if err := x.opts.Budget.CheckDeadline(time.Now()); err != nil {
-		return err
-	}
-	if err := x.opts.Budget.CheckStates(len(x.parents)); err != nil {
 		return err
 	}
 	return x.opts.Budget.CheckMem(x.estBytes())

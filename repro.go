@@ -64,8 +64,12 @@ type Report = core.Report
 // Mutant is a protocol with one injected design fault.
 type Mutant = mutate.Mutant
 
-// Budget bounds a verification run: wall-clock deadline, distinct-state
-// count and estimated worklist memory. The zero value is unlimited.
+// Budget bounds a verification run's estimated worklist memory; the zero
+// value is unlimited. It is one of three bounds, each with one knob: the
+// context bounds time, Budget.MaxBytes memory and VerifyOptions.MaxVisits
+// the symbolic expansion's visits. Deadline and memory stops happen at a
+// worklist boundary and can carry a checkpoint (CheckpointOnStop); a
+// MaxVisits stop is mid-step and never does.
 type Budget = runctl.Budget
 
 // SymbolicCheckpoint is a resumable snapshot of an interrupted symbolic
@@ -115,9 +119,9 @@ func MultiObserver(observers ...Observer) Observer { return obs.Multi(observers.
 var (
 	// ErrCanceled: the run's context was canceled.
 	ErrCanceled = runctl.ErrCanceled
-	// ErrDeadline: the context deadline or Budget.Deadline expired.
+	// ErrDeadline: the context deadline expired.
 	ErrDeadline = runctl.ErrDeadline
-	// ErrStateBudget: Budget.MaxStates (or an engine's visit cap) was
+	// ErrStateBudget: an engine's state cap (VerifyOptions.MaxVisits) was
 	// exhausted.
 	ErrStateBudget = runctl.ErrStateBudget
 	// ErrMemBudget: Budget.MaxBytes was exhausted.
@@ -131,9 +135,10 @@ func IsStop(err error) bool { return runctl.IsStop(err) }
 // full symbolic verification pipeline on a protocol — Figure 3 expansion
 // with containment pruning, optional global-diagram construction and
 // optional explicit-state cross-checks (Theorem 1) — under a context.
-// Cancellation, deadlines and the VerifyOptions.Budget bounds stop the run
-// at the next clean boundary and return the partial Report together with
-// an error matching one of the stop sentinels above via errors.Is.
+// The context (cancellation, deadline) and the VerifyOptions bounds
+// (Budget.MaxBytes, MaxVisits) stop the run early and return the partial
+// Report together with an error matching one of the stop sentinels above
+// via errors.Is.
 func VerifyContext(ctx context.Context, p *Protocol, opts VerifyOptions) (*Report, error) {
 	return core.VerifyContext(ctx, p, opts)
 }
