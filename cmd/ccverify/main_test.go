@@ -423,7 +423,7 @@ func TestInterruptCheckpointResume(t *testing.T) {
 		memBudget int64
 	}{
 		{"deadline", "illinois", 4, expired(t), 0},
-		{"level-boundary budget", "dragon", 5, context.Background(), 116000},
+		{"level-boundary budget", "dragon", 5, context.Background(), 145000},
 	} {
 		_, want := runOut(t, context.Background(), tc.protoName, "", cliOpts{engine: "enum-strict", n: tc.n, workers: 1})
 		for _, workers := range []int{1, 2} {
@@ -463,8 +463,8 @@ func TestResumeGraphOut(t *testing.T) {
 		n         int
 		memBudget int64
 	}{
-		{"enum-strict", 5, 116000},
-		{"enum-counting", 8, 139600},
+		{"enum-strict", 5, 145000},
+		{"enum-counting", 8, 140600},
 	} {
 		dir := t.TempDir()
 		want := filepath.Join(dir, "want.dot")
@@ -580,7 +580,7 @@ func TestGraphOutSpilling(t *testing.T) {
 	var renders [][]byte
 	for i, o := range []cliOpts{
 		{engine: "enum-strict", n: 8},
-		{engine: "enum-strict", n: 8, memBudget: 250000, spillDir: spillDir},
+		{engine: "enum-strict", n: 8, memBudget: 240000, spillDir: spillDir},
 	} {
 		o.graphOut = filepath.Join(dir, fmt.Sprintf("g%d.dot", i))
 		if code, err := run(context.Background(), "dragon", "", o); err != nil || code != 0 {
@@ -644,7 +644,7 @@ func TestSpecCheckpointResume(t *testing.T) {
 		t.Fatalf("uninterrupted run:\n%s", want)
 	}
 	ckpt := filepath.Join(dir, "run.ckpt")
-	o := cliOpts{engine: "enum-strict", n: 5, memBudget: 116000, checkpoint: ckpt}
+	o := cliOpts{engine: "enum-strict", n: 5, memBudget: 145000, checkpoint: ckpt}
 	if code, _ := runOut(t, context.Background(), "", spec, o); code != 3 {
 		t.Fatalf("budgeted run exit code %d, want 3", code)
 	}

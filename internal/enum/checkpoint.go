@@ -298,10 +298,11 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 		if err != nil {
 			return nil, err
 		}
-		if b.visited.has(k) {
+		h := b.kc.hash(&k)
+		if b.visited.has(k, h) {
 			return nil, fmt.Errorf("enum: checkpoint visited list repeats key %q", s)
 		}
-		b.visited.insert(k)
+		b.visited.insert(k, h)
 		ps := cp.Parents[i]
 		if ps.Parent == -1 {
 			b.parents = append(b.parents, parentRec{parent: noParent})
@@ -336,15 +337,16 @@ func resumeBFS(p *fsm.Protocol, cp *Checkpoint, opts Options) (*bfs, error) {
 	// order. The tuple census is rebuilt from the replayed states.
 	fi := 0
 	if _, err := replay(context.Background(), b.kc, b.parents, func(r uint32, state *Key, key Key) error {
-		if got, ok := b.visited.rank(key); !ok || got != r {
+		if got, ok := b.visited.rank(key, b.kc.hash(&key)); !ok || got != r {
 			return fmt.Errorf("enum: checkpoint provenance %d does not reach the state visited at that rank", r)
 		}
 		if fi < len(b.frontier) && *state == b.frontier[fi] {
 			b.frontRanks[fi] = r
 			fi++
 		}
-		if tk := b.kc.tupleKey(state); !b.tuples.has(tk) {
-			b.tuples.insert(tk)
+		tk := b.kc.tupleKey(state)
+		if th := b.kc.hash(&tk); !b.tuples.has(tk, th) {
+			b.tuples.insert(tk, th)
 		}
 		return nil
 	}); err != nil {

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/compile"
 	"repro/internal/fsm"
+	"repro/internal/stateset"
 )
 
 // This file is the state-identity layer of the explicit-state engine.
@@ -67,10 +69,10 @@ func keyOf(b []byte) Key {
 }
 
 // bytes returns the key's width bytes: a view of packed for an inline key,
-// a copy of str for a long one.
+// of str for a long one. The view is read-only.
 func (k *Key) bytes(width int) []byte {
 	if k.str != "" {
-		return []byte(k.str)
+		return unsafe.Slice(unsafe.StringData(k.str), len(k.str))
 	}
 	return k.packed[:width]
 }
@@ -143,15 +145,18 @@ func (kc *keyCodec) sortUnits(b []byte) {
 
 // class maps a version number to its data class, exactly as Canonicalize
 // renames it: NoData stays, latest is fresh, any other version obsolete.
+// It is written as two conditional moves, which the compiler emits without
+// a branch: the classes of a step's caches follow no pattern a branch
+// predictor could learn.
 func class(v, latest int64) int {
-	switch {
-	case v == fsm.NoData:
-		return classNone
-	case v == latest:
-		return classFresh
-	default:
-		return classObsolete
+	c := classObsolete
+	if v == latest {
+		c = classFresh
 	}
+	if v == fsm.NoData {
+		c = classNone
+	}
+	return c
 }
 
 // classVersion is the inverse of class over the canonical domain.
@@ -172,20 +177,43 @@ func classVersion(c int) int64 {
 // strict tuple identity (Section 3.1) for ModeStrict, the same Key as
 // state, and multiset identity (Definition 5), with the units sorted, for
 // ModeCounting.
+//
+// One-byte units (every protocol of at most 64 states) take a fast path
+// that writes and sorts the unit bytes directly.
 func (kc *keyCodec) keys(c *compile.Config) (state, key Key) {
 	var backing [32]byte
 	b := kc.scratch(backing[:])
-	for i, s := range c.States {
-		kc.putUnit(b, i, int(s)<<2|class(c.Versions[i], c.Latest))
+	if kc.unit == 1 {
+		vs := c.Versions[:len(c.States)]
+		for i, s := range c.States {
+			b[i] = byte(s)<<2 | byte(class(vs[i], c.Latest))
+		}
+	} else {
+		for i, s := range c.States {
+			kc.putUnit(b, i, int(s)<<2|class(c.Versions[i], c.Latest))
+		}
 	}
 	b[kc.width-1] = keyMark | byte(class(c.MemVersion, c.Latest))
 	state = keyOf(b)
 	if kc.mode != ModeCounting {
 		return state, state
 	}
-	kc.sortUnits(b)
+	if kc.unit == 1 {
+		for i := 1; i < kc.n; i++ {
+			for j := i; j > 0 && b[j] < b[j-1]; j-- {
+				b[j], b[j-1] = b[j-1], b[j]
+			}
+		}
+	} else {
+		kc.sortUnits(b)
+	}
 	return state, keyOf(b)
 }
+
+// hash returns the stateset.Hash of a key's bytes: computed once per
+// successor, it picks the key's slots in the visited set and the pending
+// set.
+func (kc *keyCodec) hash(k *Key) uint64 { return stateset.Hash(k.bytes(kc.width)) }
 
 // configKeys returns the keys of a configuration of n caches in declared
 // states, for the edges that hold an fsm.Config.

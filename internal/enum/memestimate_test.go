@@ -49,10 +49,11 @@ func TestStateBytesEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := visited.insert(key)
+		r := visited.insert(key, kc.hash(&key))
 		parents = append(parents, parentRec{parent: r, cache: uint16(i % n), op: 0})
-		if tk := kc.tupleKey(&state); !tuples.has(tk) {
-			tuples.insert(tk)
+		tk := kc.tupleKey(&state)
+		if th := kc.hash(&tk); !tuples.has(tk, th) {
+			tuples.insert(tk, th)
 		}
 		frontier = append(frontier, state)
 	}
@@ -126,7 +127,7 @@ func TestCompactVisitedSetFootprint(t *testing.T) {
 	cs := newCompactStore(kc.width)
 	compactPar := make([]parentRec, 0, m)
 	for _, k := range keys {
-		compactPar = append(compactPar, parentRec{parent: cs.insert(k)})
+		compactPar = append(compactPar, parentRec{parent: cs.insert(k, kc.hash(&k))})
 	}
 	gc2()
 	runtime.ReadMemStats(&m2)
