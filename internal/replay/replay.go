@@ -208,8 +208,13 @@ func (r *replayer) apply(ctx context.Context, m *sim.Machine, refs []trace.Ref) 
 				chunk = boundary
 			}
 		}
-		if _, err := m.RunRefs(ctx, refs[applied:applied+chunk]); err != nil {
+		before := m.Stats().Ops
+		if st, err := m.RunRefs(ctx, refs[applied:applied+chunk]); err != nil {
 			if runctl.IsStop(err) {
+				// Count what RunRefs applied before it saw the stop, so
+				// Ops matches Stats.Ops and SkipOps = Ops resumes after it.
+				r.ops += st.Ops - before
+				r.seen += st.Ops - before
 				r.stopReason = err
 				return true, nil
 			}

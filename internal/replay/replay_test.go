@@ -146,6 +146,38 @@ func TestReplayCancellation(t *testing.T) {
 	}
 }
 
+// TestReplayStopCountsAppliedRefs cancels a replay at its first progress
+// tick, 1,000 references in. The machine checks the context every 1,024
+// references, so it applies 24 more before it stops; Result.Ops must count
+// them, as Stats.Ops does, and a resume with SkipOps = Result.Ops must
+// apply exactly the rest of the trace.
+func TestReplayStopCountsAppliedRefs(t *testing.T) {
+	spec := WorkloadSpec{Kind: KindUniform, Seed: 9, Caches: 2, Blocks: 8, Ops: 10000}
+	data := materialized(t, spec, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := Replay(ctx, bytes.NewReader(data), protocols.MSI(), Options{
+		Observer:      obs.Funcs{Level: func(obs.LevelStats) { cancel() }},
+		ProgressEvery: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(res.StopReason, runctl.ErrCanceled) {
+		t.Fatalf("stop reason %v, want a cancellation", res.StopReason)
+	}
+	if res.Ops != res.Stats.Ops || res.Ops <= 1000 || res.Ops >= int64(spec.Ops) {
+		t.Fatalf("stopped run: Ops %d, Stats.Ops %d; want them equal, past the tick and short of the trace", res.Ops, res.Stats.Ops)
+	}
+	rest, err := Replay(context.Background(), bytes.NewReader(data), protocols.MSI(), Options{SkipOps: res.Ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rest.Truncated || rest.Ops != int64(spec.Ops)-res.Ops {
+		t.Fatalf("resume with SkipOps %d applied %d ops (truncated %v), want %d", res.Ops, rest.Ops, rest.Truncated, int64(spec.Ops)-res.Ops)
+	}
+}
+
 func TestReplayEmitsProgress(t *testing.T) {
 	spec := WorkloadSpec{Kind: KindHotBlock, Seed: 2, Caches: 2, Blocks: 8, Ops: 5000}
 	data := materialized(t, spec, false)
