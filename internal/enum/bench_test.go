@@ -27,7 +27,8 @@ func BenchmarkEnumFig2(b *testing.B) {
 // BenchmarkEnumDragon10 is the strict Dragon n=10 enumeration of the
 // repository benchmark's verify-large workload (6164 states, 156580
 // visits: 96% of visits are duplicates) at one and two workers — the run
-// key-first expansion and the hash-sharded visited set are measured on.
+// key-first expansion and hash-once admission (one hash per successor
+// for the visited index and the pending tables) are measured on.
 func BenchmarkEnumDragon10(b *testing.B) {
 	p := protocols.Dragon()
 	for _, workers := range []int{1, 2} {
