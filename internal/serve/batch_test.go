@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/fsm"
 )
 
 // batchStream POSTs a batch request and decodes the NDJSON stream into its
@@ -264,6 +266,48 @@ func TestHedgeDeadline(t *testing.T) {
 		}
 		if got := hedgeDeadline(tc.fixed, &w); got != tc.want {
 			t.Errorf("%s: deadline %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestExpandBatchSharedSweeps expands the 53-job mutant sweep on one
+// server from several goroutines at once, as concurrent batch requests
+// do. Every expansion must list the jobs a fresh server lists, and no two
+// jobs, in one expansion or across them, may share a protocol.
+func TestExpandBatchSharedSweeps(t *testing.T) {
+	req := &BatchRequest{Sweep: &SweepSpec{Mutants: true}}
+	want, err := new(Server).expandBatch(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := new(Server)
+	got := make([][]batchJob, 6)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			jobs, err := srv.expandBatch(req)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = jobs
+		}(i)
+	}
+	wg.Wait()
+	protos := make(map[*fsm.Protocol]bool)
+	for i, jobs := range got {
+		if len(jobs) != len(want) {
+			t.Fatalf("expansion %d: %d jobs, want %d", i, len(jobs), len(want))
+		}
+		for k, j := range jobs {
+			if w := want[k]; j.Protocol != w.Protocol || j.Canonical != w.Canonical || j.Key != w.Key || j.Proto.Name != w.Proto.Name {
+				t.Fatalf("expansion %d job %d: %s %s, want %s %s", i, k, j.Protocol, j.Key, w.Protocol, w.Key)
+			}
+			if protos[j.Proto] {
+				t.Fatalf("expansion %d job %d (%s) shares its protocol with another job", i, k, j.Protocol)
+			}
+			protos[j.Proto] = true
 		}
 	}
 }

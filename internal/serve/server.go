@@ -307,6 +307,10 @@ type Server struct {
 	tenantCap  int
 	batchWater int
 
+	// sweeps maps a registered protocol's name to its *sweepEntry, what
+	// batch sweeps derive from it once.
+	sweeps sync.Map
+
 	mu           sync.Mutex
 	draining     bool
 	queue        chan *Job
