@@ -34,15 +34,15 @@ type Rule struct {
 	Op         int32
 
 	// GuardKind with GuardStates (state indexes) mirrors fsm.Guard.
-	// guardMask caches the same set as a bitmask when the protocol has at
+	// GuardMask holds the same set as a bitmask when the protocol has at
 	// most 64 states (every library protocol and every randproto sweep so
-	// far); GuardIsValidSet records whether the set equals the valid-copy
+	// far; the symbolic engine's limit); GuardIsValidSet records whether the set equals the valid-copy
 	// set, which lets the symbolic engine's copy-count attribute decide the
 	// guard outright.
 	GuardKind       fsm.GuardKind
 	GuardStates     []int32
 	GuardIsValidSet bool
-	guardMask       uint64
+	GuardMask       uint64
 
 	// Obs[c] is the coincident next state of a cache observed in state c;
 	// identity entries are materialized so the hot path never consults a
@@ -172,7 +172,7 @@ func Compile(p *fsm.Protocol) (*Protocol, error) {
 			gi := cp.stateIdx[gs]
 			cr.GuardStates = append(cr.GuardStates, gi)
 			if ns <= 64 {
-				cr.guardMask |= uint64(1) << uint(gi)
+				cr.GuardMask |= uint64(1) << uint(gi)
 			}
 		}
 		cr.GuardIsValidSet = len(cr.GuardStates) == validCount && cp.allValid(cr.GuardStates)
@@ -378,7 +378,7 @@ func (cp *Protocol) evalGuard(r *Rule, states []int32, origin int) bool {
 		found := false
 		if cp.NumStates <= 64 {
 			for j, s := range states {
-				if j != origin && r.guardMask&(uint64(1)<<uint(s)) != 0 {
+				if j != origin && r.GuardMask&(uint64(1)<<uint(s)) != 0 {
 					found = true
 					break
 				}

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/enum"
 	"repro/internal/fsm"
 	"repro/internal/mutate"
 	"repro/internal/protocols"
+	"repro/internal/symbolic"
 )
 
 func TestVerifyAllProtocolsClean(t *testing.T) {
@@ -150,5 +154,23 @@ func TestReportEngineExposed(t *testing.T) {
 	}
 	if rep.Engine() == nil || rep.Engine().Protocol().Name != "MSI" {
 		t.Fatal("Engine accessor broken")
+	}
+}
+
+// TestVerifyTooManyStates: a protocol beyond the symbolic engine's 64
+// states surfaces its typed error through VerifyContext, while the
+// explicit-state engine still verifies it.
+func TestVerifyTooManyStates(t *testing.T) {
+	p, err := protocols.Synthetic(63) // 65 states
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifyContext(context.Background(), p, Options{}); !errors.Is(err, symbolic.ErrTooManyStates) {
+		t.Fatalf("VerifyContext on 65 states: %v, want symbolic.ErrTooManyStates", err)
+	}
+	res, err := enum.Exhaustive(p, 2, enum.Options{Strict: true})
+	if err != nil || res.Truncated || len(res.Violations) != 0 || len(res.SpecErrors) != 0 {
+		t.Fatalf("enum on 65 states: err %v, truncated %v, %d violations, %d spec errors",
+			err, res != nil && res.Truncated, len(res.Violations), len(res.SpecErrors))
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/protocols"
 	"repro/internal/runctl"
+	"repro/internal/symbolic"
 )
 
 // testClient drives a Server over a real unix-domain socket, the
@@ -593,5 +594,29 @@ func TestSharedMetricsRegistry(t *testing.T) {
 	srv.stats.requests.Inc()
 	if got := reg.Counter("verify_requests_total").Value(); got != 1 {
 		t.Errorf("shared registry verify_requests_total = %d, want 1", got)
+	}
+}
+
+// TestSymbolicTooManyStatesFails: a spec beyond the symbolic engine's 64
+// states fails its symbolic job with the engine's typed error text, and
+// the same spec still verifies on the explicit-state engine.
+func TestSymbolicTooManyStatesFails(t *testing.T) {
+	p, err := protocols.Synthetic(63) // 65 states
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(ccpsl.Format(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := startUnixServer(t, newServer(t, Config{Workers: 1, QueueDepth: 4}))
+	st, _ := tc.post(t, `{"spec": `+string(spec)+`}`, true)
+	if st.State != StateFailed || !strings.Contains(st.Error, symbolic.ErrTooManyStates.Error()) ||
+		!strings.Contains(st.Error, "65 states") {
+		t.Fatalf("symbolic job on 65 states: state %s, error %q", st.State, st.Error)
+	}
+	st, _ = tc.post(t, `{"spec": `+string(spec)+`, "engine": "enum-strict", "n": 2}`, true)
+	if st.State != StateDone {
+		t.Fatalf("enum-strict job on 65 states: state %s, error %q", st.State, st.Error)
 	}
 }

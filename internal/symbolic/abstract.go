@@ -67,7 +67,7 @@ func (e *Engine) Abstract(c *fsm.Config) (*CState, error) {
 	if mdata == DNone {
 		mdata = DObsolete // memory always holds some value
 	}
-	return newCState(reps, cdata, attr, mdata), nil
+	return newCState(e.n, masksOf(reps, cdata), attr, mdata), nil
 }
 
 func abstractData(v, latest int64) Data {

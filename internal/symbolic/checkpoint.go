@@ -145,7 +145,7 @@ func (d CStateData) cstate(e *Engine) (*CState, error) {
 	if d.Mdata < int(DNone) || d.Mdata > int(DObsolete) {
 		return nil, fmt.Errorf("symbolic: checkpoint state has invalid memory variable %d", d.Mdata)
 	}
-	return newCState(reps, cdata, Count(d.Attr), Data(d.Mdata)), nil
+	return newCState(e.n, masksOf(reps, cdata), Count(d.Attr), Data(d.Mdata)), nil
 }
 
 // snapshot captures the expander at a worklist boundary.

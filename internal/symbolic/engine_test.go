@@ -1,6 +1,8 @@
 package symbolic
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/fsm"
@@ -373,4 +375,31 @@ func TestLabelString(t *testing.T) {
 	if l2.String() != "W_Shared" {
 		t.Errorf("Label.String() = %q", l2.String())
 	}
+}
+
+// TestNewEngineTooManyStates: the engine's class masks are one word, so a
+// protocol with more than 64 states is refused with a typed error naming
+// the count, and one with exactly 64 expands and matches the reference
+// kernel.
+func TestNewEngineTooManyStates(t *testing.T) {
+	p, err := protocols.Synthetic(63) // 65 states
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewEngine(p)
+	if !errors.Is(err, ErrTooManyStates) || !strings.Contains(err.Error(), "65 states") {
+		t.Fatalf("NewEngine on 65 states: %v, want ErrTooManyStates naming the count", err)
+	}
+	if _, err := Expand(p, Options{}); !errors.Is(err, ErrTooManyStates) {
+		t.Fatalf("Expand on 65 states: %v", err)
+	}
+	p, err = protocols.Synthetic(62) // 64 states
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Expand(p, Options{MaxVisits: 1 << 20})
+	if err != nil || !res.OK() || len(res.Essential) != 64 {
+		t.Fatalf("Synthetic(62): %v, ok=%v, %d essential states", err, res != nil && res.OK(), len(res.Essential))
+	}
+	matchReference(t, p) // the top class is bit 63
 }

@@ -36,7 +36,7 @@ func TestCStateBytesEstimate(t *testing.T) {
 				cdata[j] = DFresh
 			}
 		}
-		s := newCState(reps, cdata, CountOne, DFresh)
+		s := newCState(len(reps), masksOf(reps, cdata), CountOne, DFresh)
 		list = append(list, s)
 		ix.add(s)
 		seen[s.Key()] = struct{}{}

@@ -10,11 +10,12 @@ import (
 
 // mkScenario builds a post-removal scenario for white-box testing of the
 // guard refinement machinery, which reads only the operators and the bound.
-func mkScenario(e *Engine, rem []Rep, others ival) *scenario {
-	return &scenario{
-		rem:        append([]Rep(nil), rem...),
-		othersIval: others,
+func mkScenario(e *Engine, rem []Rep, others ival) scenario {
+	sc := scenario{others: others}
+	for i, r := range rem {
+		sc.set(i, r)
 	}
+	return sc
 }
 
 // guardTab builds a compiled any-other rule over the given guard states,
@@ -25,6 +26,7 @@ func guardTab(e *Engine, states []fsm.State) *compile.Rule {
 	for _, s := range states {
 		i := e.cp.StateIndex(s)
 		r.GuardStates = append(r.GuardStates, int32(i))
+		r.GuardMask |= 1 << i
 		if e.valid[i] {
 			valid++
 		}
@@ -40,9 +42,9 @@ func TestSplitExistsDefiniteTrue(t *testing.T) {
 	rem[p.StateIndex("Dirty")] = ROne
 	rem[p.StateIndex("Invalid")] = RStar
 	sc := mkScenario(e, rem, ival{1, 1})
-	cond, trues, falseSc := e.splitExists(sc, guardTab(e, []fsm.State{"Dirty"}), nil)
-	if cond != condTrue || len(trues) != 0 || falseSc != nil {
-		t.Fatalf("a singleton class must decide existence: %v", cond)
+	yes, no := e.splitExists(sc, guardTab(e, []fsm.State{"Dirty"}), nil, nil)
+	if len(yes) != 1 || yes[0] != sc || len(no) != 0 {
+		t.Fatalf("a singleton class must decide existence: yes %v, no %v", yes, no)
 	}
 }
 
@@ -53,11 +55,11 @@ func TestSplitExistsDefiniteFalse(t *testing.T) {
 	rem[p.StateIndex("Shared")] = ROne
 	rem[p.StateIndex("Invalid")] = RStar
 	sc := mkScenario(e, rem, ival{1, 1})
-	cond, _, falseSc := e.splitExists(sc, guardTab(e, []fsm.State{"Dirty"}), nil)
-	if cond != condFalse {
-		t.Fatalf("an empty class must refute existence: %v", cond)
+	yes, no := e.splitExists(sc, guardTab(e, []fsm.State{"Dirty"}), nil, nil)
+	if len(yes) != 0 {
+		t.Fatalf("an empty class must refute existence: %v", yes)
 	}
-	if falseSc == nil {
+	if len(no) != 1 {
 		t.Fatal("the false scenario must be returned")
 	}
 }
@@ -73,15 +75,12 @@ func TestSplitExistsAmbiguousBranches(t *testing.T) {
 	rem[di] = ROne
 	rem[p.StateIndex("Invalid")] = RStar
 	sc := mkScenario(e, rem, ival{1, 2})
-	cond, trues, falseSc := e.splitExists(sc, guardTab(e, []fsm.State{"Shared"}), nil)
-	if cond != condAmbiguous {
-		t.Fatalf("cond = %v, want ambiguous", cond)
+	yes, no := e.splitExists(sc, guardTab(e, []fsm.State{"Shared"}), nil, nil)
+	if len(yes) != 1 || yes[0].rep(si) != RPlus {
+		t.Fatalf("true branch must pin Shared to +, got %v", yes)
 	}
-	if len(trues) != 1 || trues[0].rem[si] != RPlus {
-		t.Fatalf("true branch must pin Shared to +, got %v", trues)
-	}
-	if falseSc == nil || falseSc.rem[si] != RZero {
-		t.Fatalf("false branch must zero the Shared ghost, got %v", falseSc)
+	if len(no) != 1 || no[0].rep(si) != RZero {
+		t.Fatalf("false branch must zero the Shared ghost, got %v", no)
 	}
 }
 
@@ -96,15 +95,15 @@ func TestSplitExistsFastPathOnValidSet(t *testing.T) {
 	rem[p.StateIndex("Shared")] = RStar
 
 	sc := mkScenario(e, rem, ival{1, 1})
-	if cond, _, _ := e.splitExists(sc, guardTab(e, valid), nil); cond != condTrue {
-		t.Fatalf("bound lo≥1 must prove existence, got %v", cond)
+	if yes, no := e.splitExists(sc, guardTab(e, valid), nil, nil); len(yes) != 1 || len(no) != 0 {
+		t.Fatalf("bound lo≥1 must prove existence, got yes %v, no %v", yes, no)
 	}
 	sc = mkScenario(e, rem, ival{0, 0})
-	cond, _, falseSc := e.splitExists(sc, guardTab(e, valid), nil)
-	if cond != condFalse {
-		t.Fatalf("bound hi=0 must refute existence, got %v", cond)
+	yes, no := e.splitExists(sc, guardTab(e, valid), nil, nil)
+	if len(yes) != 0 {
+		t.Fatalf("bound hi=0 must refute existence, got %v", yes)
 	}
-	if falseSc == nil || falseSc.rem[p.StateIndex("Shared")] != RZero {
+	if len(no) != 1 || no[0].rep(p.StateIndex("Shared")) != RZero {
 		t.Fatal("the false scenario must drop the star class")
 	}
 }
@@ -117,11 +116,11 @@ func TestPropagateZeroBoundClearsStars(t *testing.T) {
 	rem[p.StateIndex("Shared")] = RStar
 	rem[p.StateIndex("Dirty")] = RStar
 	sc := mkScenario(e, rem, ival{0, 0})
-	if !e.propagate(sc) {
+	if !e.propagate(&sc) {
 		t.Fatal("scenario should be feasible")
 	}
-	if sc.rem[p.StateIndex("Shared")] != RZero || sc.rem[p.StateIndex("Dirty")] != RZero {
-		t.Fatalf("zero bound must clear star copy classes: %v", sc.rem)
+	if sc.rep(p.StateIndex("Shared")) != RZero || sc.rep(p.StateIndex("Dirty")) != RZero {
+		t.Fatalf("zero bound must clear star copy classes: %v", sc.ops)
 	}
 }
 
@@ -133,14 +132,14 @@ func TestPropagateExactBoundPins(t *testing.T) {
 	rem[p.StateIndex("Dirty")] = RPlus
 	rem[p.StateIndex("Shared")] = RStar
 	sc := mkScenario(e, rem, ival{1, 1})
-	if !e.propagate(sc) {
+	if !e.propagate(&sc) {
 		t.Fatal("scenario should be feasible")
 	}
-	if sc.rem[p.StateIndex("Dirty")] != ROne {
-		t.Fatalf("Dirty+ must pin to a singleton under an exact bound of 1: %v", sc.rem)
+	if sc.rep(p.StateIndex("Dirty")) != ROne {
+		t.Fatalf("Dirty+ must pin to a singleton under an exact bound of 1: %v", sc.ops)
 	}
-	if sc.rem[p.StateIndex("Shared")] != RZero {
-		t.Fatalf("Shared* must be empty under an exact bound already met: %v", sc.rem)
+	if sc.rep(p.StateIndex("Shared")) != RZero {
+		t.Fatalf("Shared* must be empty under an exact bound already met: %v", sc.ops)
 	}
 }
 
@@ -151,7 +150,7 @@ func TestPropagateDetectsInfeasible(t *testing.T) {
 	rem[p.StateIndex("Dirty")] = ROne
 	rem[p.StateIndex("Shared")] = ROne
 	sc := mkScenario(e, rem, ival{1, 1})
-	if e.propagate(sc) {
+	if e.propagate(&sc) {
 		t.Fatal("two definite copies cannot satisfy an exact bound of 1")
 	}
 }
@@ -164,10 +163,10 @@ func TestPropagateLeavesManyBoundLoose(t *testing.T) {
 	rem[p.StateIndex("Shared")] = RPlus
 	rem[p.StateIndex("Dirty")] = RStar
 	sc := mkScenario(e, rem, ival{2, 2})
-	if !e.propagate(sc) {
+	if !e.propagate(&sc) {
 		t.Fatal("scenario should be feasible")
 	}
-	if sc.rem[p.StateIndex("Dirty")] != RStar {
+	if sc.rep(p.StateIndex("Dirty")) != RStar {
 		t.Fatal("a saturated ≥2 bound must not pin star classes")
 	}
 }
