@@ -413,30 +413,45 @@ func BenchmarkAbstraction(b *testing.B) {
 }
 
 // BenchmarkParallelSymbolicExpansion — the Figure 3 speculation pipeline
-// across worker counts, on a synthetic protocol large enough that
+// across worker counts, on synthetic protocols large enough that
 // per-state expansion dominates. Results are bit-identical at every worker
 // count (workers=1 expands inline); on a single-core host this measures
 // the pipeline's overhead (it must stay within noise of workers=1), and
-// the speedup appears with GOMAXPROCS ≥ 2.
+// the speedup appears with GOMAXPROCS ≥ 2. The Synthetic-40 cases are the
+// run verify-large's stage 1 times (42 essential states, 72,948 visits),
+// so they are its in-process A/B.
 func BenchmarkParallelSymbolicExpansion(b *testing.B) {
-	p, err := protocols.Synthetic(24)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := symbolic.Expand(p, symbolic.Options{RunConfig: runctl.RunConfig{Workers: workers}})
-				if err != nil {
-					b.Fatal(err)
+	for _, c := range []struct {
+		levels           int
+		name             string
+		workers          []int
+		essential, visit int
+	}{
+		{levels: 24, workers: []int{1, 2, 4, 8}},
+		{levels: 40, name: "Synthetic-40/", workers: []int{1, 2}, essential: 42, visit: 72948},
+	} {
+		p, err := protocols.Synthetic(c.levels)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range c.workers {
+			b.Run(fmt.Sprintf("%sworkers=%d", c.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := symbolic.Expand(p, symbolic.Options{RunConfig: runctl.RunConfig{Workers: workers}})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !res.OK() {
+						b.Fatal("verification failed")
+					}
+					if c.visit > 0 && (len(res.Essential) != c.essential || res.Visits != c.visit) {
+						b.Fatalf("%d essential states and %d visits, want %d and %d",
+							len(res.Essential), res.Visits, c.essential, c.visit)
+					}
 				}
-				if !res.OK() {
-					b.Fatal("verification failed")
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
