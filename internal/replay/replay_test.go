@@ -398,3 +398,43 @@ func BenchmarkReplayThroughput(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCompare is `cctrace compare` in perfbench's trace-compare
+// shapes: MSI, MESI, MOESI and Dragon over 250,000 references of 8 caches
+// holding 64 blocks each, on a false-sharing trace of 16 blocks
+// (contended) and a uniform one over 1,024 blocks (capacity). Every
+// iteration must reproduce the first one's per-protocol stats.
+func BenchmarkCompare(b *testing.B) {
+	protos := []*fsm.Protocol{protocols.MSI(), protocols.MESI(), protocols.MOESI(), protocols.Dragon()}
+	cases := []struct {
+		name string
+		spec WorkloadSpec
+	}{
+		{"contended", WorkloadSpec{Kind: KindFalseSharing, Seed: 1, Caches: 8, Blocks: 16, Ops: 250000}},
+		{"capacity", WorkloadSpec{Kind: KindUniform, Seed: 1, Caches: 8, Blocks: 1024, Ops: 250000}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			data := materialized(b, c.spec, false)
+			var want []sim.Stats
+			b.SetBytes(int64(len(data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Compare(context.Background(), bytes.NewReader(data), protos, Options{Capacity: 64})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for k, r := range res.Results {
+					if r.Ops != int64(c.spec.Ops) {
+						b.Fatalf("%s replayed %d ops, want %d", r.Protocol, r.Ops, c.spec.Ops)
+					}
+					if i == 0 {
+						want = append(want, r.Stats)
+					} else if r.Stats != want[k] {
+						b.Fatalf("%s: stats %+v, first run %+v", r.Protocol, r.Stats, want[k])
+					}
+				}
+			}
+		})
+	}
+}
