@@ -227,14 +227,21 @@ func (kc *keyCodec) configKeys(c *fsm.Config) (state, key Key, err error) {
 }
 
 // decode writes the canonical configuration of the state key bytes b into
-// c: each unit's state index, the version of its data class, and Latest 0.
+// c: each unit's state index, the version of its data class, the
+// occupancy bitset, and Latest 0. A cache is idle when its unit is the
+// initial state's with no data.
 func (kc *keyCodec) decode(b []byte, c *compile.Config) {
 	c.States = c.States[:0]
 	c.Versions = c.Versions[:0]
+	c.Occ = compile.ClearOcc(c.Occ, kc.n)
+	idle := int(kc.cp.Initial)<<2 | classNone
 	for i := 0; i < kc.n; i++ {
 		u := kc.unitAt(b, i)
 		c.States = append(c.States, int32(u>>2))
 		c.Versions = append(c.Versions, classVersion(u&3))
+		if u != idle {
+			c.Occ[i>>6] |= 1 << uint(i&63)
+		}
 	}
 	c.MemVersion = classVersion(int(b[kc.width-1] & 3))
 	c.Latest = canonFresh

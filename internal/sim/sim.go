@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/compile"
 	"repro/internal/fsm"
@@ -86,8 +87,8 @@ type Machine struct {
 	// b's caches are [b*Caches, (b+1)*Caches).
 	states []int32
 	// block[b] is block b's configuration. Its States is block b's window
-	// into states, and its Versions a window into one flat array laid out
-	// the same way.
+	// into states, and its Versions and Occ windows into flat arrays laid
+	// out the same way.
 	block []compile.Config
 	// readOp, writeOp and replaceOp are the compiled indexes of the three
 	// cache operations every trace uses (-1: not declared).
@@ -137,10 +138,16 @@ func New(cfg Config) (*Machine, error) {
 		m.states[k] = cp.Initial
 		versions[k] = fsm.NoData
 	}
+	// Every cache starts idle, so every occupancy bit starts clear.
+	words := compile.OccWords(n)
+	occ := make([]uint64, cfg.Blocks*words)
 	m.block = make([]compile.Config, cfg.Blocks)
 	for b := range m.block {
 		lo, hi := b*n, (b+1)*n
-		m.block[b] = compile.Config{States: m.states[lo:hi:hi], Versions: versions[lo:hi:hi]}
+		m.block[b] = compile.Config{
+			States: m.states[lo:hi:hi], Versions: versions[lo:hi:hi],
+			Occ: occ[b*words : (b+1)*words : (b+1)*words],
+		}
 	}
 	if cfg.Capacity > 0 {
 		m.lru = newLRULists(cfg.Caches, cfg.Blocks)
@@ -253,8 +260,9 @@ var noStep = compile.StepResult{RuleID: -1, ReadVersion: fsm.NoData, Supplier: -
 // step applies the reference, whose op has compiled index op (-1: not
 // declared, a no-op), to the block's coherence state and updates the
 // statistics. The caller has checked ref.Cache and ref.Block. The rule is
-// selected first, so a failing step changes nothing; then one walk over
-// the other caches, before the rule fires, counts the copies it kills and
+// selected first, so a failing step changes nothing; then, for a rule
+// that kills or refreshes copies, one walk over the other caches that
+// hold the block, before the rule fires, counts the copies it kills and
 // refreshes and drops the killed ones from their LRU lists.
 func (m *Machine) step(ref trace.Ref, op int) (compile.StepResult, error) {
 	cfg := &m.block[ref.Block]
@@ -271,7 +279,7 @@ func (m *Machine) step(ref trace.Ref, op int) (compile.StepResult, error) {
 		}
 		if r != nil {
 			if r.Remote {
-				m.remote(r, cfg.States, origin, ref.Block)
+				m.remote(r, cfg, origin, ref.Block)
 			}
 			cres = m.cp.Fire(cfg, origin, op, r, sup)
 		}
@@ -336,25 +344,31 @@ func (m *Machine) step(ref trace.Ref, op int) (compile.StepResult, error) {
 }
 
 // remote accounts for rule r's effect on the copies of block b held by
-// caches other than origin, whose states are states before r fires: it
-// counts the copies r invalidates and drops them from their LRU lists, and
-// when r is a store that updates sharers, counts the copies it refreshes.
-// Only the referenced block changes residency in one step, so the remote
-// LRU lists need no other reconciling.
-func (m *Machine) remote(r *compile.Rule, states []int32, origin, b int) {
+// caches other than origin, in c before r fires: it counts the copies r
+// invalidates and drops them from their LRU lists, and when r is a store
+// that updates sharers, counts the copies it refreshes. It visits the
+// caches Fire visits (compile.Config.Visit); r neither kills nor
+// refreshes an idle cache it does not visit. Only the referenced block
+// changes residency in one step, so the remote LRU lists need no other
+// reconciling.
+func (m *Machine) remote(r *compile.Rule, c *compile.Config, origin, b int) {
 	var killed, kept int64
-	for j, s := range states {
-		if j == origin {
-			continue
-		}
-		if r.Kills[s] {
-			killed++
-			if m.lru != nil {
-				m.lru.drop(j, b)
+	for w := range c.Occ {
+		for word := c.Visit(r, w); word != 0; word &= word - 1 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			if j == origin {
+				continue
 			}
-		}
-		if r.Keeps[s] {
-			kept++
+			s := c.States[j]
+			if r.Kills[s] {
+				killed++
+				if m.lru != nil {
+					m.lru.drop(j, b)
+				}
+			}
+			if r.Keeps[s] {
+				kept++
+			}
 		}
 	}
 	m.stats.Invalidations += killed
