@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/compile"
 	"repro/internal/fsm"
@@ -209,6 +210,11 @@ func newStepBuf() *stepBuf {
 	return buf
 }
 
+// stepBufPool recycles the buffers of Successors, which callers such as
+// graph.BuildGlobal make once per state, so repeated calls reuse one
+// buffer's scenario lists and intern table.
+var stepBufPool = sync.Pool{New: func() any { return newStepBuf() }}
+
 // feasible checks the scenario's class operators against its copy-count
 // bound.
 func (e *Engine) feasible(sc *scenario) bool {
@@ -242,7 +248,10 @@ func (e *Engine) propagate(sc *scenario) bool {
 // available supplier) are returned as errors alongside the successors that
 // could be generated; they indicate an ill-formed protocol definition.
 func (e *Engine) Successors(s *CState) ([]Succ, []error) {
-	m := e.expandItem(s, newStepBuf())
+	buf := stepBufPool.Get().(*stepBuf)
+	m := e.expandItem(s, buf)
+	buf.src = nil
+	stepBufPool.Put(buf)
 	var errs []error
 	for _, ev := range m.events {
 		if ev.err != nil {
