@@ -72,42 +72,60 @@ func TestCleanSweep(t *testing.T) {
 // whose newest is deleted) right before a simulated crash must still
 // produce exactly the per-job verdicts, essential-state counts and visit
 // counts of an undisturbed campaign — recovered through the store's
-// generation fallback plus resume.
+// generation fallback plus resume. It covers every engine: both
+// enumeration modes and the symbolic expansion, whose short runs need a
+// two-state cadence to reach a second save.
 func TestChaosCrashAndCorruptionPreservesVerdicts(t *testing.T) {
-	jobs := []JobSpec{{Protocol: "illinois", Engine: EngineEnumStrict, N: 4}}
-
-	clean := mustRun(t, Spec{Policy: quietPolicy(t), Jobs: jobs})
-
-	for _, kind := range []string{"corrupt", "delete"} {
+	cases := []struct {
+		job   JobSpec
+		every int
+	}{
+		{JobSpec{Protocol: "illinois", Engine: EngineEnumStrict, N: 4}, 8},
+		{JobSpec{Protocol: "illinois", Engine: EngineEnumCounting, N: 5}, 2},
+		{JobSpec{Protocol: "dragon", Engine: EngineSymbolic}, 2},
+		{JobSpec{Protocol: "moesi", Engine: EngineSymbolic}, 2},
+	}
+	for _, tc := range cases {
+		jobs := []JobSpec{tc.job}
+		name := JobName(tc.job.Protocol, tc.job.Engine, tc.job.N)
 		pol := quietPolicy(t)
-		pol.Chaos = []ChaosOp{
-			{Kind: kind, Job: "illinois-enum-strict-n4", AtSave: 2},
-			{Kind: "kill", Job: "illinois-enum-strict-n4", AtSave: 2},
-		}
-		chaos := mustRun(t, Spec{Policy: pol, Jobs: jobs})
-
-		var cb, xb bytes.Buffer
+		pol.CheckpointEvery = tc.every
+		clean := mustRun(t, Spec{Policy: pol, Jobs: jobs})
+		var cb bytes.Buffer
 		if err := clean.WriteVerdictLines(&cb); err != nil {
 			t.Fatal(err)
 		}
-		if err := chaos.WriteVerdictLines(&xb); err != nil {
-			t.Fatal(err)
-		}
-		if cb.String() != xb.String() {
-			t.Errorf("%s: verdict lines diverged\nclean:\n%s\nchaos:\n%s", kind, cb.String(), xb.String())
-		}
-		j := chaos.Jobs[0]
-		if j.Resumes == 0 {
-			t.Errorf("%s: chaos run never resumed from a snapshot", kind)
-		}
-		if kind == "corrupt" && j.RecoveredCorruption == 0 {
-			t.Errorf("corrupt: store never reported a fallback recovery")
-		}
-		if len(j.Attempts) < 2 {
-			t.Errorf("%s: expected a failed first attempt, got %+v", kind, j.Attempts)
-		}
-		if got := j.Attempts[0].Class; got != ClassTransient {
-			t.Errorf("%s: injected crash classified %q, want %q", kind, got, ClassTransient)
+
+		for _, kind := range []string{"corrupt", "delete"} {
+			pol := quietPolicy(t)
+			pol.CheckpointEvery = tc.every
+			pol.Chaos = []ChaosOp{
+				{Kind: kind, Job: name, AtSave: 2},
+				{Kind: "kill", Job: name, AtSave: 2},
+			}
+			chaos := mustRun(t, Spec{Policy: pol, Jobs: jobs})
+
+			var xb bytes.Buffer
+			if err := chaos.WriteVerdictLines(&xb); err != nil {
+				t.Fatal(err)
+			}
+			if cb.String() != xb.String() {
+				t.Errorf("%s %s: verdict lines diverged\nclean:\n%s\nchaos:\n%s", name, kind, cb.String(), xb.String())
+			}
+			j := chaos.Jobs[0]
+			if j.Resumes != 1 {
+				t.Errorf("%s %s: chaos run resumed %d times from a snapshot, want 1", name, kind, j.Resumes)
+			}
+			if kind == "corrupt" && j.RecoveredCorruption != 1 {
+				t.Errorf("%s corrupt: store reported %d fallback recoveries, want 1", name, j.RecoveredCorruption)
+			}
+			if len(j.Attempts) < 2 {
+				t.Errorf("%s %s: expected a failed first attempt, got %+v", name, kind, j.Attempts)
+				continue
+			}
+			if got := j.Attempts[0].Class; got != ClassTransient {
+				t.Errorf("%s %s: injected crash classified %q, want %q", name, kind, got, ClassTransient)
+			}
 		}
 	}
 }
