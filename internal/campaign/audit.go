@@ -61,7 +61,8 @@ func ConfirmSymbolicWitness(p *fsm.Protocol, strict bool, v symbolic.StateViolat
 
 // auditEnum audits every enumeration witness of a run (see
 // ConfirmEnumWitnesses).
-func (r *runner) auditEnum(rg rung, vs []enum.Violation) []WitnessRecord {
+func (r *runner) auditEnum(res *enum.Result) []WitnessRecord {
+	vs := res.Violations
 	out := make([]WitnessRecord, len(vs))
 	for i, v := range vs {
 		out[i] = WitnessRecord{State: v.Config.Key(), Kinds: kindNames(v.Violations), PathLen: len(v.Path)}
@@ -71,7 +72,7 @@ func (r *runner) auditEnum(rg rung, vs []enum.Violation) []WitnessRecord {
 	}
 	sp := r.orun.Phase(obs.PhaseAudit)
 	defer sp.End()
-	for i, vd := range ConfirmEnumWitnesses(r.proto, rg.n, enumMode(rg.engine), r.job.Strict, vs) {
+	for i, vd := range ConfirmEnumWitnesses(r.proto, res.N, res.Mode, r.job.Strict, vs) {
 		out[i].Confirmed, out[i].AuditNote = vd.Confirmed, vd.Note
 	}
 	return out

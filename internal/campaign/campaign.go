@@ -35,35 +35,25 @@ import (
 	"time"
 
 	"repro/internal/ckptio"
-	"repro/internal/enum"
+	"repro/internal/core"
 	"repro/internal/fsm"
 	"repro/internal/obs"
 	"repro/internal/protocols"
 	"repro/internal/runctl"
-	"repro/internal/symbolic"
 )
 
-// Engine selects how a job verifies its protocol.
+// Engine selects how a job verifies its protocol: one of core.Run's
+// engines.
 type Engine string
 
+// The engines: explicit-state search under strict (the paper's Figure 2)
+// or counting (Definition 5) equivalence, and the symbolic expansion of
+// Figure 3.
 const (
-	// EngineEnumStrict is explicit-state search under strict tuple
-	// equivalence (the paper's Figure 2).
-	EngineEnumStrict Engine = "enum-strict"
-	// EngineEnumCounting is explicit-state search under counting
-	// equivalence (Definition 5).
-	EngineEnumCounting Engine = "enum-counting"
-	// EngineSymbolic is the symbolic state expansion of Figure 3.
-	EngineSymbolic Engine = "symbolic"
+	EngineEnumStrict   Engine = core.EngineEnumStrict
+	EngineEnumCounting Engine = core.EngineEnumCounting
+	EngineSymbolic     Engine = core.EngineSymbolic
 )
-
-// enumMode maps an enumeration engine to its equivalence mode string.
-func enumMode(e Engine) string {
-	if e == EngineEnumCounting {
-		return enum.ModeCounting
-	}
-	return enum.ModeStrict
-}
 
 // JobSpec describes one verification job.
 type JobSpec struct {
@@ -251,7 +241,7 @@ func Classify(err error) FailureClass {
 		errors.Is(err, ckptio.ErrUnsupportedVersion),
 		errors.Is(err, ckptio.ErrNoSnapshot):
 		return ClassCorrupt
-	case errors.Is(err, errSpec):
+	case errors.Is(err, core.ErrSpec):
 		return ClassSpec
 	default:
 		return ClassInternal
@@ -583,7 +573,8 @@ func (r *runner) dropSnapshot() {
 	}
 }
 
-// attemptRung runs one attempt at one rung. done=true means the attempt
+// attemptRung runs one attempt at one rung, at the rung's width, with
+// durable periodic snapshots and chaos firing. done=true means the attempt
 // produced a final result (recorded into r.res); otherwise err says why it
 // failed. resumed reports whether the attempt continued from a snapshot.
 // Policy.AttemptTimeout bounds the attempt's engine run through its
@@ -595,10 +586,58 @@ func (r *runner) attemptRung(rg rung) (done, resumed bool, err error) {
 		ctx, cancel = context.WithTimeout(ctx, r.policy.AttemptTimeout)
 		defer cancel()
 	}
-	if rg.engine == EngineSymbolic {
-		return r.attemptSymbolic(ctx, rg)
+	job := core.Job{
+		Engine:    string(rg.engine),
+		N:         rg.n,
+		Strict:    r.job.Strict,
+		MaxStates: r.policy.MaxStates,
+		RunConfig: runctl.RunConfig{
+			CheckpointOnStop: r.store != nil,
+			Observer:         r.policy.Observer,
+			Metrics:          r.policy.Metrics,
+			Workers:          rg.workers,
+		},
 	}
-	return r.attemptEnum(ctx, rg)
+	if r.store != nil {
+		saves := 0
+		job.CheckpointEvery = r.policy.CheckpointEvery
+		job.Snapshot = func(data []byte) error {
+			if err := r.store.Save(data); err != nil {
+				return err
+			}
+			saves++
+			return r.chaosFire(saves)
+		}
+	}
+	if job.Resume, err = r.loadSnapshot(); err != nil {
+		// No valid snapshot survived; restart the rung from scratch.
+		r.dropSnapshot()
+	}
+
+	out, err := core.Run(ctx, r.proto, job)
+	if errors.Is(err, core.ErrResume) {
+		// A snapshot that does not decode, or of another shape (engine
+		// switch, shrunk n), cannot seed this rung.
+		job.Resume = nil
+		out, err = core.Run(ctx, r.proto, job)
+	}
+	resumed = job.Resume != nil
+	if err != nil {
+		if out != nil && r.store != nil && runctl.IsStop(err) {
+			if data, eerr := out.Checkpoint(); eerr == nil && data != nil {
+				_ = r.store.Save(data)
+			}
+		}
+		return false, resumed, err
+	}
+	r.res.Essential = out.Essential
+	r.res.Visits = out.Visits
+	if out.Enum != nil {
+		r.res.Violations = r.auditEnum(out.Enum)
+	} else {
+		r.res.Violations = r.auditSymbolic(out.Symbolic.Violations)
+	}
+	return true, resumed, nil
 }
 
 // loadSnapshot pulls the newest valid snapshot payload from the store,
@@ -664,151 +703,3 @@ func corruptFile(path string) {
 	}
 	_ = os.WriteFile(path, data, 0o644)
 }
-
-// attemptEnum runs one enumeration attempt (strict or counting, at the
-// rung's width) with durable periodic snapshots and chaos firing.
-func (r *runner) attemptEnum(ctx context.Context, rg rung) (bool, bool, error) {
-	opts := enum.Options{
-		MaxStates: r.policy.MaxStates,
-		RunConfig: runctl.RunConfig{
-			CheckpointOnStop: r.store != nil,
-			Observer:         r.policy.Observer,
-			Metrics:          r.policy.Metrics,
-			Workers:          rg.workers,
-		},
-		Strict: r.job.Strict,
-	}
-	if r.store != nil {
-		saves := 0
-		opts.RunConfig.CheckpointEvery = r.policy.CheckpointEvery
-		opts.OnCheckpoint = func(cp *enum.Checkpoint) error {
-			data, err := cp.Encode()
-			if err != nil {
-				return err
-			}
-			if err := r.store.Save(data); err != nil {
-				return err
-			}
-			saves++
-			return r.chaosFire(saves)
-		}
-	}
-
-	var cp *enum.Checkpoint
-	if payload, err := r.loadSnapshot(); err != nil {
-		// No valid snapshot survived; restart the rung from scratch.
-		r.dropSnapshot()
-	} else if payload != nil {
-		decoded, err := enum.DecodeCheckpoint(payload)
-		// A snapshot from a different shape (engine switch, shrunk n)
-		// cannot seed this rung.
-		if err == nil && decoded.Mode == enumMode(rg.engine) &&
-			decoded.N == rg.n && decoded.Protocol == r.proto.Name {
-			cp = decoded
-		}
-	}
-
-	var res *enum.Result
-	var err error
-	switch {
-	case cp != nil:
-		res, err = enum.ResumeContext(ctx, r.proto, cp, opts)
-	case rg.engine == EngineEnumCounting:
-		res, err = enum.CountingContext(ctx, r.proto, rg.n, opts)
-	default:
-		res, err = enum.ExhaustiveContext(ctx, r.proto, rg.n, opts)
-	}
-	resumed := cp != nil
-	if err != nil {
-		return false, resumed, err
-	}
-	if res.Truncated {
-		if r.store != nil && res.Checkpoint != nil {
-			if data, eerr := res.Checkpoint.Encode(); eerr == nil {
-				_ = r.store.Save(data)
-			}
-		}
-		return false, resumed, fmt.Errorf("enumeration stopped: %w", res.StopReason)
-	}
-	if len(res.SpecErrors) > 0 {
-		return false, resumed, fmt.Errorf("%w: %v", errSpec, res.SpecErrors[0])
-	}
-	r.res.Essential = res.Unique
-	r.res.Visits = res.Visits
-	r.res.Violations = r.auditEnum(rg, res.Violations)
-	return true, resumed, nil
-}
-
-// attemptSymbolic runs one symbolic expansion attempt with the same
-// durability and chaos plumbing as attemptEnum. rg.workers is the
-// speculation width (every width gives the same result).
-func (r *runner) attemptSymbolic(ctx context.Context, rg rung) (bool, bool, error) {
-	eng, err := symbolic.NewEngine(r.proto)
-	if err != nil {
-		return false, false, fmt.Errorf("%w: %v", errSpec, err)
-	}
-	opts := symbolic.Options{
-		MaxVisits: r.policy.MaxStates,
-		RunConfig: runctl.RunConfig{
-			CheckpointOnStop: r.store != nil,
-			Observer:         r.policy.Observer,
-			Metrics:          r.policy.Metrics,
-			Workers:          rg.workers,
-		},
-		Strict: r.job.Strict,
-	}
-	if r.store != nil {
-		saves := 0
-		opts.RunConfig.CheckpointEvery = r.policy.CheckpointEvery
-		opts.OnCheckpoint = func(cp *symbolic.Checkpoint) error {
-			data, err := cp.Encode()
-			if err != nil {
-				return err
-			}
-			if err := r.store.Save(data); err != nil {
-				return err
-			}
-			saves++
-			return r.chaosFire(saves)
-		}
-	}
-
-	var cp *symbolic.Checkpoint
-	if payload, lerr := r.loadSnapshot(); lerr != nil {
-		r.dropSnapshot()
-	} else if payload != nil {
-		decoded, derr := symbolic.DecodeCheckpoint(payload)
-		if derr == nil && decoded.Protocol == r.proto.Name {
-			cp = decoded
-		}
-	}
-
-	var res *symbolic.Result
-	if cp != nil {
-		res, err = eng.ResumeContext(ctx, cp, opts)
-	} else {
-		res, err = eng.ExpandContext(ctx, opts)
-	}
-	resumed := cp != nil
-	if err != nil {
-		return false, resumed, err
-	}
-	if res.Truncated {
-		if r.store != nil && res.Checkpoint != nil {
-			if data, eerr := res.Checkpoint.Encode(); eerr == nil {
-				_ = r.store.Save(data)
-			}
-		}
-		return false, resumed, fmt.Errorf("expansion stopped: %w", res.StopReason)
-	}
-	if len(res.SpecErrors) > 0 {
-		return false, resumed, fmt.Errorf("%w: %v", errSpec, res.SpecErrors[0])
-	}
-	r.res.Essential = len(res.Essential)
-	r.res.Visits = res.Visits
-	r.res.Violations = r.auditSymbolic(res.Violations)
-	return true, resumed, nil
-}
-
-// errSpec marks protocol-definition failures (ClassSpec).
-var errSpec = errors.New("campaign: protocol specification error")

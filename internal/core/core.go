@@ -56,8 +56,9 @@ type Options struct {
 	// at a worklist boundary.
 	CheckpointOnStop bool
 	// Resume continues the symbolic expansion from a previously captured
-	// checkpoint instead of starting from the initial composite state.
-	Resume *symbolic.Checkpoint
+	// checkpoint, encoded (symbolic.Checkpoint.Encode), instead of starting
+	// from the initial composite state.
+	Resume []byte
 
 	// Observer receives phase boundaries (expand, graph, crosscheck),
 	// per-level stats and discrete events from every stage of the pipeline;
@@ -123,16 +124,14 @@ func Verify(p *fsm.Protocol, opts Options) (*Report, error) {
 // so callers can both classify the stop and render what was verified
 // before it.
 func VerifyContext(ctx context.Context, p *fsm.Protocol, opts Options) (*Report, error) {
-	eng, err := symbolic.NewEngine(p)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Protocol: p, engine: eng}
 	// The pipeline's own run handle times the graph and cross-check phases;
 	// the engines open their own expand/reconcile phases on the same
 	// observer and registry through their RunConfig.
 	orun := obs.Sink{Observer: opts.Observer, Metrics: opts.Metrics}.Run("core", p.Name)
-	symOpts := symbolic.Options{
+	out, err := Run(ctx, p, Job{
+		Engine:    EngineSymbolic,
+		Strict:    opts.Strict,
+		MaxStates: opts.MaxVisits,
 		RunConfig: runctl.RunConfig{
 			Budget:           opts.Budget,
 			CheckpointOnStop: opts.CheckpointOnStop,
@@ -140,26 +139,23 @@ func VerifyContext(ctx context.Context, p *fsm.Protocol, opts Options) (*Report,
 			Metrics:          opts.Metrics,
 			Workers:          opts.SymbolicWorkers,
 		},
-		MaxVisits:       opts.MaxVisits,
 		RecordLog:       opts.RecordLog,
 		StopOnViolation: opts.StopOnViolation,
-		Strict:          opts.Strict,
-	}
-	if opts.Resume != nil {
-		rep.Symbolic, err = eng.ResumeContext(ctx, opts.Resume, symOpts)
-	} else {
-		rep.Symbolic, err = eng.ExpandContext(ctx, symOpts)
-	}
-	if err != nil {
+		Resume:          opts.Resume,
+	})
+	if out == nil {
 		return nil, err
 	}
+	// A run that returned is stopped or complete; its specification errors
+	// are part of the verdict (Report.OK), not a failure of the pipeline.
+	rep := &Report{Protocol: p, Symbolic: out.Symbolic, engine: out.Engine}
 	if rep.Symbolic.Truncated {
 		return rep, fmt.Errorf("core: symbolic expansion of %s stopped: %w", p.Name, rep.Symbolic.StopReason)
 	}
 
 	if opts.BuildGraph && rep.Symbolic.OK() {
 		gsp := orun.Phase(obs.PhaseGraph)
-		g, err := graph.BuildGlobal(eng, rep.Symbolic.Essential)
+		g, err := graph.BuildGlobal(rep.engine, rep.Symbolic.Essential)
 		gsp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: building global diagram for %s: %w", p.Name, err)
@@ -169,7 +165,7 @@ func VerifyContext(ctx context.Context, p *fsm.Protocol, opts Options) (*Report,
 
 	for _, n := range opts.CrossCheckN {
 		csp := orun.Phase(obs.PhaseCrossCheck)
-		cc, err := crossCheck(ctx, eng, rep.Symbolic.Essential, n, opts)
+		cc, err := crossCheck(ctx, rep.engine, rep.Symbolic.Essential, n, opts)
 		csp.End()
 		if err != nil && !runctl.IsStop(err) {
 			return nil, err
@@ -188,17 +184,22 @@ func VerifyContext(ctx context.Context, p *fsm.Protocol, opts Options) (*Report,
 // with the stop.
 func crossCheck(ctx context.Context, eng *symbolic.Engine, essential []*symbolic.CState, n int, opts Options) (*CrossCheck, error) {
 	p := eng.Protocol()
-	res, err := enum.CountingContext(ctx, p, n, enum.Options{
+	out, err := Run(ctx, p, Job{
+		Engine: EngineEnumCounting,
+		N:      n,
+		Strict: opts.Strict,
 		RunConfig: runctl.RunConfig{
 			Budget:   opts.Budget,
 			Observer: opts.Observer,
 			Metrics:  opts.Metrics,
 		},
-		Strict: opts.Strict,
 	})
-	if err != nil {
+	if out == nil {
 		return nil, fmt.Errorf("core: enumerating %s with %d caches: %w", p.Name, n, err)
 	}
+	// A stopped run is replayed as far as it got; specification errors
+	// fail the check through Enum.OK.
+	res := out.Enum
 	cc := &CrossCheck{N: n, Enum: res}
 	err = res.Configs(ctx, func(cfg *fsm.Config) error {
 		cs, err := eng.Abstract(cfg)

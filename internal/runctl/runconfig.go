@@ -7,19 +7,19 @@ import (
 )
 
 // RunConfig is the run-control and observability configuration shared by
-// the enumeration and the symbolic expansion. enum.Options and
-// symbolic.Options embed it, so the memory/checkpoint/width knobs are
-// declared once and read identically everywhere; the state cap and the
-// deadline are not here (see the package doc):
+// the enumeration and the symbolic expansion. enum.Options,
+// symbolic.Options and core.Job embed it, so the memory/checkpoint/width
+// knobs are declared once and read identically everywhere; the state cap
+// and the deadline are not here (see the package doc):
 //
 //	ctx, cancel := context.WithTimeout(ctx, time.Minute)
 //	defer cancel()
-//	opts := enum.Options{MaxStates: 1 << 20, RunConfig: runctl.RunConfig{
-//		Budget:  runctl.Budget{MaxBytes: 256 << 20},
-//		Workers: 8,
-//		Metrics: reg,
-//	}}
-//	res, err := enum.ExhaustiveContext(ctx, p, n, opts)
+//	out, err := core.Run(ctx, p, core.Job{Engine: core.EngineEnumStrict, N: n,
+//		MaxStates: 1 << 20, RunConfig: runctl.RunConfig{
+//			Budget:  runctl.Budget{MaxBytes: 256 << 20},
+//			Workers: 8,
+//			Metrics: reg,
+//		}})
 //
 // The zero value runs unbounded, one worker wide and unobserved.
 type RunConfig struct {
@@ -32,10 +32,10 @@ type RunConfig struct {
 	CheckpointOnStop bool
 
 	// CheckpointEvery, when > 0, additionally snapshots the run every that
-	// many expanded states (enum: at the first level boundary after them)
-	// through the engine's checkpoint callback (enum.Options.OnCheckpoint /
-	// symbolic.Options.OnCheckpoint — the callback stays on the engine's
-	// Options because the checkpoint types differ).
+	// many expanded states (enum: at the first level boundary after them).
+	// Callers of core.Run receive each snapshot encoded in core.Job.Snapshot;
+	// the engines' own entry points hand it, typed, to
+	// enum.Options.OnCheckpoint or symbolic.Options.OnCheckpoint.
 	CheckpointEvery int
 
 	// Workers is the width of every run: the enumeration's BFS workers per

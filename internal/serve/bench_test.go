@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/fsm"
 	"repro/internal/mutate"
-	"repro/internal/obs"
 	"repro/internal/protocols"
 )
 
@@ -72,9 +71,9 @@ func BenchmarkServeCacheMiss(b *testing.B) {
 
 // BenchmarkMutantSweep runs the 53-job catalog sweep — every library
 // protocol and each of its mutants that needs no strict check, the jobs a
-// {"sweep": {"mutants": true}} batch expands to — through runSymbolic and
-// through runEnum at strict n=4, engine plus witness audit, one sweep per
-// op. witnesses/op counts the audited violations, the work the run-level
+// {"sweep": {"mutants": true}} batch expands to — through runVerification
+// on the symbolic engine and on enum-strict at n=4, engine plus witness
+// audit, one sweep per op. witnesses/op counts the audited violations, the work the run-level
 // audit shares across prefixes. CI's bench job runs it:
 //
 //	go test ./internal/serve -run '^$' -bench BenchmarkMutantSweep -count 5 -benchtime 5x -benchmem
@@ -95,10 +94,9 @@ func BenchmarkMutantSweep(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		opts JobOptions
-		run  func(context.Context, *fsm.Protocol, JobOptions, *obs.Registry) (*Report, error)
 	}{
-		{"symbolic", JobOptions{Engine: EngineSymbolic}, runSymbolic},
-		{"enum-strict-n4", JobOptions{Engine: EngineEnumStrict, N: 4}, runEnum},
+		{"symbolic", JobOptions{Engine: EngineSymbolic}},
+		{"enum-strict-n4", JobOptions{Engine: EngineEnumStrict, N: 4}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			if err := c.opts.normalize(); err != nil {
@@ -110,7 +108,7 @@ func BenchmarkMutantSweep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, p := range protos {
-					rep, err := c.run(ctx, p, c.opts, nil)
+					rep, _, err := runVerification(ctx, p, "", c.opts, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -174,7 +172,7 @@ func BenchmarkReportEncode(b *testing.B) {
 	b.ReportMetric(float64(reportBytes)/(1<<20), "MiB/sweep")
 }
 
-// TestEnumSweepAllocs bounds the allocations of runEnum over the 53-job
+// TestEnumSweepAllocs bounds the allocations of runVerification over the 53-job
 // strict n=4 sweep, engine and witness audit included. Each witness rank
 // is rendered once into one buffer per run, a report's text into one
 // buffer per job, and each store allocates one key chunk and one index,
@@ -188,7 +186,7 @@ func TestEnumSweepAllocs(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(2, func() {
 		for i := range jobs {
-			if _, err := runEnum(ctx, jobs[i].Proto, jobs[i].Opts, nil); err != nil {
+			if _, _, err := runVerification(ctx, jobs[i].Proto, jobs[i].Key, jobs[i].Opts, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

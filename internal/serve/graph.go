@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/enum"
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -96,22 +96,17 @@ func buildJobGraph(ctx context.Context, j *Job, format string) ([]byte, error) {
 		DOT(context.Context) ([]byte, error)
 		JSON(context.Context) ([]byte, error)
 	}
-	if j.opts.Engine == EngineSymbolic {
-		eng, res, err := expand(ctx, j.proto, j.opts, nil)
-		if err != nil {
-			return nil, err
-		}
-		if g, err = graph.BuildGlobal(eng, res.Essential); err != nil {
-			return nil, err
-		}
+	out, err := core.Run(ctx, j.proto, j.opts.job(nil))
+	if err != nil {
+		return nil, err
+	}
+	if out.Symbolic != nil {
+		g, err = graph.BuildGlobal(out.Engine, out.Symbolic.Essential)
 	} else {
-		res, err := enumerate(ctx, j.proto, j.opts, enum.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if g, err = graph.BuildConcrete(ctx, res); err != nil {
-			return nil, err
-		}
+		g, err = graph.BuildConcrete(ctx, out.Enum)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if format == GraphFormatJSON {
 		return g.JSON(ctx)

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/enum"
 	"repro/internal/graph"
 	"repro/internal/protocols"
@@ -227,7 +228,7 @@ func TestJobGraphCanceled(t *testing.T) {
 			t.Errorf("%s: a cancelled build memoized %d rendering(s)", tc.engine, memo)
 		}
 		enumOnly := &canceledAfter{Context: context.Background(), limit: math.MaxInt64}
-		if _, err := enumerate(enumOnly, j.proto, j.opts, enum.Options{}); err != nil {
+		if _, err := core.Run(enumOnly, j.proto, j.opts.job(nil)); err != nil {
 			t.Fatal(err)
 		}
 		// Past the enumeration, a diagram this small checks its context

@@ -8,16 +8,16 @@ import (
 	"strings"
 
 	"repro/internal/ccpsl"
+	"repro/internal/core"
 	"repro/internal/fsm"
 	"repro/internal/protocols"
 )
 
-// Engine names accepted by the service. They match the campaign engine
-// vocabulary (internal/campaign.Engine).
+// Engine names accepted by the service: core.Run's.
 const (
-	EngineSymbolic     = "symbolic"
-	EngineEnumStrict   = "enum-strict"
-	EngineEnumCounting = "enum-counting"
+	EngineSymbolic     = core.EngineSymbolic
+	EngineEnumStrict   = core.EngineEnumStrict
+	EngineEnumCounting = core.EngineEnumCounting
 )
 
 // maxEnumN caps the cache count a request may ask an enumeration engine

@@ -26,11 +26,10 @@ func FuzzPeerEnvelope(f *testing.F) {
 		f.Fatal(err)
 	}
 	key := CacheKey(canonical, opts)
-	rep, err := runSymbolic(context.Background(), p, opts, nil)
+	rep, _, err := runVerification(context.Background(), p, key, opts, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	rep.CacheKey = key
 	report := encodeReport(rep)
 	f.Add(key, ckptio.Encode(report))
 	f.Add("another-key", ckptio.Encode(report))

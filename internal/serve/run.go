@@ -2,11 +2,11 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"strings"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/enum"
 	"repro/internal/fsm"
 	"repro/internal/obs"
@@ -67,18 +67,21 @@ type ViolationReport struct {
 // runVerification executes one verification job and renders its report.
 // cacheable is false when the verdict must not enter the cache: the run
 // was truncated, or a violation witness failed its independent audit.
-// Errors follow the runctl taxonomy: a stopped run returns an error
-// matching the runctl sentinels via errors.Is. Engine counters (level,
-// visit and pruning totals) accumulate into reg, the server's registry.
+// Errors are core.Run's: a stopped run returns an error matching the
+// runctl sentinels via errors.Is, and a specification error one matching
+// core.ErrSpec. Engine counters (level, visit and pruning totals)
+// accumulate into reg, the server's registry.
 func runVerification(ctx context.Context, p *fsm.Protocol, key string, opts JobOptions, reg *obs.Registry) (rep *Report, cacheable bool, err error) {
-	switch opts.Engine {
-	case EngineSymbolic:
-		rep, err = runSymbolic(ctx, p, opts, reg)
-	default:
-		rep, err = runEnum(ctx, p, opts, reg)
-	}
+	out, err := core.Run(ctx, p, opts.job(reg))
 	if err != nil {
 		return nil, false, err
+	}
+	rep = &Report{Essential: out.Essential, Visits: out.Visits}
+	if out.Symbolic != nil {
+		fillSymbolic(rep, p, opts.Strict, out.Symbolic)
+	} else if vs := out.Enum.Violations; len(vs) > 0 {
+		verdicts := campaign.ConfirmEnumWitnesses(p, opts.N, out.Enum.Mode, opts.Strict, vs)
+		fillEnumViolations(rep, p, vs, verdicts)
 	}
 	rep.Schema = ReportSchema
 	rep.Protocol = p.Name
@@ -102,27 +105,32 @@ func runVerification(ctx context.Context, p *fsm.Protocol, key string, opts JobO
 	return rep, cacheable, nil
 }
 
+// job is the engine run of a verification job at its own engine, cache
+// count, strictness, state cap and width; reg, when non-nil, collects the
+// engine counters.
+func (o JobOptions) job(reg *obs.Registry) core.Job {
+	return core.Job{
+		Engine:    o.Engine,
+		N:         o.N,
+		Strict:    o.Strict,
+		MaxStates: o.MaxStates,
+		RunConfig: runctl.RunConfig{Metrics: reg, Workers: o.Workers},
+	}
+}
+
 // Report verdicts.
 const (
 	VerdictClean      = "clean"
 	VerdictViolations = "violations"
 )
 
-// runSymbolic runs the Figure 3 symbolic expansion and audits any
-// violations by concretization.
-func runSymbolic(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs.Registry) (*Report, error) {
-	_, res, err := expand(ctx, p, opts, reg)
-	if err != nil {
-		return nil, err
-	}
-	if len(res.SpecErrors) > 0 {
-		return nil, fmt.Errorf("serve: specification error: %v", res.SpecErrors[0])
-	}
-	rep := &Report{Essential: len(res.Essential), Visits: res.Visits}
+// fillSymbolic renders a symbolic run's essential states into rep, and its
+// violations with the verdicts of their audit by concretization.
+func fillSymbolic(rep *Report, p *fsm.Protocol, strict bool, res *symbolic.Result) {
 	for _, s := range symbolic.SortStates(res.Essential) {
 		rep.EssentialStates = append(rep.EssentialStates, s.StructureString(p))
 	}
-	verdicts := campaign.ConfirmSymbolicWitnesses(p, opts.Strict, res.Violations)
+	verdicts := campaign.ConfirmSymbolicWitnesses(p, strict, res.Violations)
 	for i, v := range res.Violations {
 		vr := ViolationReport{State: v.State.StructureString(p)}
 		for _, viol := range v.Violations {
@@ -134,26 +142,6 @@ func runSymbolic(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs
 		vr.Confirmed, vr.AuditNote = verdicts[i].Confirmed, verdicts[i].Note
 		rep.Violations = append(rep.Violations, vr)
 	}
-	return rep, nil
-}
-
-// runEnum runs an explicit-state enumeration (Figure 2 strict or
-// Definition 5 counting) and audits any violations by step replay.
-func runEnum(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs.Registry) (*Report, error) {
-	res, err := enumerate(ctx, p, opts, enum.Options{RunConfig: runctl.RunConfig{Metrics: reg}})
-	if err != nil {
-		return nil, err
-	}
-	if len(res.SpecErrors) > 0 {
-		return nil, fmt.Errorf("serve: specification error: %v", res.SpecErrors[0])
-	}
-	rep := &Report{Essential: res.Unique, Visits: res.Visits}
-	if len(res.Violations) == 0 {
-		return rep, nil
-	}
-	verdicts := campaign.ConfirmEnumWitnesses(p, opts.N, res.Mode, opts.Strict, res.Violations)
-	fillEnumViolations(rep, p, res.Violations, verdicts)
-	return rep, nil
 }
 
 // fillEnumViolations renders an enum run's violations into rep. Every
@@ -211,45 +199,4 @@ func fillEnumViolations(rep *Report, p *fsm.Protocol, vs []enum.Violation, verdi
 		}
 		vr.Confirmed, vr.AuditNote = verdicts[i].Confirmed, verdicts[i].Note
 	}
-}
-
-// expand runs a symbolic job's expansion under ctx, at the job's width,
-// visit cap and strictness. A run that stops early returns an error
-// matching the runctl sentinels.
-func expand(ctx context.Context, p *fsm.Protocol, opts JobOptions, reg *obs.Registry) (*symbolic.Engine, *symbolic.Result, error) {
-	eng, err := symbolic.NewEngine(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := eng.ExpandContext(ctx, symbolic.Options{
-		RunConfig: runctl.RunConfig{Metrics: reg, Workers: opts.Workers},
-		Strict:    opts.Strict,
-		MaxVisits: opts.MaxStates,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if res.Truncated {
-		return nil, nil, fmt.Errorf("serve: symbolic expansion stopped: %w", res.StopReason)
-	}
-	return eng, res, nil
-}
-
-// enumerate runs an enum job's enumeration under ctx, at the job's cache
-// count, width, state cap and strictness, on top of eopts. A run that
-// stops early returns an error matching the runctl sentinels.
-func enumerate(ctx context.Context, p *fsm.Protocol, opts JobOptions, eopts enum.Options) (*enum.Result, error) {
-	eopts.Workers, eopts.Strict, eopts.MaxStates = opts.Workers, opts.Strict, opts.MaxStates
-	run := enum.ExhaustiveContext
-	if opts.Engine == EngineEnumCounting {
-		run = enum.CountingContext
-	}
-	res, err := run(ctx, p, opts.N, eopts)
-	if err != nil {
-		return nil, err
-	}
-	if res.Truncated {
-		return nil, fmt.Errorf("serve: enumeration stopped: %w", res.StopReason)
-	}
-	return res, nil
 }

@@ -73,7 +73,7 @@ type Mutant = mutate.Mutant
 type Budget = runctl.Budget
 
 // SymbolicCheckpoint is a resumable snapshot of an interrupted symbolic
-// expansion; pass it back via VerifyOptions.Resume.
+// expansion; pass its Encode bytes back via VerifyOptions.Resume.
 type SymbolicCheckpoint = symbolic.Checkpoint
 
 // Observer receives live progress callbacks from a verification run: phase

@@ -64,7 +64,11 @@ func TestVerifyContextBudgetAndResume(t *testing.T) {
 		t.Fatal("budget stop must carry a checkpoint")
 	}
 
-	resumed, err := repro.VerifyContext(context.Background(), p, repro.VerifyOptions{Resume: cp})
+	data, err := cp.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := repro.VerifyContext(context.Background(), p, repro.VerifyOptions{Resume: data})
 	if err != nil {
 		t.Fatal(err)
 	}
