@@ -656,3 +656,28 @@ func TestSpecCheckpointResume(t *testing.T) {
 		t.Errorf("resumed exit %d, output\n%s\nwant\n%s", code, got, want)
 	}
 }
+
+// TestEnumSpecErrorExits2: an enumeration that hits a rule with no
+// possible supplier prints each specification error on stderr and exits
+// 2, as the symbolic run of the same spec does.
+func TestEnumSpecErrorExits2(t *testing.T) {
+	spec := filepath.Join("testdata", "illinois_dirty_supplier.ccpsl")
+	for _, engine := range []string{"enum-strict", "enum-counting", "symbolic"} {
+		var code int
+		var stdout string
+		stderr := stderrOf(t, func() {
+			code, stdout = runOut(t, context.Background(), "", spec, cliOpts{engine: engine, n: 2})
+		})
+		if code != runctl.ExitViolation {
+			t.Errorf("%s: exit code %d, want %d", engine, code, runctl.ExitViolation)
+		}
+		// The symbolic summary lists its specification errors on stdout.
+		printed := stderr
+		if engine == "symbolic" {
+			printed = stdout
+		}
+		if !strings.Contains(printed, "specification error: ") || !strings.Contains(printed, "supplier in [Dirty]") {
+			t.Errorf("%s: no specification error printed\nstdout:\n%s\nstderr:\n%s", engine, stdout, stderr)
+		}
+	}
+}
